@@ -20,7 +20,13 @@ from .expansion import DiastasisExpansion, diastasis
 from .feasibility import positive_solution_exists, rref
 from .lie_core import PaintedDiagram
 from .matrices import CoordinateAtlas
-from .poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
+from .poly import (
+    CoeffForm,
+    EngineInvariantError,
+    Monomial,
+    Polynomial,
+    render_signed_sum,
+)
 
 _HALF = Fraction(1, 2)
 
@@ -202,12 +208,6 @@ class BochnerVerdict:
     constraints: tuple[tuple[Fraction, ...], ...] = ()
     witness: tuple[Monomial, CoeffForm] | None = None
 
-    def constraint_maps(self) -> list[dict[int, Fraction]]:
-        return [
-            {p: x for p, x in zip(self.black, row) if x}
-            for row in self.constraints
-        ]
-
 
 def _constraint_rows(report: ForbiddenReport,
                      black: tuple[int, ...]) -> list[tuple[Fraction, ...]]:
@@ -272,12 +272,5 @@ def render_constraint(row, black: tuple[int, ...]) -> str:
     (lead_pos, lead), rest = nz[0], nz[1:]
     if not rest:
         return f"c{lead_pos} = 0"
-    parts = []
-    for p, x in rest:
-        coef = -x / lead
-        mag = "" if abs(coef) == 1 else f"{abs(coef)}*"
-        parts.append(("-" if coef < 0 else "+") + f"{mag}c{p}")
-    rhs = (parts[0][1:] if parts[0][0] == "+" else parts[0]) + "".join(
-        f" {s[0]} {s[1:]}" for s in parts[1:]
-    )
+    rhs = render_signed_sum((f"c{p}", -x / lead) for p, x in rest)
     return f"c{lead_pos} = {rhs}"

@@ -42,7 +42,7 @@ from .lie_core import (
     poincare,
 )
 from .matrices import build_Z, nilpotency_index
-from .poly import EngineInvariantError
+from .poly import EngineInvariantError, render_signed_sum
 
 SCHEMA_VERSION = 1
 
@@ -70,6 +70,16 @@ class CaseRequest:
     coeffs: object  # "symbolic" or tuple of positive Fractions
     max_degree: int
     audit_degree: int | None
+
+    def __post_init__(self):
+        repeated = sorted({p for p in self.black if self.black.count(p) > 1})
+        if repeated:
+            raise ValueError(f"--black lists node {repeated[0]} more than once")
+        if self.coeffs != "symbolic" and len(self.coeffs) != len(self.black):
+            raise ValueError(
+                f"--coeffs needs one value per black node: {len(self.black)} "
+                f"expected, got {len(self.coeffs)}"
+            )
 
     def echo(self) -> dict:
         return {
@@ -209,7 +219,11 @@ def run_case(request: CaseRequest) -> dict:
     atlas = build_Z(diagram)
     names = atlas.var_names()
     minors = admissible_minors(diagram)
-    expansion = diastasis(diagram, request.max_degree, "symbolic")
+    # the expansion to degree d is the truncation of any deeper one, so one
+    # expansion serves both the report and the audit
+    top = max(request.max_degree, request.audit_degree or 0)
+    full = diastasis(diagram, top, "symbolic")
+    expansion = full.truncate(request.max_degree)
     report = forbidden_report(expansion)
     verdict = verdict_from_report(report, diagram.black)
     cvals = None
@@ -226,8 +240,7 @@ def run_case(request: CaseRequest) -> dict:
         "forbidden": _forbidden_json(report, names, cvals),
     }
     if request.audit_degree is not None:
-        audit_exp = diastasis(diagram, request.audit_degree, "symbolic")
-        audit_rep = forbidden_report(audit_exp)
+        audit_rep = forbidden_report(full.truncate(request.audit_degree))
         audit_ver = verdict_from_report(audit_rep, diagram.black)
         doc["audit"] = {
             "degree": request.audit_degree,
@@ -308,6 +321,8 @@ def _sample_points(nvars: int, samples: int, seed: int, radius: float):
 def run_numeric_check(request: CaseRequest, samples: int, seed: int) -> dict:
     if request.coeffs == "symbolic":
         raise ValueError("--numeric-check requires numeric --coeffs")
+    if samples < 1:
+        raise ValueError("--samples must be at least 1")
     diagram = PaintedDiagram(request.group, request.black)
     expansion = diastasis(diagram, request.max_degree, request.coeffs)
     coeffs = [float(c) for c in request.coeffs]
@@ -416,19 +431,10 @@ def _render_case_table(doc: dict) -> str:
 
 
 def _render_form_doc(form_doc: dict) -> str:
-    parts = []
-    for key, val in form_doc.items():
-        frac = Fraction(val)
-        label = "" if key == "const" else key
-        mag = abs(frac)
-        body = label if (mag == 1 and label) else (
-            f"{mag}*{label}" if label else str(mag)
-        )
-        parts.append(("-" if frac < 0 else "+") + body)
-    if not parts:
-        return "0"
-    head = parts[0][1:] if parts[0][0] == "+" else parts[0]
-    return head + "".join(f" {p[0]} {p[1:]}" for p in parts[1:])
+    return render_signed_sum(
+        ("" if key == "const" else key, Fraction(val))
+        for key, val in form_doc.items()
+    )
 
 
 def _render_sweep_table(doc: dict) -> str:

@@ -16,7 +16,7 @@ are asserted, not assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .lie_core import Family, PaintedDiagram
@@ -127,8 +127,9 @@ class DiastasisExpansion:
     def diagram(self) -> PaintedDiagram:
         return self.atlas.diagram
 
-    def coeff_map(self) -> dict[int, Fraction] | None:
-        return None if self.coeff_values is None else dict(self.coeff_values)
+    def truncate(self, degree: int) -> "DiastasisExpansion":
+        """The same expansion cut down to total degree <= degree."""
+        return replace(self, degree=degree, poly=self.poly.truncate(degree))
 
     def quadratic_coefficients(self) -> dict[int, CoeffForm]:
         """Variable index -> coefficient form of z_v zb_v."""
@@ -201,9 +202,14 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
     return expansion
 
 
-def _numeric_minor_values(atlas: CoordinateAtlas, minors: AdmissibleMinors, point):
+def _numeric_potential(atlas: CoordinateAtlas, minors: AdmissibleMinors,
+                       point, coeffs) -> float:
+    """sum_k c_k ln Delta_{l_k} at a numeric point, from numpy Gram minors."""
     import numpy as np
 
+    values = [float(c) for c in coeffs]
+    if len(values) != len(minors.indices):
+        raise ValueError("one coefficient per admissible minor is required")
     z = np.array(numeric_Z(atlas, point), dtype=complex)
     m = z.shape[0]
     e = np.eye(m, dtype=complex)
@@ -214,30 +220,23 @@ def _numeric_minor_values(atlas: CoordinateAtlas, minors: AdmissibleMinors, poin
             break
         e = e + power
     a = e.conj().T @ e
-    out = []
-    for l in minors.indices:
+    acc = 0.0
+    for c, l in zip(values, minors.indices):
         det = np.linalg.det(a[:l, :l])
         if abs(det.imag) > 1e-9 * max(1.0, abs(det.real)):
             raise EngineInvariantError("Gram minor is not numerically real")
-        out.append(det.real)
-    return out
+        if det.real <= 0:
+            raise NumericDomainError(
+                f"Gram minor {det.real} is not positive at the evaluation point"
+            )
+        acc += c * math.log(det.real)
+    return acc
 
 
 def eval_numeric(expansion: DiastasisExpansion, point, coeffs) -> float:
     """The untruncated potential at a numeric point: logs of the numeric
     Gram minors, independent of the polynomial truncation."""
-    values = [float(c) for c in coeffs]
-    if len(values) != len(expansion.minors.indices):
-        raise ValueError("one coefficient per admissible minor is required")
-    dets = _numeric_minor_values(expansion.atlas, expansion.minors, point)
-    acc = 0.0
-    for c, det in zip(values, dets):
-        if det <= 0:
-            raise NumericDomainError(
-                f"Gram minor {det} is not positive at the evaluation point"
-            )
-        acc += c * math.log(det)
-    return acc
+    return _numeric_potential(expansion.atlas, expansion.minors, point, coeffs)
 
 
 def truncated_value(expansion: DiastasisExpansion, point, coeffs=None) -> float:
@@ -261,13 +260,11 @@ def hessian_fd(diagram: PaintedDiagram, coeffs, step: float = 1e-4):
 
     atlas = build_Z(diagram)
     minors = admissible_minors(diagram)
-    expansion_stub = DiastasisExpansion(atlas, 0, Polynomial.zero(0), minors, None)
-    values = [float(c) for c in coeffs]
     n = atlas.nvars
 
     def f(real_vec) -> float:
         point = [complex(real_vec[2 * a], real_vec[2 * a + 1]) for a in range(n)]
-        return eval_numeric(expansion_stub, point, values)
+        return _numeric_potential(atlas, minors, point, coeffs)
 
     f0 = f([0.0] * 2 * n)
 

@@ -34,10 +34,6 @@ class Family(str, Enum):
     SO_EVEN = "SOeven"
     SO_ODD = "SOodd"
 
-    @property
-    def cartan_letter(self) -> str:
-        return {"SU": "A", "Sp": "C", "SOeven": "D", "SOodd": "B"}[self.value]
-
     @classmethod
     def parse(cls, text: str) -> "Family":
         for fam in cls:
@@ -295,12 +291,6 @@ def black_roots(diagram: PaintedDiagram) -> tuple[frozenset[Root], tuple[Root, .
 def white_roots(diagram: PaintedDiagram) -> frozenset[Root]:
     r_m, _ = black_roots(diagram)
     return all_roots(diagram.group) - r_m
-
-
-def flag_dimension(diagram: PaintedDiagram) -> int:
-    """Complex dimension of the flag manifold: the cardinality of Q."""
-    _, q = black_roots(diagram)
-    return len(q)
 
 
 def validate_Q(group: GroupSpec, q, r_m) -> bool:

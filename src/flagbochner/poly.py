@@ -33,6 +33,22 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def render_signed_sum(terms: Iterable[tuple[str, Fraction]]) -> str:
+    """'a - 2*b + 1/2' from (label, coefficient) pairs with nonzero
+    coefficients; an empty label marks a constant."""
+    parts = []
+    for label, x in terms:
+        mag = abs(x)
+        body = f"{mag}*{label}" if label and mag != 1 else (label or str(mag))
+        parts.append(("-" if x < 0 else "+", body))
+    if not parts:
+        return "0"
+    (sign, head), rest = parts[0], parts[1:]
+    return ("-" if sign == "-" else "") + head + "".join(
+        f" {s} {b}" for s, b in rest
+    )
+
+
 class CoeffForm:
     """Exact linear form const + sum_k lam_k * c[k] with rational lam_k."""
 
@@ -116,17 +132,10 @@ class CoeffForm:
         return _ZERO
 
     def render(self, prefix: str = "c") -> str:
-        parts: list[str] = []
-        for k, lam in self.terms:
-            mag = abs(lam)
-            body = f"{prefix}{k}" if mag == 1 else f"{mag}*{prefix}{k}"
-            parts.append(("-" if lam < 0 else "+") + body)
+        terms = [(f"{prefix}{k}", lam) for k, lam in self.terms]
         if self.const:
-            parts.append(("-" if self.const < 0 else "+") + str(abs(self.const)))
-        if not parts:
-            return "0"
-        head = parts[0][1:] if parts[0][0] == "+" else parts[0]
-        return head + "".join(f" {p[0]} {p[1:]}" for p in parts[1:])
+            terms.append(("", self.const))
+        return render_signed_sum(terms)
 
     def __eq__(self, other) -> bool:
         return (

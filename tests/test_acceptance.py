@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from oracles import gram, leibniz_minor
 
 from flagbochner.bochner import (
     BochnerStatus,
@@ -22,7 +23,7 @@ from flagbochner.expansion import (
     admissible_minors,
     diastasis,
     eval_numeric,
-    gram,
+    exp_Z,
     hessian_fd,
     symbolic_metric,
     truncated_value,
@@ -38,7 +39,7 @@ from flagbochner.lie_core import (
     poincare,
 )
 from flagbochner.matrices import build_Z, nilpotency_index
-from flagbochner.poly import CoeffForm, Monomial, Polynomial
+from flagbochner.poly import CoeffForm, Monomial
 
 F = Fraction
 
@@ -108,23 +109,6 @@ def test_criterion_1_theorem_sweep():
     )
 
 
-def _leibniz_minor(mat, l):
-    acc = Polynomial.zero(mat.trunc)
-    for perm in itertools.permutations(range(l)):
-        inversions = sum(
-            1 for i in range(l) for j in range(i + 1, l) if perm[i] > perm[j]
-        )
-        prod = Polynomial.one(mat.trunc)
-        for i in range(l):
-            prod = prod * mat.entry(i, perm[i])
-            if prod.is_zero():
-                break
-        if inversions % 2:
-            prod = -prod
-        acc = acc + prod
-    return acc
-
-
 def test_criterion_2_trinomial_catalog_vs_leibniz_oracle():
     rng = random.Random(2024)
     families = [Family.SU, Family.SP, Family.SO_EVEN, Family.SO_ODD]
@@ -144,7 +128,7 @@ def test_criterion_2_trinomial_catalog_vs_leibniz_oracle():
         r = rng.choice(minors.indices)
         atlas = build_Z(diagram)
         cat = catalog_sum(catalog_trinomials(atlas, r))
-        oracle = _leibniz_minor(gram(atlas, 3), r)
+        oracle = leibniz_minor(gram(exp_Z(atlas, 3)), r)
         slice12 = oracle.bidegree_part(1, 2).truncate(None)
         if cat != slice12:
             failures.append((diagram.label(), r))

@@ -89,6 +89,15 @@ def test_run_case_audit_degree_included():
     assert doc["audit"]["verdict"]["status"] == "BochnerForAllC"
 
 
+def test_run_case_audit_leaves_main_report_unchanged():
+    plain = run_case(_case("Sp:3", "1,3"))
+    audited = run_case(_case("Sp:3", "1,3", audit=5))
+    assert audited["verdict"] == plain["verdict"]
+    assert audited["forbidden"] == plain["forbidden"]
+    assert audited["verdict"]["degree_checked"] == 3
+    assert audited["audit"]["verdict"]["degree_checked"] == 5
+
+
 def test_json_round_trip_reproduces_verdict():
     doc = run_case(_case("SOeven:4", "1,4"))
     text = json.dumps(doc, indent=2)
@@ -120,6 +129,23 @@ def test_exit_one_on_validation_error(capsys):
     assert main(["--group", "SU:4"]) == 1
     assert main(["--group", "SOodd:4", "--black", "3"]) == 1
     assert main(["--group", "SU:4", "--black", "1", "--audit-degree", "2"]) == 1
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--group", "SU:4", "--black", "1,2", "--coeffs", "1"], "got 1"),
+    (["--group", "SU:4", "--black", "1,2", "--coeffs", "1,2,3"], "got 3"),
+    (["--group", "SU:3", "--black", "1", "--coeffs", "1",
+      "--numeric-check", "--samples", "0"], "--samples"),
+    (["--group", "SU:3", "--black", "1", "--coeffs", "1",
+      "--numeric-check", "--samples", "-2"], "--samples"),
+    (["--group", "SU:4", "--black", "1,1"], "node 1 more than once"),
+])
+def test_exit_one_on_inconsistent_request(capsys, argv, reason):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert "\n" not in err and err.startswith("error: ") and reason in err
 
 
 def test_numeric_check_cli_passes(capsys):

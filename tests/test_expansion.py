@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagbochner.expansion import (
     admissible_minors,
@@ -152,6 +155,48 @@ def test_gram_is_hermitian_symbolically():
         assert a == a.conj_transpose()
 
 
+def _paintings(max_rank):
+    out = []
+    for fam, minr in ((Family.SU, 2), (Family.SP, 1),
+                      (Family.SO_EVEN, 3), (Family.SO_ODD, 1)):
+        for rank in range(minr, max_rank + 1):
+            group = GroupSpec(fam, rank)
+            for black in iter_black_sets(group, 3):
+                try:
+                    out.append(PaintedDiagram(group, black))
+                except PaintingError:
+                    continue
+    return out
+
+
+PAINTINGS_RANK4 = _paintings(4)
+
+
+def _check_minors_against_oracles(dia, degree, leibniz_up_to):
+    atlas = build_Z(dia)
+    e = exp_Z(atlas, degree)
+    a = gram(atlas, degree)
+    for l in admissible_minors(dia).indices:
+        engine = minor_det(a, l)
+        assert engine == oracles.cauchy_binet_minor(e, l), (dia, degree, l)
+        if l <= leibniz_up_to:
+            assert engine == oracles.leibniz_minor(oracles.gram(e), l)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.sampled_from(PAINTINGS_RANK4), st.integers(2, 6))
+def test_minors_match_oracles_truncated(dia, degree):
+    # Laplace on the Gram matrix = Cauchy-Binet = Leibniz; the Leibniz
+    # oracle is left out for the 4 x 4 minors, where it alone takes seconds
+    _check_minors_against_oracles(dia, degree, leibniz_up_to=3)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.sampled_from([d for d in PAINTINGS_RANK4 if d.group.matrix_size <= 6]))
+def test_minors_match_oracles_untruncated(dia):
+    _check_minors_against_oracles(dia, None, leibniz_up_to=2)
+
+
 # --------------------------------------------------------------- diastasis
 
 def test_diastasis_grassmannian_is_norm_squared_at_degree_two():
@@ -204,6 +249,13 @@ def test_diastasis_linear_in_coefficients():
     }
     evaluated = {m: v for m, v in evaluated.items() if v}
     assert evaluated == collected
+
+
+def test_truncated_expansion_equals_lower_degree_expansion():
+    for dia in SAMPLE_DIAGRAMS:
+        deep = diastasis(dia, 5, "symbolic").truncate(3)
+        assert deep.degree == 3
+        assert deep.poly == diastasis(dia, 3, "symbolic").poly
 
 
 def test_diastasis_rejects_bad_coefficients():

@@ -1,10 +1,10 @@
 """Exactness and ring-contract tests for the sparse polynomial core."""
 
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from oracles import leibniz_minor
 
 from flagbochner.poly import (
     CoeffForm,
@@ -14,6 +14,7 @@ from flagbochner.poly import (
     SymbolicMatrix,
     log1p_expand,
     minor_det,
+    render_signed_sum,
 )
 
 F = Fraction
@@ -56,6 +57,14 @@ def test_coeff_form_render():
     f = CoeffForm.parameter(1, F(1, 2)) - CoeffForm.parameter(2, F(1, 2))
     assert f.render() == "1/2*c1 - 1/2*c2"
     assert CoeffForm().render() == "0"
+
+
+def test_render_signed_sum():
+    assert render_signed_sum([]) == "0"
+    assert render_signed_sum([("c2", F(-1)), ("c3", F(2)), ("", F(-1, 2))]) == (
+        "-c2 + 2*c3 - 1/2"
+    )
+    assert render_signed_sum([("", F(3))]) == "3"
 
 
 # ----------------------------------------------------------------- Monomial
@@ -187,23 +196,6 @@ def test_ring_axioms_under_truncation():
 
 # ---------------------------------------------------------------- minor_det
 
-def _leibniz(mat, l):
-    acc = Polynomial.zero(mat.trunc)
-    for perm in itertools.permutations(range(l)):
-        inversions = sum(
-            1 for i in range(l) for j in range(i + 1, l) if perm[i] > perm[j]
-        )
-        prod = Polynomial.one(mat.trunc)
-        for i in range(l):
-            prod = prod * mat.entry(i, perm[i])
-            if prod.is_zero():
-                break
-        if inversions % 2:
-            prod = -prod
-        acc = acc + prod
-    return acc
-
-
 def test_minor_det_identity():
     ident = SymbolicMatrix.identity(5)
     for l in range(6):
@@ -239,7 +231,7 @@ def test_minor_det_matches_leibniz_oracle():
         size = rng.randint(1, 6)
         mat = _random_matrix(rng, size, trunc=4)
         l = rng.randint(1, size)
-        assert minor_det(mat, l) == _leibniz(mat, l)
+        assert minor_det(mat, l) == leibniz_minor(mat, l)
 
 
 def test_minor_det_block_diagonal_factorizes():
