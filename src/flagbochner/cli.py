@@ -52,9 +52,12 @@ HESSIAN_TOL = 1e-6
 POTENTIAL_TOL_FACTOR = 64.0
 DEFAULT_RADIUS = 0.05
 
-# sweep guardrails so a request always terminates in reasonable time
+# guardrails so a request always terminates in reasonable time; a single
+# case shares the sweep's rank cap, and its degree cap is the largest degree
+# the tests, the README and the benchmark use
 MAX_SWEEP_RANK = 8
 MAX_SWEEP_BLACK = 4
+MAX_CASE_DEGREE = 6
 
 
 class NumericCheckFailure(RuntimeError):
@@ -72,14 +75,27 @@ class CaseRequest:
     audit_degree: int | None
 
     def __post_init__(self):
+        if self.group.rank > MAX_SWEEP_RANK:
+            raise ValueError(f"--group rank is capped at {MAX_SWEEP_RANK}")
+        top = max(self.max_degree, self.audit_degree or 0)
+        if top > MAX_CASE_DEGREE:
+            raise ValueError(
+                f"--max-degree and --audit-degree are capped at {MAX_CASE_DEGREE}"
+            )
         repeated = sorted({p for p in self.black if self.black.count(p) > 1})
         if repeated:
             raise ValueError(f"--black lists node {repeated[0]} more than once")
-        if self.coeffs != "symbolic" and len(self.coeffs) != len(self.black):
-            raise ValueError(
-                f"--coeffs needs one value per black node: {len(self.black)} "
-                f"expected, got {len(self.coeffs)}"
-            )
+        if self.coeffs != "symbolic":
+            if len(self.coeffs) != len(self.black):
+                raise ValueError(
+                    f"--coeffs needs one value per black node: "
+                    f"{len(self.black)} expected, got {len(self.coeffs)}"
+                )
+            # the engine pairs coefficients with the sorted black nodes, so
+            # sort the pairs together and the echo shows the pairing used
+            pairs = sorted(zip(self.black, self.coeffs))
+            object.__setattr__(self, "coeffs", tuple(c for _, c in pairs))
+        object.__setattr__(self, "black", tuple(sorted(self.black)))
 
     def echo(self) -> dict:
         return {

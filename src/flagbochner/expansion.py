@@ -180,7 +180,9 @@ def _check_invariants(expansion: Polynomial, coeff_values) -> None:
 
 def diastasis(diagram: PaintedDiagram, degree: int = 3,
               coeffs="symbolic") -> DiastasisExpansion:
-    """Expansion of sum_k c_k ln Delta_{l_k}(A) to total degree <= degree."""
+    """Expansion of sum_k c_k ln Delta_{l_k}(A) to total degree <= degree.
+
+    Numeric coeffs pair with diagram.black, which is sorted."""
     multipliers, stored = _parse_coeffs(diagram, coeffs)
     atlas = build_Z(diagram)
     minors = admissible_minors(diagram)

@@ -182,13 +182,17 @@ class Monomial:
 
     holo and anti are sorted tuples of (variable index, exponent > 0); the
     bidegree is (p, q) = (sum of holo exponents, sum of anti exponents).
+    Monomials are immutable, so p, q and total are computed once here.
     """
 
-    __slots__ = ("holo", "anti", "_hash")
+    __slots__ = ("holo", "anti", "p", "q", "total", "_hash")
 
     def __init__(self, holo=(), anti=()):
         self.holo = tuple(holo)
         self.anti = tuple(anti)
+        self.p = sum(e for _, e in self.holo)
+        self.q = sum(e for _, e in self.anti)
+        self.total = self.p + self.q
         self._hash = hash((self.holo, self.anti))
 
     @classmethod
@@ -198,18 +202,6 @@ class Monomial:
     @classmethod
     def variable(cls, v: int, anti: bool = False) -> "Monomial":
         return cls((), ((v, 1),)) if anti else cls(((v, 1),), ())
-
-    @property
-    def p(self) -> int:
-        return sum(e for _, e in self.holo)
-
-    @property
-    def q(self) -> int:
-        return sum(e for _, e in self.anti)
-
-    @property
-    def total(self) -> int:
-        return self.p + self.q
 
     @property
     def bidegree(self) -> tuple[int, int]:
@@ -310,11 +302,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def min_total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return min(m.total for m in self.terms)
-
     def constant_term(self) -> CoeffForm:
         return self.terms.get(Monomial.unit(), CoeffForm())
 
@@ -349,14 +336,22 @@ class Polynomial:
             return NotImplemented
         trunc = _combine_trunc(self.trunc, other.trunc)
         out: dict[Monomial, CoeffForm] = {}
-        bmin = other.min_total_degree()
+        # rows[budget] lists the terms of other with total <= budget, in the
+        # order of other.terms.  Walking a row visits exactly the pairs that
+        # fit under trunc, in all-pairs order, so out is built in the same
+        # insertion order as an all-pairs loop; evaluate sums floats in
+        # that order.
+        items = list(other.terms.items())
+        rows: dict[int, list] = {}
         for m1, f1 in self.terms.items():
-            d1 = m1.total
-            if trunc is not None and d1 + bmin > trunc:
-                continue
-            for m2, f2 in other.terms.items():
-                if trunc is not None and d1 + m2.total > trunc:
-                    continue
+            if trunc is None:
+                row = items
+            else:
+                budget = trunc - m1.total
+                row = rows.get(budget)
+                if row is None:
+                    row = rows[budget] = [t for t in items if t[0].total <= budget]
+            for m2, f2 in row:
                 m = m1 * m2
                 f = f1 * f2
                 g = out.get(m)

@@ -40,3 +40,27 @@ def cauchy_binet_minor(e: SymbolicMatrix, l: int) -> Polynomial:
         d = leibniz_minor(e, l, rows)
         acc = acc + d * d.conj()
     return acc
+
+
+def mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    """The product a * b from its definition: multiply every pair of terms
+    in order, accumulating and dropping sums that cancel to zero, then drop
+    the terms over the degree bound."""
+    trunc = a.trunc if a.trunc is not None else b.trunc
+    out = {}
+    for m1, f1 in a.terms.items():
+        for m2, f2 in b.terms.items():
+            m = m1 * m2
+            g = out.get(m)
+            s = f1 * f2 if g is None else g + f1 * f2
+            if s.is_zero():
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return Polynomial(
+        {
+            m: f for m, f in out.items()
+            if trunc is None or sum(e for _, e in m.holo + m.anti) <= trunc
+        },
+        trunc,
+    )

@@ -139,6 +139,9 @@ def test_exit_one_on_validation_error(capsys):
     (["--group", "SU:3", "--black", "1", "--coeffs", "1",
       "--numeric-check", "--samples", "-2"], "--samples"),
     (["--group", "SU:4", "--black", "1,1"], "node 1 more than once"),
+    (["--group", "SU:9", "--black", "1"], "rank is capped at 8"),
+    (["--group", "SU:3", "--black", "1", "--max-degree", "7"], "capped at 6"),
+    (["--group", "SU:3", "--black", "1", "--audit-degree", "7"], "capped at 6"),
 ])
 def test_exit_one_on_inconsistent_request(capsys, argv, reason):
     assert main(argv) == 1
@@ -146,6 +149,19 @@ def test_exit_one_on_inconsistent_request(capsys, argv, reason):
     assert captured.out == ""
     err = captured.err.strip()
     assert "\n" not in err and err.startswith("error: ") and reason in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--numeric-check", "--samples", "2"]])
+def test_coeffs_follow_their_black_node(capsys, extra):
+    outs = []
+    for black, coeffs in (("3,1", "1,2"), ("1,3", "2,1")):
+        argv = ["--group", "SU:4", "--black", black, "--coeffs", coeffs,
+                "--emit", "json", *extra]
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    request = json.loads(outs[0])["request"]
+    assert request["black"] == [1, 3] and request["coeffs"] == ["2", "1"]
 
 
 def test_numeric_check_cli_passes(capsys):

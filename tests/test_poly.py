@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import leibniz_minor
+from oracles import mul as all_pairs_mul
 
 from flagbochner.poly import (
     CoeffForm,
@@ -164,6 +167,50 @@ def test_mul_matches_dense_oracle():
         got = _to_dense(a * b, nvars)
         want = _dense_mul(_to_dense(a, nvars), _to_dense(b, nvars), nvars)
         assert got == want
+
+
+def _poly_from(entries, trunc):
+    """Polynomial in z0, z1 from (holo exps, anti exps, const, c1 coeff)
+    entries; repeated monomials add up, so entries may cancel."""
+    terms = {}
+    for holo, anti, const, lam in entries:
+        mono = Monomial(
+            [(v, e) for v, e in enumerate(holo) if e],
+            [(v, e) for v, e in enumerate(anti) if e],
+        )
+        terms[mono] = terms.get(mono, CoeffForm()) + CoeffForm(const, ((1, F(lam)),))
+    return Polynomial(terms, trunc)
+
+
+_EXPS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_CONST_TERMS = st.lists(
+    st.tuples(_EXPS, _EXPS, st.integers(-2, 2), st.just(0)), max_size=7
+)
+_FORM_TERMS = st.lists(
+    st.tuples(_EXPS, _EXPS, st.integers(-2, 2), st.integers(-1, 1)), max_size=7
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_CONST_TERMS, _FORM_TERMS, st.one_of(st.none(), st.integers(0, 6)))
+# (1 + z0 + z0^2)(z0^2 - z0 + 1): z0^2 cancels to zero and comes back last
+@example(
+    [((0, 0), (0, 0), 1, 0), ((1, 0), (0, 0), 1, 0), ((2, 0), (0, 0), 1, 0)],
+    [((2, 0), (0, 0), 1, 0), ((1, 0), (0, 0), -1, 0), ((0, 0), (0, 0), 1, 0)],
+    None,
+)
+def test_mul_matches_all_pairs_oracle_in_order(a_terms, b_terms, trunc):
+    a = _poly_from(a_terms, trunc)
+    b = _poly_from(b_terms, trunc)
+    got = a * b
+    want = all_pairs_mul(a, b)
+    # term order matters: evaluate sums floats in dict order
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert got.trunc == trunc
+    for m in [*a.terms, *b.terms, *got.terms]:
+        assert m.p == sum(e for _, e in m.holo)
+        assert m.q == sum(e for _, e in m.anti)
+        assert m.total == m.p + m.q
 
 
 def test_conj_examples_and_involution():
