@@ -2,9 +2,8 @@
 
 The obstruction lives in the forbidden monomials of the potential expansion:
 bidegree (1, q >= 2), (p >= 2, 1), or off-diagonal (1,1).  At degree three
-all candidates are trinomials, and the trinomials of a Gram minor fall into
-four explicit families with weights +1/2, -1/2, -1, +1; the catalog is
-enumerated directly and cross-checked against the determinant expansion.
+all candidates are trinomials of four explicit kinds; the tests enumerate
+that catalog directly and check it against the determinant expansion.
 
 A verdict is degree-stamped: emptiness of the forbidden report is certified
 only up to the audited total degree.
@@ -19,121 +18,12 @@ from fractions import Fraction
 from .expansion import DiastasisExpansion, diastasis
 from .feasibility import positive_solution_exists, rref
 from .lie_core import PaintedDiagram
-from .matrices import CoordinateAtlas
 from .poly import (
     CoeffForm,
     EngineInvariantError,
     Monomial,
-    Polynomial,
     render_signed_sum,
 )
-
-_HALF = Fraction(1, 2)
-
-TRINOMIAL_WEIGHTS = {
-    "I": _HALF,
-    "II": -_HALF,
-    "III": Fraction(-1),
-    "IV": Fraction(1),
-}
-
-
-@dataclass(frozen=True)
-class Trinomial:
-    """One catalog entry: the kind, the matrix indices used (1-based), the
-    kind weight, the signed coefficient after entry signs, and the degree-3
-    monomial it contributes."""
-
-    kind: str
-    indices: tuple[int, ...]
-    weight: Fraction
-    coeff: Fraction
-    monomial: Monomial
-
-
-def catalog_trinomials(atlas: CoordinateAtlas, r: int) -> list[Trinomial]:
-    """All nonvanishing bidegree-(1,2) trinomials of Delta_r of the Gram
-    matrix, enumerated by kind.
-
-    Kinds, with Zb denoting a conjugated entry (indices are 1-based):
-      I   +1/2 * Z[s,i]  Zb[s,t] Zb[t,i]   i <= r,        s,t = 1..m
-      II  -1/2 * Z[i,j]  Zb[i,s] Zb[s,j]   i,j <= r, i!=j, s = 1..m
-      III  -1  * Z[s,i]  Zb[s,j] Zb[j,i]   i,j <= r, i!=j, s = 1..m
-      IV   +1  * Z[a,b]  Zb[a,c] Zb[c,b]   a,b,c <= r pairwise distinct
-    """
-    m = atlas.Z.size
-    if r > m:
-        raise ValueError(f"minor size {r} exceeds matrix size {m}")
-    ent = atlas.entry_map()
-
-    def z(i: int, j: int):
-        return ent.get((i - 1, j - 1))
-
-    out: list[Trinomial] = []
-
-    def emit(kind, indices, holo, anti_pair):
-        v1, s1 = holo
-        (v2, s2), (v3, s3) = anti_pair
-        weight = TRINOMIAL_WEIGHTS[kind]
-        coeff = weight * s1 * s2 * s3
-        anti = Monomial.variable(v2, anti=True) * Monomial.variable(v3, anti=True)
-        mono = Monomial.variable(v1) * anti
-        out.append(Trinomial(kind, indices, weight, coeff, mono))
-
-    for i in range(1, r + 1):
-        for s in range(1, m + 1):
-            zsi = z(s, i)
-            if zsi is None:
-                continue
-            for t in range(1, m + 1):
-                zst = z(s, t)
-                zti = z(t, i)
-                if zst is None or zti is None:
-                    continue
-                emit("I", (i, s, t), zsi, (zst, zti))
-
-    for i in range(1, r + 1):
-        for j in range(1, r + 1):
-            if i == j:
-                continue
-            zij = z(i, j)
-            if zij is not None:
-                for s in range(1, m + 1):
-                    zis = z(i, s)
-                    zsj = z(s, j)
-                    if zis is None or zsj is None:
-                        continue
-                    emit("II", (i, j, s), zij, (zis, zsj))
-            zji = z(j, i)
-            if zji is None:
-                continue
-            for s in range(1, m + 1):
-                zsi = z(s, i)
-                zsj = z(s, j)
-                if zsi is None or zsj is None:
-                    continue
-                emit("III", (i, j, s), zsi, (zsj, zji))
-
-    for a in range(1, r + 1):
-        for b in range(1, r + 1):
-            for c in range(1, r + 1):
-                if a == b or a == c or b == c:
-                    continue
-                zab = z(a, b)
-                zac = z(a, c)
-                zcb = z(c, b)
-                if zab is None or zac is None or zcb is None:
-                    continue
-                emit("IV", (a, b, c), zab, (zac, zcb))
-
-    return out
-
-
-def catalog_sum(trinomials: list[Trinomial]) -> Polynomial:
-    acc = Polynomial.zero()
-    for t in trinomials:
-        acc = acc + Polynomial({t.monomial: CoeffForm.constant(t.coeff)})
-    return acc
 
 
 def is_forbidden_bidegree(p: int, q: int) -> bool:

@@ -53,11 +53,12 @@ POTENTIAL_TOL_FACTOR = 64.0
 DEFAULT_RADIUS = 0.05
 
 # guardrails so a request always terminates in reasonable time; a single
-# case shares the sweep's rank cap, and its degree cap is the largest degree
-# the tests, the README and the benchmark use
+# case shares the sweep's rank cap, and both share one degree cap: the
+# largest degree the tests, the README and the benchmark use
 MAX_SWEEP_RANK = 8
 MAX_SWEEP_BLACK = 4
 MAX_CASE_DEGREE = 6
+MAX_SAMPLES = 1000
 
 
 class NumericCheckFailure(RuntimeError):
@@ -77,6 +78,9 @@ class CaseRequest:
     def __post_init__(self):
         if self.group.rank > MAX_SWEEP_RANK:
             raise ValueError(f"--group rank is capped at {MAX_SWEEP_RANK}")
+        # degree 2 is the lowest that carries the (1,1) part of the potential
+        if self.max_degree < 2:
+            raise ValueError("--max-degree must be at least 2")
         top = max(self.max_degree, self.audit_degree or 0)
         if top > MAX_CASE_DEGREE:
             raise ValueError(
@@ -271,6 +275,10 @@ def run_sweep(request: SweepRequest) -> dict:
         raise ValueError(f"--max-rank is capped at {MAX_SWEEP_RANK}")
     if request.max_black > MAX_SWEEP_BLACK:
         raise ValueError(f"--max-black is capped at {MAX_SWEEP_BLACK}")
+    if not 2 <= request.degree <= MAX_CASE_DEGREE:
+        raise ValueError(
+            f"--max-degree must be between 2 and {MAX_CASE_DEGREE}"
+        )
     rows = []
     rejected = []
     for family in request.families:
@@ -337,8 +345,10 @@ def _sample_points(nvars: int, samples: int, seed: int, radius: float):
 def run_numeric_check(request: CaseRequest, samples: int, seed: int) -> dict:
     if request.coeffs == "symbolic":
         raise ValueError("--numeric-check requires numeric --coeffs")
-    if samples < 1:
-        raise ValueError("--samples must be at least 1")
+    if request.audit_degree is not None:
+        raise ValueError("--audit-degree does not apply to --numeric-check")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"--samples must be between 1 and {MAX_SAMPLES}")
     diagram = PaintedDiagram(request.group, request.black)
     expansion = diastasis(diagram, request.max_degree, request.coeffs)
     coeffs = [float(c) for c in request.coeffs]
@@ -530,8 +540,6 @@ def _build_case_request(args) -> CaseRequest:
         raise ValueError("--group is required (e.g. --group SU:4)")
     if not args.black:
         raise ValueError("--black is required (e.g. --black 1,3)")
-    if args.max_degree < 2:
-        raise ValueError("--max-degree must be at least 2")
     if args.audit_degree is not None and args.audit_degree <= args.max_degree:
         raise ValueError("--audit-degree must exceed --max-degree")
     return CaseRequest(

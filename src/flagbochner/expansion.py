@@ -20,12 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .lie_core import Family, PaintedDiagram
-from .matrices import (
-    CoordinateAtlas,
-    build_Z,
-    numeric_Z,
-    root_vector,
-)
+from .matrices import CoordinateAtlas, build_Z
 from .poly import (
     CoeffForm,
     EngineInvariantError,
@@ -71,18 +66,6 @@ def admissible_minors(diagram: PaintedDiagram) -> AdmissibleMinors:
     if len(set(indices)) != len(indices) or list(indices) != sorted(indices):
         raise EngineInvariantError("minor sizes are not strictly increasing")
     return AdmissibleMinors(indices, tuple(pairing))
-
-
-def is_admissible(diagram: PaintedDiagram, l: int) -> bool:
-    """Direct invariance check for the minor Delta_l: no white-root vector
-    may carry an entry from the leading l rows into the trailing columns."""
-    from .lie_core import white_roots
-
-    for root in sorted(white_roots(diagram)):
-        for r, c, _ in root_vector(diagram.group, root).entries:
-            if r < l <= c:
-                return False
-    return True
 
 
 def exp_Z(atlas: CoordinateAtlas, degree: int | None) -> SymbolicMatrix:
@@ -205,40 +188,55 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
 
 
 def _numeric_potential(atlas: CoordinateAtlas, minors: AdmissibleMinors,
-                       point, coeffs) -> float:
-    """sum_k c_k ln Delta_{l_k} at a numeric point, from numpy Gram minors."""
+                       points, coeffs):
+    """sum_k c_k ln Delta_{l_k} at each row of a P x nvars stack of numeric
+    points, from numpy Gram minors; one value per point."""
     import numpy as np
 
     values = [float(c) for c in coeffs]
     if len(values) != len(minors.indices):
         raise ValueError("one coefficient per admissible minor is required")
-    z = np.array(numeric_Z(atlas, point), dtype=complex)
-    m = z.shape[0]
-    e = np.eye(m, dtype=complex)
-    power = np.eye(m, dtype=complex)
-    for k in range(1, m):
+    pts = np.asarray(points, dtype=complex)
+    m = atlas.Z.size
+    ent = atlas.entry_map()
+    rows, cols = (np.array(ix) for ix in zip(*ent))
+    var, sign = (np.array(ix) for ix in zip(*ent.values()))
+    z = np.zeros((len(pts), m, m), dtype=complex)
+    z[:, rows, cols] = sign * pts[:, var]
+    # exp Z = I + Z + Z^2/2 + ...; a point whose power of Z vanishes early
+    # adds exact zeros until the whole stack's does
+    e = z + np.eye(m)
+    power = z
+    for k in range(2, m):
         power = power @ z / k
         if not power.any():
             break
         e = e + power
-    a = e.conj().T @ e
-    acc = 0.0
-    for c, l in zip(values, minors.indices):
-        det = np.linalg.det(a[:l, :l])
-        if abs(det.imag) > 1e-9 * max(1.0, abs(det.real)):
-            raise EngineInvariantError("Gram minor is not numerically real")
-        if det.real <= 0:
-            raise NumericDomainError(
-                f"Gram minor {det.real} is not positive at the evaluation point"
-            )
-        acc += c * math.log(det.real)
+    a = e.conj().transpose(0, 2, 1) @ e
+    det = np.array([np.linalg.det(a[:, :l, :l]) for l in minors.indices])
+    if np.any(np.abs(det.imag) > 1e-9 * np.maximum(1.0, np.abs(det.real))):
+        raise EngineInvariantError("Gram minor is not numerically real")
+    bad = ~(det.real > 0)
+    if bad.any():
+        raise NumericDomainError(
+            f"Gram minor {det.real[bad][0]} is not positive at the "
+            "evaluation point"
+        )
+    acc = np.zeros(len(pts))
+    for c, row in zip(values, det.real):
+        # math.log, not np.log: numpy's vector log differs from libm in
+        # the last bit on some inputs, and the difference quotients of
+        # hessian_fd magnify that bit
+        acc += c * np.array([math.log(x) for x in row])
     return acc
 
 
 def eval_numeric(expansion: DiastasisExpansion, point, coeffs) -> float:
     """The untruncated potential at a numeric point: logs of the numeric
     Gram minors, independent of the polynomial truncation."""
-    return _numeric_potential(expansion.atlas, expansion.minors, point, coeffs)
+    return float(
+        _numeric_potential(expansion.atlas, expansion.minors, [point], coeffs)[0]
+    )
 
 
 def truncated_value(expansion: DiastasisExpansion, point, coeffs=None) -> float:
@@ -257,44 +255,46 @@ def truncated_value(expansion: DiastasisExpansion, point, coeffs=None) -> float:
 
 def hessian_fd(diagram: PaintedDiagram, coeffs, step: float = 1e-4):
     """Central finite-difference complex Hessian of the exact potential at
-    the origin, as an N x N complex array."""
+    the origin, as an N x N complex array.
+
+    The real Hessian R over u = (x_0, y_0, x_1, ...) is filled one row per
+    potential call: row i evaluates +-h e_i and +-h e_i +-h e_j for j > i,
+    and R[j, i] reuses the four values of R[i, j]."""
     import numpy as np
 
     atlas = build_Z(diagram)
     minors = admissible_minors(diagram)
     n = atlas.nvars
+    dim = 2 * n
+    h = step
 
-    def f(real_vec) -> float:
-        point = [complex(real_vec[2 * a], real_vec[2 * a + 1]) for a in range(n)]
-        return _numeric_potential(atlas, minors, point, coeffs)
+    def f(u):
+        pts = np.empty((len(u), n), dtype=complex)
+        pts.real = u[:, 0::2]
+        pts.imag = u[:, 1::2]
+        return _numeric_potential(atlas, minors, pts, coeffs)
 
-    f0 = f([0.0] * 2 * n)
-
-    def second(a: int, b: int) -> float:
-        h = step
-        if a == b:
-            va = [0.0] * 2 * n
-            va[a] = h
-            vb = [0.0] * 2 * n
-            vb[a] = -h
-            return (f(va) - 2 * f0 + f(vb)) / (h * h)
-        acc = 0.0
-        for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            v = [0.0] * 2 * n
-            v[a] = sa * h
-            v[b] = sb * h
-            acc += sa * sb * f(v)
-        return acc / (4 * h * h)
-
-    hess = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            xa, ya = 2 * a, 2 * a + 1
-            xb, yb = 2 * b, 2 * b + 1
-            real = second(xa, xb) + second(ya, yb)
-            imag = second(xa, yb) - second(ya, xb)
-            hess[a, b] = 0.25 * (real + 1j * imag)
-    return hess
+    f0 = f(np.zeros((1, dim)))[0]
+    real = np.zeros((dim, dim))
+    for i in range(dim):
+        rest = dim - 1 - i
+        u = np.zeros((2 + 4 * rest, dim))
+        u[0, i], u[1, i] = h, -h
+        # rows 2.. hold (u_i, u_j) = (+h,+h), (+h,-h), (-h,+h), (-h,-h)
+        # for each j > i in turn
+        cross = u[2:].reshape(rest, 4, dim)
+        cross[:, :, i] = (h, h, -h, -h)
+        cross[np.arange(rest), :, np.arange(i + 1, dim)] = (h, -h, h, -h)
+        vals = f(u)
+        # the operand order of the one-point difference quotients, so R is
+        # the same to the last bit
+        real[i, i] = ((vals[0] - 2 * f0) + vals[1]) / (h * h)
+        pp, pm, mp, mm = vals[2:].reshape(rest, 4).T
+        real[i, i + 1:] = (((pp - pm) - mp) + mm) / (4 * h * h)
+        real[i + 1:, i] = (((pp - mp) - pm) + mm) / (4 * h * h)
+    rxx, rxy = real[0::2, 0::2], real[0::2, 1::2]
+    ryx, ryy = real[1::2, 0::2], real[1::2, 1::2]
+    return 0.25 * ((rxx + ryy) + 1j * (rxy - ryx))
 
 
 def symbolic_metric(expansion: DiastasisExpansion, coeffs=None):

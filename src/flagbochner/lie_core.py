@@ -293,24 +293,6 @@ def white_roots(diagram: PaintedDiagram) -> frozenset[Root]:
     return all_roots(diagram.group) - r_m
 
 
-def validate_Q(group: GroupSpec, q, r_m) -> bool:
-    """True iff q is maximal closed nonsymmetric in r_m: q and -q partition
-    r_m, and q is closed under addition within the full root system."""
-    qs = set(q)
-    ms = set(r_m)
-    if not qs <= ms:
-        return False
-    neg = {-r for r in qs}
-    if qs | neg != ms or qs & neg:
-        return False
-    roots = all_roots(group)
-    for a, b in itertools.combinations(qs, 2):
-        s = a + b
-        if s in roots and s not in qs:
-            return False
-    return True
-
-
 class PoincarePoly:
     """Coefficients of the Poincare polynomial in the variable s.
 

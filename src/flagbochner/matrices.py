@@ -73,19 +73,6 @@ def root_vector(group: GroupSpec, alpha: Root) -> RootVectorMatrix:
     return RootVectorMatrix(m, ((d + i - 1, 2 * d, 1), (2 * d, i - 1, -1)))
 
 
-def cartan_diagonal(group: GroupSpec, hs) -> list:
-    """Diagonal of a Cartan element for functional values e_i = hs[i-1]."""
-    hs = list(hs)
-    if len(hs) != group.rank:
-        raise ValueError("need one value per e_i")
-    if group.family is Family.SU:
-        return hs
-    diag = hs + [-h for h in hs]
-    if group.family is Family.SO_ODD:
-        diag.append(0 * hs[0])
-    return diag
-
-
 @dataclass(frozen=True, eq=False)
 class CoordinateAtlas:
     """Chart data: the ordered variables (roots of -Q) and the matrix Z.
@@ -148,11 +135,3 @@ def nilpotency_index(atlas: CoordinateAtlas) -> int:
             raise EngineInvariantError("Z is not nilpotent")
     return k
 
-
-def numeric_Z(atlas: CoordinateAtlas, zvals):
-    """Dense complex Z(z) at a numeric point, as nested lists."""
-    m = atlas.Z.size
-    out = [[0j] * m for _ in range(m)]
-    for (r, c), (v, s) in atlas.entry_map().items():
-        out[r][c] = s * complex(zvals[v])
-    return out

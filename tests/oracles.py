@@ -1,13 +1,21 @@
 """Slow, transparent reference computations that the engine is tested against.
 
-Each oracle follows its textbook definition with no memoization or
-pruning; they share only the polynomial ring and the sparse matrix type
-with the engine.
+Each oracle follows its textbook definition with no memoization, pruning
+or batching; they share only the root data, the chart, the polynomial ring
+and the sparse matrix type with the engine.
 """
 
 import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
 
-from flagbochner.poly import Polynomial, SymbolicMatrix
+import numpy as np
+
+from flagbochner.expansion import admissible_minors
+from flagbochner.lie_core import Family, all_roots, white_roots
+from flagbochner.matrices import build_Z, root_vector
+from flagbochner.poly import CoeffForm, Monomial, Polynomial, SymbolicMatrix
 
 
 def leibniz_minor(mat: SymbolicMatrix, l: int, rows=None) -> Polynomial:
@@ -64,3 +72,224 @@ def mul(a: Polynomial, b: Polynomial) -> Polynomial:
         },
         trunc,
     )
+
+
+# ------------------------------------------------------------ root data
+
+def cartan_diagonal(group, hs) -> list:
+    """Diagonal of a Cartan element for functional values e_i = hs[i-1]."""
+    hs = list(hs)
+    if len(hs) != group.rank:
+        raise ValueError("need one value per e_i")
+    if group.family is Family.SU:
+        return hs
+    diag = hs + [-h for h in hs]
+    if group.family is Family.SO_ODD:
+        diag.append(0 * hs[0])
+    return diag
+
+
+def validate_Q(group, q, r_m) -> bool:
+    """True iff q is maximal closed nonsymmetric in r_m: q and -q partition
+    r_m, and q is closed under addition within the full root system."""
+    qs = set(q)
+    ms = set(r_m)
+    if not qs <= ms:
+        return False
+    neg = {-r for r in qs}
+    if qs | neg != ms or qs & neg:
+        return False
+    roots = all_roots(group)
+    for a, b in itertools.combinations(qs, 2):
+        s = a + b
+        if s in roots and s not in qs:
+            return False
+    return True
+
+
+def is_admissible(diagram, l: int) -> bool:
+    """Direct invariance check for the minor Delta_l: no white-root vector
+    may carry an entry from the leading l rows into the trailing columns."""
+    for root in sorted(white_roots(diagram)):
+        for r, c, _ in root_vector(diagram.group, root).entries:
+            if r < l <= c:
+                return False
+    return True
+
+
+# ---------------------------------------------------- trinomial catalog
+
+TRINOMIAL_WEIGHTS = {
+    "I": Fraction(1, 2),
+    "II": Fraction(-1, 2),
+    "III": Fraction(-1),
+    "IV": Fraction(1),
+}
+
+
+@dataclass(frozen=True)
+class Trinomial:
+    """One catalog entry: the kind, the matrix indices used (1-based), the
+    kind weight, the signed coefficient after entry signs, and the degree-3
+    monomial it contributes."""
+
+    kind: str
+    indices: tuple
+    weight: Fraction
+    coeff: Fraction
+    monomial: Monomial
+
+
+def catalog_trinomials(atlas, r: int) -> list:
+    """All nonvanishing bidegree-(1,2) trinomials of Delta_r of the Gram
+    matrix, enumerated by kind.
+
+    Kinds, with Zb denoting a conjugated entry (indices are 1-based):
+      I   +1/2 * Z[s,i]  Zb[s,t] Zb[t,i]   i <= r,        s,t = 1..m
+      II  -1/2 * Z[i,j]  Zb[i,s] Zb[s,j]   i,j <= r, i!=j, s = 1..m
+      III  -1  * Z[s,i]  Zb[s,j] Zb[j,i]   i,j <= r, i!=j, s = 1..m
+      IV   +1  * Z[a,b]  Zb[a,c] Zb[c,b]   a,b,c <= r pairwise distinct
+    """
+    m = atlas.Z.size
+    if r > m:
+        raise ValueError(f"minor size {r} exceeds matrix size {m}")
+    ent = atlas.entry_map()
+
+    def z(i: int, j: int):
+        return ent.get((i - 1, j - 1))
+
+    out = []
+
+    def emit(kind, indices, holo, anti_pair):
+        v1, s1 = holo
+        (v2, s2), (v3, s3) = anti_pair
+        weight = TRINOMIAL_WEIGHTS[kind]
+        coeff = weight * s1 * s2 * s3
+        anti = Monomial.variable(v2, anti=True) * Monomial.variable(v3, anti=True)
+        mono = Monomial.variable(v1) * anti
+        out.append(Trinomial(kind, indices, weight, coeff, mono))
+
+    for i in range(1, r + 1):
+        for s in range(1, m + 1):
+            zsi = z(s, i)
+            if zsi is None:
+                continue
+            for t in range(1, m + 1):
+                zst = z(s, t)
+                zti = z(t, i)
+                if zst is None or zti is None:
+                    continue
+                emit("I", (i, s, t), zsi, (zst, zti))
+
+    for i in range(1, r + 1):
+        for j in range(1, r + 1):
+            if i == j:
+                continue
+            zij = z(i, j)
+            if zij is not None:
+                for s in range(1, m + 1):
+                    zis = z(i, s)
+                    zsj = z(s, j)
+                    if zis is None or zsj is None:
+                        continue
+                    emit("II", (i, j, s), zij, (zis, zsj))
+            zji = z(j, i)
+            if zji is None:
+                continue
+            for s in range(1, m + 1):
+                zsi = z(s, i)
+                zsj = z(s, j)
+                if zsi is None or zsj is None:
+                    continue
+                emit("III", (i, j, s), zsi, (zsj, zji))
+
+    for a in range(1, r + 1):
+        for b in range(1, r + 1):
+            for c in range(1, r + 1):
+                if a == b or a == c or b == c:
+                    continue
+                zab = z(a, b)
+                zac = z(a, c)
+                zcb = z(c, b)
+                if zab is None or zac is None or zcb is None:
+                    continue
+                emit("IV", (a, b, c), zab, (zac, zcb))
+
+    return out
+
+
+def catalog_sum(trinomials) -> Polynomial:
+    acc = Polynomial.zero()
+    for t in trinomials:
+        acc = acc + Polynomial({t.monomial: CoeffForm.constant(t.coeff)})
+    return acc
+
+
+# ------------------------------------------------------- numeric lane
+
+def numeric_Z(atlas, zvals):
+    """Dense complex Z(z) at a numeric point, as nested lists."""
+    m = atlas.Z.size
+    out = [[0j] * m for _ in range(m)]
+    for (r, c), (v, s) in atlas.entry_map().items():
+        out[r][c] = s * complex(zvals[v])
+    return out
+
+
+def potential_pointwise(atlas, minors, point, coeffs) -> float:
+    """sum_k c_k ln Delta_{l_k}((exp Z)^H exp Z) at one point, from the dense
+    matrix exponential and numpy determinants."""
+    z = np.array(numeric_Z(atlas, point), dtype=complex)
+    m = z.shape[0]
+    e = np.eye(m, dtype=complex)
+    power = np.eye(m, dtype=complex)
+    for k in range(1, m):
+        power = power @ z / k
+        e = e + power
+    a = e.conj().T @ e
+    acc = 0.0
+    for c, l in zip(coeffs, minors.indices):
+        acc += float(c) * math.log(np.linalg.det(a[:l, :l]).real)
+    return acc
+
+
+def hessian_fd_pointwise(diagram, coeffs, step: float = 1e-4):
+    """Central finite-difference complex Hessian of the potential at the
+    origin, from one-point evaluations: four per mixed second derivative of
+    the real coordinates (x_0, y_0, x_1, ...), and d^2/dz_a dzb_b assembled
+    from four of those."""
+    atlas = build_Z(diagram)
+    minors = admissible_minors(diagram)
+    n = atlas.nvars
+
+    def f(real_vec) -> float:
+        point = [complex(real_vec[2 * a], real_vec[2 * a + 1]) for a in range(n)]
+        return potential_pointwise(atlas, minors, point, coeffs)
+
+    f0 = f([0.0] * 2 * n)
+
+    def second(a: int, b: int) -> float:
+        h = step
+        if a == b:
+            va = [0.0] * 2 * n
+            va[a] = h
+            vb = [0.0] * 2 * n
+            vb[a] = -h
+            return (f(va) - 2 * f0 + f(vb)) / (h * h)
+        acc = 0.0
+        for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            v = [0.0] * 2 * n
+            v[a] = sa * h
+            v[b] = sb * h
+            acc += sa * sb * f(v)
+        return acc / (4 * h * h)
+
+    hess = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            xa, ya = 2 * a, 2 * a + 1
+            xb, yb = 2 * b, 2 * b + 1
+            real = second(xa, xb) + second(ya, yb)
+            imag = second(xa, yb) - second(ya, xb)
+            hess[a, b] = 0.25 * (real + 1j * imag)
+    return hess

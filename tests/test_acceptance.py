@@ -10,12 +10,10 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from oracles import gram, leibniz_minor
+from oracles import catalog_sum, catalog_trinomials, gram, leibniz_minor
 
 from flagbochner.bochner import (
     BochnerStatus,
-    catalog_sum,
-    catalog_trinomials,
     classify,
     forbidden_report,
 )

@@ -3,10 +3,10 @@
 import random
 from fractions import Fraction
 
+from oracles import catalog_sum, catalog_trinomials
+
 from flagbochner.bochner import (
     BochnerStatus,
-    catalog_sum,
-    catalog_trinomials,
     classify,
     forbidden_report,
     render_constraint,
@@ -245,6 +245,29 @@ def test_classify_monotone_under_degree_increase():
         v4 = classify(dia, 4)
         assert order[v4.status] >= order[v3.status]
         assert v4.degree_checked == 4
+
+
+def test_verdicts_stabilize_at_degree_three():
+    # the classification table settles at degree 3: every painting of rank
+    # <= 4 with 1-3 black nodes gets the same verdict at degree 5
+    checked = 0
+    for fam, min_rank in ((Family.SU, 2), (Family.SP, 1),
+                          (Family.SO_EVEN, 3), (Family.SO_ODD, 1)):
+        for rank in range(min_rank, 5):
+            group = GroupSpec(fam, rank)
+            for black in iter_black_sets(group, 3):
+                try:
+                    dia = PaintedDiagram(group, black)
+                except PaintingError:
+                    continue
+                deep = diastasis(dia, 5, "symbolic")
+                v3 = verdict_from_report(
+                    forbidden_report(deep.truncate(3)), dia.black)
+                v5 = verdict_from_report(forbidden_report(deep), dia.black)
+                assert v5.status == v3.status, dia
+                assert v5.constraints == v3.constraints, dia
+                checked += 1
+    assert checked == 64
 
 
 def test_bochner_iff_constraints_admit_positive_solution():

@@ -142,6 +142,16 @@ def test_exit_one_on_validation_error(capsys):
     (["--group", "SU:9", "--black", "1"], "rank is capped at 8"),
     (["--group", "SU:3", "--black", "1", "--max-degree", "7"], "capped at 6"),
     (["--group", "SU:3", "--black", "1", "--audit-degree", "7"], "capped at 6"),
+    (["--sweep", "--families", "SU", "--max-rank", "2", "--max-black", "1",
+      "--max-degree", "0"], "between 2 and 6"),
+    (["--sweep", "--families", "SU", "--max-rank", "2", "--max-black", "1",
+      "--max-degree", "1"], "between 2 and 6"),
+    (["--sweep", "--families", "SU", "--max-rank", "2", "--max-black", "1",
+      "--max-degree", "7"], "between 2 and 6"),
+    (["--group", "SU:3", "--black", "1", "--coeffs", "1",
+      "--numeric-check", "--audit-degree", "5"], "--audit-degree"),
+    (["--group", "SU:3", "--black", "1", "--coeffs", "1",
+      "--numeric-check", "--samples", "1001"], "--samples"),
 ])
 def test_exit_one_on_inconsistent_request(capsys, argv, reason):
     assert main(argv) == 1
@@ -149,6 +159,11 @@ def test_exit_one_on_inconsistent_request(capsys, argv, reason):
     assert captured.out == ""
     err = captured.err.strip()
     assert "\n" not in err and err.startswith("error: ") and reason in err
+
+
+def test_case_request_rejects_degree_below_two():
+    with pytest.raises(ValueError, match="at least 2"):
+        _case("SU:3", "1", max_degree=1)
 
 
 @pytest.mark.parametrize("extra", [[], ["--numeric-check", "--samples", "2"]])

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagbochner.expansion import (
+    NumericDomainError,
+    _numeric_potential,
     admissible_minors,
     diastasis,
     eval_numeric,
     exp_Z,
     gram,
     hessian_fd,
-    is_admissible,
     symbolic_metric,
     truncated_value,
 )
@@ -71,15 +72,15 @@ def test_paired_minors_pass_direct_invariance_check():
     # defense in depth: the positional rule must agree with the definition
     for dia in SAMPLE_DIAGRAMS:
         for _, l in admissible_minors(dia).pairing:
-            assert is_admissible(dia, l), (dia, l)
+            assert oracles.is_admissible(dia, l), (dia, l)
 
 
 def test_direct_invariance_check_rejects_unpaired_minor():
     # SU(4), black {2}: only Delta_2 is admissible
     dia = diagram(Family.SU, 4, (2,))
-    assert is_admissible(dia, 2)
-    assert not is_admissible(dia, 1)
-    assert not is_admissible(dia, 3)
+    assert oracles.is_admissible(dia, 2)
+    assert not oracles.is_admissible(dia, 1)
+    assert not oracles.is_admissible(dia, 3)
 
 
 # ------------------------------------------------------------------- exp_Z
@@ -213,7 +214,8 @@ def test_diastasis_vanishes_at_origin():
     dia = diagram(Family.SP, 2, (1, 2))
     expansion = diastasis(dia, 3, (1, 2))
     assert truncated_value(expansion, [0j] * expansion.atlas.nvars) == 0.0
-    assert eval_numeric(expansion, [0j] * expansion.atlas.nvars, [1.0, 2.0]) == 0.0
+    value = eval_numeric(expansion, [0j] * expansion.atlas.nvars, [1.0, 2.0])
+    assert value == 0.0 and type(value) is float
 
 
 def test_su3_full_flag_equal_coefficients_kill_cubics():
@@ -287,6 +289,52 @@ def test_hessian_matches_symbolic_metric():
         assert eigs.min() > 0
 
 
+def test_hessian_fd_matches_pointwise_oracle():
+    # one painting per family, plus the largest rank <= 4 chart (16 variables)
+    rng = random.Random(5)
+    for dia in (diagram(Family.SU, 4, (1, 3)), diagram(Family.SP, 3, (1, 3)),
+                diagram(Family.SO_EVEN, 4, (1, 4)),
+                diagram(Family.SO_ODD, 3, (1, 3)),
+                diagram(Family.SO_ODD, 4, (1, 2, 3, 4))):
+        coeffs = [rng.randint(1, 9) / rng.randint(1, 4) for _ in dia.black]
+        hess = hessian_fd(dia, coeffs)
+        expected = oracles.hessian_fd_pointwise(dia, coeffs)
+        assert np.max(np.abs(hess - expected)) <= 1e-12, dia
+
+
+def test_numeric_potential_stack_equals_one_point_calls():
+    dia = diagram(Family.SP, 3, (1, 3))
+    atlas = build_Z(dia)
+    minors = admissible_minors(dia)
+    rng = random.Random(8)
+    points = [
+        [complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
+         for _ in range(atlas.nvars)]
+        for _ in range(5)
+    ]
+    # the origin's powers of Z vanish at once, the others' only later
+    points.insert(2, [0j] * atlas.nvars)
+    coeffs = [1.5, 0.25]
+    stacked = _numeric_potential(atlas, minors, points, coeffs)
+    assert stacked.shape == (len(points),)
+    for value, point in zip(stacked, points):
+        assert value == _numeric_potential(atlas, minors, [point], coeffs)[0]
+        expected = oracles.potential_pointwise(atlas, minors, point, coeffs)
+        assert abs(value - expected) <= 1e-12
+
+
+def test_numeric_potential_stack_with_one_bad_point_raises():
+    # at |z| = 1e8 the float Gram minor of SU(3) cancels to a negative value
+    dia = diagram(Family.SU, 3, (1, 2))
+    atlas = build_Z(dia)
+    minors = admissible_minors(dia)
+    good = [0.01j] * atlas.nvars
+    bad = [1e8] * atlas.nvars
+    _numeric_potential(atlas, minors, [good, good], [1, 1])
+    with pytest.raises(NumericDomainError, match="not positive"):
+        _numeric_potential(atlas, minors, [good, bad, good], [1, 1])
+
+
 def test_truncation_error_scales_with_radius():
     dia = diagram(Family.SU, 3, (1, 2))
     expansion = diastasis(dia, 3, (1, 1))
@@ -311,8 +359,7 @@ def test_exp_matches_numeric_exponential():
     zvals = [complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
              for _ in range(atlas.nvars)]
     symbolic = np.array(exp_Z(atlas, None).evaluate(zvals, {}))
-    from flagbochner.matrices import numeric_Z
-    zn = np.array(numeric_Z(atlas, zvals))
+    zn = np.array(oracles.numeric_Z(atlas, zvals))
     acc = np.eye(zn.shape[0], dtype=complex)
     power = np.eye(zn.shape[0], dtype=complex)
     for k in range(1, zn.shape[0] + 1):

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from oracles import validate_Q
 
 from flagbochner.lie_core import (
     Family,
@@ -19,7 +20,6 @@ from flagbochner.lie_core import (
     positive_roots,
     simple_coefficients,
     simple_roots,
-    validate_Q,
 )
 
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import cartan_diagonal
 
 from flagbochner.lie_core import (
     Family,
@@ -15,7 +16,6 @@ from flagbochner.lie_core import (
 )
 from flagbochner.matrices import (
     build_Z,
-    cartan_diagonal,
     nilpotency_index,
     root_vector,
 )
