@@ -1,12 +1,15 @@
 """Deciding when the chart coordinates are Bochner up to rescaling.
 
-The obstruction lives in the forbidden monomials of the potential expansion:
-bidegree (1, q >= 2), (p >= 2, 1), or off-diagonal (1,1).  At degree three
-all candidates are trinomials of four explicit kinds; the tests enumerate
-that catalog directly and check it against the determinant expansion.
+The obstruction lives in the forbidden monomials of the potential:
+bidegree (1, q >= 2), (p >= 2, 1), or off-diagonal (1,1).  They all sit in
+the potential's (1, .) and (., 1) parts, which forbidden_jet computes
+without the full expansion.  At degree three all candidates are trinomials
+of four explicit kinds; the tests enumerate that catalog directly and check
+it against the determinant expansion.
 
 A verdict is degree-stamped: emptiness of the forbidden report is certified
-only up to the audited total degree.
+up to the audited total degree, or at every degree for the untruncated jet
+(degree None).
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .expansion import DiastasisExpansion, diastasis
+from .expansion import forbidden_jet
 from .feasibility import positive_solution_exists, rref
 from .lie_core import PaintedDiagram
 from .poly import (
     CoeffForm,
     EngineInvariantError,
     Monomial,
+    Polynomial,
     render_signed_sum,
 )
 
@@ -36,11 +40,12 @@ class ForbiddenReport:
 
     Off-diagonal (1,1) monomials are included in the scan even though the
     expansion invariants already exclude them; finding one here means the
-    engine itself is broken.
+    engine itself is broken.  degree_checked is None for a scan of every
+    degree.
     """
 
     entries: tuple[tuple[Monomial, CoeffForm], ...]
-    degree_checked: int
+    degree_checked: int | None
 
     def is_empty(self) -> bool:
         return not self.entries
@@ -55,14 +60,16 @@ class ForbiddenReport:
         return [f for _, f in self.entries]
 
 
-def forbidden_report(expansion: DiastasisExpansion) -> ForbiddenReport:
+def forbidden_report(poly: Polynomial) -> ForbiddenReport:
+    """The forbidden monomials of a potential expansion or jet, checked
+    through its truncation degree (every degree when untruncated)."""
     entries = []
-    for m, f in expansion.poly.items_sorted():
+    for m, f in poly.items_sorted():
         p, q = m.bidegree
         bad_11 = (p, q) == (1, 1) and m.holo[0][0] != m.anti[0][0]
         if is_forbidden_bidegree(p, q) or bad_11:
             entries.append((m, f))
-    report = ForbiddenReport(tuple(entries), expansion.degree)
+    report = ForbiddenReport(tuple(entries), poly.trunc)
     by_mono = dict(report.entries)
     for m, f in report.entries:
         g = by_mono.get(m.conj())
@@ -94,7 +101,7 @@ class BochnerVerdict:
 
     status: BochnerStatus
     black: tuple[int, ...]
-    degree_checked: int
+    degree_checked: int | None
     constraints: tuple[tuple[Fraction, ...], ...] = ()
     witness: tuple[Monomial, CoeffForm] | None = None
 
@@ -143,15 +150,17 @@ def verdict_from_report(report: ForbiddenReport,
     )
 
 
-def classify(diagram: PaintedDiagram, degree: int = 3) -> BochnerVerdict:
-    """Classify a painted diagram at the given audit degree.
+def classify(diagram: PaintedDiagram,
+             degree: int | None = 3) -> BochnerVerdict:
+    """Classify a painted diagram at the given audit degree, or at every
+    degree when degree is None.
 
     The forbidden coefficient forms give a homogeneous linear system in the
     parameters; the coordinates are Bochner up to rescaling exactly for the
     positive parameter vectors solving it.
     """
-    expansion = diastasis(diagram, degree, "symbolic")
-    return verdict_from_report(forbidden_report(expansion), diagram.black)
+    report = forbidden_report(forbidden_jet(diagram, degree))
+    return verdict_from_report(report, diagram.black)
 
 
 def render_constraint(row, black: tuple[int, ...]) -> str:

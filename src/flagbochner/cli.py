@@ -28,6 +28,7 @@ from .expansion import (
     admissible_minors,
     diastasis,
     eval_numeric,
+    forbidden_jet,
     hessian_fd,
     symbolic_metric,
     truncated_value,
@@ -81,8 +82,11 @@ class CaseRequest:
         # degree 2 is the lowest that carries the (1,1) part of the potential
         if self.max_degree < 2:
             raise ValueError("--max-degree must be at least 2")
-        top = max(self.max_degree, self.audit_degree or 0)
-        if top > MAX_CASE_DEGREE:
+        # an audit at or below the main degree would re-check nothing
+        audit = self.audit_degree
+        if audit is not None and audit <= self.max_degree:
+            raise ValueError("--audit-degree must exceed --max-degree")
+        if (audit or self.max_degree) > MAX_CASE_DEGREE:
             raise ValueError(
                 f"--max-degree and --audit-degree are capped at {MAX_CASE_DEGREE}"
             )
@@ -239,12 +243,10 @@ def run_case(request: CaseRequest) -> dict:
     atlas = build_Z(diagram)
     names = atlas.var_names()
     minors = admissible_minors(diagram)
-    # the expansion to degree d is the truncation of any deeper one, so one
-    # expansion serves both the report and the audit
-    top = max(request.max_degree, request.audit_degree or 0)
-    full = diastasis(diagram, top, "symbolic")
-    expansion = full.truncate(request.max_degree)
-    report = forbidden_report(expansion)
+    # the jet to degree d is the truncation of any deeper one, so one jet
+    # serves both the report and the audit
+    jet = forbidden_jet(diagram, request.audit_degree or request.max_degree)
+    report = forbidden_report(jet.truncate(request.max_degree))
     verdict = verdict_from_report(report, diagram.black)
     cvals = None
     if request.coeffs != "symbolic":
@@ -260,7 +262,7 @@ def run_case(request: CaseRequest) -> dict:
         "forbidden": _forbidden_json(report, names, cvals),
     }
     if request.audit_degree is not None:
-        audit_rep = forbidden_report(full.truncate(request.audit_degree))
+        audit_rep = forbidden_report(jet)
         audit_ver = verdict_from_report(audit_rep, diagram.black)
         doc["audit"] = {
             "degree": request.audit_degree,
@@ -297,8 +299,8 @@ def run_sweep(request: SweepRequest) -> dict:
                     })
                     continue
                 names = build_Z(diagram).var_names()
-                expansion = diastasis(diagram, request.degree, "symbolic")
-                report = forbidden_report(expansion)
+                report = forbidden_report(
+                    forbidden_jet(diagram, request.degree))
                 verdict = verdict_from_report(report, diagram.black)
                 row = {
                     "family": family.value,
@@ -540,8 +542,6 @@ def _build_case_request(args) -> CaseRequest:
         raise ValueError("--group is required (e.g. --group SU:4)")
     if not args.black:
         raise ValueError("--black is required (e.g. --black 1,3)")
-    if args.audit_degree is not None and args.audit_degree <= args.max_degree:
-        raise ValueError("--audit-degree must exceed --max-degree")
     return CaseRequest(
         group=parse_group(args.group),
         black=parse_black(args.black),

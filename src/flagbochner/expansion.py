@@ -11,19 +11,25 @@ degree has exact coefficients linear in the c parameters.  The expansion is
 centered at the distinguished point, so it has no pure holomorphic or
 antiholomorphic terms and its (1,1) part is a positive diagonal; both facts
 are asserted, not assumed.
+
+The Bochner verdict needs only the potential's (1, .) and (., 1) parts.
+forbidden_jet computes them from exp Z alone, without the Gram matrix, its
+minors or the log series, and at every degree if asked; the expansion
+serves the numeric lane and checks the jet in the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .lie_core import Family, PaintedDiagram
-from .matrices import CoordinateAtlas, build_Z
+from .matrices import CoordinateAtlas, build_Z, nilpotent_powers
 from .poly import (
     CoeffForm,
     EngineInvariantError,
+    Monomial,
     Polynomial,
     SymbolicMatrix,
     log1p_expand,
@@ -73,16 +79,8 @@ def exp_Z(atlas: CoordinateAtlas, degree: int | None) -> SymbolicMatrix:
     degree bound only drops terms of higher total degree."""
     z = atlas.Z.truncate(degree)
     acc = SymbolicMatrix.identity(z.size, degree)
-    power = z
-    k = 1
-    while not power.is_zero():
+    for k, power in nilpotent_powers(z, degree):
         acc = acc + power.scale(Fraction(1, math.factorial(k)))
-        k += 1
-        if k > z.size:
-            raise EngineInvariantError("Z is not nilpotent")
-        if degree is not None and k > degree:
-            break
-        power = power @ z
     return acc
 
 
@@ -96,12 +94,12 @@ def gram(atlas: CoordinateAtlas, degree: int | None) -> SymbolicMatrix:
 class DiastasisExpansion:
     """Truncated expansion of the potential, with its chart and minors.
 
-    coeff_values is None for a symbolic expansion (coefficients are linear
-    forms keyed by black position), or the position -> value map used.
+    poly.trunc is the degree bound.  coeff_values is None for a symbolic
+    expansion (coefficients are linear forms keyed by black position), or
+    the position -> value map used.
     """
 
     atlas: CoordinateAtlas
-    degree: int
     poly: Polynomial
     minors: AdmissibleMinors
     coeff_values: tuple[tuple[int, Fraction], ...] | None
@@ -109,10 +107,6 @@ class DiastasisExpansion:
     @property
     def diagram(self) -> PaintedDiagram:
         return self.atlas.diagram
-
-    def truncate(self, degree: int) -> "DiastasisExpansion":
-        """The same expansion cut down to total degree <= degree."""
-        return replace(self, degree=degree, poly=self.poly.truncate(degree))
 
     def quadratic_coefficients(self) -> dict[int, CoeffForm]:
         """Variable index -> coefficient form of z_v zb_v."""
@@ -137,8 +131,8 @@ def _parse_coeffs(diagram: PaintedDiagram, coeffs):
     return {p: CoeffForm.constant(v) for p, v in pairs}, pairs
 
 
-def _check_invariants(expansion: Polynomial, coeff_values) -> None:
-    for m, f in expansion.terms.items():
+def _check_invariants(expansion: Polynomial) -> None:
+    for m in expansion.terms:
         p, q = m.bidegree
         if (p == 0) != (q == 0):
             raise EngineInvariantError(
@@ -146,19 +140,26 @@ def _check_invariants(expansion: Polynomial, coeff_values) -> None:
             )
         if p == 0 and q == 0:
             raise EngineInvariantError("nonzero constant term in the expansion")
-        if (p, q) == (1, 1):
-            if m.holo[0][0] != m.anti[0][0]:
-                raise EngineInvariantError(
-                    "off-diagonal (1,1) term in the potential expansion"
-                )
-            if coeff_values is None:
-                ok = f.const == 0 and all(l > 0 for _, l in f.terms) and f.terms
-            else:
-                ok = f.is_constant() and f.const > 0
-            if not ok:
-                raise EngineInvariantError(
-                    "(1,1) coefficient is not a positive form"
-                )
+
+
+def _check_quadratic(poly: Polynomial, nvars: int, coeff_values) -> None:
+    """The (1,1) part must be a positive diagonal over every variable."""
+    seen = set()
+    for m, f in poly.bidegree_part(1, 1).terms.items():
+        if m.holo[0][0] != m.anti[0][0]:
+            raise EngineInvariantError("off-diagonal (1,1) term in the potential")
+        if coeff_values is None:
+            ok = f.const == 0 and all(l > 0 for _, l in f.terms) and f.terms
+        else:
+            ok = f.is_constant() and f.const > 0
+        if not ok:
+            raise EngineInvariantError("(1,1) coefficient is not a positive form")
+        seen.add(m.holo[0][0])
+    missing = set(range(nvars)) - seen
+    if missing:
+        raise EngineInvariantError(
+            f"variables {sorted(missing)} missing from the (1,1) part"
+        )
 
 
 def diastasis(diagram: PaintedDiagram, degree: int = 3,
@@ -177,14 +178,130 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
         if not arg.constant_term().is_zero():
             raise EngineInvariantError("minor determinant has constant term != 1")
         total = total + log1p_expand(arg, degree) * multipliers[pos]
-    _check_invariants(total, stored)
-    expansion = DiastasisExpansion(atlas, degree, total, minors, stored)
-    missing = set(range(atlas.nvars)) - set(expansion.quadratic_coefficients())
-    if missing:
+    _check_invariants(total)
+    _check_quadratic(total, atlas.nvars, stored)
+    return DiastasisExpansion(atlas, total, minors, stored)
+
+
+def _leading_solve(mat, l: int, cols, trunc: int | None):
+    """r -> {c: (M_l^{-1} M[:l, r])[c]} for each r in cols, where mat maps
+    (row, col) to the nonzero entries of M and its leading l x l block M_l
+    is I at the origin.
+
+    With N = M_l - I, M_l^{-1} = sum_k (-N)^k.  N has no constant term, so
+    under a degree bound the series is exact once (-N)^k drops out; without
+    one it ends because M_l is unipotent (N^l = 0)."""
+    zero = Polynomial.zero(trunc)
+    one = Polynomial.one(trunc)
+    neg_n: dict[int, list[tuple[int, Polynomial]]] = {}
+    for a in range(l):
+        for b in range(l):
+            n = mat.get((a, b), zero)
+            if a == b:
+                n = n - one
+            if not n.constant_term().is_zero():
+                raise EngineInvariantError(
+                    f"leading {l}x{l} block of exp Z is not I at the origin"
+                )
+            if not n.is_zero():
+                neg_n.setdefault(a, []).append((b, -n))
+    out = {}
+    for r in cols:
+        x = {a: mat[(a, r)] for a in range(l) if (a, r) in mat}
+        term = dict(x)
+        for k in range(1, l + 1):
+            # term becomes (-N)^k M[:l, r]
+            nxt = {}
+            for a, row in neg_n.items():
+                acc = None
+                for b, nab in row:
+                    t = term.get(b)
+                    if t is not None:
+                        acc = nab * t if acc is None else acc + nab * t
+                if acc is not None and not acc.is_zero():
+                    nxt[a] = acc
+            if not nxt:
+                break
+            if k == l:
+                raise EngineInvariantError(
+                    f"leading {l}x{l} block of exp Z is not unipotent"
+                )
+            for a, p in nxt.items():
+                x[a] = x[a] + p if a in x else p
+            term = nxt
+        out[r] = x
+    return out
+
+
+def _jet_half(mat, atlas: CoordinateAtlas, minors: AdmissibleMinors,
+              trunc: int | None) -> dict[int, Polynomial]:
+    """v -> sum_k c_k sum_{(r,c,s) in E_v, c < l_k <= r} s*X_{l_k}[c, r]
+    with X_l = M_l^{-1} M[:l, l:].  X has rational coefficients, so each
+    monomial's linear form in the c_k is collected once, at the end."""
+    ent = atlas.entry_map()
+    lams: dict[int, dict[Monomial, dict[int, Fraction]]] = {}
+    for pos, l in minors.pairing:
+        wanted = [(r, c, v, s) for (r, c), (v, s) in ent.items() if c < l <= r]
+        x = _leading_solve(mat, l, sorted({r for r, *_ in wanted}), trunc)
+        for r, c, v, s in wanted:
+            p = x[r].get(c)
+            if p is None:
+                continue
+            out = lams.setdefault(v, {})
+            for m, f in p.terms.items():
+                lam = out.setdefault(m, {})
+                val = f.const if s > 0 else -f.const
+                lam[pos] = lam[pos] + val if pos in lam else val
+    return {
+        v: Polynomial({m: CoeffForm(0, lam.items()) for m, lam in out.items()},
+                      trunc)
+        for v, out in lams.items()
+    }
+
+
+def forbidden_jet(diagram: PaintedDiagram,
+                  degree: int | None = 3) -> Polynomial:
+    """The (1, q) and (p, 1) parts of the symbolic potential, to total
+    degree <= degree, or at every degree when degree is None.
+
+    At z = 0, exp Z = I, so dA/dz_v = U E_v with U = (exp Z)^H, and the
+    coefficient of z_v is
+        F_v(zb) = sum_k c_k tr(U_l^{-1} (U E_v)_l)
+                = sum_k c_k sum_{(r,c,s) in E_v, c < l_k <= r} s*X_{l_k}[c, r],
+    X_l = U_l^{-1} U[:l, l:]; entries with r < l drop out because root
+    vectors are off-diagonal.  The coefficient of zb_v comes the same way
+    from Y_l = E[l:, :l] E_l^{-1}, E = exp Z, not by conjugating F_v, so
+    the conjugate-closure check of forbidden_report tests the arithmetic.
+    No log series, Gram matrix or minor is formed.
+    """
+    atlas = build_Z(diagram)
+    minors = admissible_minors(diagram)
+    # z_v times a zb-polynomial of degree <= degree - 1
+    trunc = None if degree is None else degree - 1
+    e = exp_Z(atlas, trunc)
+    # dz[v] = F_v(zb), the coefficient of z_v; dzb[v] that of zb_v
+    dz = _jet_half(e.conj_transpose().entries, atlas, minors, trunc)
+    dzb = _jet_half({(j, i): p for (i, j), p in e.entries.items()},
+                    atlas, minors, trunc)
+    if any(not f.constant_term().is_zero()
+           for f in (*dz.values(), *dzb.values())):
+        raise EngineInvariantError("pure term in the potential jet")
+    first = Polynomial({
+        Monomial(((v, 1),), m.anti): f
+        for v, poly in dz.items() for m, f in poly.terms.items()
+    }, degree)
+    second = Polynomial({
+        Monomial(m.holo, ((v, 1),)): f
+        for v, poly in dzb.items() for m, f in poly.terms.items()
+    }, degree)
+    if first.bidegree_part(1, 1) != second.bidegree_part(1, 1):
         raise EngineInvariantError(
-            f"variables {sorted(missing)} missing from the (1,1) part"
+            "the (1,q) and (p,1) halves of the jet differ on the (1,1) part"
         )
-    return expansion
+    _check_quadratic(first, atlas.nvars, None)
+    terms = dict(first.terms)
+    terms.update((m, f) for m, f in second.terms.items() if m.p >= 2)
+    return Polynomial(terms, degree)
 
 
 def _numeric_potential(atlas: CoordinateAtlas, minors: AdmissibleMinors,

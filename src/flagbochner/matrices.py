@@ -124,14 +124,21 @@ def build_Z(diagram: PaintedDiagram) -> CoordinateAtlas:
     return CoordinateAtlas(diagram, negs, SymbolicMatrix(m, entries))
 
 
-def nilpotency_index(atlas: CoordinateAtlas) -> int:
-    """Smallest k with Z^k identically zero; at most the matrix size."""
-    power = atlas.Z
+def nilpotent_powers(z: SymbolicMatrix, last: int | None = None):
+    """Yield (k, Z^k) for k = 1, 2, ... while Z^k is nonzero, stopping
+    after k = last when given.  A nonzero Z^size means Z is not nilpotent."""
+    power = z
     k = 1
     while not power.is_zero():
-        power = power @ atlas.Z
-        k += 1
-        if k > atlas.Z.size:
+        if k >= z.size:
             raise EngineInvariantError("Z is not nilpotent")
-    return k
+        yield k, power
+        if k == last:
+            return
+        k += 1
+        power = power @ z
 
+
+def nilpotency_index(atlas: CoordinateAtlas) -> int:
+    """Smallest k with Z^k identically zero; at most the matrix size."""
+    return 1 + sum(1 for _ in nilpotent_powers(atlas.Z))

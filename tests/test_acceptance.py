@@ -173,7 +173,7 @@ def test_criterion_4_witness_trinomials():
         for r in range(1, d):
             diagram = PaintedDiagram(GroupSpec(Family.SP, d), (r, d))
             atlas = build_Z(diagram)
-            report = forbidden_report(diastasis(diagram, 3, "symbolic"))
+            report = forbidden_report(diastasis(diagram, 3, "symbolic").poly)
             witness = _mono(atlas, ["-2e1"], [f"-e1-e{d}", f"-e1+e{d}"])
             form = report.form_of(witness)
             if form is None or form.orthant_sign() == 0:
@@ -192,7 +192,7 @@ def test_criterion_4_witness_trinomials():
     for fam, d, (k, r) in chain_cases:
         diagram = PaintedDiagram(GroupSpec(fam, d), (k, r))
         atlas = build_Z(diagram)
-        report = forbidden_report(diastasis(diagram, 3, "symbolic"))
+        report = forbidden_report(diastasis(diagram, 3, "symbolic").poly)
         witness = _mono(
             atlas,
             [f"-e{k}-e{r}"],
@@ -212,7 +212,7 @@ def test_criterion_4_witness_trinomials():
     for d in (2, 3, 4):
         diagram = PaintedDiagram(GroupSpec(Family.SO_ODD, d), (1, d))
         atlas = build_Z(diagram)
-        report = forbidden_report(diastasis(diagram, 3, "symbolic"))
+        report = forbidden_report(diastasis(diagram, 3, "symbolic").poly)
         witness = _mono(atlas, [f"-e1-e{d}"], [f"-e{d}", "-e1"])
         form = report.form_of(witness)
         if form is None or form.orthant_sign() == 0:
@@ -229,7 +229,7 @@ def test_criterion_5_three_black_obstruction():
     for d, (j, q, r) in [(4, (1, 2, 3)), (5, (1, 2, 3)), (5, (1, 3, 4)),
                          (6, (2, 3, 5))]:
         diagram = PaintedDiagram(GroupSpec(Family.SU, d), (j, q, r))
-        report = forbidden_report(diastasis(diagram, 3, "symbolic"))
+        report = forbidden_report(diastasis(diagram, 3, "symbolic").poly)
         forms = set(report.coefficient_forms())
         first = CoeffForm(0, ((j, F(1, 2)), (q, F(-1, 2))))
         second = CoeffForm(0, ((j, F(1, 2)), (q, F(-1, 2)), (r, F(-1, 2))))

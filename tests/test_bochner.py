@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from oracles import catalog_sum, catalog_trinomials
 
 from flagbochner.bochner import (
@@ -12,7 +13,7 @@ from flagbochner.bochner import (
     render_constraint,
     verdict_from_report,
 )
-from flagbochner.expansion import diastasis, gram
+from flagbochner.expansion import diastasis, forbidden_jet, gram
 from flagbochner.feasibility import positive_solution_exists, rref
 from flagbochner.lie_core import (
     Family,
@@ -140,7 +141,7 @@ def test_trinomial_weights_by_kind():
 
 def test_su_one_black_empty_report_at_degree_six():
     expansion = diastasis(diagram(Family.SU, 4, (2,)), 6, "symbolic")
-    report = forbidden_report(expansion)
+    report = forbidden_report(expansion.poly)
     assert report.is_empty()
     assert report.degree_checked == 6
 
@@ -148,7 +149,7 @@ def test_su_one_black_empty_report_at_degree_six():
 def test_su_two_black_forms_are_half_differences():
     k, r = 1, 2
     expansion = diastasis(diagram(Family.SU, 3, (k, r)), 3, "symbolic")
-    report = forbidden_report(expansion)
+    report = forbidden_report(expansion.poly)
     assert not report.is_empty()
     expected = CoeffForm(0, ((k, F(1, 2)), (r, F(-1, 2))))
     for _, form in report.entries:
@@ -158,7 +159,7 @@ def test_su_two_black_forms_are_half_differences():
 def test_su_three_black_contains_both_obstruction_forms():
     j, q, r = 1, 2, 3
     expansion = diastasis(diagram(Family.SU, 5, (j, q, r)), 3, "symbolic")
-    report = forbidden_report(expansion)
+    report = forbidden_report(expansion.poly)
     forms = set(report.coefficient_forms())
     assert CoeffForm(0, ((j, F(1, 2)), (q, F(-1, 2)))) in forms
     assert CoeffForm(0, ((j, F(1, 2)), (q, F(-1, 2)), (r, F(-1, 2)))) in forms
@@ -166,7 +167,7 @@ def test_su_three_black_contains_both_obstruction_forms():
 
 def test_report_is_conjugate_closed_with_equal_forms():
     expansion = diastasis(diagram(Family.SP, 3, (1, 3)), 3, "symbolic")
-    report = forbidden_report(expansion)
+    report = forbidden_report(expansion.poly)
     table = dict(report.entries)
     assert table
     for mono, form in report.entries:
@@ -175,7 +176,7 @@ def test_report_is_conjugate_closed_with_equal_forms():
 
 def test_report_entries_sorted_and_minimal_witness_deterministic():
     expansion = diastasis(diagram(Family.SP, 2, (1, 2)), 3, "symbolic")
-    report = forbidden_report(expansion)
+    report = forbidden_report(expansion.poly)
     keys = [m.sort_key() for m, _ in report.entries]
     assert keys == sorted(keys)
 
@@ -213,7 +214,7 @@ def test_classify_sp_mixed_never_bochner_with_exact_witness():
     expected = mono_from_names(
         atlas, ["-2e1"], [f"-e1-e{d}", f"-e1+e{d}"]
     )
-    report = forbidden_report(diastasis(dia, 3, "symbolic"))
+    report = forbidden_report(diastasis(dia, 3, "symbolic").poly)
     form = report.form_of(expected)
     assert form is not None
     assert form.orthant_sign() != 0
@@ -247,7 +248,27 @@ def test_classify_monotone_under_degree_increase():
         assert v4.degree_checked == 4
 
 
-def test_verdicts_stabilize_at_degree_three():
+def _paintings(max_rank):
+    """Every painting of rank <= max_rank with 1-3 black nodes."""
+    for fam, min_rank in ((Family.SU, 2), (Family.SP, 1),
+                          (Family.SO_EVEN, 3), (Family.SO_ODD, 1)):
+        for rank in range(min_rank, max_rank + 1):
+            group = GroupSpec(fam, rank)
+            for black in iter_black_sets(group, 3):
+                try:
+                    yield PaintedDiagram(group, black)
+                except PaintingError:
+                    continue
+
+
+@pytest.fixture(scope="module")
+def degree_five_expansions():
+    """The symbolic expansion to degree 5 of every painting of rank <= 4
+    with 1-3 black nodes, shared by the tests that read it."""
+    return {dia: diastasis(dia, 5, "symbolic") for dia in _paintings(4)}
+
+
+def test_verdicts_stabilize_at_degree_three(degree_five_expansions):
     # the classification table settles at degree 3: every painting of rank
     # <= 4 with 1-3 black nodes gets the same verdict at degree 5
     checked = 0
@@ -260,14 +281,57 @@ def test_verdicts_stabilize_at_degree_three():
                     dia = PaintedDiagram(group, black)
                 except PaintingError:
                     continue
-                deep = diastasis(dia, 5, "symbolic")
+                deep = degree_five_expansions[dia]
                 v3 = verdict_from_report(
-                    forbidden_report(deep.truncate(3)), dia.black)
-                v5 = verdict_from_report(forbidden_report(deep), dia.black)
+                    forbidden_report(deep.poly.truncate(3)), dia.black)
+                v5 = verdict_from_report(forbidden_report(deep.poly), dia.black)
                 assert v5.status == v3.status, dia
                 assert v5.constraints == v3.constraints, dia
                 checked += 1
     assert checked == 64
+
+
+def test_jet_report_equals_expansion_report(degree_five_expansions):
+    # the jet's report is the full expansion's, entry by entry and in
+    # order; the expansion to degree d is the truncation of a deeper one,
+    # and so is the jet, down from the untruncated one
+    cases = [(exp, (3, 4, 5)) for exp in degree_five_expansions.values()]
+    deeper = [*_paintings(3), diagram(Family.SO_ODD, 4, (2, 3, 4))]
+    cases += [(diastasis(dia, 6, "symbolic"), (6,)) for dia in deeper]
+    assert len(cases) == 64 + 26 + 1
+    for expansion, degrees in cases:
+        dia = expansion.diagram
+        every = forbidden_jet(dia, None)
+        for d in degrees:
+            jet = forbidden_jet(dia, d)
+            assert jet == every.truncate(d), (dia, d)
+            expected = forbidden_report(expansion.poly.truncate(d))
+            got = forbidden_report(jet)
+            assert got.entries == expected.entries, (dia, d)
+            assert got.degree_checked == d
+
+
+def test_untruncated_jet_keeps_degree_three_verdicts():
+    # the untruncated jet carries every forbidden monomial of the
+    # potential, so its verdict holds at every degree: on every painting of
+    # rank <= 6 with 1-3 black nodes it is the degree-3 verdict, and no
+    # forbidden monomial has total degree above 6
+    checked = 0
+    for dia in _paintings(6):
+        jet = forbidden_jet(dia, None)
+        report = forbidden_report(jet)
+        assert report.degree_checked is None
+        assert all(m.total <= 6 for m, _ in report.entries), dia
+        every = verdict_from_report(report, dia.black)
+        # the degree-3 jet is this one truncated (checked against the
+        # expansion above; criterion 1 pins its verdicts to the paper)
+        v3 = verdict_from_report(forbidden_report(jet.truncate(3)), dia.black)
+        assert v3.degree_checked == 3
+        assert every.degree_checked is None
+        assert every.status == v3.status, dia
+        assert every.constraints == v3.constraints, dia
+        checked += 1
+    assert checked == 256
 
 
 def test_bochner_iff_constraints_admit_positive_solution():
@@ -286,7 +350,7 @@ def test_rescaling_soundness_for_admissible_numeric_coefficients():
     ]
     for dia, coeffs in cases:
         expansion = diastasis(dia, 3, coeffs)
-        report = forbidden_report(expansion)
+        report = forbidden_report(expansion.poly)
         assert report.is_empty()
         quad = expansion.quadratic_coefficients()
         lams = {v: float(f.const) for v, f in quad.items()}
@@ -298,5 +362,5 @@ def test_rescaling_soundness_for_admissible_numeric_coefficients():
 def test_verdict_from_report_matches_classify():
     dia = diagram(Family.SU, 4, (1, 3))
     expansion = diastasis(dia, 3, "symbolic")
-    report = forbidden_report(expansion)
+    report = forbidden_report(expansion.poly)
     assert verdict_from_report(report, dia.black) == classify(dia, 3)

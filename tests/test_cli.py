@@ -15,7 +15,7 @@ from flagbochner.cli import (
     run_numeric_check,
     run_sweep,
 )
-from flagbochner.lie_core import Family
+from flagbochner.lie_core import Family, GroupSpec
 
 
 # ----------------------------------------------------------------- parsing
@@ -164,6 +164,15 @@ def test_exit_one_on_inconsistent_request(capsys, argv, reason):
 def test_case_request_rejects_degree_below_two():
     with pytest.raises(ValueError, match="at least 2"):
         _case("SU:3", "1", max_degree=1)
+
+
+@pytest.mark.parametrize("audit", [2, 3])
+def test_case_request_rejects_audit_not_above_max_degree(audit):
+    # an audit at or below the main degree re-checks nothing; the API used
+    # to return it as a vacuous BochnerForAllC audit
+    with pytest.raises(ValueError, match="--audit-degree must exceed"):
+        run_case(CaseRequest(GroupSpec(Family.SP, 2), (1, 2), "symbolic",
+                             3, audit))
 
 
 @pytest.mark.parametrize("extra", [[], ["--numeric-check", "--samples", "2"]])

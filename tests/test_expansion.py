@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagbochner import expansion as expansion_module
 from flagbochner.expansion import (
     NumericDomainError,
     _numeric_potential,
@@ -16,6 +17,7 @@ from flagbochner.expansion import (
     diastasis,
     eval_numeric,
     exp_Z,
+    forbidden_jet,
     gram,
     hessian_fd,
     symbolic_metric,
@@ -29,7 +31,13 @@ from flagbochner.lie_core import (
     iter_black_sets,
 )
 from flagbochner.matrices import build_Z
-from flagbochner.poly import CoeffForm, Polynomial, SymbolicMatrix, minor_det
+from flagbochner.poly import (
+    CoeffForm,
+    EngineInvariantError,
+    Polynomial,
+    SymbolicMatrix,
+    minor_det,
+)
 
 F = Fraction
 
@@ -255,9 +263,9 @@ def test_diastasis_linear_in_coefficients():
 
 def test_truncated_expansion_equals_lower_degree_expansion():
     for dia in SAMPLE_DIAGRAMS:
-        deep = diastasis(dia, 5, "symbolic").truncate(3)
-        assert deep.degree == 3
-        assert deep.poly == diastasis(dia, 3, "symbolic").poly
+        deep = diastasis(dia, 5, "symbolic").poly.truncate(3)
+        assert deep.trunc == 3
+        assert deep == diastasis(dia, 3, "symbolic").poly
 
 
 def test_diastasis_rejects_bad_coefficients():
@@ -266,6 +274,68 @@ def test_diastasis_rejects_bad_coefficients():
         diastasis(dia, 3, (1,))
     with pytest.raises(ValueError):
         diastasis(dia, 3, (1, -1))
+
+
+# ----------------------------------------------------------- forbidden jet
+
+def test_forbidden_jet_is_the_one_sided_part_of_the_expansion():
+    # every term of bidegree (1, q) or (p, 1), the (1,1) part included,
+    # with the expansion's exact coefficient form
+    for dia in SAMPLE_DIAGRAMS:
+        for degree in (2, 3, 4):
+            jet = forbidden_jet(dia, degree)
+            full = diastasis(dia, degree, "symbolic").poly
+            assert jet.trunc == degree
+            assert jet.terms == {
+                m: f for m, f in full.terms.items() if 1 in m.bidegree
+            }
+
+
+def _patch_exp_Z(monkeypatch, extra):
+    """forbidden_jet sees exp Z plus extra(atlas, degree)."""
+    monkeypatch.setattr(
+        expansion_module, "exp_Z",
+        lambda atlas, degree: exp_Z(atlas, degree) + extra(atlas, degree),
+    )
+
+
+def test_forbidden_jet_rejects_leading_block_not_identity(monkeypatch):
+    def constant_below_diagonal(atlas, degree):
+        return SymbolicMatrix(atlas.Z.size, {(1, 0): Polynomial.one(degree)},
+                              degree)
+
+    _patch_exp_Z(monkeypatch, constant_below_diagonal)
+    with pytest.raises(EngineInvariantError, match="not I at the origin"):
+        forbidden_jet(diagram(Family.SU, 3, (1, 2)), 3)
+
+
+def test_forbidden_jet_rejects_off_diagonal_quadratic_term(monkeypatch):
+    # each of two variables also sits at the other's position, the same way
+    # in both halves, so only the (1,1) check can see it
+    def crossed(atlas, degree):
+        (k0, (v0, s0)), (k1, (v1, s1)) = list(atlas.entry_map().items())[:2]
+        return SymbolicMatrix(atlas.Z.size, {
+            k0: Polynomial.variable(v1, sign=s0, trunc=degree),
+            k1: Polynomial.variable(v0, sign=s1, trunc=degree),
+        }, degree)
+
+    _patch_exp_Z(monkeypatch, crossed)
+    with pytest.raises(EngineInvariantError, match="off-diagonal"):
+        forbidden_jet(diagram(Family.SU, 3, (1,)), 3)
+
+
+def test_forbidden_jet_halves_must_agree(monkeypatch):
+    # a conjugate transpose that forgets to conjugate breaks only the
+    # (1, q) half, which the (p, 1) half then contradicts
+    def transpose(self):
+        return SymbolicMatrix(
+            self.size, {(j, i): p for (i, j), p in self.entries.items()},
+            self.trunc,
+        )
+
+    monkeypatch.setattr(SymbolicMatrix, "conj_transpose", transpose)
+    with pytest.raises(EngineInvariantError, match="halves"):
+        forbidden_jet(diagram(Family.SP, 2, (1, 2)), 3)
 
 
 # ---------------------------------------------------------------- numerics
