@@ -1,112 +1,27 @@
 """Exact coordinate charts and Bochner classification on classical flag
-manifolds."""
+manifolds.
 
-from .bochner import (
-    BochnerStatus,
-    BochnerVerdict,
-    ForbiddenReport,
-    classify,
-    forbidden_report,
-    render_constraint,
-    verdict_from_report,
-)
-from .expansion import (
-    AdmissibleMinors,
-    DiastasisExpansion,
-    NumericDomainError,
-    admissible_minors,
-    diastasis,
-    eval_numeric,
-    exp_Z,
-    forbidden_jet,
-    gram,
-    hessian_fd,
-    symbolic_metric,
-    truncated_value,
-)
-from .lie_core import (
-    Family,
-    GroupSpec,
-    PaintedDiagram,
-    PaintingError,
-    PoincarePoly,
-    Root,
-    all_roots,
-    black_roots,
-    height,
-    iter_black_sets,
-    poincare,
-    positive_roots,
-    simple_coefficients,
-    simple_roots,
-    white_roots,
-)
-from .matrices import (
-    CoordinateAtlas,
-    RootVectorMatrix,
-    build_Z,
-    nilpotency_index,
-    root_vector,
-)
-from .poly import (
-    CoeffForm,
-    EngineInvariantError,
-    Monomial,
-    NonlinearCoefficientError,
-    Polynomial,
-    SymbolicMatrix,
-    log1p_expand,
-    minor_det,
-)
+The package namespace carries the names of the README's library
+quickstart; everything else is imported from its own submodule.
+"""
+
+from .bochner import BochnerStatus, classify, forbidden_report, render_constraint
+from .expansion import diastasis, forbidden_jet
+from .lie_core import Family, GroupSpec, PaintedDiagram, PaintingError
+from .matrices import build_Z
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibleMinors",
     "BochnerStatus",
-    "BochnerVerdict",
-    "CoeffForm",
-    "CoordinateAtlas",
-    "DiastasisExpansion",
-    "EngineInvariantError",
     "Family",
-    "ForbiddenReport",
     "GroupSpec",
-    "Monomial",
-    "NonlinearCoefficientError",
-    "NumericDomainError",
     "PaintedDiagram",
     "PaintingError",
-    "PoincarePoly",
-    "Polynomial",
-    "Root",
-    "RootVectorMatrix",
-    "SymbolicMatrix",
-    "admissible_minors",
-    "all_roots",
-    "black_roots",
     "build_Z",
     "classify",
     "diastasis",
-    "eval_numeric",
-    "exp_Z",
     "forbidden_jet",
     "forbidden_report",
-    "gram",
-    "height",
-    "hessian_fd",
-    "iter_black_sets",
-    "log1p_expand",
-    "minor_det",
-    "nilpotency_index",
-    "poincare",
-    "positive_roots",
     "render_constraint",
-    "root_vector",
-    "simple_coefficients",
-    "simple_roots",
-    "symbolic_metric",
-    "truncated_value",
-    "verdict_from_report",
-    "white_roots",
 ]

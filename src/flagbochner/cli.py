@@ -52,6 +52,10 @@ SCHEMA_VERSION = 1
 HESSIAN_TOL = 1e-6
 POTENTIAL_TOL_FACTOR = 64.0
 DEFAULT_RADIUS = 0.05
+# the float lane scales, sums and (in the finite-difference Hessian) divides
+# the coefficients; half the double exponent range leaves room for all of
+# it, where float() overflows on 1e400 and rounds 1e-400 to 0.0
+NUMERIC_COEFF_EXPONENT = 150
 
 # guardrails so a request always terminates in reasonable time; a single
 # case shares the sweep's rank cap, and both share one degree cap: the
@@ -277,6 +281,10 @@ def run_sweep(request: SweepRequest) -> dict:
         raise ValueError(f"--max-rank is capped at {MAX_SWEEP_RANK}")
     if request.max_black > MAX_SWEEP_BLACK:
         raise ValueError(f"--max-black is capped at {MAX_SWEEP_BLACK}")
+    # a repeated family would print every row twice
+    repeated = [f for f in request.families if request.families.count(f) > 1]
+    if repeated:
+        raise ValueError(f"--families lists {repeated[0].value} more than once")
     if not 2 <= request.degree <= MAX_CASE_DEGREE:
         raise ValueError(
             f"--max-degree must be between 2 and {MAX_CASE_DEGREE}"
@@ -319,6 +327,12 @@ def run_sweep(request: SweepRequest) -> dict:
                     ),
                 }
                 rows.append(row)
+    if not rows and not rejected:
+        # a vacuous sweep: a bound below 1, or below every family's rank
+        raise ValueError(
+            "--max-rank and --max-black admit no painting of --families "
+            "(smallest ranks: SU 2, SOeven 3, Sp and SOodd 1)"
+        )
     return {
         "schema_version": SCHEMA_VERSION,
         "mode": "sweep",
@@ -351,6 +365,13 @@ def run_numeric_check(request: CaseRequest, samples: int, seed: int) -> dict:
         raise ValueError("--audit-degree does not apply to --numeric-check")
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"--samples must be between 1 and {MAX_SAMPLES}")
+    e = NUMERIC_COEFF_EXPONENT
+    for pos, c in zip(request.black, request.coeffs):
+        if not Fraction(1, 10**e) <= c <= 10**e:
+            raise ValueError(
+                f"--numeric-check needs --coeffs between 1e-{e} and 1e{e}; "
+                f"the value for node {pos} is not"
+            )
     diagram = PaintedDiagram(request.group, request.black)
     expansion = diastasis(diagram, request.max_degree, request.coeffs)
     coeffs = [float(c) for c in request.coeffs]

@@ -170,42 +170,28 @@ def all_roots(group: GroupSpec) -> frozenset[Root]:
     return frozenset(pos) | frozenset(-r for r in pos)
 
 
-@lru_cache(maxsize=None)
-def simple_coefficients(group: GroupSpec, root: Root) -> tuple[Fraction, ...]:
-    """Expansion coefficients of a root over the simple basis, solved
-    exactly; raises if root is not in the root system's span."""
-    basis = simple_roots(group)
-    n = group.rank
-    m = len(basis)
-    # Gaussian elimination on the n x (m+1) augmented system
-    aug = [
-        [Fraction(basis[j].coeffs[i]) for j in range(m)] + [Fraction(root.coeffs[i])]
-        for i in range(n)
-    ]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, n) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        scale = aug[row][col]
-        aug[row] = [x / scale for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == n:
-            break
-    for r in range(row, n):
-        if aug[r][m]:
+def simple_coefficients(group: GroupSpec, root: Root) -> tuple[int | Fraction, ...]:
+    """Exact expansion coefficients of a root over the simple basis, in
+    closed form from the prefix sums s_k = c_1 + ... + c_k of its
+    e-coordinates (entries with s_d / 2 are Fractions, the rest integers):
+
+    * SU:     (s_1, ..., s_{d-1}); raises unless s_d = 0 (the span)
+    * Sp:     (s_1, ..., s_{d-1}, s_d / 2)
+    * SOodd:  (s_1, ..., s_d)
+    * SOeven: (s_1, ..., s_{d-2}, s_{d-1} - s_d / 2, s_d / 2)
+    """
+    s = list(itertools.accumulate(root.coeffs))
+    family = group.family
+    if family is Family.SU:
+        if s[-1]:
             raise ValueError(f"{root!r} is not in the span of the simple basis")
-    coeffs = [Fraction(0)] * m
-    for r, c in pivots:
-        coeffs[c] = aug[r][m]
-    return tuple(coeffs)
+        return tuple(s[:-1])
+    if family is Family.SO_ODD:
+        return tuple(s)
+    half = Fraction(s[-1], 2)
+    if family is Family.SP:
+        return (*s[:-1], half)
+    return (*s[:-2], s[-2] - half, half)
 
 
 def height(group: GroupSpec, root: Root) -> int:
@@ -213,10 +199,11 @@ def height(group: GroupSpec, root: Root) -> int:
     coeffs = simple_coefficients(group, root)
     if not all(c >= 0 for c in coeffs) or not any(coeffs):
         raise ValueError(f"{root!r} is not a positive root of {group.label()}")
-    total = sum(coeffs)
-    if total.denominator != 1:
+    # only Sp and SOeven halve s_d, so an odd s_d is the one way to get a
+    # non-integral expansion
+    if group.family in (Family.SP, Family.SO_EVEN) and sum(root.coeffs) % 2:
         raise EngineInvariantError("non-integral simple-root expansion")
-    return int(total)
+    return int(sum(coeffs))
 
 
 @dataclass(frozen=True)
@@ -278,14 +265,12 @@ def black_roots(diagram: PaintedDiagram) -> tuple[frozenset[Root], tuple[Root, .
     and Q = R_M intersected with R+, sorted."""
     group = diagram.group
     black_idx = [p - 1 for p in diagram.black]
-    r_m = set()
-    for r in all_roots(group):
-        coeffs = simple_coefficients(group, r)
-        if any(coeffs[i] for i in black_idx):
-            r_m.add(r)
-    pos = set(positive_roots(group))
-    q = tuple(sorted(r for r in r_m if r in pos))
-    return frozenset(r_m), q
+    # -r has the coefficients of r negated, so R_M = Q u -Q
+    q = tuple(
+        r for r in positive_roots(group)
+        if any(simple_coefficients(group, r)[i] for i in black_idx)
+    )
+    return frozenset(q) | frozenset(-r for r in q), q
 
 
 def white_roots(diagram: PaintedDiagram) -> frozenset[Root]:
@@ -330,9 +315,6 @@ class PoincarePoly:
             acc = acc * x + c
         return acc
 
-    def __eq__(self, other):
-        return isinstance(other, PoincarePoly) and self.coeffs == other.coeffs
-
     def render(self) -> str:
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -349,13 +331,11 @@ class PoincarePoly:
         return f"PoincarePoly({self.render()})"
 
 
-def _intpoly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+def _times_binomial(poly: list[int], k: int) -> list[int]:
+    """poly * (1 - t^k), in O(len(poly)) steps."""
+    out = poly + [0] * k
+    for i, c in enumerate(poly):
+        out[i + k] -= c
     return out
 
 
@@ -387,12 +367,11 @@ def poincare(diagram: PaintedDiagram) -> PoincarePoly:
     exact integer arithmetic and re-expressed in s with t = s^2."""
     group = diagram.group
     _, q = black_roots(diagram)
-    heights = [height(group, r) for r in q]
-    num = [1]
-    den = [1]
-    for h in heights:
-        num = _intpoly_mul(num, [1] + [0] * h + [-1])      # 1 - t^(h+1)
-        den = _intpoly_mul(den, [1] + [0] * (h - 1) + [-1])  # 1 - t^h
+    num = den = [1]
+    for r in q:
+        h = height(group, r)
+        num = _times_binomial(num, h + 1)
+        den = _times_binomial(den, h)
     quot = _intpoly_divexact(num, den)
     coeffs_s = [0] * (2 * len(quot) - 1)
     for i, c in enumerate(quot):

@@ -402,20 +402,6 @@ class Polynomial:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.trunc, frozenset(self.terms.items())))
-
-    def render(self, names) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, f in self.items_sorted():
-            fs = f.render()
-            if not f.is_constant() and (f.terms and (len(f.terms) > 1 or f.const)):
-                fs = f"({fs})"
-            parts.append(f"{fs}*{m.render(names)}" if m.total else fs)
-        return " + ".join(parts)
-
     def __repr__(self):
         return f"Polynomial({len(self.terms)} terms, trunc={self.trunc})"
 
@@ -463,9 +449,6 @@ class SymbolicMatrix:
             else:
                 out[key] = s
         return SymbolicMatrix(self.size, out, trunc)
-
-    def __sub__(self, other: "SymbolicMatrix") -> "SymbolicMatrix":
-        return self + other.scale(-1)
 
     def scale(self, factor) -> "SymbolicMatrix":
         return SymbolicMatrix(

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from flagbochner.expansion import admissible_minors
-from flagbochner.lie_core import Family, all_roots, white_roots
+from flagbochner.lie_core import Family, all_roots, simple_roots, white_roots
 from flagbochner.matrices import build_Z, root_vector
 from flagbochner.poly import CoeffForm, Monomial, Polynomial, SymbolicMatrix
 
@@ -75,6 +75,68 @@ def mul(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 # ------------------------------------------------------------ root data
+
+def elimination_coefficients(group, root) -> tuple:
+    """Expansion coefficients of a root over the simple basis, solved by a
+    Fraction Gaussian elimination; raises if root is not in the span."""
+    basis = simple_roots(group)
+    n = group.rank
+    m = len(basis)
+    # Gaussian elimination on the n x (m+1) augmented system
+    aug = [
+        [Fraction(basis[j].coeffs[i]) for j in range(m)] + [Fraction(root.coeffs[i])]
+        for i in range(n)
+    ]
+    pivots: list[tuple[int, int]] = []
+    row = 0
+    for col in range(m):
+        piv = next((r for r in range(row, n) if aug[r][col]), None)
+        if piv is None:
+            continue
+        aug[row], aug[piv] = aug[piv], aug[row]
+        scale = aug[row][col]
+        aug[row] = [x / scale for x in aug[row]]
+        for r in range(n):
+            if r != row and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
+        pivots.append((row, col))
+        row += 1
+        if row == n:
+            break
+    for r in range(row, n):
+        if aug[r][m]:
+            raise ValueError(f"{root!r} is not in the span of the simple basis")
+    coeffs = [Fraction(0)] * m
+    for r, c in pivots:
+        coeffs[c] = aug[r][m]
+    return tuple(coeffs)
+
+
+def elimination_height(group, root) -> int:
+    """Sum of the elimination's coefficients; raises ValueError unless they
+    are nonnegative integers, not all zero."""
+    coeffs = elimination_coefficients(group, root)
+    if not all(c >= 0 and c.denominator == 1 for c in coeffs) or not any(coeffs):
+        raise ValueError(f"{root!r} has no height in {group.label()}")
+    return int(sum(coeffs))
+
+
+def poincare_from_heights(heights) -> tuple:
+    """Coefficients in t of prod (1 - t^(h+1)) / (1 - t^h) over the heights,
+    as the power series prod (1 - t^(h+1)) * prod sum_k t^(k h) cut at
+    degree len(heights), the degree of the quotient polynomial."""
+    top = len(heights)
+    series = [1] + [0] * top
+    for h in heights:
+        # times 1 / (1 - t^h): running sum with stride h
+        for i in range(h, top + 1):
+            series[i] += series[i - h]
+        # times 1 - t^(h+1)
+        for i in range(top, h, -1):
+            series[i] -= series[i - h - 1]
+    return tuple(series)
+
 
 def cartan_diagonal(group, hs) -> list:
     """Diagonal of a Cartan element for functional values e_i = hs[i-1]."""

@@ -6,6 +6,7 @@ import pytest
 
 from flagbochner.cli import (
     CaseRequest,
+    NumericCheckFailure,
     SweepRequest,
     main,
     parse_black,
@@ -152,6 +153,23 @@ def test_exit_one_on_validation_error(capsys):
       "--numeric-check", "--audit-degree", "5"], "--audit-degree"),
     (["--group", "SU:3", "--black", "1", "--coeffs", "1",
       "--numeric-check", "--samples", "1001"], "--samples"),
+    # float() overflows on 1e400 and rounds 1e-400 to 0.0
+    (["--group", "SU:3", "--black", "1", "--coeffs", "1e400",
+      "--numeric-check"], "between 1e-150 and 1e150"),
+    (["--group", "SU:3", "--black", "1", "--coeffs", "1e-400",
+      "--numeric-check"], "between 1e-150 and 1e150"),
+    (["--group", "SU:3", "--black", "1,2", "--coeffs", "1,1e151",
+      "--numeric-check"], "for node 2"),
+    # sweeps that would print a doubled or an empty table
+    (["--sweep", "--families", "SU,SU", "--max-rank", "3"],
+     "SU more than once"),
+    (["--sweep", "--families", "Sp,SOodd,Sp", "--max-rank", "2"],
+     "Sp more than once"),
+    (["--sweep", "--max-rank", "0"], "admit no painting"),
+    (["--sweep", "--max-rank", "-3"], "admit no painting"),
+    (["--sweep", "--max-black", "0"], "admit no painting"),
+    (["--sweep", "--families", "SU,SOeven", "--max-rank", "1"],
+     "admit no painting"),
 ])
 def test_exit_one_on_inconsistent_request(capsys, argv, reason):
     assert main(argv) == 1
@@ -186,6 +204,17 @@ def test_coeffs_follow_their_black_node(capsys, extra):
     assert outs[0] == outs[1]
     request = json.loads(outs[0])["request"]
     assert request["black"] == [1, 3] and request["coeffs"] == ["2", "1"]
+
+
+@pytest.mark.parametrize("coeffs", ["1e-150", "1e150"])
+def test_numeric_check_runs_at_the_range_ends(coeffs):
+    # no overflow at either end; 1e150 then fails the absolute Hessian
+    # tolerance (exit 3), not the float range
+    try:
+        doc = run_numeric_check(_case("SU:3", "1", coeffs), 2, 0)
+    except NumericCheckFailure as err:
+        doc = err.doc
+    assert doc["min_hessian_eigenvalue"] > 0
 
 
 def test_numeric_check_cli_passes(capsys):

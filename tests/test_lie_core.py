@@ -4,7 +4,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from oracles import validate_Q
+from oracles import (
+    elimination_coefficients,
+    elimination_height,
+    poincare_from_heights,
+    validate_Q,
+)
 
 from flagbochner.lie_core import (
     Family,
@@ -21,6 +26,7 @@ from flagbochner.lie_core import (
     simple_coefficients,
     simple_roots,
 )
+from flagbochner.poly import EngineInvariantError
 
 
 def su(d):
@@ -37,6 +43,15 @@ def so_even(d):
 
 def so_odd(d):
     return GroupSpec(Family.SO_ODD, d)
+
+
+def groups_up_to(max_rank):
+    for family in Family:
+        for d in range(1, max_rank + 1):
+            try:
+                yield GroupSpec(family, d)
+            except ValueError:
+                continue
 
 
 # ------------------------------------------------------------ root systems
@@ -211,6 +226,76 @@ def test_height_rejects_negative_roots():
         height(su(3), Root((-1, 1, 0)))
     with pytest.raises(ValueError):
         height(su(3), Root((0, 0, 0)))
+
+
+def test_height_rejects_odd_halved_coordinate_sum():
+    # e_1 is not a root of Sp or SO(2d): its expansion has a half-integer
+    # coefficient, which only an odd s_d produces
+    for group in (sp(3), so_even(4)):
+        e1 = Root((1,) + (0,) * (group.rank - 1))
+        assert any(c.denominator == 2 for c in simple_coefficients(group, e1))
+        with pytest.raises(EngineInvariantError, match="non-integral"):
+            height(group, e1)
+
+
+# ------------------------------------------ closed form vs the elimination
+
+def test_closed_form_equals_elimination_on_every_root():
+    count = 0
+    for group in groups_up_to(8):
+        positive = set(positive_roots(group))
+        for r in all_roots(group):
+            assert simple_coefficients(group, r) == elimination_coefficients(
+                group, r), (group, r)
+            if r in positive:
+                assert height(group, r) == elimination_height(group, r)
+            else:
+                with pytest.raises(ValueError):
+                    elimination_height(group, r)
+                with pytest.raises(ValueError):
+                    height(group, r)
+            count += 1
+    assert count == 1316
+
+
+def test_closed_form_equals_elimination_off_the_root_system():
+    # every integer vector with entries in -2..2, roots or not; off the SU
+    # hyperplane both raise
+    for group in groups_up_to(4):
+        for coeffs in itertools.product(range(-2, 3), repeat=group.rank):
+            v = Root(coeffs)
+            if group.family is Family.SU and sum(coeffs):
+                for expand in (simple_coefficients, elimination_coefficients):
+                    with pytest.raises(ValueError, match="span"):
+                        expand(group, v)
+            else:
+                assert simple_coefficients(group, v) == \
+                    elimination_coefficients(group, v), (group, v)
+
+
+def test_poincare_equals_elimination_heights_at_rank_7_and_8():
+    # the golden digests cover rank <= 6; here Q and its heights come from
+    # the elimination and the product formula from a power series
+    checked = 0
+    for group in groups_up_to(8):
+        if group.rank < 7:
+            continue
+        oracle = {r: elimination_coefficients(group, r)
+                  for r in positive_roots(group)}
+        heights = {r: elimination_height(group, r) for r in oracle}
+        for black in iter_black_sets(group, 3):
+            try:
+                diagram = PaintedDiagram(group, black)
+            except PaintingError:
+                continue
+            q = tuple(r for r, cs in oracle.items()
+                      if any(cs[p - 1] for p in black))
+            assert black_roots(diagram)[1] == q
+            series = poincare_from_heights([heights[r] for r in q])
+            coeffs = poincare(diagram).coeffs
+            assert coeffs[::2] == series and not any(coeffs[1::2]), diagram
+            checked += 1
+    assert checked == 480
 
 
 # ---------------------------------------------------------------- painting
