@@ -111,11 +111,6 @@ def _constraint_rows(report: ForbiddenReport,
     seen = set()
     rows = []
     for _, form in report.entries:
-        if form.const:
-            raise EngineInvariantError(
-                "forbidden coefficient has a constant part; symbolic "
-                "expansion expected"
-            )
         row = tuple(form.coeff_of(p) for p in black)
         if row not in seen:
             seen.add(row)

@@ -186,10 +186,7 @@ def parse_coeffs(text: str):
 
 
 def _form_json(form) -> dict:
-    doc = {f"c{k}": str(lam) for k, lam in form.terms}
-    if form.const:
-        doc["const"] = str(form.const)
-    return doc
+    return {f"c{k}": str(lam) for k, lam in form.terms}
 
 
 def _verdict_json(verdict: BochnerVerdict, names) -> dict:
@@ -481,8 +478,7 @@ def _render_case_table(doc: dict) -> str:
 
 def _render_form_doc(form_doc: dict) -> str:
     return render_signed_sum(
-        ("" if key == "const" else key, Fraction(val))
-        for key, val in form_doc.items()
+        (key, Fraction(val)) for key, val in form_doc.items()
     )
 
 

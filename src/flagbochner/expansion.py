@@ -7,10 +7,11 @@ A = (exp Z)^H exp Z, and the potential is
     D0(z) = sum_k c_k * ln Delta_{l_k}(A),
 
 a real-analytic function vanishing at 0.  Its expansion to a chosen total
-degree has exact coefficients linear in the c parameters.  The expansion is
-centered at the distinguished point, so it has no pure holomorphic or
-antiholomorphic terms and its (1,1) part is a positive diagonal; both facts
-are asserted, not assumed.
+degree has exact coefficients linear in the c parameters: every product
+behind it is rational, and the linear forms are built once, at the end.
+The expansion is centered at the distinguished point, so it has no pure
+holomorphic or antiholomorphic terms and its (1,1) part is a positive
+diagonal; both facts are asserted, not assumed.
 
 The Bochner verdict needs only the potential's (1, .) and (., 1) parts.
 forbidden_jet computes them from exp Z alone, without the Gram matrix, its
@@ -32,6 +33,7 @@ from .poly import (
     Monomial,
     Polynomial,
     SymbolicMatrix,
+    linear_combination,
     log1p_expand,
     minor_det,
 )
@@ -95,8 +97,8 @@ class DiastasisExpansion:
     """Truncated expansion of the potential, with its chart and minors.
 
     poly.trunc is the degree bound.  coeff_values is None for a symbolic
-    expansion (coefficients are linear forms keyed by black position), or
-    the position -> value map used.
+    expansion (coefficients are CoeffForms keyed by black position), or the
+    (position, value) pairs used (coefficients are Fractions).
     """
 
     atlas: CoordinateAtlas
@@ -108,8 +110,8 @@ class DiastasisExpansion:
     def diagram(self) -> PaintedDiagram:
         return self.atlas.diagram
 
-    def quadratic_coefficients(self) -> dict[int, CoeffForm]:
-        """Variable index -> coefficient form of z_v zb_v."""
+    def quadratic_coefficients(self) -> dict[int, CoeffForm | Fraction]:
+        """Variable index -> coefficient of z_v zb_v."""
         out = {}
         for m, f in self.poly.bidegree_part(1, 1).terms.items():
             out[m.holo[0][0]] = f
@@ -117,9 +119,9 @@ class DiastasisExpansion:
 
 
 def _parse_coeffs(diagram: PaintedDiagram, coeffs):
-    """Returns (per-position CoeffForm multipliers, stored numeric values)."""
+    """None for symbolic coeffs, else the (position, value) pairs."""
     if coeffs == "symbolic" or coeffs is None:
-        return {p: CoeffForm.parameter(p) for p in diagram.black}, None
+        return None
     values = [Fraction(v) for v in coeffs]
     if len(values) != len(diagram.black):
         raise ValueError(
@@ -127,8 +129,7 @@ def _parse_coeffs(diagram: PaintedDiagram, coeffs):
         )
     if any(v <= 0 for v in values):
         raise ValueError("Kaehler coefficients must be positive")
-    pairs = tuple(zip(diagram.black, values))
-    return {p: CoeffForm.constant(v) for p, v in pairs}, pairs
+    return tuple(zip(diagram.black, values))
 
 
 def _check_invariants(expansion: Polynomial) -> None:
@@ -149,9 +150,9 @@ def _check_quadratic(poly: Polynomial, nvars: int, coeff_values) -> None:
         if m.holo[0][0] != m.anti[0][0]:
             raise EngineInvariantError("off-diagonal (1,1) term in the potential")
         if coeff_values is None:
-            ok = f.const == 0 and all(l > 0 for _, l in f.terms) and f.terms
+            ok = all(l > 0 for _, l in f.terms)
         else:
-            ok = f.is_constant() and f.const > 0
+            ok = f > 0
         if not ok:
             raise EngineInvariantError("(1,1) coefficient is not a positive form")
         seen.add(m.holo[0][0])
@@ -167,17 +168,23 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
     """Expansion of sum_k c_k ln Delta_{l_k}(A) to total degree <= degree.
 
     Numeric coeffs pair with diagram.black, which is sorted."""
-    multipliers, stored = _parse_coeffs(diagram, coeffs)
+    stored = _parse_coeffs(diagram, coeffs)
     atlas = build_Z(diagram)
     minors = admissible_minors(diagram)
     a = gram(atlas, degree)
-    total = Polynomial.zero(degree)
+    logs = []
     for pos, l in minors.pairing:
-        delta = minor_det(a, l)
-        arg = delta - Polynomial.one(degree)
-        if not arg.constant_term().is_zero():
+        arg = minor_det(a, l) - Polynomial.one(degree)
+        if arg.constant_term():
             raise EngineInvariantError("minor determinant has constant term != 1")
-        total = total + log1p_expand(arg, degree) * multipliers[pos]
+        logs.append((pos, log1p_expand(arg, degree)))
+    if stored is None:
+        total = linear_combination(((pos, 1, p) for pos, p in logs), degree)
+    else:
+        values = dict(stored)
+        total = Polynomial.zero(degree)
+        for pos, p in logs:
+            total = total + p * values[pos]
     _check_invariants(total)
     _check_quadratic(total, atlas.nvars, stored)
     return DiastasisExpansion(atlas, total, minors, stored)
@@ -199,7 +206,7 @@ def _leading_solve(mat, l: int, cols, trunc: int | None):
             n = mat.get((a, b), zero)
             if a == b:
                 n = n - one
-            if not n.constant_term().is_zero():
+            if n.constant_term():
                 raise EngineInvariantError(
                     f"leading {l}x{l} block of exp Z is not I at the origin"
                 )
@@ -239,24 +246,15 @@ def _jet_half(mat, atlas: CoordinateAtlas, minors: AdmissibleMinors,
     with X_l = M_l^{-1} M[:l, l:].  X has rational coefficients, so each
     monomial's linear form in the c_k is collected once, at the end."""
     ent = atlas.entry_map()
-    lams: dict[int, dict[Monomial, dict[int, Fraction]]] = {}
+    parts: dict[int, list[tuple[int, int, Polynomial]]] = {}
     for pos, l in minors.pairing:
         wanted = [(r, c, v, s) for (r, c), (v, s) in ent.items() if c < l <= r]
         x = _leading_solve(mat, l, sorted({r for r, *_ in wanted}), trunc)
         for r, c, v, s in wanted:
             p = x[r].get(c)
-            if p is None:
-                continue
-            out = lams.setdefault(v, {})
-            for m, f in p.terms.items():
-                lam = out.setdefault(m, {})
-                val = f.const if s > 0 else -f.const
-                lam[pos] = lam[pos] + val if pos in lam else val
-    return {
-        v: Polynomial({m: CoeffForm(0, lam.items()) for m, lam in out.items()},
-                      trunc)
-        for v, out in lams.items()
-    }
+            if p is not None:
+                parts.setdefault(v, []).append((pos, s, p))
+    return {v: linear_combination(ps, trunc) for v, ps in parts.items()}
 
 
 def forbidden_jet(diagram: PaintedDiagram,
@@ -283,8 +281,7 @@ def forbidden_jet(diagram: PaintedDiagram,
     dz = _jet_half(e.conj_transpose().entries, atlas, minors, trunc)
     dzb = _jet_half({(j, i): p for (i, j), p in e.entries.items()},
                     atlas, minors, trunc)
-    if any(not f.constant_term().is_zero()
-           for f in (*dz.values(), *dzb.values())):
+    if any(Monomial.unit() in f.terms for f in (*dz.values(), *dzb.values())):
         raise EngineInvariantError("pure term in the potential jet")
     first = Polynomial({
         Monomial(((v, 1),), m.anti): f
@@ -356,15 +353,24 @@ def eval_numeric(expansion: DiastasisExpansion, point, coeffs) -> float:
     )
 
 
+def _rational_poly(expansion: DiastasisExpansion, coeffs) -> Polynomial:
+    """The expansion with rational coefficients: a symbolic expansion takes
+    coeffs, paired with the sorted black nodes, into its linear forms."""
+    if expansion.coeff_values is not None:
+        return expansion.poly
+    if coeffs is None:
+        raise ValueError("symbolic expansion needs coefficient values")
+    cvals = {p: Fraction(c) for p, c in zip(expansion.diagram.black, coeffs)}
+    return Polynomial(
+        {m: f.evaluate(cvals) for m, f in expansion.poly.terms.items()},
+        expansion.poly.trunc,
+    )
+
+
 def truncated_value(expansion: DiastasisExpansion, point, coeffs=None) -> float:
     """Value of the truncated expansion at a numeric point."""
-    cvals = None
-    if expansion.coeff_values is None:
-        if coeffs is None:
-            raise ValueError("symbolic expansion needs coefficient values")
-        cvals = {p: Fraction(c) for p, c in zip(
-            expansion.diagram.black, coeffs)}
-    val = expansion.poly.evaluate([complex(z) for z in point], cvals)
+    poly = _rational_poly(expansion, coeffs)
+    val = poly.evaluate([complex(z) for z in point])
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise EngineInvariantError("potential expansion is not numerically real")
     return val.real
@@ -419,13 +425,9 @@ def symbolic_metric(expansion: DiastasisExpansion, coeffs=None):
     the finite-difference Hessian."""
     import numpy as np
 
-    cvals = None
-    if expansion.coeff_values is None:
-        if coeffs is None:
-            raise ValueError("symbolic expansion needs coefficient values")
-        cvals = {p: Fraction(c) for p, c in zip(expansion.diagram.black, coeffs)}
+    quad = _rational_poly(expansion, coeffs).bidegree_part(1, 1)
     n = expansion.atlas.nvars
     out = np.zeros((n, n), dtype=complex)
-    for v, form in expansion.quadratic_coefficients().items():
-        out[v, v] = float(form.evaluate(cvals))
+    for m, x in quad.terms.items():
+        out[m.holo[0][0], m.holo[0][0]] = float(x)
     return out

@@ -1,11 +1,11 @@
 """Sparse multivariate polynomials over conjugate variable pairs.
 
 Variables are integer indices 0..N-1; index v names a holomorphic variable
-z_v together with its formal conjugate zb_v.  Coefficients are CoeffForm
-values: exact linear forms ``const + sum_k lam_k*c[k]`` with rational
-entries, where the c[k] are symbolic parameters keyed by integer labels.
-All arithmetic is exact; a product of two non-constant forms would leave
-the linear-in-c space and raises NonlinearCoefficientError.
+z_v together with its formal conjugate zb_v.  Every product, sum and power
+in the ring has exact rational coefficients (Fraction).  The Kaehler
+parameters c[k] enter only the finished symbolic potential:
+linear_combination turns rational polynomials p_k into sum_k c[k] p_k,
+building each monomial's linear form (a CoeffForm) once, at the end.
 """
 
 from __future__ import annotations
@@ -14,11 +14,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-class NonlinearCoefficientError(ArithmeticError):
-    """Product of two non-constant coefficient forms (degree > 1 in c)."""
 
 
 class EngineInvariantError(RuntimeError):
@@ -50,78 +45,33 @@ def render_signed_sum(terms: Iterable[tuple[str, Fraction]]) -> str:
 
 
 class CoeffForm:
-    """Exact linear form const + sum_k lam_k * c[k] with rational lam_k."""
+    """Exact linear form sum_k lam_k * c[k] with rational lam_k, the
+    coefficient type of the finished symbolic potential.
 
-    __slots__ = ("const", "terms")
+    terms pairs distinct labels k with their lam_k; zero entries are
+    dropped and the rest sorted by label.  A form is false when it is zero.
+    """
 
-    def __init__(self, const=_ZERO, terms: Iterable[tuple[int, Fraction]] = ()):
-        merged: dict[int, Fraction] = {}
-        for k, lam in terms:
-            v = merged.get(k, _ZERO) + lam
-            if v:
-                merged[k] = v
-            elif k in merged:
-                del merged[k]
-        self.const = _as_fraction(const)
-        self.terms = tuple(sorted(merged.items()))
+    __slots__ = ("terms",)
 
-    @classmethod
-    def constant(cls, value) -> "CoeffForm":
-        return cls(_as_fraction(value))
+    def __init__(self, terms: Iterable[tuple[int, Fraction]] = ()):
+        self.terms = tuple(sorted((k, lam) for k, lam in terms if lam))
 
-    @classmethod
-    def parameter(cls, label: int, scale=_ONE) -> "CoeffForm":
-        """The form scale * c[label]."""
-        return cls(_ZERO, ((label, _as_fraction(scale)),))
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.const and not self.terms
-
-    def is_constant(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "CoeffForm") -> "CoeffForm":
-        return CoeffForm(self.const + other.const, self.terms + other.terms)
-
-    def __neg__(self) -> "CoeffForm":
-        return CoeffForm(-self.const, tuple((k, -l) for k, l in self.terms))
-
-    def __sub__(self, other: "CoeffForm") -> "CoeffForm":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            return CoeffForm(self.const * q, tuple((k, l * q) for k, l in self.terms))
-        if isinstance(other, CoeffForm):
-            if self.terms and other.terms:
-                raise NonlinearCoefficientError(
-                    "product of two non-constant forms is quadratic in c"
-                )
-            if other.terms:
-                return other * self.const
-            return self * other.const
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def evaluate(self, cvals: Mapping[int, object] | None = None):
-        """Numeric value of the form; cvals maps parameter label to a number."""
-        acc = self.const
-        for k, lam in self.terms:
-            if cvals is None:
-                raise ValueError("form has symbolic parameters but no values given")
-            acc = acc + lam * cvals[k]
-        return acc
+    def evaluate(self, cvals: Mapping[int, object]):
+        """Value of the form; cvals maps parameter label to a number."""
+        return sum(lam * cvals[k] for k, lam in self.terms)
 
     def orthant_sign(self) -> int:
         """+1/-1 if the form is positive/negative on the open positive
         orthant c > 0, else 0 (zero form or indefinite)."""
-        if self.is_zero():
+        if not self.terms:
             return 0
-        if self.const >= 0 and all(l >= 0 for _, l in self.terms):
+        if all(l > 0 for _, l in self.terms):
             return 1
-        if self.const <= 0 and all(l <= 0 for _, l in self.terms):
+        if all(l < 0 for _, l in self.terms):
             return -1
         return 0
 
@@ -132,20 +82,13 @@ class CoeffForm:
         return _ZERO
 
     def render(self, prefix: str = "c") -> str:
-        terms = [(f"{prefix}{k}", lam) for k, lam in self.terms]
-        if self.const:
-            terms.append(("", self.const))
-        return render_signed_sum(terms)
+        return render_signed_sum((f"{prefix}{k}", lam) for k, lam in self.terms)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CoeffForm)
-            and self.const == other.const
-            and self.terms == other.terms
-        )
+        return isinstance(other, CoeffForm) and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.const, self.terms))
+        return hash(self.terms)
 
     def __repr__(self):
         return f"CoeffForm({self.render()})"
@@ -260,20 +203,22 @@ def _combine_trunc(a: int | None, b: int | None) -> int | None:
 
 
 class Polynomial:
-    """Sparse polynomial: map Monomial -> CoeffForm, optional degree bound.
+    """Sparse polynomial: map Monomial -> Fraction, optional degree bound.
 
     When trunc is set, every stored monomial has total degree <= trunc and
-    all ring operations drop overflow terms.
+    all ring operations drop overflow terms.  The finished symbolic
+    potential maps monomials to CoeffForms instead (linear_combination);
+    it is truncated, sliced, sorted and compared, never added or multiplied.
     """
 
     __slots__ = ("terms", "trunc")
 
-    def __init__(self, terms: Mapping[Monomial, CoeffForm] | None = None,
+    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None,
                  trunc: int | None = None):
-        clean: dict[Monomial, CoeffForm] = {}
+        clean: dict[Monomial, Fraction] = {}
         if terms:
             for m, f in terms.items():
-                if f.is_zero():
+                if not f:
                     continue
                 if trunc is not None and m.total > trunc:
                     continue
@@ -287,8 +232,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value, trunc: int | None = None) -> "Polynomial":
-        f = value if isinstance(value, CoeffForm) else CoeffForm.constant(value)
-        return cls({Monomial.unit(): f}, trunc)
+        return cls({Monomial.unit(): _as_fraction(value)}, trunc)
 
     @classmethod
     def one(cls, trunc: int | None = None) -> "Polynomial":
@@ -297,13 +241,13 @@ class Polynomial:
     @classmethod
     def variable(cls, v: int, anti: bool = False, sign: int = 1,
                  trunc: int | None = None) -> "Polynomial":
-        return cls({Monomial.variable(v, anti): CoeffForm.constant(sign)}, trunc)
+        return cls({Monomial.variable(v, anti): Fraction(sign)}, trunc)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> CoeffForm:
-        return self.terms.get(Monomial.unit(), CoeffForm())
+    def constant_term(self) -> Fraction:
+        return self.terms.get(Monomial.unit(), _ZERO)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         trunc = _combine_trunc(self.trunc, other.trunc)
@@ -311,10 +255,10 @@ class Polynomial:
         for m, f in other.terms.items():
             g = out.get(m)
             s = f if g is None else g + f
-            if s.is_zero():
-                out.pop(m, None)
-            else:
+            if s:
                 out[m] = s
+            else:
+                out.pop(m, None)
         return Polynomial(out, trunc)
 
     def __neg__(self) -> "Polynomial":
@@ -324,10 +268,8 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CoeffForm)):
-            if isinstance(other, CoeffForm) and other.is_zero():
-                return Polynomial.zero(self.trunc)
-            if not isinstance(other, CoeffForm) and other == 0:
+        if isinstance(other, (int, Fraction)):
+            if not other:
                 return Polynomial.zero(self.trunc)
             return Polynomial(
                 {m: f * other for m, f in self.terms.items()}, self.trunc
@@ -335,7 +277,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         trunc = _combine_trunc(self.trunc, other.trunc)
-        out: dict[Monomial, CoeffForm] = {}
+        out: dict[Monomial, Fraction] = {}
         # rows[budget] lists the terms of other with total <= budget, in the
         # order of other.terms.  Walking a row visits exactly the pairs that
         # fit under trunc, in all-pairs order, so out is built in the same
@@ -356,16 +298,16 @@ class Polynomial:
                 f = f1 * f2
                 g = out.get(m)
                 s = f if g is None else g + f
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
+                if s:
                     out[m] = s
+                else:
+                    out.pop(m, None)
         return Polynomial(out, trunc)
 
     __rmul__ = __mul__
 
     def conj(self) -> "Polynomial":
-        # coefficient forms are real rational, so only variables swap
+        # coefficients are real, so only variables swap
         return Polynomial({m.conj(): f for m, f in self.terms.items()}, self.trunc)
 
     def truncate(self, degree: int | None) -> "Polynomial":
@@ -384,10 +326,10 @@ class Polynomial:
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
-    def evaluate(self, zvals, cvals: Mapping[int, object] | None = None) -> complex:
+    def evaluate(self, zvals) -> complex:
         acc = 0j
         for m, f in self.terms.items():
-            val = complex(f.evaluate(cvals))
+            val = complex(f)
             for v, e in m.holo:
                 val *= zvals[v] ** e
             for v, e in m.anti:
@@ -493,11 +435,11 @@ class SymbolicMatrix:
             degree,
         )
 
-    def evaluate(self, zvals, cvals=None):
+    def evaluate(self, zvals):
         """Dense nested-list numeric value; mainly for tests."""
         out = [[0j] * self.size for _ in range(self.size)]
         for (i, j), p in self.entries.items():
-            out[i][j] = p.evaluate(zvals, cvals)
+            out[i][j] = p.evaluate(zvals)
         return out
 
     def __eq__(self, other) -> bool:
@@ -553,7 +495,7 @@ def minor_det(mat: SymbolicMatrix, l: int) -> Polynomial:
 def log1p_expand(p: Polynomial, degree: int) -> Polynomial:
     """ln(1 + p) truncated to total degree <= degree; p must have no
     constant term (its minimum total degree is then >= 1)."""
-    if not p.constant_term().is_zero():
+    if p.constant_term():
         raise ValueError("log1p_expand requires a zero constant term")
     p = p.truncate(degree)
     acc = Polynomial.zero(degree)
@@ -565,3 +507,19 @@ def log1p_expand(p: Polynomial, degree: int) -> Polynomial:
         if n <= degree:
             power = power * p
     return acc
+
+
+def linear_combination(parts: Iterable[tuple[int, int, Polynomial]],
+                       trunc: int | None) -> Polynomial:
+    """sum of sign * c[k] * p over (label k, sign +-1, rational p) parts,
+    one CoeffForm per monomial.  A label may recur; monomials keep the order
+    of their first appearance, and those whose form cancels are dropped."""
+    lams: dict[Monomial, dict[int, Fraction]] = {}
+    for k, sign, p in parts:
+        for m, x in p.terms.items():
+            lam = lams.setdefault(m, {})
+            val = x if sign > 0 else -x
+            lam[k] = lam[k] + val if k in lam else val
+    return Polynomial(
+        {m: CoeffForm(lam.items()) for m, lam in lams.items()}, trunc
+    )

@@ -15,7 +15,7 @@ import numpy as np
 from flagbochner.expansion import admissible_minors
 from flagbochner.lie_core import Family, all_roots, simple_roots, white_roots
 from flagbochner.matrices import build_Z, root_vector
-from flagbochner.poly import CoeffForm, Monomial, Polynomial, SymbolicMatrix
+from flagbochner.poly import Monomial, Polynomial, SymbolicMatrix
 
 
 def leibniz_minor(mat: SymbolicMatrix, l: int, rows=None) -> Polynomial:
@@ -61,10 +61,10 @@ def mul(a: Polynomial, b: Polynomial) -> Polynomial:
             m = m1 * m2
             g = out.get(m)
             s = f1 * f2 if g is None else g + f1 * f2
-            if s.is_zero():
-                out.pop(m, None)
-            else:
+            if s:
                 out[m] = s
+            else:
+                out.pop(m, None)
     return Polynomial(
         {
             m: f for m, f in out.items()
@@ -283,7 +283,7 @@ def catalog_trinomials(atlas, r: int) -> list:
 def catalog_sum(trinomials) -> Polynomial:
     acc = Polynomial.zero()
     for t in trinomials:
-        acc = acc + Polynomial({t.monomial: CoeffForm.constant(t.coeff)})
+        acc = acc + Polynomial({t.monomial: t.coeff})
     return acc
 
 

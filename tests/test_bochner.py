@@ -151,7 +151,7 @@ def test_su_two_black_forms_are_half_differences():
     expansion = diastasis(diagram(Family.SU, 3, (k, r)), 3, "symbolic")
     report = forbidden_report(expansion.poly)
     assert not report.is_empty()
-    expected = CoeffForm(0, ((k, F(1, 2)), (r, F(-1, 2))))
+    expected = CoeffForm(((k, F(1, 2)), (r, F(-1, 2))))
     for _, form in report.entries:
         assert form == expected
 
@@ -161,8 +161,8 @@ def test_su_three_black_contains_both_obstruction_forms():
     expansion = diastasis(diagram(Family.SU, 5, (j, q, r)), 3, "symbolic")
     report = forbidden_report(expansion.poly)
     forms = set(report.coefficient_forms())
-    assert CoeffForm(0, ((j, F(1, 2)), (q, F(-1, 2)))) in forms
-    assert CoeffForm(0, ((j, F(1, 2)), (q, F(-1, 2)), (r, F(-1, 2)))) in forms
+    assert CoeffForm(((j, F(1, 2)), (q, F(-1, 2)))) in forms
+    assert CoeffForm(((j, F(1, 2)), (q, F(-1, 2)), (r, F(-1, 2)))) in forms
 
 
 def test_report_is_conjugate_closed_with_equal_forms():
@@ -353,7 +353,7 @@ def test_rescaling_soundness_for_admissible_numeric_coefficients():
         report = forbidden_report(expansion.poly)
         assert report.is_empty()
         quad = expansion.quadratic_coefficients()
-        lams = {v: float(f.const) for v, f in quad.items()}
+        lams = {v: float(f) for v, f in quad.items()}
         assert all(lam > 0 for lam in lams.values())
         rescaled_11 = {v: lam / lams[v] for v, lam in lams.items()}
         assert all(abs(x - 1.0) < 1e-12 for x in rescaled_11.values())

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from flagbochner import expansion as expansion_module
 from flagbochner.expansion import (
     NumericDomainError,
+    _leading_solve,
     _numeric_potential,
     admissible_minors,
     diastasis,
@@ -36,6 +37,8 @@ from flagbochner.poly import (
     EngineInvariantError,
     Polynomial,
     SymbolicMatrix,
+    linear_combination,
+    log1p_expand,
     minor_det,
 )
 
@@ -133,7 +136,7 @@ def test_gram_is_identity_at_origin():
     for dia in SAMPLE_DIAGRAMS[:4]:
         atlas = build_Z(dia)
         a = gram(atlas, 3)
-        dense = np.array(a.evaluate([0j] * atlas.nvars, {}))
+        dense = np.array(a.evaluate([0j] * atlas.nvars))
         assert np.allclose(dense, np.eye(atlas.Z.size))
 
 
@@ -208,13 +211,42 @@ def test_minors_match_oracles_untruncated(dia):
 
 # --------------------------------------------------------------- diastasis
 
+@pytest.mark.parametrize("dia", [
+    diagram(Family.SU, 3, (1, 2)),
+    diagram(Family.SP, 2, (1, 2)),
+    diagram(Family.SO_EVEN, 4, (1, 4)),
+    diagram(Family.SO_ODD, 3, (1, 3)),
+    diagram(Family.SO_ODD, 4, (2, 3, 4)),
+], ids=lambda d: d.label())
+def test_ring_is_rational_and_forms_are_built_last(dia):
+    degree = 6
+    atlas = build_Z(dia)
+    e = exp_Z(atlas, degree)
+    a = gram(atlas, degree)
+    u = e.conj_transpose().entries
+    polys = [*e.entries.values(), *a.entries.values()]
+    logs = []
+    for pos, l in admissible_minors(dia).pairing:
+        delta = minor_det(a, l)
+        log = log1p_expand(delta - Polynomial.one(degree), degree)
+        polys += [delta, log]
+        logs.append((pos, 1, log))
+        solved = _leading_solve(u, l, range(l, atlas.Z.size), degree)
+        polys += [p for x in solved.values() for p in x.values()]
+    assert all(type(f) is Fraction for p in polys for f in p.terms.values())
+    got = diastasis(dia, degree).poly
+    want = linear_combination(logs, degree)
+    assert got.trunc == want.trunc == degree
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
 def test_diastasis_grassmannian_is_norm_squared_at_degree_two():
     dia = diagram(Family.SU, 4, (2,))
     expansion = diastasis(dia, 2, "symbolic")
     n = expansion.atlas.nvars
     quad = expansion.quadratic_coefficients()
     assert set(quad) == set(range(n))
-    assert all(f == CoeffForm.parameter(2) for f in quad.values())
+    assert all(f == CoeffForm(((2, F(1)),)) for f in quad.values())
     assert len(expansion.poly.terms) == n
 
 
@@ -241,7 +273,8 @@ def test_diastasis_invariants_across_samples():
             assert p >= 1 and q >= 1
             if (p, q) == (1, 1):
                 assert mono.holo[0][0] == mono.anti[0][0]
-                assert form.const == 0
+                # a CoeffForm has no constant part
+                assert isinstance(form, CoeffForm)
                 assert all(lam > 0 for _, lam in form.terms)
 
 
@@ -255,7 +288,7 @@ def test_diastasis_linear_in_coefficients():
         m: f.evaluate(cvals) for m, f in sym.poly.terms.items()
     }
     collected = {
-        m: f.const for m, f in num.poly.terms.items()
+        m: f for m, f in num.poly.terms.items()
     }
     evaluated = {m: v for m, v in evaluated.items() if v}
     assert evaluated == collected
@@ -428,7 +461,7 @@ def test_exp_matches_numeric_exponential():
     rng = random.Random(13)
     zvals = [complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
              for _ in range(atlas.nvars)]
-    symbolic = np.array(exp_Z(atlas, None).evaluate(zvals, {}))
+    symbolic = np.array(exp_Z(atlas, None).evaluate(zvals))
     zn = np.array(oracles.numeric_Z(atlas, zvals))
     acc = np.eye(zn.shape[0], dtype=complex)
     power = np.eye(zn.shape[0], dtype=complex)
@@ -447,8 +480,8 @@ def test_gram_determinant_consistency_with_numeric():
     zvals = [complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
              for _ in range(atlas.nvars)]
     for l in (1, 2, 3):
-        sym_val = minor_det(a, l).evaluate(zvals, {})
-        dense = np.array(a.evaluate(zvals, {}))
+        sym_val = minor_det(a, l).evaluate(zvals)
+        dense = np.array(a.evaluate(zvals))
         num_val = np.linalg.det(dense[:l, :l])
         assert abs(sym_val - num_val) < 1e-12
 

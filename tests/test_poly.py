@@ -12,9 +12,9 @@ from oracles import mul as all_pairs_mul
 from flagbochner.poly import (
     CoeffForm,
     Monomial,
-    NonlinearCoefficientError,
     Polynomial,
     SymbolicMatrix,
+    linear_combination,
     log1p_expand,
     minor_det,
     render_signed_sum,
@@ -27,39 +27,44 @@ F = Fraction
 
 def test_coeff_form_zero_and_merge():
     zero = CoeffForm()
-    assert zero.is_zero() and zero.terms == () and zero.const == 0
-    f = CoeffForm.parameter(1) + CoeffForm.parameter(1, F(-1))
-    assert f.is_zero()
+    assert not zero and zero.terms == ()
+    assert not CoeffForm(((1, F(0)),))
+    assert CoeffForm(((2, F(1)), (1, F(0)))).terms == ((2, F(1)),)
+    # c1 - c1 merges to the zero form, so its monomial is dropped
+    one = Polynomial.one()
+    assert linear_combination([(1, 1, one), (1, -1, one)], None).is_zero()
 
 
-def test_coeff_form_arithmetic_is_exact():
-    f = CoeffForm.parameter(1, F(1, 3)) + CoeffForm.constant(F(1, 7))
-    g = f * F(21)
-    assert g == CoeffForm(F(3), ((1, F(7)),))
-    assert (f - f).is_zero()
-
-
-def test_coeff_form_rejects_nonlinear_products():
-    c1 = CoeffForm.parameter(1)
-    c2 = CoeffForm.parameter(2)
-    with pytest.raises(NonlinearCoefficientError):
-        c1 * c2
-    # constant times parameter stays fine
-    assert (CoeffForm.constant(2) * c1) == CoeffForm.parameter(1, F(2))
+def test_linear_combination_builds_each_form_once_in_first_appearance_order():
+    x, y = z(0), zb(0)
+    p = x * F(1, 3) + y
+    q = y * F(2, 7) + x * y
+    got = linear_combination([(2, 1, p), (1, -1, q), (2, 1, q)], 4)
+    assert got.trunc == 4
+    assert list(got.terms.items()) == [
+        (Monomial.variable(0), CoeffForm(((2, F(1, 3)),))),
+        (Monomial.variable(0, anti=True),
+         CoeffForm(((1, F(-2, 7)), (2, F(9, 7))))),
+        (Monomial(((0, 1),), ((0, 1),)), CoeffForm(((1, F(-1)), (2, F(1))))),
+    ]
+    assert got.truncate(1).terms == {
+        m: f for m, f in got.terms.items() if m.total <= 1
+    }
 
 
 def test_coeff_form_orthant_sign():
-    assert CoeffForm.parameter(1, F(1, 2)).orthant_sign() == 1
-    assert CoeffForm.parameter(3, F(-1)).orthant_sign() == -1
-    mixed = CoeffForm.parameter(1) - CoeffForm.parameter(2)
+    assert CoeffForm(((1, F(1, 2)),)).orthant_sign() == 1
+    assert CoeffForm(((3, F(-1)),)).orthant_sign() == -1
+    mixed = CoeffForm(((1, F(1)), (2, F(-1))))
     assert mixed.orthant_sign() == 0
     assert CoeffForm().orthant_sign() == 0
 
 
 def test_coeff_form_render():
-    f = CoeffForm.parameter(1, F(1, 2)) - CoeffForm.parameter(2, F(1, 2))
+    f = CoeffForm(((2, F(-1, 2)), (1, F(1, 2))))
     assert f.render() == "1/2*c1 - 1/2*c2"
     assert CoeffForm().render() == "0"
+    assert f.evaluate({1: F(3), 2: F(1)}) == 1
 
 
 def test_render_signed_sum():
@@ -100,9 +105,9 @@ def zb(v, trunc=None):
 
 def test_mul_simple_bidegree():
     p = z(0) * zb(0)
-    ((mono, form),) = p.terms.items()
+    ((mono, coeff),) = p.terms.items()
     assert mono.bidegree == (1, 1)
-    assert form == CoeffForm.constant(1)
+    assert type(coeff) is Fraction and coeff == 1
 
 
 def test_mul_truncation_drops_overflow():
@@ -127,7 +132,7 @@ def _dense_key(mono, nvars):
 
 def _to_dense(poly, nvars):
     return {
-        _dense_key(m, nvars): f.const for m, f in poly.terms.items()
+        _dense_key(m, nvars): f for m, f in poly.terms.items()
     }
 
 
@@ -154,7 +159,7 @@ def _random_poly(rng, nvars, max_terms=6, max_exp=2, trunc=None):
         coeff = F(rng.randint(-4, 4), rng.randint(1, 3))
         mono = Monomial(holo, anti)
         if coeff:
-            terms[mono] = terms.get(mono, CoeffForm()) + CoeffForm.constant(coeff)
+            terms[mono] = terms.get(mono, F(0)) + coeff
     return Polynomial(terms, trunc)
 
 
@@ -170,33 +175,34 @@ def test_mul_matches_dense_oracle():
 
 
 def _poly_from(entries, trunc):
-    """Polynomial in z0, z1 from (holo exps, anti exps, const, c1 coeff)
-    entries; repeated monomials add up, so entries may cancel."""
+    """Polynomial in z0, z1 from (holo exps, anti exps, numerator,
+    denominator) entries; repeated monomials add up, so entries may
+    cancel."""
     terms = {}
-    for holo, anti, const, lam in entries:
+    for holo, anti, num, den in entries:
         mono = Monomial(
             [(v, e) for v, e in enumerate(holo) if e],
             [(v, e) for v, e in enumerate(anti) if e],
         )
-        terms[mono] = terms.get(mono, CoeffForm()) + CoeffForm(const, ((1, F(lam)),))
+        terms[mono] = terms.get(mono, F(0)) + F(num, den)
     return Polynomial(terms, trunc)
 
 
 _EXPS = st.tuples(st.integers(0, 2), st.integers(0, 2))
-_CONST_TERMS = st.lists(
-    st.tuples(_EXPS, _EXPS, st.integers(-2, 2), st.just(0)), max_size=7
+_INTEGER_TERMS = st.lists(
+    st.tuples(_EXPS, _EXPS, st.integers(-2, 2), st.just(1)), max_size=7
 )
-_FORM_TERMS = st.lists(
-    st.tuples(_EXPS, _EXPS, st.integers(-2, 2), st.integers(-1, 1)), max_size=7
+_RATIONAL_TERMS = st.lists(
+    st.tuples(_EXPS, _EXPS, st.integers(-2, 2), st.integers(1, 3)), max_size=7
 )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_CONST_TERMS, _FORM_TERMS, st.one_of(st.none(), st.integers(0, 6)))
+@given(_INTEGER_TERMS, _RATIONAL_TERMS, st.one_of(st.none(), st.integers(0, 6)))
 # (1 + z0 + z0^2)(z0^2 - z0 + 1): z0^2 cancels to zero and comes back last
 @example(
-    [((0, 0), (0, 0), 1, 0), ((1, 0), (0, 0), 1, 0), ((2, 0), (0, 0), 1, 0)],
-    [((2, 0), (0, 0), 1, 0), ((1, 0), (0, 0), -1, 0), ((0, 0), (0, 0), 1, 0)],
+    [((0, 0), (0, 0), 1, 1), ((1, 0), (0, 0), 1, 1), ((2, 0), (0, 0), 1, 1)],
+    [((2, 0), (0, 0), 1, 1), ((1, 0), (0, 0), -1, 1), ((0, 0), (0, 0), 1, 1)],
     None,
 )
 def test_mul_matches_all_pairs_oracle_in_order(a_terms, b_terms, trunc):
@@ -211,6 +217,15 @@ def test_mul_matches_all_pairs_oracle_in_order(a_terms, b_terms, trunc):
         assert m.p == sum(e for _, e in m.holo)
         assert m.q == sum(e for _, e in m.anti)
         assert m.total == m.p + m.q
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_RATIONAL_TERMS, _RATIONAL_TERMS, st.integers(0, 6))
+def test_truncation_commutes_with_products_and_sums(a_terms, b_terms, d):
+    a = _poly_from(a_terms, None)
+    b = _poly_from(b_terms, None)
+    assert (a * b).truncate(d) == a.truncate(d) * b.truncate(d)
+    assert (a + b).truncate(d) == a.truncate(d) + b.truncate(d)
 
 
 def test_conj_examples_and_involution():
