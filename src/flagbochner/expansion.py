@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lie_core import Family, PaintedDiagram
-from .matrices import CoordinateAtlas, build_Z, nilpotent_powers
+from .matrices import CoordinateAtlas, build_Z
 from .poly import (
     CoeffForm,
     EngineInvariantError,
@@ -77,13 +77,30 @@ def admissible_minors(diagram: PaintedDiagram) -> AdmissibleMinors:
 
 
 def exp_Z(atlas: CoordinateAtlas, degree: int | None) -> SymbolicMatrix:
-    """exp(Z) as a finite sum: nilpotency ends the series exactly, and a
-    degree bound only drops terms of higher total degree."""
-    z = atlas.Z.truncate(degree)
-    acc = SymbolicMatrix.identity(z.size, degree)
-    for k, power in nilpotent_powers(z, degree):
-        acc = acc + power.scale(Fraction(1, math.factorial(k)))
-    return acc
+    """exp(Z) = I + sum_k Z^k / k! as a finite sum: nilpotency ends the
+    series exactly, and Z^k is homogeneous of degree k, so a degree bound
+    only drops the powers above it.  Terms of different k never meet, so
+    each entry lists its terms by k, then in the power's own order."""
+    unit, one = Monomial.unit(), Fraction(1)
+    out = {(i, i): {unit: one} for i in range(atlas.Z.size)}
+    monos: dict[int, Monomial] = {}
+    for k, power in enumerate(atlas.powers[:degree], 1):
+        fact = math.factorial(k)
+        coefs: dict[int, Fraction] = {}
+        for key, terms in power.items():
+            entry = out.setdefault(key, {})
+            for m, x in terms.items():
+                mono = monos.get(m)
+                if mono is None:
+                    mono = monos[m] = atlas.monomial(m)
+                coef = coefs.get(x)
+                if coef is None:
+                    coef = coefs[x] = Fraction(x, fact)
+                entry[mono] = coef
+    return SymbolicMatrix(
+        atlas.Z.size, {key: Polynomial(t, degree) for key, t in out.items()},
+        degree,
+    )
 
 
 def gram(atlas: CoordinateAtlas, degree: int | None) -> SymbolicMatrix:

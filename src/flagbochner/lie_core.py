@@ -133,20 +133,6 @@ class GroupSpec:
 
 
 @lru_cache(maxsize=None)
-def simple_roots(group: GroupSpec) -> tuple[Root, ...]:
-    """The canonical simple basis, indexed 1..num_simple."""
-    d = group.rank
-    chain = [_pair(d, i, i + 1, 1, -1) for i in range(1, d)]
-    if group.family is Family.SU:
-        return tuple(chain)
-    if group.family is Family.SP:
-        return tuple(chain + [_unit(d, d, 2)])
-    if group.family is Family.SO_EVEN:
-        return tuple(chain + [_pair(d, d - 1, d, 1, 1)])
-    return tuple(chain + [_unit(d, d)])
-
-
-@lru_cache(maxsize=None)
 def positive_roots(group: GroupSpec) -> tuple[Root, ...]:
     """R+ with respect to the canonical simple basis, sorted."""
     d = group.rank

@@ -7,16 +7,18 @@ principal minors used downstream are the admissible ones, which is the whole
 point of fixing it.  Rows and columns are 0-based throughout this module.
 
 Z(z) is the sum over alpha in -Q of z_alpha E_alpha; each variable occupies
-its own matrix positions, and the assembled matrix is nilpotent.
+its own matrix positions, and the assembled matrix is nilpotent.  Its
+nonzero powers are computed once per chart, in integer arithmetic, and
+serve both the nilpotency index and exp Z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .lie_core import Family, GroupSpec, PaintedDiagram, Root, all_roots, black_roots
-from .poly import EngineInvariantError, Polynomial, SymbolicMatrix
+from .poly import EngineInvariantError, Monomial, Polynomial, SymbolicMatrix
 
 Entry = tuple[int, int, int]  # (row, col, sign)
 
@@ -92,6 +94,59 @@ class CoordinateAtlas:
     def var_names(self) -> tuple[str, ...]:
         return tuple(r.render() for r in self.vars)
 
+    @cached_property
+    def powers(self) -> tuple[dict[tuple[int, int], dict[int, int]], ...]:
+        """Z, Z^2, ... while nonzero, untruncated, with int coefficients.
+
+        Z's entries are +-z_v, so Z^k is homogeneous of degree k < size and
+        a monomial packs into one int: the exponent of z_v in the field at
+        bit bits * v, bits = size.bit_length(), wide enough for any k
+        (monomial() unpacks it).  Each power maps (row, col) to {packed
+        monomial: coefficient}; entries and terms come in the order of
+        SymbolicMatrix.__matmul__ computing Z^(k-1) @ Z.
+        """
+        size = self.Z.size
+        bits = size.bit_length()
+        power: dict[tuple[int, int], dict[int, int]] = {}
+        rows: dict[int, list[tuple[int, int, int]]] = {}
+        for (r, c), p in self.Z.entries.items():
+            ((m, f),) = p.terms.items()  # +-z_v
+            ((v, _),) = m.holo
+            var, s = 1 << bits * v, int(f)
+            power[(r, c)] = {var: s}
+            rows.setdefault(r, []).append((c, var, s))
+        out = []
+        while power:
+            if len(out) + 1 >= size:
+                raise EngineInvariantError("Z is not nilpotent")
+            out.append(power)
+            nxt: dict[tuple[int, int], dict[int, int]] = {}
+            for (i, k), terms in power.items():
+                for j, var, s in rows.get(k, ()):
+                    acc = nxt.setdefault((i, j), {})
+                    for m, x in terms.items():
+                        m += var
+                        y = acc.get(m, 0) + x * s
+                        if y:
+                            acc[m] = y
+                        else:
+                            del acc[m]
+                    if not acc:
+                        del nxt[(i, j)]
+            power = nxt
+        return tuple(out)
+
+    def monomial(self, packed: int) -> Monomial:
+        """The holomorphic monomial a packed int of powers stands for."""
+        bits = self.Z.size.bit_length()
+        mask = (1 << bits) - 1
+        holo = []
+        while packed:
+            v = ((packed & -packed).bit_length() - 1) // bits
+            holo.append((v, packed >> bits * v & mask))
+            packed &= ~(mask << bits * v)
+        return Monomial(tuple(holo), ())
+
     def entry_map(self) -> dict[tuple[int, int], tuple[int, int]]:
         """(row, col) -> (variable index, sign) for the nonzero Z positions."""
         out: dict[tuple[int, int], tuple[int, int]] = {}
@@ -124,21 +179,6 @@ def build_Z(diagram: PaintedDiagram) -> CoordinateAtlas:
     return CoordinateAtlas(diagram, negs, SymbolicMatrix(m, entries))
 
 
-def nilpotent_powers(z: SymbolicMatrix, last: int | None = None):
-    """Yield (k, Z^k) for k = 1, 2, ... while Z^k is nonzero, stopping
-    after k = last when given.  A nonzero Z^size means Z is not nilpotent."""
-    power = z
-    k = 1
-    while not power.is_zero():
-        if k >= z.size:
-            raise EngineInvariantError("Z is not nilpotent")
-        yield k, power
-        if k == last:
-            return
-        k += 1
-        power = power @ z
-
-
 def nilpotency_index(atlas: CoordinateAtlas) -> int:
     """Smallest k with Z^k identically zero; at most the matrix size."""
-    return 1 + sum(1 for _ in nilpotent_powers(atlas.Z))
+    return 1 + len(atlas.powers)

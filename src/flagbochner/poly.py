@@ -29,12 +29,11 @@ def _as_fraction(x) -> Fraction:
 
 
 def render_signed_sum(terms: Iterable[tuple[str, Fraction]]) -> str:
-    """'a - 2*b + 1/2' from (label, coefficient) pairs with nonzero
-    coefficients; an empty label marks a constant."""
+    """'a - 2*b' from (label, coefficient) pairs with nonzero coefficients."""
     parts = []
     for label, x in terms:
         mag = abs(x)
-        body = f"{mag}*{label}" if label and mag != 1 else (label or str(mag))
+        body = label if mag == 1 else f"{mag}*{label}"
         parts.append(("-" if x < 0 else "+", body))
     if not parts:
         return "0"

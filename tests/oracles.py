@@ -13,9 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 from flagbochner.expansion import admissible_minors
-from flagbochner.lie_core import Family, all_roots, simple_roots, white_roots
+from flagbochner.lie_core import Family, Root, all_roots, white_roots
 from flagbochner.matrices import build_Z, root_vector
-from flagbochner.poly import Monomial, Polynomial, SymbolicMatrix
+from flagbochner.poly import EngineInvariantError, Monomial, Polynomial, SymbolicMatrix
 
 
 def leibniz_minor(mat: SymbolicMatrix, l: int, rows=None) -> Polynomial:
@@ -75,6 +75,27 @@ def mul(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 # ------------------------------------------------------------ root data
+
+def simple_roots(group) -> tuple:
+    """The canonical simple basis, indexed 1..num_simple: e_i - e_{i+1},
+    then 2e_d (Sp), e_{d-1} + e_d (SOeven) or e_d (SOodd)."""
+    d = group.rank
+
+    def root(*coords):
+        coeffs = [0] * d
+        for i, c in coords:
+            coeffs[i - 1] += c
+        return Root(tuple(coeffs))
+
+    basis = [root((i, 1), (i + 1, -1)) for i in range(1, d)]
+    if group.family is Family.SP:
+        basis.append(root((d, 2)))
+    elif group.family is Family.SO_EVEN:
+        basis.append(root((d - 1, 1), (d, 1)))
+    elif group.family is Family.SO_ODD:
+        basis.append(root((d, 1)))
+    return tuple(basis)
+
 
 def elimination_coefficients(group, root) -> tuple:
     """Expansion coefficients of a root over the simple basis, solved by a
@@ -284,6 +305,39 @@ def catalog_sum(trinomials) -> Polynomial:
     acc = Polynomial.zero()
     for t in trinomials:
         acc = acc + Polynomial({t.monomial: t.coeff})
+    return acc
+
+
+# ------------------------------------------------------------ powers of Z
+
+def nilpotent_powers(z: SymbolicMatrix, last=None):
+    """Yield (k, Z^k) for k = 1, 2, ... while Z^k is nonzero, each power
+    the symbolic product Z^(k-1) @ Z, stopping after k = last when given.
+    A nonzero Z^size means Z is not nilpotent."""
+    power = z
+    k = 1
+    while not power.is_zero():
+        if k >= z.size:
+            raise EngineInvariantError("Z is not nilpotent")
+        yield k, power
+        if k == last:
+            return
+        k += 1
+        power = power @ z
+
+
+def nilpotency_index(atlas) -> int:
+    """Smallest k with Z^k identically zero, by symbolic matrix powers."""
+    return 1 + sum(1 for _ in nilpotent_powers(atlas.Z))
+
+
+def exp_Z(atlas, degree):
+    """exp(Z) as the matrix sum I + Z + Z^2/2 + ... of truncated symbolic
+    powers, stopping at Z^degree or at the first zero power."""
+    z = atlas.Z.truncate(degree)
+    acc = SymbolicMatrix.identity(z.size, degree)
+    for k, power in nilpotent_powers(z, degree):
+        acc = acc + power.scale(Fraction(1, math.factorial(k)))
     return acc
 
 

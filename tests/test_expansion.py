@@ -94,7 +94,42 @@ def test_direct_invariance_check_rejects_unpaired_minor():
     assert not oracles.is_admissible(dia, 3)
 
 
+def _paintings(max_rank):
+    out = []
+    for fam, minr in ((Family.SU, 2), (Family.SP, 1),
+                      (Family.SO_EVEN, 3), (Family.SO_ODD, 1)):
+        for rank in range(minr, max_rank + 1):
+            group = GroupSpec(fam, rank)
+            for black in iter_black_sets(group, 3):
+                try:
+                    out.append(PaintedDiagram(group, black))
+                except PaintingError:
+                    continue
+    return out
+
+
+PAINTINGS_RANK4 = _paintings(4)
+PAINTINGS_RANK6 = _paintings(6)
+
+
 # ------------------------------------------------------------------- exp_Z
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6, None])
+def test_exp_Z_equals_symbolic_power_sum(degree):
+    # entries, terms and their order as the matrix sum of symbolic powers;
+    # SU(33) packs each exponent into a 6-bit field
+    assert len(PAINTINGS_RANK6) == 256
+    for dia in [*PAINTINGS_RANK6, diagram(Family.SU, 33, (1, 32))]:
+        atlas = build_Z(dia)
+        engine, oracle = exp_Z(atlas, degree), oracles.exp_Z(atlas, degree)
+        assert engine.trunc == oracle.trunc == degree
+        assert list(engine.entries) == list(oracle.entries), dia
+        for key, p in oracle.entries.items():
+            q = engine.entries[key]
+            assert q.trunc == p.trunc == degree
+            assert list(q.terms.items()) == list(p.terms.items()), (dia, key)
+            assert all(type(x) is Fraction for x in q.terms.values())
+
 
 def test_exp_is_identity_plus_z_for_one_su_block():
     atlas = build_Z(diagram(Family.SU, 4, (2,)))
@@ -165,23 +200,6 @@ def test_gram_is_hermitian_symbolically():
     for dia in SAMPLE_DIAGRAMS:
         a = gram(build_Z(dia), 3)
         assert a == a.conj_transpose()
-
-
-def _paintings(max_rank):
-    out = []
-    for fam, minr in ((Family.SU, 2), (Family.SP, 1),
-                      (Family.SO_EVEN, 3), (Family.SO_ODD, 1)):
-        for rank in range(minr, max_rank + 1):
-            group = GroupSpec(fam, rank)
-            for black in iter_black_sets(group, 3):
-                try:
-                    out.append(PaintedDiagram(group, black))
-                except PaintingError:
-                    continue
-    return out
-
-
-PAINTINGS_RANK4 = _paintings(4)
 
 
 def _check_minors_against_oracles(dia, degree, leibniz_up_to):

@@ -8,6 +8,7 @@ from oracles import (
     elimination_coefficients,
     elimination_height,
     poincare_from_heights,
+    simple_roots,
     validate_Q,
 )
 
@@ -24,7 +25,6 @@ from flagbochner.lie_core import (
     poincare,
     positive_roots,
     simple_coefficients,
-    simple_roots,
 )
 from flagbochner.poly import EngineInvariantError
 

@@ -3,22 +3,29 @@
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
 from oracles import cartan_diagonal
 
+from flagbochner.expansion import exp_Z
 from flagbochner.lie_core import (
     Family,
     GroupSpec,
     PaintedDiagram,
+    PaintingError,
     Root,
     all_roots,
     black_roots,
+    iter_black_sets,
 )
 from flagbochner.matrices import (
+    CoordinateAtlas,
     build_Z,
     nilpotency_index,
     root_vector,
 )
+from flagbochner.poly import EngineInvariantError, Polynomial, SymbolicMatrix
+
 F = Fraction
 
 GROUPS = [
@@ -264,3 +271,36 @@ def test_nilpotency_is_sharp():
             power = power @ atlas.Z
         assert not power.is_zero()
         assert (power @ atlas.Z).is_zero()
+
+
+def test_nilpotency_index_equals_symbolic_power_count():
+    checked = 0
+    for fam, minr in ((Family.SU, 2), (Family.SP, 1),
+                      (Family.SO_EVEN, 3), (Family.SO_ODD, 1)):
+        for rank in range(minr, 7):
+            group = GroupSpec(fam, rank)
+            for black in iter_black_sets(group, 3):
+                try:
+                    atlas = build_Z(PaintedDiagram(group, black))
+                except PaintingError:
+                    continue
+                assert nilpotency_index(atlas) == oracles.nilpotency_index(atlas)
+                checked += 1
+    assert checked == 256
+    # SU(33) packs each exponent into a 6-bit field
+    wide = build_Z(PaintedDiagram(GroupSpec(Family.SU, 33), (1, 32)))
+    assert nilpotency_index(wide) == oracles.nilpotency_index(wide)
+
+
+def test_non_nilpotent_Z_is_an_invariant_violation():
+    # z_0 on the diagonal keeps z_0^k in every power of Z
+    atlas = build_Z(PaintedDiagram(GroupSpec(Family.SU, 3), (1, 2)))
+    z = SymbolicMatrix(atlas.Z.size, {**atlas.Z.entries,
+                                      (0, 0): Polynomial.variable(0)})
+    bad = CoordinateAtlas(atlas.diagram, atlas.vars, z)
+    with pytest.raises(EngineInvariantError, match="Z is not nilpotent"):
+        nilpotency_index(bad)
+    with pytest.raises(EngineInvariantError, match="Z is not nilpotent"):
+        exp_Z(bad, 3)
+    with pytest.raises(EngineInvariantError, match="Z is not nilpotent"):
+        oracles.nilpotency_index(bad)

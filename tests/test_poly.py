@@ -69,10 +69,6 @@ def test_coeff_form_render():
 
 def test_render_signed_sum():
     assert render_signed_sum([]) == "0"
-    assert render_signed_sum([("c2", F(-1)), ("c3", F(2)), ("", F(-1, 2))]) == (
-        "-c2 + 2*c3 - 1/2"
-    )
-    assert render_signed_sum([("", F(3))]) == "3"
 
 
 # ----------------------------------------------------------------- Monomial
