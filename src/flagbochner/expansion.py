@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lie_core import Family, PaintedDiagram
-from .matrices import CoordinateAtlas, build_Z
+from .matrices import CoordinateAtlas, Packing, build_Z
 from .poly import (
     CoeffForm,
     EngineInvariantError,
@@ -180,11 +180,18 @@ def _check_quadratic(poly: Polynomial, nvars: int, coeff_values) -> None:
         )
 
 
+def _check_degree(degree) -> None:
+    # degree 2 is the lowest that carries the (1,1) part of the potential
+    if not isinstance(degree, int) or degree < 2:
+        raise ValueError(f"degree must be an integer at least 2, got {degree!r}")
+
+
 def diastasis(diagram: PaintedDiagram, degree: int = 3,
               coeffs="symbolic") -> DiastasisExpansion:
     """Expansion of sum_k c_k ln Delta_{l_k}(A) to total degree <= degree.
 
     Numeric coeffs pair with diagram.black, which is sorted."""
+    _check_degree(degree)
     stored = _parse_coeffs(diagram, coeffs)
     atlas = build_Z(diagram)
     minors = admissible_minors(diagram)
@@ -207,71 +214,138 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
     return DiastasisExpansion(atlas, total, minors, stored)
 
 
-def _leading_solve(mat, l: int, cols, trunc: int | None):
-    """r -> {c: (M_l^{-1} M[:l, r])[c]} for each r in cols, where mat maps
-    (row, col) to the nonzero entries of M and its leading l x l block M_l
-    is I at the origin.
-
-    With N = M_l - I, M_l^{-1} = sum_k (-N)^k.  N has no constant term, so
-    under a degree bound the series is exact once (-N)^k drops out; without
-    one it ends because M_l is unipotent (N^l = 0)."""
-    zero = Polynomial.zero(trunc)
-    one = Polynomial.one(trunc)
-    neg_n: dict[int, list[tuple[int, Polynomial]]] = {}
-    for a in range(l):
-        for b in range(l):
-            n = mat.get((a, b), zero)
-            if a == b:
-                n = n - one
-            if n.constant_term():
-                raise EngineInvariantError(
-                    f"leading {l}x{l} block of exp Z is not I at the origin"
-                )
-            if not n.is_zero():
-                neg_n.setdefault(a, []).append((b, -n))
-    out = {}
-    for r in cols:
-        x = {a: mat[(a, r)] for a in range(l) if (a, r) in mat}
-        term = dict(x)
-        for k in range(1, l + 1):
-            # term becomes (-N)^k M[:l, r]
-            nxt = {}
-            for a, row in neg_n.items():
-                acc = None
-                for b, nab in row:
-                    t = term.get(b)
-                    if t is not None:
-                        acc = nab * t if acc is None else acc + nab * t
-                if acc is not None and not acc.is_zero():
-                    nxt[a] = acc
-            if not nxt:
-                break
-            if k == l:
-                raise EngineInvariantError(
-                    f"leading {l}x{l} block of exp Z is not unipotent"
-                )
-            for a, p in nxt.items():
-                x[a] = x[a] + p if a in x else p
-            term = nxt
-        out[r] = x
+def _packed_exp(atlas: CoordinateAtlas, pack: Packing,
+                limit: int) -> dict[tuple[int, int], dict[int, int]]:
+    """exp Z to total degree <= limit as (row, col) -> {packed: n}, in
+    pack; a term of total degree d stands for n / d!, so Z^k / k! keeps
+    the powers' integers."""
+    out = {(i, i): {0: 1} for i in range(atlas.Z.size)}
+    src = atlas.packing
+    monos: dict[int, int] = {}
+    for power in atlas.powers[:limit]:
+        for key, terms in power.items():
+            entry = out.setdefault(key, {})
+            for m, x in terms.items():
+                packed = monos.get(m)
+                if packed is None:
+                    packed = monos[m] = src.repack(m, pack)
+                entry[packed] = x
     return out
 
 
-def _jet_half(mat, atlas: CoordinateAtlas, minors: AdmissibleMinors,
-              trunc: int | None) -> dict[int, Polynomial]:
-    """v -> sum_k c_k sum_{(r,c,s) in E_v, c < l_k <= r} s*X_{l_k}[c, r]
-    with X_l = M_l^{-1} M[:l, l:].  X has rational coefficients, so each
-    monomial's linear form in the c_k is collected once, at the end."""
-    ent = atlas.entry_map()
-    parts: dict[int, list[tuple[int, int, Polynomial]]] = {}
-    for pos, l in minors.pairing:
-        wanted = [(r, c, v, s) for (r, c), (v, s) in ent.items() if c < l <= r]
-        x = _leading_solve(mat, l, sorted({r for r, *_ in wanted}), trunc)
-        for r, c, v, s in wanted:
-            p = x[r].get(c)
-            if p is not None:
-                parts.setdefault(v, []).append((pos, s, p))
-    return {v: linear_combination(ps, trunc) for v, ps in parts.items()}
+def _multiplier(pack: Packing, limit: int, strict: bool, left_degree: int):
+    """acc += left * right on the n / d! encoding, to total degree <= limit.
+
+    left lists (packed, n, d) with d <= left_degree, right maps packed to
+    n.  n1/a! * n2/b! = n1 n2 C(a+b, a) / (a+b)!, so a product multiplies
+    the numerators and one binomial.  A product above limit is dropped,
+    or, when strict (limit a proven bound, not a truncation), raises: its
+    fields may have overflowed."""
+    if limit > pack.max_degree:
+        raise EngineInvariantError(
+            f"{pack.width}-bit fields cannot hold total degree {limit}"
+        )
+    over, degree = pack.limit(limit), pack.degree
+    binom = [[math.comb(a + b, a) for a in range(left_degree + 1)]
+             for b in range(limit + 1)]
+
+    def mul(acc: dict[int, int], left, right: dict[int, int]) -> None:
+        for m2, n2 in right.items():
+            row = binom[degree(m2)]
+            for m1, n1, d1 in left:
+                m = m1 + m2
+                if m < over:
+                    acc[m] = acc.get(m, 0) + n1 * n2 * row[d1]
+                elif strict:
+                    raise EngineInvariantError(
+                        f"packed monomial above its degree bound {limit}"
+                    )
+
+    return mul
+
+
+def _neg_block(e, l: int, pack: Packing):
+    """(a, b) -> -(E_l - I)[a, b] as (packed, n, degree) triples, for the
+    leading l x l block E_l of a packed exp Z, which must be I at the
+    origin."""
+    out = {}
+    for a in range(l):
+        for b in range(l):
+            terms = e.get((a, b), {})
+            if terms.get(0, 0) != (a == b):
+                raise EngineInvariantError(
+                    f"leading {l}x{l} block of exp Z is not I at the origin"
+                )
+            neg = [(m, -n, pack.degree(m)) for m, n in terms.items() if m]
+            if neg:
+                out[(a, b)] = neg
+    return out
+
+
+def _neumann(term, step, l: int) -> list:
+    """[term, step(term), step(step(term)), ...] up to the first empty
+    one: the terms of v sum_k (-N)^k for an l x l block N = M_l - I, where
+    step multiplies by -N.  N has no constant term, so under a degree
+    bound the series is exact once a term drops out; without one it ends
+    because M_l is unipotent (N^l = 0)."""
+    series = [term]
+    for _ in range(l):
+        term = step(term)
+        if not term:
+            return series
+        series.append(term)
+    raise EngineInvariantError(f"leading {l}x{l} block of exp Z is not unipotent")
+
+
+def _column_solve(e, l: int, cols, pack: Packing, mul):
+    """r -> the Neumann terms (-N)^k U[:l, r] of the column r of
+    X_l = U_l^{-1} U[:l, l:], N = U_l - I, for r in cols, read off
+    U = E^T for the packed exp Z e; each term maps row to {packed: n}.
+    A step gathers each row of -N against the column."""
+    gather: dict[int, list] = {}
+    for (b, a), t in _neg_block(e, l, pack).items():  # -N[a, b]
+        gather.setdefault(a, []).append((b, t))
+
+    def step(term):
+        nxt = {}
+        for a, row in gather.items():
+            acc: dict[int, int] = {}
+            for b, t in row:
+                p = term.get(b)
+                if p is not None:
+                    mul(acc, t, p)
+            acc = {m: n for m, n in acc.items() if n}
+            if acc:
+                nxt[a] = acc
+        return nxt
+
+    return {
+        r: _neumann({a: e[(r, a)] for a in range(l) if (r, a) in e}, step, l)
+        for r in cols
+    }
+
+
+def _row_solve(e, l: int, rows, pack: Packing, mul):
+    """r -> the Neumann terms E[r, :l] (-N)^k of the row r of
+    Y_l = E[l:, :l] E_l^{-1}, N = E_l - I, for r in rows and the packed
+    exp Z e; each term maps column to {packed: n}.  A step scatters the
+    row's entry a along row a of -N."""
+    scatter: dict[int, list] = {}
+    for (a, b), t in _neg_block(e, l, pack).items():
+        scatter.setdefault(a, []).append((b, t))
+
+    def step(term):
+        nxt: dict[int, dict[int, int]] = {}
+        for a, p in term.items():
+            for b, t in scatter.get(a, ()):
+                mul(nxt.setdefault(b, {}), t, p)
+        return {b: q for b, acc in nxt.items()
+                if (q := {m: n for m, n in acc.items() if n})}
+
+    return {
+        r: _neumann({c: e[(r, c)] for c in range(l) if (r, c) in e}, step, l)
+        for r in rows
+    }
 
 
 def forbidden_jet(diagram: PaintedDiagram,
@@ -285,37 +359,85 @@ def forbidden_jet(diagram: PaintedDiagram,
                 = sum_k c_k sum_{(r,c,s) in E_v, c < l_k <= r} s*X_{l_k}[c, r],
     X_l = U_l^{-1} U[:l, l:]; entries with r < l drop out because root
     vectors are off-diagonal.  The coefficient of zb_v comes the same way
-    from Y_l = E[l:, :l] E_l^{-1}, E = exp Z, not by conjugating F_v, so
-    the conjugate-closure check of forbidden_report tests the arithmetic.
-    No log series, Gram matrix or minor is formed.
+    from Y_l = E[l:, :l] E_l^{-1}, E = exp Z, by a row solve on E rather
+    than the column solve on U, so the two halves check each other on the
+    (1,1) part.  No log series, Gram matrix or minor is formed.
+
+    exp Z has real coefficients, so U is E^T with each z read as zb, and
+    both solves work on E's packed monomials (matrices.Packing) with
+    integer coefficients: a term of total degree d holds n for n / d!,
+    exact because every product of such terms is again one.  Each
+    (v, monomial) sums its linear form in the c_k in integers; Fractions
+    and Monomials are built for the finished terms only.
     """
+    if degree is not None:
+        _check_degree(degree)
     atlas = build_Z(diagram)
     minors = admissible_minors(diagram)
+    # exp Z has degree <= K, the top power of Z, so every term of X_l and
+    # Y_l, and of each step of their Neumann series, has degree <= l * K
+    top_power = len(atlas.powers)
+    bound = minors.indices[-1] * top_power
     # z_v times a zb-polynomial of degree <= degree - 1
-    trunc = None if degree is None else degree - 1
-    e = exp_Z(atlas, trunc)
-    # dz[v] = F_v(zb), the coefficient of z_v; dzb[v] that of zb_v
-    dz = _jet_half(e.conj_transpose().entries, atlas, minors, trunc)
-    dzb = _jet_half({(j, i): p for (i, j), p in e.entries.items()},
-                    atlas, minors, trunc)
-    if any(Monomial.unit() in f.terms for f in (*dz.values(), *dzb.values())):
-        raise EngineInvariantError("pure term in the potential jet")
-    first = Polynomial({
-        Monomial(((v, 1),), m.anti): f
-        for v, poly in dz.items() for m, f in poly.terms.items()
-    }, degree)
-    second = Polynomial({
-        Monomial(m.holo, ((v, 1),)): f
-        for v, poly in dzb.items() for m, f in poly.terms.items()
-    }, degree)
-    if first.bidegree_part(1, 1) != second.bidegree_part(1, 1):
+    strict = degree is None or degree - 1 >= bound
+    limit = bound if strict else degree - 1
+    pack = Packing(atlas.nvars, limit)
+    e = _packed_exp(atlas, pack, limit)
+    mul = _multiplier(pack, limit, strict, min(top_power, limit))
+    # dz[v][m] = {k: n}: the form of zb^m in F_v; dzb[v] that of z^m in
+    # the coefficient of zb_v
+    dz: dict[int, dict[int, dict[int, int]]] = {}
+    dzb: dict[int, dict[int, dict[int, int]]] = {}
+    ent = atlas.entry_map()
+    for pos, l in minors.pairing:
+        wanted = [(r, c, v, s) for (r, c), (v, s) in ent.items() if c < l <= r]
+        rs = sorted({r for r, *_ in wanted})
+        x = _column_solve(e, l, rs, pack, mul)
+        y = _row_solve(e, l, rs, pack, mul)
+        for out, solved in ((dz, x), (dzb, y)):
+            for r, c, v, s in wanted:
+                forms = out.setdefault(v, {})
+                for term in solved[r]:
+                    for m, n in term.get(c, {}).items():
+                        lam = forms.setdefault(m, {})
+                        lam[pos] = lam.get(pos, 0) + s * n
+    exps: dict[int, tuple[tuple[int, int], ...]] = {}
+    # many terms share a form; CoeffForms are immutable, so they share one
+    made: dict[tuple, CoeffForm] = {}
+
+    def finished(half, monomial) -> dict[Monomial, CoeffForm]:
+        terms = {}
+        for v, forms in half.items():
+            for m, lam in forms.items():
+                d = pack.degree(m)
+                key = (d, *lam.items())
+                form = made.get(key)
+                if form is None:
+                    fact = math.factorial(d)
+                    form = made[key] = CoeffForm(
+                        (k, Fraction(n, fact)) for k, n in lam.items()
+                    )
+                if not form:
+                    continue
+                if not m:
+                    raise EngineInvariantError("pure term in the potential jet")
+                x = exps.get(m)
+                if x is None:
+                    x = exps[m] = pack.exponents(m)
+                terms[monomial(((v, 1),), x)] = form
+        return terms
+
+    # first holds z_v zb^m, second z^m zb_v: they meet on the (1,1) part
+    first = finished(dz, Monomial)
+    second = finished(dzb, lambda zb_v, z_m: Monomial(z_m, zb_v))
+    quadratic = {m: f for m, f in first.items() if m.q == 1}
+    if quadratic != {m: f for m, f in second.items() if m.p == 1}:
         raise EngineInvariantError(
             "the (1,q) and (p,1) halves of the jet differ on the (1,1) part"
         )
-    _check_quadratic(first, atlas.nvars, None)
-    terms = dict(first.terms)
-    terms.update((m, f) for m, f in second.terms.items() if m.p >= 2)
-    return Polynomial(terms, degree)
+    _check_quadratic(Polynomial(quadratic), atlas.nvars, None)
+    first.update((m, f) for m, f in second.items() if m.p >= 2)
+    return Polynomial(first, degree)
 
 
 def _numeric_potential(atlas: CoordinateAtlas, minors: AdmissibleMinors,

@@ -8,8 +8,9 @@ point of fixing it.  Rows and columns are 0-based throughout this module.
 
 Z(z) is the sum over alpha in -Q of z_alpha E_alpha; each variable occupies
 its own matrix positions, and the assembled matrix is nilpotent.  Its
-nonzero powers are computed once per chart, in integer arithmetic, and
-serve both the nilpotency index and exp Z.
+nonzero powers are computed once per chart, in integer arithmetic on
+packed monomials (Packing, the one definition of that format), and serve
+the nilpotency index, exp Z and the forbidden jet.
 """
 
 from __future__ import annotations
@@ -75,6 +76,59 @@ def root_vector(group: GroupSpec, alpha: Root) -> RootVectorMatrix:
     return RootVectorMatrix(m, ((d + i - 1, 2 * d, 1), (2 * d, i - 1, -1)))
 
 
+class Packing:
+    """Holomorphic monomials packed into one int, the engine's integer
+    monomial format.
+
+    The exponent of z_v sits in the width-bit field at bit width * v and
+    the total degree in the field above the last variable, which nothing
+    bounds.  Adding packed ints multiplies monomials.  Every exponent is at
+    most the total degree, so a sum of packed monomials is exact when its
+    total degree is at most max_degree = 2**width - 1; when it is not, the
+    degree field reads more than max_degree, whether or not a field
+    overflowed into the next.  Hence packed ints below limit(d), for
+    d <= max_degree, are exactly the monomials of total degree <= d.
+    """
+
+    __slots__ = ("width", "top")
+
+    def __init__(self, nvars: int, max_degree: int):
+        self.width = max(1, max_degree.bit_length())
+        self.top = self.width * nvars
+
+    @property
+    def max_degree(self) -> int:
+        return (1 << self.width) - 1
+
+    def variable(self, v: int) -> int:
+        return (1 << self.width * v) + (1 << self.top)
+
+    def degree(self, packed: int) -> int:
+        return packed >> self.top
+
+    def limit(self, degree: int) -> int:
+        """The least packed int of total degree above degree."""
+        return degree + 1 << self.top
+
+    def exponents(self, packed: int) -> tuple[tuple[int, int], ...]:
+        """(variable, exponent) pairs by variable, the Monomial layout."""
+        width, mask = self.width, (1 << self.width) - 1
+        packed &= (1 << self.top) - 1
+        out = []
+        while packed:
+            v = ((packed & -packed).bit_length() - 1) // width
+            out.append((v, packed >> width * v & mask))
+            packed &= ~(mask << width * v)
+        return tuple(out)
+
+    def repack(self, packed: int, into: "Packing") -> int:
+        """The same monomial in another packing; its degree must fit."""
+        out = self.degree(packed) << into.top
+        for v, e in self.exponents(packed):
+            out += e << into.width * v
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class CoordinateAtlas:
     """Chart data: the ordered variables (roots of -Q) and the matrix Z.
@@ -94,25 +148,30 @@ class CoordinateAtlas:
     def var_names(self) -> tuple[str, ...]:
         return tuple(r.render() for r in self.vars)
 
+    @property
+    def packing(self) -> "Packing":
+        """The packed format of powers: Z^k has degree k <= size (a power
+        past size - 1 only exists to be rejected as non-nilpotent)."""
+        return Packing(self.nvars, self.Z.size)
+
     @cached_property
     def powers(self) -> tuple[dict[tuple[int, int], dict[int, int]], ...]:
         """Z, Z^2, ... while nonzero, untruncated, with int coefficients.
 
-        Z's entries are +-z_v, so Z^k is homogeneous of degree k < size and
-        a monomial packs into one int: the exponent of z_v in the field at
-        bit bits * v, bits = size.bit_length(), wide enough for any k
-        (monomial() unpacks it).  Each power maps (row, col) to {packed
-        monomial: coefficient}; entries and terms come in the order of
-        SymbolicMatrix.__matmul__ computing Z^(k-1) @ Z.
+        Z's entries are +-z_v, so Z^k is homogeneous of degree k and each
+        monomial is one packed int (self.packing; monomial() unpacks it).
+        Each power maps (row, col) to {packed monomial: coefficient};
+        entries and terms come in the order of SymbolicMatrix.__matmul__
+        computing Z^(k-1) @ Z.
         """
         size = self.Z.size
-        bits = size.bit_length()
+        pack = self.packing
         power: dict[tuple[int, int], dict[int, int]] = {}
         rows: dict[int, list[tuple[int, int, int]]] = {}
         for (r, c), p in self.Z.entries.items():
             ((m, f),) = p.terms.items()  # +-z_v
             ((v, _),) = m.holo
-            var, s = 1 << bits * v, int(f)
+            var, s = pack.variable(v), int(f)
             power[(r, c)] = {var: s}
             rows.setdefault(r, []).append((c, var, s))
         out = []
@@ -138,14 +197,7 @@ class CoordinateAtlas:
 
     def monomial(self, packed: int) -> Monomial:
         """The holomorphic monomial a packed int of powers stands for."""
-        bits = self.Z.size.bit_length()
-        mask = (1 << bits) - 1
-        holo = []
-        while packed:
-            v = ((packed & -packed).bit_length() - 1) // bits
-            holo.append((v, packed >> bits * v & mask))
-            packed &= ~(mask << bits * v)
-        return Monomial(tuple(holo), ())
+        return Monomial(self.packing.exponents(packed), ())
 
     def entry_map(self) -> dict[tuple[int, int], tuple[int, int]]:
         """(row, col) -> (variable index, sign) for the nonzero Z positions."""
@@ -156,7 +208,9 @@ class CoordinateAtlas:
         return out
 
 
-@lru_cache(maxsize=None)
+# a request needs one chart at a time, and each chart keeps its powers of
+# Z, so a sweep holds only the last few charts, not all of them
+@lru_cache(maxsize=8)
 def build_Z(diagram: PaintedDiagram) -> CoordinateAtlas:
     """Assemble Z = sum over alpha in -Q of z_alpha E_alpha.
 

@@ -12,10 +12,17 @@ from fractions import Fraction
 
 import numpy as np
 
+from flagbochner import expansion
 from flagbochner.expansion import admissible_minors
 from flagbochner.lie_core import Family, Root, all_roots, white_roots
 from flagbochner.matrices import build_Z, root_vector
-from flagbochner.poly import EngineInvariantError, Monomial, Polynomial, SymbolicMatrix
+from flagbochner.poly import (
+    EngineInvariantError,
+    Monomial,
+    Polynomial,
+    SymbolicMatrix,
+    linear_combination,
+)
 
 
 def leibniz_minor(mat: SymbolicMatrix, l: int, rows=None) -> Polynomial:
@@ -339,6 +346,99 @@ def exp_Z(atlas, degree):
     for k, power in nilpotent_powers(z, degree):
         acc = acc + power.scale(Fraction(1, math.factorial(k)))
     return acc
+
+
+# ------------------------------------------------------- forbidden jet
+
+def leading_solve(mat, l: int, cols, trunc):
+    """r -> {c: (M_l^{-1} M[:l, r])[c]} for each r in cols, where mat maps
+    (row, col) to the nonzero Polynomial entries of M and its leading
+    l x l block M_l is I at the origin.
+
+    With N = M_l - I, M_l^{-1} = sum_k (-N)^k.  N has no constant term, so
+    under a degree bound the series is exact once (-N)^k drops out; without
+    one it ends because M_l is unipotent (N^l = 0)."""
+    zero = Polynomial.zero(trunc)
+    one = Polynomial.one(trunc)
+    neg_n = {}
+    for a in range(l):
+        for b in range(l):
+            n = mat.get((a, b), zero)
+            if a == b:
+                n = n - one
+            if n.constant_term():
+                raise EngineInvariantError(
+                    f"leading {l}x{l} block of exp Z is not I at the origin"
+                )
+            if not n.is_zero():
+                neg_n.setdefault(a, []).append((b, -n))
+    out = {}
+    for r in cols:
+        x = {a: mat[(a, r)] for a in range(l) if (a, r) in mat}
+        term = dict(x)
+        for k in range(1, l + 1):
+            # term becomes (-N)^k M[:l, r]
+            nxt = {}
+            for a, row in neg_n.items():
+                acc = None
+                for b, nab in row:
+                    t = term.get(b)
+                    if t is not None:
+                        acc = nab * t if acc is None else acc + nab * t
+                if acc is not None and not acc.is_zero():
+                    nxt[a] = acc
+            if not nxt:
+                break
+            if k == l:
+                raise EngineInvariantError(
+                    f"leading {l}x{l} block of exp Z is not unipotent"
+                )
+            for a, p in nxt.items():
+                x[a] = x[a] + p if a in x else p
+            term = nxt
+        out[r] = x
+    return out
+
+
+def jet_half(mat, atlas, minors, trunc) -> dict:
+    """v -> sum_k c_k sum_{(r,c,s) in E_v, c < l_k <= r} s*X_{l_k}[c, r]
+    with X_l = M_l^{-1} M[:l, l:], each monomial's linear form in the c_k
+    collected once, at the end."""
+    ent = atlas.entry_map()
+    parts = {}
+    for pos, l in minors.pairing:
+        wanted = [(r, c, v, s) for (r, c), (v, s) in ent.items() if c < l <= r]
+        x = leading_solve(mat, l, sorted({r for r, *_ in wanted}), trunc)
+        for r, c, v, s in wanted:
+            p = x[r].get(c)
+            if p is not None:
+                parts.setdefault(v, []).append((pos, s, p))
+    return {v: linear_combination(ps, trunc) for v, ps in parts.items()}
+
+
+def forbidden_jet(diagram, degree) -> Polynomial:
+    """The (1, q) and (p, 1) parts of the symbolic potential, to total
+    degree <= degree or at every degree for None, by Neumann solves in the
+    Polynomial ring: the (1, q) half from X_l = U_l^{-1} U[:l, l:] with
+    U = (exp Z)^H, the (p, 1) half from the same solve on the transpose of
+    exp Z."""
+    atlas = build_Z(diagram)
+    minors = admissible_minors(diagram)
+    trunc = None if degree is None else degree - 1
+    e = expansion.exp_Z(atlas, trunc)
+    dz = jet_half(e.conj_transpose().entries, atlas, minors, trunc)
+    dzb = jet_half({(j, i): p for (i, j), p in e.entries.items()},
+                   atlas, minors, trunc)
+    terms = {
+        Monomial(((v, 1),), m.anti): f
+        for v, poly in dz.items() for m, f in poly.terms.items()
+    }
+    terms.update(
+        (Monomial(m.holo, ((v, 1),)), f)
+        for v, poly in dzb.items() for m, f in poly.terms.items()
+        if m.total >= 2
+    )
+    return Polynomial(terms, degree)
 
 
 # ------------------------------------------------------- numeric lane

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import oracles
 from oracles import catalog_sum, catalog_trinomials
 
 from flagbochner.bochner import (
@@ -183,6 +184,11 @@ def test_report_entries_sorted_and_minimal_witness_deterministic():
 
 # ---------------------------------------------------------------- classify
 
+def test_classify_rejects_degree_below_two():
+    with pytest.raises(ValueError, match="at least 2"):
+        classify(diagram(Family.SU, 3, (1, 2)), 1)
+
+
 def test_classify_sp_one_black_for_all_c():
     verdict = classify(diagram(Family.SP, 3, (2,)), 3)
     assert verdict.status is BochnerStatus.BOCHNER_FOR_ALL_C
@@ -311,13 +317,27 @@ def test_jet_report_equals_expansion_report(degree_five_expansions):
             assert got.degree_checked == d
 
 
+def test_jet_equals_the_reference_jet():
+    # the packed integer jet against the Polynomial Neumann solves, on
+    # every painting of rank <= 6 with 1-3 black nodes
+    checked = 0
+    for dia in _paintings(6):
+        for degree in (3, 5, None):
+            got = forbidden_jet(dia, degree)
+            assert got.trunc == degree
+            assert got.terms == oracles.forbidden_jet(dia, degree).terms, (
+                dia, degree)
+        checked += 1
+    assert checked == 256
+
+
 def test_untruncated_jet_keeps_degree_three_verdicts():
     # the untruncated jet carries every forbidden monomial of the
     # potential, so its verdict holds at every degree: on every painting of
-    # rank <= 6 with 1-3 black nodes it is the degree-3 verdict, and no
+    # rank <= 7 with 1-3 black nodes it is the degree-3 verdict, and no
     # forbidden monomial has total degree above 6
     checked = 0
-    for dia in _paintings(6):
+    for dia in _paintings(7):
         jet = forbidden_jet(dia, None)
         report = forbidden_report(jet)
         assert report.degree_checked is None
@@ -331,7 +351,7 @@ def test_untruncated_jet_keeps_degree_three_verdicts():
         assert every.status == v3.status, dia
         assert every.constraints == v3.constraints, dia
         checked += 1
-    assert checked == 256
+    assert checked == 256 + 192
 
 
 def test_bochner_iff_constraints_admit_positive_solution():

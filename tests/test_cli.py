@@ -17,6 +17,7 @@ from flagbochner.cli import (
     run_sweep,
 )
 from flagbochner.lie_core import Family, GroupSpec
+from flagbochner.matrices import build_Z
 
 
 # ----------------------------------------------------------------- parsing
@@ -255,6 +256,17 @@ def test_sweep_sp_only_single_black_is_bochner():
         if row["verdict"] != "NeverBochner":
             assert len(row["black"]) == 1
             assert row["verdict"] == "BochnerForAllC"
+
+
+def test_sweep_keeps_a_bounded_number_of_charts():
+    # each chart holds its powers of Z, so a sweep must not keep them all
+    build_Z.cache_clear()
+    doc = run_sweep(SweepRequest(
+        families=tuple(Family), max_rank=5, max_black=3, degree=3
+    ))
+    info = build_Z.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize < len(doc["rows"])
 
 
 def test_sweep_so_even_fork_rows():

@@ -1,5 +1,6 @@
 """Admissible minors, exp(Z), the Gram matrix and the potential expansion."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,8 +13,11 @@ from hypothesis import strategies as st
 from flagbochner import expansion as expansion_module
 from flagbochner.expansion import (
     NumericDomainError,
-    _leading_solve,
+    _column_solve,
+    _multiplier,
     _numeric_potential,
+    _packed_exp,
+    _row_solve,
     admissible_minors,
     diastasis,
     eval_numeric,
@@ -31,10 +35,11 @@ from flagbochner.lie_core import (
     PaintingError,
     iter_black_sets,
 )
-from flagbochner.matrices import build_Z
+from flagbochner.matrices import Packing, build_Z
 from flagbochner.poly import (
     CoeffForm,
     EngineInvariantError,
+    Monomial,
     Polynomial,
     SymbolicMatrix,
     linear_combination,
@@ -241,7 +246,6 @@ def test_ring_is_rational_and_forms_are_built_last(dia):
     atlas = build_Z(dia)
     e = exp_Z(atlas, degree)
     a = gram(atlas, degree)
-    u = e.conj_transpose().entries
     polys = [*e.entries.values(), *a.entries.values()]
     logs = []
     for pos, l in admissible_minors(dia).pairing:
@@ -249,13 +253,59 @@ def test_ring_is_rational_and_forms_are_built_last(dia):
         log = log1p_expand(delta - Polynomial.one(degree), degree)
         polys += [delta, log]
         logs.append((pos, 1, log))
-        solved = _leading_solve(u, l, range(l, atlas.Z.size), degree)
-        polys += [p for x in solved.values() for p in x.values()]
     assert all(type(f) is Fraction for p in polys for f in p.terms.values())
     got = diastasis(dia, degree).poly
     want = linear_combination(logs, degree)
     assert got.trunc == want.trunc == degree
     assert list(got.terms.items()) == list(want.terms.items())
+
+
+def _unpacked(pack, series, c, anti) -> Polynomial:
+    """The sum of a packed solve's terms at index c, each numerator n of a
+    degree-d monomial read as n / d!."""
+    acc = {}
+    for term in series:
+        for m, n in term.get(c, {}).items():
+            assert type(n) is int
+            acc[m] = acc.get(m, 0) + n
+    exps = pack.exponents
+    return Polynomial({
+        (Monomial((), exps(m)) if anti else Monomial(exps(m), ())):
+            Fraction(n, math.factorial(pack.degree(m)))
+        for m, n in acc.items()
+    })
+
+
+@pytest.mark.parametrize("dia", [
+    diagram(Family.SU, 3, (1, 2)),
+    diagram(Family.SP, 2, (1, 2)),
+    diagram(Family.SO_EVEN, 4, (1, 4)),
+    diagram(Family.SO_ODD, 4, (2, 3, 4)),
+], ids=lambda d: d.label())
+@pytest.mark.parametrize("degree", [3, None])
+def test_packed_solves_are_integer_and_equal_the_rational_solve(dia, degree):
+    # the jet's solves keep integer numerators over d!; read as Fractions,
+    # the column solve on E^T and the row solve on E both give the
+    # Polynomial solve's X_l = U_l^{-1} U[:l, l:], U = (exp Z)^H
+    atlas = build_Z(dia)
+    minors = admissible_minors(dia)
+    # the jet's proven bound: every term has degree <= l * (top power of Z)
+    limit = minors.indices[-1] * len(atlas.powers) if degree is None else degree
+    pack = Packing(atlas.nvars, limit)
+    e = _packed_exp(atlas, pack, limit)
+    mul = _multiplier(pack, limit, degree is None, limit)
+    u = exp_Z(atlas, degree).conj_transpose().entries
+    for _, l in minors.pairing:
+        cols = range(l, atlas.Z.size)
+        want = oracles.leading_solve(u, l, cols, degree)
+        x = _column_solve(e, l, cols, pack, mul)
+        y = _row_solve(e, l, cols, pack, mul)
+        for r in cols:
+            for c in range(l):
+                expected = want[r].get(c, Polynomial.zero(degree))
+                assert _unpacked(pack, x[r], c, True).terms == expected.terms
+                conj = {m.conj(): f for m, f in expected.terms.items()}
+                assert _unpacked(pack, y[r], c, False).terms == conj
 
 
 def test_diastasis_grassmannian_is_norm_squared_at_degree_two():
@@ -342,51 +392,114 @@ def test_forbidden_jet_is_the_one_sided_part_of_the_expansion():
             }
 
 
-def _patch_exp_Z(monkeypatch, extra):
-    """forbidden_jet sees exp Z plus extra(atlas, degree)."""
-    monkeypatch.setattr(
-        expansion_module, "exp_Z",
-        lambda atlas, degree: exp_Z(atlas, degree) + extra(atlas, degree),
-    )
+def _patch_packed_exp(monkeypatch, extra):
+    """forbidden_jet sees the packed exp Z plus extra(atlas, pack)."""
+    def patched(atlas, pack, limit):
+        e = _packed_exp(atlas, pack, limit)
+        for key, terms in extra(atlas, pack).items():
+            entry = e.setdefault(key, {})
+            for m, n in terms.items():
+                entry[m] = entry.get(m, 0) + n
+        return e
+
+    monkeypatch.setattr(expansion_module, "_packed_exp", patched)
 
 
 def test_forbidden_jet_rejects_leading_block_not_identity(monkeypatch):
-    def constant_below_diagonal(atlas, degree):
-        return SymbolicMatrix(atlas.Z.size, {(1, 0): Polynomial.one(degree)},
-                              degree)
-
-    _patch_exp_Z(monkeypatch, constant_below_diagonal)
+    _patch_packed_exp(monkeypatch, lambda atlas, pack: {(1, 0): {0: 1}})
     with pytest.raises(EngineInvariantError, match="not I at the origin"):
         forbidden_jet(diagram(Family.SU, 3, (1, 2)), 3)
+
+
+def test_forbidden_jet_rejects_leading_block_not_unipotent(monkeypatch):
+    # z_0 on the diagonal: I at the origin, but no power of N vanishes, so
+    # only the untruncated series can see it
+    _patch_packed_exp(monkeypatch,
+                      lambda atlas, pack: {(0, 0): {pack.variable(0): 1}})
+    with pytest.raises(EngineInvariantError, match="not unipotent"):
+        forbidden_jet(diagram(Family.SU, 3, (1, 2)), None)
 
 
 def test_forbidden_jet_rejects_off_diagonal_quadratic_term(monkeypatch):
     # each of two variables also sits at the other's position, the same way
     # in both halves, so only the (1,1) check can see it
-    def crossed(atlas, degree):
+    def crossed(atlas, pack):
         (k0, (v0, s0)), (k1, (v1, s1)) = list(atlas.entry_map().items())[:2]
-        return SymbolicMatrix(atlas.Z.size, {
-            k0: Polynomial.variable(v1, sign=s0, trunc=degree),
-            k1: Polynomial.variable(v0, sign=s1, trunc=degree),
-        }, degree)
+        return {k0: {pack.variable(v1): s0}, k1: {pack.variable(v0): s1}}
 
-    _patch_exp_Z(monkeypatch, crossed)
+    _patch_packed_exp(monkeypatch, crossed)
     with pytest.raises(EngineInvariantError, match="off-diagonal"):
         forbidden_jet(diagram(Family.SU, 3, (1,)), 3)
 
 
 def test_forbidden_jet_halves_must_agree(monkeypatch):
-    # a conjugate transpose that forgets to conjugate breaks only the
+    # a column solve that reads E where it needs U = E^T breaks only the
     # (1, q) half, which the (p, 1) half then contradicts
-    def transpose(self):
-        return SymbolicMatrix(
-            self.size, {(j, i): p for (i, j), p in self.entries.items()},
-            self.trunc,
-        )
+    def untransposed(e, *args):
+        return _column_solve({(j, i): t for (i, j), t in e.items()}, *args)
 
-    monkeypatch.setattr(SymbolicMatrix, "conj_transpose", transpose)
+    monkeypatch.setattr(expansion_module, "_column_solve", untransposed)
     with pytest.raises(EngineInvariantError, match="halves"):
         forbidden_jet(diagram(Family.SP, 2, (1, 2)), 3)
+
+
+def test_packed_sums_are_exact_within_the_field_width():
+    # 2-bit fields: a sum of monomials of total degree <= 3 is the packed
+    # product; a higher one reads at least limit(3), overflow or not
+    pack = Packing(3, 3)
+    assert pack.max_degree == 3
+
+    def packed(exps):
+        return sum(e * pack.variable(v) for v, e in enumerate(exps))
+
+    small = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)
+             if a + b + c <= 3]
+    for x in small:
+        assert pack.exponents(packed(x)) == tuple(
+            (v, e) for v, e in enumerate(x) if e)
+        for y in small:
+            total = packed(x) + packed(y)
+            if sum(x) + sum(y) <= 3:
+                assert total == packed([i + j for i, j in zip(x, y)])
+                assert total < pack.limit(3)
+            else:
+                assert total >= pack.limit(3)
+    wide = Packing(3, 12)
+    assert pack.repack(packed((1, 0, 2)), wide) == (
+        wide.variable(0) + 2 * wide.variable(2))
+
+
+def test_packed_product_above_the_bound_raises_or_drops():
+    pack = Packing(2, 3)
+    z0 = pack.variable(0)
+    # z0 * z0^3 overflows z0's field into z1's; the degree field shows it
+    for strict in (True, False):
+        mul = _multiplier(pack, 3, strict, 1)
+        acc = {}
+        mul(acc, [(z0, 1, 1)], {2 * z0: 5})
+        assert acc == {3 * z0: 15}  # 1/1! * 5/2! = 15/3!
+        if strict:
+            with pytest.raises(EngineInvariantError, match="degree bound 3"):
+                mul(acc, [(z0, 1, 1)], {3 * z0: 1})
+        else:
+            mul(acc, [(z0, 1, 1)], {3 * z0: 1})
+            assert acc == {3 * z0: 15}
+    # a limit the fields cannot hold is refused up front
+    with pytest.raises(EngineInvariantError, match="2-bit fields"):
+        _multiplier(pack, 4, True, 1)
+
+
+@pytest.mark.parametrize("degree", [1, 0, -1, 2.5])
+def test_forbidden_jet_rejects_degree_below_two(degree):
+    with pytest.raises(ValueError, match="at least 2"):
+        forbidden_jet(diagram(Family.SU, 3, (1, 2)), degree)
+
+
+@pytest.mark.parametrize("degree", [1, None])
+def test_diastasis_rejects_degree_below_two(degree):
+    # the expansion has no untruncated form: its log series is infinite
+    with pytest.raises(ValueError, match="at least 2"):
+        diastasis(diagram(Family.SU, 3, (1, 2)), degree)
 
 
 # ---------------------------------------------------------------- numerics
