@@ -7,11 +7,17 @@ A = (exp Z)^H exp Z, and the potential is
     D0(z) = sum_k c_k * ln Delta_{l_k}(A),
 
 a real-analytic function vanishing at 0.  Its expansion to a chosen total
-degree has exact coefficients linear in the c parameters: every product
-behind it is rational, and the linear forms are built once, at the end.
-The expansion is centered at the distinguished point, so it has no pure
-holomorphic or antiholomorphic terms and its (1,1) part is a positive
-diagonal; both facts are asserted, not assumed.
+degree (diastasis) has exact coefficients linear in the c parameters.  It
+runs exp Z, the Gram matrix, its Laplace minors and the log series on
+packed monomials (matrices.Packing, z and zb fields side by side) with
+integer numerators over d!, and builds Monomials, Fractions and the linear
+forms once, for the finished terms.  Each step keeps the loop order of the
+Polynomial ring route kept in tests/oracles.py, so both list the finished
+terms in the same order, and the numeric lane, which sums floats in that
+order, is the same to the last bit.  The expansion is centered at the
+distinguished point, so it has no pure holomorphic or antiholomorphic
+terms and its (1,1) part is a positive diagonal; both facts are asserted,
+not assumed.
 
 The Bochner verdict needs only the potential's (1, .) and (., 1) parts.
 forbidden_jet computes them from exp Z alone, without the Gram matrix, its
@@ -27,16 +33,7 @@ from fractions import Fraction
 
 from .lie_core import Family, PaintedDiagram
 from .matrices import CoordinateAtlas, Packing, build_Z
-from .poly import (
-    CoeffForm,
-    EngineInvariantError,
-    Monomial,
-    Polynomial,
-    SymbolicMatrix,
-    linear_combination,
-    log1p_expand,
-    minor_det,
-)
+from .poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
 
 
 class NumericDomainError(ValueError):
@@ -74,39 +71,6 @@ def admissible_minors(diagram: PaintedDiagram) -> AdmissibleMinors:
     if len(set(indices)) != len(indices) or list(indices) != sorted(indices):
         raise EngineInvariantError("minor sizes are not strictly increasing")
     return AdmissibleMinors(indices, tuple(pairing))
-
-
-def exp_Z(atlas: CoordinateAtlas, degree: int | None) -> SymbolicMatrix:
-    """exp(Z) = I + sum_k Z^k / k! as a finite sum: nilpotency ends the
-    series exactly, and Z^k is homogeneous of degree k, so a degree bound
-    only drops the powers above it.  Terms of different k never meet, so
-    each entry lists its terms by k, then in the power's own order."""
-    unit, one = Monomial.unit(), Fraction(1)
-    out = {(i, i): {unit: one} for i in range(atlas.Z.size)}
-    monos: dict[int, Monomial] = {}
-    for k, power in enumerate(atlas.powers[:degree], 1):
-        fact = math.factorial(k)
-        coefs: dict[int, Fraction] = {}
-        for key, terms in power.items():
-            entry = out.setdefault(key, {})
-            for m, x in terms.items():
-                mono = monos.get(m)
-                if mono is None:
-                    mono = monos[m] = atlas.monomial(m)
-                coef = coefs.get(x)
-                if coef is None:
-                    coef = coefs[x] = Fraction(x, fact)
-                entry[mono] = coef
-    return SymbolicMatrix(
-        atlas.Z.size, {key: Polynomial(t, degree) for key, t in out.items()},
-        degree,
-    )
-
-
-def gram(atlas: CoordinateAtlas, degree: int | None) -> SymbolicMatrix:
-    """A = (exp Z)^H exp Z, truncated to the requested total degree."""
-    e = exp_Z(atlas, degree)
-    return e.conj_transpose() @ e
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,39 +150,12 @@ def _check_degree(degree) -> None:
         raise ValueError(f"degree must be an integer at least 2, got {degree!r}")
 
 
-def diastasis(diagram: PaintedDiagram, degree: int = 3,
-              coeffs="symbolic") -> DiastasisExpansion:
-    """Expansion of sum_k c_k ln Delta_{l_k}(A) to total degree <= degree.
-
-    Numeric coeffs pair with diagram.black, which is sorted."""
-    _check_degree(degree)
-    stored = _parse_coeffs(diagram, coeffs)
-    atlas = build_Z(diagram)
-    minors = admissible_minors(diagram)
-    a = gram(atlas, degree)
-    logs = []
-    for pos, l in minors.pairing:
-        arg = minor_det(a, l) - Polynomial.one(degree)
-        if arg.constant_term():
-            raise EngineInvariantError("minor determinant has constant term != 1")
-        logs.append((pos, log1p_expand(arg, degree)))
-    if stored is None:
-        total = linear_combination(((pos, 1, p) for pos, p in logs), degree)
-    else:
-        values = dict(stored)
-        total = Polynomial.zero(degree)
-        for pos, p in logs:
-            total = total + p * values[pos]
-    _check_invariants(total)
-    _check_quadratic(total, atlas.nvars, stored)
-    return DiastasisExpansion(atlas, total, minors, stored)
-
-
 def _packed_exp(atlas: CoordinateAtlas, pack: Packing,
                 limit: int) -> dict[tuple[int, int], dict[int, int]]:
     """exp Z to total degree <= limit as (row, col) -> {packed: n}, in
     pack; a term of total degree d stands for n / d!, so Z^k / k! keeps
-    the powers' integers."""
+    the powers' integers.  Entries come diagonal first, then in the order
+    the powers reach them; terms by k, then in the power's own order."""
     out = {(i, i): {0: 1} for i in range(atlas.Z.size)}
     src = atlas.packing
     monos: dict[int, int] = {}
@@ -231,6 +168,176 @@ def _packed_exp(atlas: CoordinateAtlas, pack: Packing,
                     packed = monos[m] = src.repack(m, pack)
                 entry[packed] = x
     return out
+
+
+# The Gram route below runs the loops of the Polynomial ring route
+# (tests/oracles.py) on packed monomials with integer numerators: each
+# step inserts, updates and pops terms exactly as its counterpart there,
+# so the finished expansion lists its terms in the same order.
+
+def _accumulate(acc: dict[int, int], terms: dict[int, int], scale: int) -> None:
+    """acc += scale * terms in place, as Polynomial.__add__ builds a sum:
+    a new monomial goes last, one whose sum cancels is popped."""
+    for m, n in terms.items():
+        s = acc.get(m, 0) + n * scale
+        if s:
+            acc[m] = s
+        else:
+            del acc[m]
+
+
+def _truncated_product(pack: Packing, degree: int):
+    """p * q to total degree <= degree on the n / d! encoding, as
+    Polynomial.__mul__ forms it: each term of p walks the terms of q that
+    fit its budget, in q's order, so no product above degree is formed
+    and no field can overflow."""
+    top = pack.top
+    # binom[a][b] = C(a + b, a) for a + b <= degree
+    binom = [[math.comb(a + b, a) for b in range(degree + 1 - a)]
+             for a in range(degree + 1)]
+
+    def mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        items = [(m, n, m >> top) for m, n in q.items()]
+        rows: dict[int, list] = {}  # by the degree of p's term
+        for m1, n1 in p.items():
+            d1 = m1 >> top
+            row = rows.get(d1)
+            if row is None:
+                c = binom[d1]
+                row = rows[d1] = [(m2, n2 * c[d2]) for m2, n2, d2 in items
+                                  if d2 < len(c)]
+            for m2, n2 in row:
+                m = m1 + m2
+                s = out.get(m, 0) + n1 * n2
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return out
+
+    return mul
+
+
+def _packed_gram(e, shift: int, mul):
+    """A = (exp Z)^H exp Z from the packed exp Z e, as the reference
+    Matrix.__matmul__ forms U @ e for the conjugate transpose U:
+    conjugating a holomorphic monomial moves its fields shift bits up."""
+    low = (1 << shift) - 1
+    u = {(j, i): {m - (m & low) + ((m & low) << shift): n
+                  for m, n in t.items()}
+         for (i, j), t in e.items()}
+    by_row: dict[int, list] = {}
+    for (k, j), q in e.items():
+        by_row.setdefault(k, []).append((j, q))
+    out: dict[tuple[int, int], dict[int, int]] = {}
+    for (i, k), p in u.items():
+        for j, q in by_row.get(k, ()):
+            prod = mul(p, q)
+            if not prod:
+                continue
+            acc = out.get((i, j))
+            if acc is None:
+                out[(i, j)] = prod
+            else:
+                _accumulate(acc, prod, 1)
+                if not acc:
+                    del out[(i, j)]
+    return out
+
+
+def _packed_minor(a, l: int, mul) -> dict[int, int]:
+    """Delta_l(A) by Laplace expansion along columns, memoised on the set
+    of unused rows, skipping zero entries."""
+    ent = {(i, j): p for (i, j), p in a.items() if i < l and j < l}
+    memo: dict[tuple[int, ...], dict[int, int]] = {}
+
+    def expand(rows: tuple[int, ...]) -> dict[int, int]:
+        if not rows:
+            return {0: 1}
+        cached = memo.get(rows)
+        if cached is not None:
+            return cached
+        col = l - len(rows)
+        acc: dict[int, int] = {}
+        for idx, r in enumerate(rows):
+            p = ent.get((r, col))
+            if p is None:
+                continue
+            term = mul(p, expand(rows[:idx] + rows[idx + 1:]))
+            _accumulate(acc, term, -1 if idx % 2 else 1)
+        memo[rows] = acc
+        return acc
+
+    return expand(tuple(range(l)))
+
+
+def _packed_log1p(x: dict[int, int], degree: int, lcm: int,
+                  mul) -> dict[int, int]:
+    """ln(1 + x) = sum_n (-1)^(n+1) x^n / n to total degree <= degree, for
+    x without constant term; a term of total degree d holds n for
+    n / (lcm * d!), lcm a multiple of every n in the series."""
+    acc: dict[int, int] = {}
+    power, n = x, 1
+    while n <= degree and power:
+        _accumulate(acc, power, (-1) ** (n + 1) * (lcm // n))
+        n += 1
+        if n <= degree:
+            power = mul(power, x)
+    return acc
+
+
+def diastasis(diagram: PaintedDiagram, degree: int = 3,
+              coeffs="symbolic") -> DiastasisExpansion:
+    """Expansion of sum_k c_k ln Delta_{l_k}(A) to total degree <= degree.
+
+    Numeric coeffs pair with diagram.black, which is sorted.  Packed
+    monomials hold z_v in field v and zb_v in field nvars + v."""
+    _check_degree(degree)
+    stored = _parse_coeffs(diagram, coeffs)
+    atlas = build_Z(diagram)
+    minors = admissible_minors(diagram)
+    nvars = atlas.nvars
+    pack = Packing(2 * nvars, degree)
+    mul = _truncated_product(pack, degree)
+    a = _packed_gram(_packed_exp(atlas, pack, degree), pack.width * nvars, mul)
+    denom = math.lcm(*range(1, degree + 1))
+    logs = []
+    for pos, l in minors.pairing:
+        arg = _packed_minor(a, l, mul)
+        _accumulate(arg, {0: 1}, -1)
+        if arg.get(0):
+            raise EngineInvariantError("minor determinant has constant term != 1")
+        logs.append((pos, _packed_log1p(arg, degree, denom, mul)))
+    total: dict[int, object] = {}
+    if stored is None:
+        # one linear form per monomial, in order of first appearance
+        for pos, log in logs:
+            for m, n in log.items():
+                lam = total.setdefault(m, {})
+                lam[pos] = lam.get(pos, 0) + n
+    else:
+        # total + c_k * log_k, each c_k = a_k / scale with integer a_k
+        scale = math.lcm(*(v.denominator for _, v in stored))
+        values = {pos: int(v * scale) for pos, v in stored}
+        for pos, log in logs:
+            _accumulate(total, log, values[pos])
+        denom *= scale
+    fact = [math.factorial(d) * denom for d in range(degree + 1)]
+    terms = {}
+    for m, x in total.items():
+        exps = pack.exponents(m)
+        mono = Monomial([(v, e) for v, e in exps if v < nvars],
+                        [(v - nvars, e) for v, e in exps if v >= nvars])
+        den = fact[m >> pack.top]
+        if stored is None:
+            terms[mono] = CoeffForm((k, Fraction(n, den)) for k, n in x.items())
+        else:
+            terms[mono] = Fraction(x, den)
+    poly = Polynomial(terms, degree)
+    _check_invariants(poly)
+    _check_quadratic(poly, nvars, stored)
+    return DiastasisExpansion(atlas, poly, minors, stored)
 
 
 def _multiplier(pack: Packing, limit: int, strict: bool, left_degree: int):
@@ -451,9 +558,7 @@ def _numeric_potential(atlas: CoordinateAtlas, minors: AdmissibleMinors,
         raise ValueError("one coefficient per admissible minor is required")
     pts = np.asarray(points, dtype=complex)
     m = atlas.Z.size
-    ent = atlas.entry_map()
-    rows, cols = (np.array(ix) for ix in zip(*ent))
-    var, sign = (np.array(ix) for ix in zip(*ent.values()))
+    rows, cols, var, sign = atlas.scatter
     z = np.zeros((len(pts), m, m), dtype=complex)
     z[:, rows, cols] = sign * pts[:, var]
     # exp Z = I + Z + Z^2/2 + ...; a point whose power of Z vanishes early

@@ -20,6 +20,7 @@ structure.  Each positive Kaehler parameter c attaches to one black node.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -325,42 +326,41 @@ def _times_binomial(poly: list[int], k: int) -> list[int]:
     return out
 
 
-def _intpoly_divexact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials with den[0] = +-1, done from
-    the low end; raises EngineInvariantError on a nonzero remainder."""
-    num = list(num)
-    lead = den[0]
-    quot_len = len(num) - len(den) + 1
-    if quot_len <= 0:
+def _over_binomial(poly: list[int], k: int) -> list[int]:
+    """poly / (1 - t^k) in O(len(poly)) steps: the power series quotient,
+    a running sum with stride k, is a polynomial exactly when its top k
+    coefficients vanish; raises EngineInvariantError when they do not."""
+    if len(poly) <= k:
         raise EngineInvariantError("division would have negative degree")
-    quot = [0] * quot_len
-    for i in range(quot_len):
-        q, r = divmod(num[i], lead)
-        if r:
-            raise EngineInvariantError("non-integral quotient coefficient")
-        quot[i] = q
-        if q:
-            for j, c in enumerate(den):
-                num[i + j] -= q * c
-    if any(num):
+    out = list(poly)
+    for i in range(k, len(out)):
+        out[i] += out[i - k]
+    if any(out[-k:]):
         raise EngineInvariantError("rational-function product is not a polynomial")
-    return quot
+    return out[:-k]
 
 
 @lru_cache(maxsize=None)
 def poincare(diagram: PaintedDiagram) -> PoincarePoly:
     """Product over alpha in R_M+ of (1 - t^(h+1))/(1 - t^h), computed in
-    exact integer arithmetic and re-expressed in s with t = s^2."""
+    exact integer arithmetic and re-expressed in s with t = s^2.
+
+    With n_h roots of height h, the factor 1 - t^k has exponent
+    n_{k-1} - n_k in the product, so the factors cancel before anything is
+    multiplied; what is left of the denominator then divides exactly."""
     group = diagram.group
     _, q = black_roots(diagram)
-    num = den = [1]
-    for r in q:
-        h = height(group, r)
-        num = _times_binomial(num, h + 1)
-        den = _times_binomial(den, h)
-    quot = _intpoly_divexact(num, den)
-    coeffs_s = [0] * (2 * len(quot) - 1)
-    for i, c in enumerate(quot):
+    count = Counter(height(group, r) for r in q)
+    exponents = [count[k - 1] - count[k] for k in range(1, max(count) + 2)]
+    poly = [1]
+    for k, e in enumerate(exponents, 1):
+        for _ in range(e):
+            poly = _times_binomial(poly, k)
+    for k, e in enumerate(exponents, 1):
+        for _ in range(-e):
+            poly = _over_binomial(poly, k)
+    coeffs_s = [0] * (2 * len(poly) - 1)
+    for i, c in enumerate(poly):
         coeffs_s[2 * i] = c
     return PoincarePoly(coeffs_s)
 

@@ -10,7 +10,7 @@ Z(z) is the sum over alpha in -Q of z_alpha E_alpha; each variable occupies
 its own matrix positions, and the assembled matrix is nilpotent.  Its
 nonzero powers are computed once per chart, in integer arithmetic on
 packed monomials (Packing, the one definition of that format), and serve
-the nilpotency index, exp Z and the forbidden jet.
+the nilpotency index, exp Z, the forbidden jet and the Gram expansion.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .lie_core import Family, GroupSpec, PaintedDiagram, Root, all_roots, black_roots
-from .poly import EngineInvariantError, Monomial, Polynomial, SymbolicMatrix
+from .poly import EngineInvariantError, Polynomial, SymbolicMatrix
 
 Entry = tuple[int, int, int]  # (row, col, sign)
 
@@ -159,10 +159,10 @@ class CoordinateAtlas:
         """Z, Z^2, ... while nonzero, untruncated, with int coefficients.
 
         Z's entries are +-z_v, so Z^k is homogeneous of degree k and each
-        monomial is one packed int (self.packing; monomial() unpacks it).
+        monomial is one packed int (self.packing).
         Each power maps (row, col) to {packed monomial: coefficient};
-        entries and terms come in the order of SymbolicMatrix.__matmul__
-        computing Z^(k-1) @ Z.
+        entries and terms come in the order of the sparse product
+        Z^(k-1) @ Z that walks Z^(k-1)'s entries, then Z's row.
         """
         size = self.Z.size
         pack = self.packing
@@ -195,10 +195,6 @@ class CoordinateAtlas:
             power = nxt
         return tuple(out)
 
-    def monomial(self, packed: int) -> Monomial:
-        """The holomorphic monomial a packed int of powers stands for."""
-        return Monomial(self.packing.exponents(packed), ())
-
     def entry_map(self) -> dict[tuple[int, int], tuple[int, int]]:
         """(row, col) -> (variable index, sign) for the nonzero Z positions."""
         out: dict[tuple[int, int], tuple[int, int]] = {}
@@ -206,6 +202,18 @@ class CoordinateAtlas:
             for r, c, s in root_vector(self.diagram.group, root).entries:
                 out[(r, c)] = (v, s)
         return out
+
+    @cached_property
+    def scatter(self):
+        """(rows, cols, var, sign): entry_map as read-only numpy index
+        arrays, so Z(z)[rows, cols] = sign * z[var]."""
+        import numpy as np
+
+        ent = self.entry_map()
+        arrays = (*map(np.array, zip(*ent)), *map(np.array, zip(*ent.values())))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 # a request needs one chart at a time, and each chart keeps its powers of

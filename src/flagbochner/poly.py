@@ -3,9 +3,10 @@
 Variables are integer indices 0..N-1; index v names a holomorphic variable
 z_v together with its formal conjugate zb_v.  Every product, sum and power
 in the ring has exact rational coefficients (Fraction).  The Kaehler
-parameters c[k] enter only the finished symbolic potential:
-linear_combination turns rational polynomials p_k into sum_k c[k] p_k,
-building each monomial's linear form (a CoeffForm) once, at the end.
+parameters c[k] enter only the finished symbolic potential, whose
+coefficients are exact linear forms in them (CoeffForm).  The engine's
+products run on packed integer monomials (matrices.Packing) and build
+Monomials, Fractions and CoeffForms for their finished terms only.
 """
 
 from __future__ import annotations
@@ -206,8 +207,8 @@ class Polynomial:
 
     When trunc is set, every stored monomial has total degree <= trunc and
     all ring operations drop overflow terms.  The finished symbolic
-    potential maps monomials to CoeffForms instead (linear_combination);
-    it is truncated, sliced, sorted and compared, never added or multiplied.
+    potential maps monomials to CoeffForms instead; it is truncated,
+    sliced, sorted and compared, never added or multiplied.
     """
 
     __slots__ = ("terms", "trunc")
@@ -348,7 +349,8 @@ class Polynomial:
 
 
 class SymbolicMatrix:
-    """Sparse square matrix with Polynomial entries; zero entries unstored."""
+    """Sparse square matrix with Polynomial entries, such as the chart
+    matrix Z; zero entries unstored."""
 
     __slots__ = ("size", "entries", "trunc")
 
@@ -366,81 +368,6 @@ class SymbolicMatrix:
                     clean[(i, j)] = pt
         self.entries = clean
 
-    @classmethod
-    def identity(cls, size: int, trunc: int | None = None) -> "SymbolicMatrix":
-        one = Polynomial.one(trunc)
-        return cls(size, {(i, i): one for i in range(size)}, trunc)
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.entries.get((i, j), Polynomial.zero(self.trunc))
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __add__(self, other: "SymbolicMatrix") -> "SymbolicMatrix":
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        trunc = _combine_trunc(self.trunc, other.trunc)
-        out = dict(self.entries)
-        for key, p in other.entries.items():
-            q = out.get(key)
-            s = p if q is None else q + p
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return SymbolicMatrix(self.size, out, trunc)
-
-    def scale(self, factor) -> "SymbolicMatrix":
-        return SymbolicMatrix(
-            self.size,
-            {k: p * factor for k, p in self.entries.items()},
-            self.trunc,
-        )
-
-    def __matmul__(self, other: "SymbolicMatrix") -> "SymbolicMatrix":
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        trunc = _combine_trunc(self.trunc, other.trunc)
-        by_row: dict[int, list[tuple[int, Polynomial]]] = {}
-        for (k, j), q in other.entries.items():
-            by_row.setdefault(k, []).append((j, q))
-        out: dict[tuple[int, int], Polynomial] = {}
-        for (i, k), p in self.entries.items():
-            for j, q in by_row.get(k, ()):
-                prod = p * q
-                if prod.is_zero():
-                    continue
-                key = (i, j)
-                acc = out.get(key)
-                s = prod if acc is None else acc + prod
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return SymbolicMatrix(self.size, out, trunc)
-
-    def conj_transpose(self) -> "SymbolicMatrix":
-        return SymbolicMatrix(
-            self.size,
-            {(j, i): p.conj() for (i, j), p in self.entries.items()},
-            self.trunc,
-        )
-
-    def truncate(self, degree: int | None) -> "SymbolicMatrix":
-        return SymbolicMatrix(
-            self.size,
-            {k: p.truncate(degree) for k, p in self.entries.items()},
-            degree,
-        )
-
-    def evaluate(self, zvals):
-        """Dense nested-list numeric value; mainly for tests."""
-        out = [[0j] * self.size for _ in range(self.size)]
-        for (i, j), p in self.entries.items():
-            out[i][j] = p.evaluate(zvals)
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SymbolicMatrix)
@@ -451,74 +378,3 @@ class SymbolicMatrix:
 
     def __repr__(self):
         return f"SymbolicMatrix({self.size}x{self.size}, {len(self.entries)} entries)"
-
-
-def minor_det(mat: SymbolicMatrix, l: int) -> Polynomial:
-    """Determinant of the leading l x l submatrix, exact and truncation-aware.
-
-    Laplace expansion along columns with memoization on the set of unused
-    rows; zero entries are skipped, so sparse matrices stay cheap.
-    """
-    if l > mat.size:
-        raise ValueError(f"minor size {l} exceeds matrix size {mat.size}")
-    if l == 0:
-        return Polynomial.one(mat.trunc)
-    ent = {
-        (i, j): p for (i, j), p in mat.entries.items() if i < l and j < l
-    }
-    memo: dict[tuple[int, ...], Polynomial] = {}
-
-    def expand(rows: tuple[int, ...]) -> Polynomial:
-        if not rows:
-            return Polynomial.one(mat.trunc)
-        cached = memo.get(rows)
-        if cached is not None:
-            return cached
-        col = l - len(rows)
-        acc = Polynomial.zero(mat.trunc)
-        for idx, r in enumerate(rows):
-            p = ent.get((r, col))
-            if p is None:
-                continue
-            sub = expand(rows[:idx] + rows[idx + 1:])
-            term = p * sub
-            if idx % 2:
-                term = -term
-            acc = acc + term
-        memo[rows] = acc
-        return acc
-
-    return expand(tuple(range(l)))
-
-
-def log1p_expand(p: Polynomial, degree: int) -> Polynomial:
-    """ln(1 + p) truncated to total degree <= degree; p must have no
-    constant term (its minimum total degree is then >= 1)."""
-    if p.constant_term():
-        raise ValueError("log1p_expand requires a zero constant term")
-    p = p.truncate(degree)
-    acc = Polynomial.zero(degree)
-    power = p
-    n = 1
-    while n <= degree and not power.is_zero():
-        acc = acc + power * Fraction((-1) ** (n + 1), n)
-        n += 1
-        if n <= degree:
-            power = power * p
-    return acc
-
-
-def linear_combination(parts: Iterable[tuple[int, int, Polynomial]],
-                       trunc: int | None) -> Polynomial:
-    """sum of sign * c[k] * p over (label k, sign +-1, rational p) parts,
-    one CoeffForm per monomial.  A label may recur; monomials keep the order
-    of their first appearance, and those whose form cancels are dropped."""
-    lams: dict[Monomial, dict[int, Fraction]] = {}
-    for k, sign, p in parts:
-        for m, x in p.terms.items():
-            lam = lams.setdefault(m, {})
-            val = x if sign > 0 else -x
-            lam[k] = lam[k] + val if k in lam else val
-    return Polynomial(
-        {m: CoeffForm(lam.items()) for m, lam in lams.items()}, trunc
-    )

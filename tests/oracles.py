@@ -2,7 +2,12 @@
 
 Each oracle follows its textbook definition with no memoization, pruning
 or batching; they share only the root data, the chart, the polynomial ring
-and the sparse matrix type with the engine.
+and the sparse matrix type with the engine.  The one exception is the
+reference Gram route on Monomials and Fractions (Matrix arithmetic,
+minor_det, log1p_expand, linear_combination, gram_logs, combine_logs): the
+engine's packed route must equal it term for term, dict order included,
+so it keeps a memoised Laplace expansion and the loops whose order the
+engine follows.
 """
 
 import itertools
@@ -12,23 +17,119 @@ from fractions import Fraction
 
 import numpy as np
 
-from flagbochner import expansion
 from flagbochner.expansion import admissible_minors
 from flagbochner.lie_core import Family, Root, all_roots, white_roots
 from flagbochner.matrices import build_Z, root_vector
 from flagbochner.poly import (
+    CoeffForm,
     EngineInvariantError,
     Monomial,
     Polynomial,
     SymbolicMatrix,
-    linear_combination,
 )
+
+
+# ------------------------------------------------------ matrix arithmetic
+
+class Matrix(SymbolicMatrix):
+    """SymbolicMatrix with the arithmetic of the reference route."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, mat: SymbolicMatrix) -> "Matrix":
+        return cls(mat.size, mat.entries, mat.trunc)
+
+    @classmethod
+    def identity(cls, size: int, trunc=None) -> "Matrix":
+        one = Polynomial.one(trunc)
+        return cls(size, {(i, i): one for i in range(size)}, trunc)
+
+    def entry(self, i: int, j: int) -> Polynomial:
+        return self.entries.get((i, j), Polynomial.zero(self.trunc))
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def __add__(self, other: SymbolicMatrix) -> "Matrix":
+        if self.size != other.size:
+            raise ValueError("size mismatch")
+        trunc = _combine_trunc(self.trunc, other.trunc)
+        out = dict(self.entries)
+        for key, p in other.entries.items():
+            q = out.get(key)
+            s = p if q is None else q + p
+            if s.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = s
+        return Matrix(self.size, out, trunc)
+
+    def scale(self, factor) -> "Matrix":
+        return Matrix(
+            self.size, {k: p * factor for k, p in self.entries.items()},
+            self.trunc,
+        )
+
+    def __matmul__(self, other: SymbolicMatrix) -> "Matrix":
+        if self.size != other.size:
+            raise ValueError("size mismatch")
+        trunc = _combine_trunc(self.trunc, other.trunc)
+        by_row: dict[int, list[tuple[int, Polynomial]]] = {}
+        for (k, j), q in other.entries.items():
+            by_row.setdefault(k, []).append((j, q))
+        out: dict[tuple[int, int], Polynomial] = {}
+        for (i, k), p in self.entries.items():
+            for j, q in by_row.get(k, ()):
+                prod = p * q
+                if prod.is_zero():
+                    continue
+                key = (i, j)
+                acc = out.get(key)
+                s = prod if acc is None else acc + prod
+                if s.is_zero():
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+        return Matrix(self.size, out, trunc)
+
+    def conj_transpose(self) -> "Matrix":
+        return Matrix(
+            self.size,
+            {(j, i): p.conj() for (i, j), p in self.entries.items()},
+            self.trunc,
+        )
+
+    def truncate(self, degree) -> "Matrix":
+        return Matrix(
+            self.size,
+            {k: p.truncate(degree) for k, p in self.entries.items()},
+            degree,
+        )
+
+    def evaluate(self, zvals):
+        """Dense nested-list numeric value."""
+        out = [[0j] * self.size for _ in range(self.size)]
+        for (i, j), p in self.entries.items():
+            out[i][j] = p.evaluate(zvals)
+        return out
+
+
+def _combine_trunc(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    if a != b:
+        raise ValueError(f"mismatched truncation bounds: {a} vs {b}")
+    return a
 
 
 def leibniz_minor(mat: SymbolicMatrix, l: int, rows=None) -> Polynomial:
     """Determinant of mat[rows, :l] as a signed sum over permutations;
     rows defaults to the leading l rows."""
     rows = tuple(range(l)) if rows is None else tuple(rows)
+    mat = Matrix.of(mat)
     acc = Polynomial.zero(mat.trunc)
     for perm in itertools.permutations(range(l)):
         inversions = sum(
@@ -43,13 +144,15 @@ def leibniz_minor(mat: SymbolicMatrix, l: int, rows=None) -> Polynomial:
     return acc
 
 
-def gram(e: SymbolicMatrix) -> SymbolicMatrix:
+def gram(e: SymbolicMatrix) -> Matrix:
     """The Gram matrix E^H E."""
+    e = Matrix.of(e)
     return e.conj_transpose() @ e
 
 
 def cauchy_binet_minor(e: SymbolicMatrix, l: int) -> Polynomial:
     """Delta_l(E^H E) as the sum over l-row sets S of |det E[S, :l]|^2."""
+    e = Matrix.of(e)
     acc = Polynomial.zero(e.trunc)
     for rows in itertools.combinations(range(e.size), l):
         d = leibniz_minor(e, l, rows)
@@ -164,6 +267,34 @@ def poincare_from_heights(heights) -> tuple:
         for i in range(top, h, -1):
             series[i] -= series[i - h - 1]
     return tuple(series)
+
+
+def _times_binomial(poly: list, k: int) -> list:
+    """poly * (1 - t^k)."""
+    out = poly + [0] * k
+    for i, c in enumerate(poly):
+        out[i + k] -= c
+    return out
+
+
+def poincare_by_division(heights) -> tuple:
+    """Coefficients in t of prod (1 - t^(h+1)) / (1 - t^h) over the heights:
+    both products multiplied out in full, then the numerator divided by the
+    denominator by long division from the low end, which must leave no
+    remainder."""
+    num = den = [1]
+    for h in heights:
+        num = _times_binomial(num, h + 1)
+        den = _times_binomial(den, h)
+    rem = list(num)
+    quot = [0] * (len(num) - len(den) + 1)
+    for i in range(len(quot)):
+        quot[i] = rem[i]  # den[0] = 1
+        for j, c in enumerate(den):
+            rem[i + j] -= quot[i] * c
+    if any(rem):
+        raise ValueError("the product is not a polynomial")
+    return tuple(quot)
 
 
 def cartan_diagonal(group, hs) -> list:
@@ -321,7 +452,7 @@ def nilpotent_powers(z: SymbolicMatrix, last=None):
     """Yield (k, Z^k) for k = 1, 2, ... while Z^k is nonzero, each power
     the symbolic product Z^(k-1) @ Z, stopping after k = last when given.
     A nonzero Z^size means Z is not nilpotent."""
-    power = z
+    z = power = Matrix.of(z)
     k = 1
     while not power.is_zero():
         if k >= z.size:
@@ -341,11 +472,110 @@ def nilpotency_index(atlas) -> int:
 def exp_Z(atlas, degree):
     """exp(Z) as the matrix sum I + Z + Z^2/2 + ... of truncated symbolic
     powers, stopping at Z^degree or at the first zero power."""
-    z = atlas.Z.truncate(degree)
-    acc = SymbolicMatrix.identity(z.size, degree)
+    z = Matrix.of(atlas.Z).truncate(degree)
+    acc = Matrix.identity(z.size, degree)
     for k, power in nilpotent_powers(z, degree):
         acc = acc + power.scale(Fraction(1, math.factorial(k)))
     return acc
+
+
+# ------------------------------------------------- reference Gram route
+
+def minor_det(mat: SymbolicMatrix, l: int) -> Polynomial:
+    """Determinant of the leading l x l submatrix, exact and truncation-aware.
+
+    Laplace expansion along columns with memoization on the set of unused
+    rows; zero entries are skipped, so sparse matrices stay cheap.
+    """
+    if l > mat.size:
+        raise ValueError(f"minor size {l} exceeds matrix size {mat.size}")
+    if l == 0:
+        return Polynomial.one(mat.trunc)
+    ent = {
+        (i, j): p for (i, j), p in mat.entries.items() if i < l and j < l
+    }
+    memo: dict[tuple[int, ...], Polynomial] = {}
+
+    def expand(rows: tuple[int, ...]) -> Polynomial:
+        if not rows:
+            return Polynomial.one(mat.trunc)
+        cached = memo.get(rows)
+        if cached is not None:
+            return cached
+        col = l - len(rows)
+        acc = Polynomial.zero(mat.trunc)
+        for idx, r in enumerate(rows):
+            p = ent.get((r, col))
+            if p is None:
+                continue
+            sub = expand(rows[:idx] + rows[idx + 1:])
+            term = p * sub
+            if idx % 2:
+                term = -term
+            acc = acc + term
+        memo[rows] = acc
+        return acc
+
+    return expand(tuple(range(l)))
+
+
+def log1p_expand(p: Polynomial, degree: int) -> Polynomial:
+    """ln(1 + p) truncated to total degree <= degree; p must have no
+    constant term (its minimum total degree is then >= 1)."""
+    if p.constant_term():
+        raise ValueError("log1p_expand requires a zero constant term")
+    p = p.truncate(degree)
+    acc = Polynomial.zero(degree)
+    power = p
+    n = 1
+    while n <= degree and not power.is_zero():
+        acc = acc + power * Fraction((-1) ** (n + 1), n)
+        n += 1
+        if n <= degree:
+            power = power * p
+    return acc
+
+
+def linear_combination(parts, trunc) -> Polynomial:
+    """sum of sign * c[k] * p over (label k, sign +-1, rational p) parts,
+    one CoeffForm per monomial.  A label may recur; monomials keep the order
+    of their first appearance, and those whose form cancels are dropped."""
+    lams: dict[Monomial, dict[int, Fraction]] = {}
+    for k, sign, p in parts:
+        for m, x in p.terms.items():
+            lam = lams.setdefault(m, {})
+            val = x if sign > 0 else -x
+            lam[k] = lam[k] + val if k in lam else val
+    return Polynomial(
+        {m: CoeffForm(lam.items()) for m, lam in lams.items()}, trunc
+    )
+
+
+def gram_logs(diagram, degree) -> list:
+    """[(black position, ln Delta_l(A))] for A = (exp Z)^H exp Z, each log
+    a rational Polynomial truncated to total degree <= degree."""
+    atlas = build_Z(diagram)
+    a = gram(exp_Z(atlas, degree))
+    logs = []
+    for pos, l in admissible_minors(diagram).pairing:
+        arg = minor_det(a, l) - Polynomial.one(degree)
+        if arg.constant_term():
+            raise EngineInvariantError("minor determinant has constant term != 1")
+        logs.append((pos, log1p_expand(arg, degree)))
+    return logs
+
+
+def combine_logs(logs, coeffs, degree) -> Polynomial:
+    """sum_k c_k ln Delta_{l_k}: for coeffs None a linear combination of
+    the logs, else the running sum total + log * c_k over the (position,
+    value) pairs coeffs."""
+    if coeffs is None:
+        return linear_combination(((pos, 1, p) for pos, p in logs), degree)
+    values = dict(coeffs)
+    total = Polynomial.zero(degree)
+    for pos, p in logs:
+        total = total + p * values[pos]
+    return total
 
 
 # ------------------------------------------------------- forbidden jet
@@ -425,7 +655,7 @@ def forbidden_jet(diagram, degree) -> Polynomial:
     atlas = build_Z(diagram)
     minors = admissible_minors(diagram)
     trunc = None if degree is None else degree - 1
-    e = expansion.exp_Z(atlas, trunc)
+    e = exp_Z(atlas, trunc)
     dz = jet_half(e.conj_transpose().entries, atlas, minors, trunc)
     dzb = jet_half({(j, i): p for (i, j), p in e.entries.items()},
                    atlas, minors, trunc)

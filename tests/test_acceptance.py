@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from oracles import catalog_sum, catalog_trinomials, gram, leibniz_minor
+from oracles import catalog_sum, catalog_trinomials, exp_Z, gram, leibniz_minor
 
 from flagbochner.bochner import (
     BochnerStatus,
@@ -21,7 +21,6 @@ from flagbochner.expansion import (
     admissible_minors,
     diastasis,
     eval_numeric,
-    exp_Z,
     hessian_fd,
     symbolic_metric,
     truncated_value,

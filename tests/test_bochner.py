@@ -14,7 +14,7 @@ from flagbochner.bochner import (
     render_constraint,
     verdict_from_report,
 )
-from flagbochner.expansion import diastasis, forbidden_jet, gram
+from flagbochner.expansion import diastasis, forbidden_jet
 from flagbochner.feasibility import positive_solution_exists, rref
 from flagbochner.lie_core import (
     Family,
@@ -24,7 +24,7 @@ from flagbochner.lie_core import (
     iter_black_sets,
 )
 from flagbochner.matrices import build_Z
-from flagbochner.poly import CoeffForm, Monomial, minor_det
+from flagbochner.poly import CoeffForm, Monomial
 
 F = Fraction
 
@@ -121,7 +121,8 @@ def test_catalog_matches_determinant_slice_randomized():
         r = rng.choice(minors.indices)
         atlas = build_Z(dia)
         cat = catalog_sum(catalog_trinomials(atlas, r))
-        slice12 = minor_det(gram(atlas, 3), r).bidegree_part(1, 2).truncate(None)
+        a = oracles.gram(oracles.exp_Z(atlas, 3))
+        slice12 = oracles.minor_det(a, r).bidegree_part(1, 2).truncate(None)
         assert cat == slice12, (dia, r)
         checked += 1
 

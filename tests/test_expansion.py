@@ -2,7 +2,9 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -17,13 +19,14 @@ from flagbochner.expansion import (
     _multiplier,
     _numeric_potential,
     _packed_exp,
+    _packed_gram,
+    _packed_minor,
     _row_solve,
+    _truncated_product,
     admissible_minors,
     diastasis,
     eval_numeric,
-    exp_Z,
     forbidden_jet,
-    gram,
     hessian_fd,
     symbolic_metric,
     truncated_value,
@@ -36,18 +39,17 @@ from flagbochner.lie_core import (
     iter_black_sets,
 )
 from flagbochner.matrices import Packing, build_Z
-from flagbochner.poly import (
-    CoeffForm,
-    EngineInvariantError,
-    Monomial,
-    Polynomial,
-    SymbolicMatrix,
-    linear_combination,
-    log1p_expand,
-    minor_det,
-)
+from flagbochner.poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 F = Fraction
+
+
+def gram(atlas, degree):
+    """The reference Gram matrix of the chart, to total degree <= degree."""
+    return oracles.gram(oracles.exp_Z(atlas, degree))
 
 
 def diagram(fam, rank, black):
@@ -119,27 +121,42 @@ PAINTINGS_RANK6 = _paintings(6)
 
 # ------------------------------------------------------------------- exp_Z
 
+def _unpack(pack, nvars, terms) -> dict:
+    """Packed terms with z_v in field v and zb_v in field nvars + v as
+    {Monomial: Fraction}, in order, a numerator n of total degree d read
+    as n / d!."""
+    out = {}
+    for m, n in terms.items():
+        assert type(m) is int and type(n) is int
+        exps = pack.exponents(m)
+        mono = Monomial([(v, e) for v, e in exps if v < nvars],
+                        [(v - nvars, e) for v, e in exps if v >= nvars])
+        out[mono] = Fraction(n, math.factorial(pack.degree(m)))
+    return out
+
+
 @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6, None])
 def test_exp_Z_equals_symbolic_power_sum(degree):
-    # entries, terms and their order as the matrix sum of symbolic powers;
-    # SU(33) packs each exponent into a 6-bit field
+    # the packed exp Z: entries, terms and their order as the matrix sum of
+    # symbolic powers; SU(33) packs each exponent into a 6-bit field
     assert len(PAINTINGS_RANK6) == 256
     for dia in [*PAINTINGS_RANK6, diagram(Family.SU, 33, (1, 32))]:
         atlas = build_Z(dia)
-        engine, oracle = exp_Z(atlas, degree), oracles.exp_Z(atlas, degree)
-        assert engine.trunc == oracle.trunc == degree
-        assert list(engine.entries) == list(oracle.entries), dia
+        pack = Packing(2 * atlas.nvars, degree or atlas.Z.size)
+        engine = _packed_exp(atlas, pack, degree)
+        oracle = oracles.exp_Z(atlas, degree)
+        assert oracle.trunc == degree
+        assert list(engine) == list(oracle.entries), dia
         for key, p in oracle.entries.items():
-            q = engine.entries[key]
-            assert q.trunc == p.trunc == degree
-            assert list(q.terms.items()) == list(p.terms.items()), (dia, key)
-            assert all(type(x) is Fraction for x in q.terms.values())
+            q = _unpack(pack, atlas.nvars, engine[key])
+            assert p.trunc == degree
+            assert list(q.items()) == list(p.terms.items()), (dia, key)
 
 
 def test_exp_is_identity_plus_z_for_one_su_block():
     atlas = build_Z(diagram(Family.SU, 4, (2,)))
-    e = exp_Z(atlas, None)
-    assert e == SymbolicMatrix.identity(4) + atlas.Z
+    e = oracles.exp_Z(atlas, None)
+    assert e == oracles.Matrix.identity(4) + atlas.Z
 
 
 def test_exp_group_inverse():
@@ -147,22 +164,22 @@ def test_exp_group_inverse():
 
     for dia in SAMPLE_DIAGRAMS[:5]:
         atlas = build_Z(dia)
-        plus = exp_Z(atlas, None)
-        neg_z = atlas.Z.scale(-1)
-        minus = SymbolicMatrix.identity(atlas.Z.size)
+        plus = oracles.exp_Z(atlas, None)
+        neg_z = oracles.Matrix.of(atlas.Z).scale(-1)
+        minus = oracles.Matrix.identity(atlas.Z.size)
         power = neg_z
         n = 1
         while not power.is_zero():
             minus = minus + power.scale(F(1, math.factorial(n)))
             n += 1
             power = power @ neg_z
-        assert plus @ minus == SymbolicMatrix.identity(atlas.Z.size)
+        assert plus @ minus == oracles.Matrix.identity(atlas.Z.size)
 
 
 def test_exp_su3_full_flag_corner_entry():
     dia = diagram(Family.SU, 3, (1, 2))
     atlas = build_Z(dia)
-    e = exp_Z(atlas, None)
+    e = oracles.exp_Z(atlas, None)
     vi = {name: i for i, name in enumerate(atlas.var_names())}
     z13 = Polynomial.variable(vi["-e1+e3"])
     z12 = Polynomial.variable(vi["-e1+e2"])
@@ -207,12 +224,25 @@ def test_gram_is_hermitian_symbolically():
         assert a == a.conj_transpose()
 
 
+def _packed_route(atlas, degree):
+    """The packed Gram matrix with its packing and product, to total degree
+    <= degree; for None, under a bound no minor's term reaches (an exp Z
+    term has degree <= K, the top power of Z, and A's at most 2K)."""
+    limit = degree or 2 * len(atlas.powers) * atlas.Z.size
+    pack = Packing(2 * atlas.nvars, limit)
+    mul = _truncated_product(pack, limit)
+    e = _packed_exp(atlas, pack, limit)
+    return _packed_gram(e, pack.width * atlas.nvars, mul), pack, mul
+
+
 def _check_minors_against_oracles(dia, degree, leibniz_up_to):
+    # the packed Laplace minors, read as Fractions
     atlas = build_Z(dia)
-    e = exp_Z(atlas, degree)
-    a = gram(atlas, degree)
+    e = oracles.exp_Z(atlas, degree)
+    a, pack, mul = _packed_route(atlas, degree)
     for l in admissible_minors(dia).indices:
-        engine = minor_det(a, l)
+        engine = Polynomial(
+            _unpack(pack, atlas.nvars, _packed_minor(a, l, mul)), degree)
         assert engine == oracles.cauchy_binet_minor(e, l), (dia, degree, l)
         if l <= leibniz_up_to:
             assert engine == oracles.leibniz_minor(oracles.gram(e), l)
@@ -241,23 +271,89 @@ def test_minors_match_oracles_untruncated(dia):
     diagram(Family.SO_ODD, 3, (1, 3)),
     diagram(Family.SO_ODD, 4, (2, 3, 4)),
 ], ids=lambda d: d.label())
-def test_ring_is_rational_and_forms_are_built_last(dia):
+def test_ring_is_rational_and_forms_are_built_last(dia, monkeypatch):
+    # the Gram route keeps int monomials and numerators and forms no
+    # product above the degree; Fractions and forms come only at the end,
+    # equal to the reference route's term for term, in order
     degree = 6
-    atlas = build_Z(dia)
-    e = exp_Z(atlas, degree)
-    a = gram(atlas, degree)
-    polys = [*e.entries.values(), *a.entries.values()]
-    logs = []
-    for pos, l in admissible_minors(dia).pairing:
-        delta = minor_det(a, l)
-        log = log1p_expand(delta - Polynomial.one(degree), degree)
-        polys += [delta, log]
-        logs.append((pos, 1, log))
-    assert all(type(f) is Fraction for p in polys for f in p.terms.values())
+    formed = _spy_on_products(monkeypatch)
     got = diastasis(dia, degree).poly
-    want = linear_combination(logs, degree)
+    assert formed and max(formed) <= degree
+    assert all(type(lam) is Fraction
+               for f in got.terms.values() for _, lam in f.terms)
+    want = oracles.combine_logs(oracles.gram_logs(dia, degree), None, degree)
     assert got.trunc == want.trunc == degree
     assert list(got.terms.items()) == list(want.terms.items())
+
+
+def _spy_on_products(monkeypatch) -> list:
+    """The total degree of every monomial the Gram route's products form,
+    as a list that fills while diastasis runs; each product is checked to
+    take and return int monomials and numerators."""
+    formed = []
+    make = expansion_module._truncated_product
+
+    def spied(pack, degree):
+        mul = make(pack, degree)
+
+        class Traced(int):
+            def __add__(self, other):
+                m = int(self) + other
+                formed.append(pack.degree(m))
+                return m
+
+            __radd__ = __add__
+
+        def checked(p, q):
+            for t in (p, q):
+                assert all(type(m) is int and type(n) is int
+                           for m, n in t.items())
+            out = mul({Traced(m): n for m, n in p.items()}, q)
+            assert all(type(m) is int and type(n) is int
+                       for m, n in out.items())
+            return out
+
+        return checked
+
+    monkeypatch.setattr(expansion_module, "_truncated_product", spied)
+    return formed
+
+
+def _reference_cases(name: str) -> list:
+    """[(painting, [coeffs, ...])] for a named set of requests"""
+    if name == "numeric":
+        pool = {}
+        for r in workloads.all_requests("numeric"):
+            dia = PaintedDiagram(r.case.group, r.case.black)
+            pool.setdefault(dia, []).append(r.case.coeffs)
+        return list(pool.items())
+    if name == "broad":
+        return [(PaintedDiagram(r.case.group, r.case.black), ["symbolic"])
+                for r in workloads.all_requests("broad")]
+    return [(diagram(Family.SO_ODD, 4, (1, 2, 3, 4)),
+             ["symbolic", (1, 1, 1, 1)])]
+
+
+@pytest.mark.parametrize("case", ["numeric-3", "numeric-5", "broad-3",
+                                  "SOodd4-6"])
+def test_diastasis_equals_the_reference_route(case):
+    # terms, exact coefficients and dict order: truncated_value sums the
+    # terms in that order, so the float lane stays the same to the last bit
+    name, degree = case.split("-")
+    degree = int(degree)
+    checked = 0
+    for dia, variants in _reference_cases(name):
+        logs = oracles.gram_logs(dia, degree)
+        for coeffs in variants:
+            got = diastasis(dia, degree, coeffs).poly
+            stored = None if coeffs == "symbolic" else tuple(
+                zip(dia.black, map(Fraction, coeffs)))
+            want = oracles.combine_logs(logs, stored, degree)
+            assert got.trunc == want.trunc == degree
+            assert list(got.terms.items()) == list(want.terms.items()), (
+                dia, coeffs)
+            checked += 1
+    assert checked == {"numeric": 256, "broad": 256, "SOodd4": 2}[name]
 
 
 def _unpacked(pack, series, c, anti) -> Polynomial:
@@ -294,7 +390,7 @@ def test_packed_solves_are_integer_and_equal_the_rational_solve(dia, degree):
     pack = Packing(atlas.nvars, limit)
     e = _packed_exp(atlas, pack, limit)
     mul = _multiplier(pack, limit, degree is None, limit)
-    u = exp_Z(atlas, degree).conj_transpose().entries
+    u = oracles.exp_Z(atlas, degree).conj_transpose().entries
     for _, l in minors.pairing:
         cols = range(l, atlas.Z.size)
         want = oracles.leading_solve(u, l, cols, degree)
@@ -592,7 +688,7 @@ def test_exp_matches_numeric_exponential():
     rng = random.Random(13)
     zvals = [complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
              for _ in range(atlas.nvars)]
-    symbolic = np.array(exp_Z(atlas, None).evaluate(zvals))
+    symbolic = np.array(oracles.exp_Z(atlas, None).evaluate(zvals))
     zn = np.array(oracles.numeric_Z(atlas, zvals))
     acc = np.eye(zn.shape[0], dtype=complex)
     power = np.eye(zn.shape[0], dtype=complex)
@@ -611,7 +707,7 @@ def test_gram_determinant_consistency_with_numeric():
     zvals = [complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
              for _ in range(atlas.nvars)]
     for l in (1, 2, 3):
-        sym_val = minor_det(a, l).evaluate(zvals)
+        sym_val = oracles.minor_det(a, l).evaluate(zvals)
         dense = np.array(a.evaluate(zvals))
         num_val = np.linalg.det(dense[:l, :l])
         assert abs(sym_val - num_val) < 1e-12

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     elimination_coefficients,
     elimination_height,
+    poincare_by_division,
     poincare_from_heights,
     simple_roots,
     validate_Q,
@@ -18,6 +19,7 @@ from flagbochner.lie_core import (
     PaintedDiagram,
     PaintingError,
     Root,
+    _over_binomial,
     all_roots,
     black_roots,
     height,
@@ -381,6 +383,33 @@ def test_poincare_palindromic_over_samples():
             p = poincare(diagram)
             assert p.coeffs == p.coeffs[::-1]
             assert all(c >= 0 for c in p.coeffs)
+
+
+def test_poincare_equals_the_product_divided_out():
+    # the cancelled factors against both products multiplied out in full
+    # and divided, on every painting of rank <= 8 with 1-3 black nodes
+    checked = 0
+    for group in groups_up_to(8):
+        for black in iter_black_sets(group, 3):
+            try:
+                diagram = PaintedDiagram(group, black)
+            except PaintingError:
+                continue
+            _, q = black_roots(diagram)
+            quot = poincare_by_division([height(group, r) for r in q])
+            coeffs = poincare(diagram).coeffs
+            assert coeffs[::2] == quot and not any(coeffs[1::2]), diagram
+            checked += 1
+    assert checked == 736
+
+
+def test_division_by_a_binomial_is_exact_or_raises():
+    # (1 - t^2)(1 + 3t) divides; 1 + t + t^2 does not, nor does 1 + t by 1 - t^2
+    assert _over_binomial([1, 3, -1, -3], 2) == [1, 3]
+    with pytest.raises(EngineInvariantError, match="not a polynomial"):
+        _over_binomial([1, 1, 1], 2)
+    with pytest.raises(EngineInvariantError, match="negative degree"):
+        _over_binomial([1, 1], 2)
 
 
 # ------------------------------------------------------- family A closure

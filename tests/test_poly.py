@@ -6,19 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import leibniz_minor
-from oracles import mul as all_pairs_mul
-
-from flagbochner.poly import (
-    CoeffForm,
-    Monomial,
-    Polynomial,
-    SymbolicMatrix,
+from oracles import (
+    Matrix,
+    leibniz_minor,
     linear_combination,
     log1p_expand,
     minor_det,
-    render_signed_sum,
 )
+from oracles import mul as all_pairs_mul
+
+from flagbochner.poly import CoeffForm, Monomial, Polynomial, render_signed_sum
 
 F = Fraction
 
@@ -255,13 +252,13 @@ def test_ring_axioms_under_truncation():
 # ---------------------------------------------------------------- minor_det
 
 def test_minor_det_identity():
-    ident = SymbolicMatrix.identity(5)
+    ident = Matrix.identity(5)
     for l in range(6):
         assert minor_det(ident, l) == Polynomial.one()
 
 
 def test_minor_det_two_by_two():
-    m = SymbolicMatrix(2, {
+    m = Matrix(2, {
         (0, 0): Polynomial.one(),
         (1, 1): Polynomial.one(),
         (0, 1): z(0),
@@ -280,7 +277,7 @@ def _random_matrix(rng, size, trunc=None):
             p = _random_poly(rng, 2, max_terms=2, max_exp=1, trunc=trunc)
             if not p.is_zero():
                 entries[(i, j)] = p
-    return SymbolicMatrix(size, entries, trunc)
+    return Matrix(size, entries, trunc)
 
 
 def test_minor_det_matches_leibniz_oracle():
@@ -299,7 +296,7 @@ def test_minor_det_block_diagonal_factorizes():
     entries = dict(a.entries)
     for (i, j), p in b.entries.items():
         entries[(i + 2, j + 2)] = p
-    big = SymbolicMatrix(4, entries)
+    big = Matrix(4, entries)
     assert minor_det(big, 4) == minor_det(a, 2) * minor_det(b, 2)
     assert minor_det(big, 2) == minor_det(a, 2)
 
@@ -347,10 +344,10 @@ def test_exp_log_round_trip():
         assert back == p
 
 
-# ------------------------------------------------------------ SymbolicMatrix
+# ------------------------------------------------------------ Matrix
 
 def test_matrix_mul_and_conj_transpose():
-    m = SymbolicMatrix(2, {(0, 1): z(0)})
+    m = Matrix(2, {(0, 1): z(0)})
     sq = m @ m
     assert sq.is_zero()
     ct = m.conj_transpose()
@@ -360,6 +357,6 @@ def test_matrix_mul_and_conj_transpose():
 
 
 def test_matrix_evaluate():
-    m = SymbolicMatrix(2, {(0, 0): Polynomial.one(), (0, 1): z(0)})
+    m = Matrix(2, {(0, 0): Polynomial.one(), (0, 1): z(0)})
     dense = m.evaluate([2 + 1j])
     assert dense[0][0] == 1 and dense[0][1] == 2 + 1j and dense[1][1] == 0
