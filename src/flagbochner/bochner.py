@@ -50,15 +50,6 @@ class ForbiddenReport:
     def is_empty(self) -> bool:
         return not self.entries
 
-    def form_of(self, monomial: Monomial) -> CoeffForm | None:
-        for m, f in self.entries:
-            if m == monomial:
-                return f
-        return None
-
-    def coefficient_forms(self) -> list[CoeffForm]:
-        return [f for _, f in self.entries]
-
 
 def forbidden_report(poly: Polynomial) -> ForbiddenReport:
     """The forbidden monomials of a potential expansion or jet, checked

@@ -554,6 +554,32 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the flags (by dest) that each mode does not read: naming one is an
+# error, not a no-op.  --max-degree and --emit serve every mode, and
+# run_numeric_check itself rejects --audit-degree.
+_UNREAD_FLAGS = {
+    "--sweep": ("group", "black", "coeffs", "audit_degree", "numeric_check",
+                "samples", "seed"),
+    "--numeric-check": ("families", "max_rank", "max_black"),
+    "a single case": ("families", "max_rank", "max_black", "samples", "seed"),
+}
+
+
+def _parse_args(argv):
+    """The parsed command line and the dests of the flags it names.
+    argparse fills in a default only where the namespace has no value, so
+    a namespace preset to a marker shows which flags were given."""
+    parser = build_parser()
+    defaults = vars(parser.parse_args([]))
+    unset = object()
+    args = parser.parse_args(
+        argv, argparse.Namespace(**dict.fromkeys(defaults, unset)))
+    given = {dest for dest, value in vars(args).items() if value is not unset}
+    for dest in defaults.keys() - given:
+        setattr(args, dest, defaults[dest])
+    return args, given
+
+
 def _build_case_request(args) -> CaseRequest:
     if not args.group:
         raise ValueError("--group is required (e.g. --group SU:4)")
@@ -569,8 +595,14 @@ def _build_case_request(args) -> CaseRequest:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, given = _parse_args(argv)
+    mode = ("--sweep" if args.sweep
+            else "--numeric-check" if args.numeric_check else "a single case")
     try:
+        for dest in _UNREAD_FLAGS[mode]:
+            if dest in given:
+                flag = "--" + dest.replace("_", "-")
+                raise ValueError(f"{flag} does not apply to {mode}")
         if args.sweep:
             request = SweepRequest(
                 families=tuple(

@@ -22,7 +22,10 @@ not assumed.
 The Bochner verdict needs only the potential's (1, .) and (., 1) parts.
 forbidden_jet computes them from exp Z alone, without the Gram matrix, its
 minors or the log series, and at every degree if asked; the expansion
-serves the numeric lane and checks the jet in the tests.
+serves the numeric lane and checks the jet in the tests.  Both routes
+multiply with the one packed product, _truncated_product: the expansion
+truncates at its degree, the untruncated jet sets it to a proven bound
+that no product may exceed.
 """
 
 from __future__ import annotations
@@ -91,13 +94,6 @@ class DiastasisExpansion:
     def diagram(self) -> PaintedDiagram:
         return self.atlas.diagram
 
-    def quadratic_coefficients(self) -> dict[int, CoeffForm | Fraction]:
-        """Variable index -> coefficient of z_v zb_v."""
-        out = {}
-        for m, f in self.poly.bidegree_part(1, 1).terms.items():
-            out[m.holo[0][0]] = f
-        return out
-
 
 def _parse_coeffs(diagram: PaintedDiagram, coeffs):
     """None for symbolic coeffs, else the (position, value) pairs."""
@@ -156,7 +152,7 @@ def _packed_exp(atlas: CoordinateAtlas, pack: Packing,
     pack; a term of total degree d stands for n / d!, so Z^k / k! keeps
     the powers' integers.  Entries come diagonal first, then in the order
     the powers reach them; terms by k, then in the power's own order."""
-    out = {(i, i): {0: 1} for i in range(atlas.Z.size)}
+    out = {(i, i): {0: 1} for i in range(atlas.size)}
     src = atlas.packing
     monos: dict[int, int] = {}
     for power in atlas.powers[:limit]:
@@ -186,11 +182,18 @@ def _accumulate(acc: dict[int, int], terms: dict[int, int], scale: int) -> None:
             del acc[m]
 
 
-def _truncated_product(pack: Packing, degree: int):
+def _truncated_product(pack: Packing, degree: int, strict: bool = False):
     """p * q to total degree <= degree on the n / d! encoding, as
     Polynomial.__mul__ forms it: each term of p walks the terms of q that
     fit its budget, in q's order, so no product above degree is formed
-    and no field can overflow."""
+    and no field can overflow.  n1/a! * n2/b! = n1 n2 C(a+b, a) / (a+b)!,
+    so a product multiplies the numerators and one binomial.  When strict
+    (degree a proven bound, not a truncation), a pair above degree
+    raises instead of being skipped."""
+    if degree > pack.max_degree:
+        raise EngineInvariantError(
+            f"{pack.width}-bit fields cannot hold total degree {degree}"
+        )
     top = pack.top
     # binom[a][b] = C(a + b, a) for a + b <= degree
     binom = [[math.comb(a + b, a) for b in range(degree + 1 - a)]
@@ -207,6 +210,10 @@ def _truncated_product(pack: Packing, degree: int):
                 c = binom[d1]
                 row = rows[d1] = [(m2, n2 * c[d2]) for m2, n2, d2 in items
                                   if d2 < len(c)]
+                if strict and len(row) < len(items):
+                    raise EngineInvariantError(
+                        f"packed monomial above its degree bound {degree}"
+                    )
             for m2, n2 in row:
                 m = m1 + m2
                 s = out.get(m, 0) + n1 * n2
@@ -340,41 +347,9 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
     return DiastasisExpansion(atlas, poly, minors, stored)
 
 
-def _multiplier(pack: Packing, limit: int, strict: bool, left_degree: int):
-    """acc += left * right on the n / d! encoding, to total degree <= limit.
-
-    left lists (packed, n, d) with d <= left_degree, right maps packed to
-    n.  n1/a! * n2/b! = n1 n2 C(a+b, a) / (a+b)!, so a product multiplies
-    the numerators and one binomial.  A product above limit is dropped,
-    or, when strict (limit a proven bound, not a truncation), raises: its
-    fields may have overflowed."""
-    if limit > pack.max_degree:
-        raise EngineInvariantError(
-            f"{pack.width}-bit fields cannot hold total degree {limit}"
-        )
-    over, degree = pack.limit(limit), pack.degree
-    binom = [[math.comb(a + b, a) for a in range(left_degree + 1)]
-             for b in range(limit + 1)]
-
-    def mul(acc: dict[int, int], left, right: dict[int, int]) -> None:
-        for m2, n2 in right.items():
-            row = binom[degree(m2)]
-            for m1, n1, d1 in left:
-                m = m1 + m2
-                if m < over:
-                    acc[m] = acc.get(m, 0) + n1 * n2 * row[d1]
-                elif strict:
-                    raise EngineInvariantError(
-                        f"packed monomial above its degree bound {limit}"
-                    )
-
-    return mul
-
-
-def _neg_block(e, l: int, pack: Packing):
-    """(a, b) -> -(E_l - I)[a, b] as (packed, n, degree) triples, for the
-    leading l x l block E_l of a packed exp Z, which must be I at the
-    origin."""
+def _neg_block(e, l: int):
+    """(a, b) -> -(E_l - I)[a, b] as {packed: n}, for the leading l x l
+    block E_l of a packed exp Z, which must be I at the origin."""
     out = {}
     for a in range(l):
         for b in range(l):
@@ -383,7 +358,7 @@ def _neg_block(e, l: int, pack: Packing):
                 raise EngineInvariantError(
                     f"leading {l}x{l} block of exp Z is not I at the origin"
                 )
-            neg = [(m, -n, pack.degree(m)) for m, n in terms.items() if m]
+            neg = {m: -n for m, n in terms.items() if m}
             if neg:
                 out[(a, b)] = neg
     return out
@@ -404,13 +379,13 @@ def _neumann(term, step, l: int) -> list:
     raise EngineInvariantError(f"leading {l}x{l} block of exp Z is not unipotent")
 
 
-def _column_solve(e, l: int, cols, pack: Packing, mul):
+def _column_solve(e, l: int, cols, mul):
     """r -> the Neumann terms (-N)^k U[:l, r] of the column r of
     X_l = U_l^{-1} U[:l, l:], N = U_l - I, for r in cols, read off
     U = E^T for the packed exp Z e; each term maps row to {packed: n}.
     A step gathers each row of -N against the column."""
     gather: dict[int, list] = {}
-    for (b, a), t in _neg_block(e, l, pack).items():  # -N[a, b]
+    for (b, a), t in _neg_block(e, l).items():  # -N[a, b]
         gather.setdefault(a, []).append((b, t))
 
     def step(term):
@@ -420,8 +395,7 @@ def _column_solve(e, l: int, cols, pack: Packing, mul):
             for b, t in row:
                 p = term.get(b)
                 if p is not None:
-                    mul(acc, t, p)
-            acc = {m: n for m, n in acc.items() if n}
+                    _accumulate(acc, mul(t, p), 1)
             if acc:
                 nxt[a] = acc
         return nxt
@@ -432,22 +406,21 @@ def _column_solve(e, l: int, cols, pack: Packing, mul):
     }
 
 
-def _row_solve(e, l: int, rows, pack: Packing, mul):
+def _row_solve(e, l: int, rows, mul):
     """r -> the Neumann terms E[r, :l] (-N)^k of the row r of
     Y_l = E[l:, :l] E_l^{-1}, N = E_l - I, for r in rows and the packed
     exp Z e; each term maps column to {packed: n}.  A step scatters the
     row's entry a along row a of -N."""
     scatter: dict[int, list] = {}
-    for (a, b), t in _neg_block(e, l, pack).items():
+    for (a, b), t in _neg_block(e, l).items():
         scatter.setdefault(a, []).append((b, t))
 
     def step(term):
         nxt: dict[int, dict[int, int]] = {}
         for a, p in term.items():
             for b, t in scatter.get(a, ()):
-                mul(nxt.setdefault(b, {}), t, p)
-        return {b: q for b, acc in nxt.items()
-                if (q := {m: n for m, n in acc.items() if n})}
+                _accumulate(nxt.setdefault(b, {}), mul(t, p), 1)
+        return {b: acc for b, acc in nxt.items() if acc}
 
     return {
         r: _neumann({c: e[(r, c)] for c in range(l) if (r, c) in e}, step, l)
@@ -483,24 +456,23 @@ def forbidden_jet(diagram: PaintedDiagram,
     minors = admissible_minors(diagram)
     # exp Z has degree <= K, the top power of Z, so every term of X_l and
     # Y_l, and of each step of their Neumann series, has degree <= l * K
-    top_power = len(atlas.powers)
-    bound = minors.indices[-1] * top_power
+    bound = minors.indices[-1] * len(atlas.powers)
     # z_v times a zb-polynomial of degree <= degree - 1
     strict = degree is None or degree - 1 >= bound
     limit = bound if strict else degree - 1
     pack = Packing(atlas.nvars, limit)
     e = _packed_exp(atlas, pack, limit)
-    mul = _multiplier(pack, limit, strict, min(top_power, limit))
+    mul = _truncated_product(pack, limit, strict)
     # dz[v][m] = {k: n}: the form of zb^m in F_v; dzb[v] that of z^m in
     # the coefficient of zb_v
     dz: dict[int, dict[int, dict[int, int]]] = {}
     dzb: dict[int, dict[int, dict[int, int]]] = {}
-    ent = atlas.entry_map()
     for pos, l in minors.pairing:
-        wanted = [(r, c, v, s) for (r, c), (v, s) in ent.items() if c < l <= r]
+        wanted = [(r, c, v, s) for (r, c), (v, s) in atlas.entries.items()
+                  if c < l <= r]
         rs = sorted({r for r, *_ in wanted})
-        x = _column_solve(e, l, rs, pack, mul)
-        y = _row_solve(e, l, rs, pack, mul)
+        x = _column_solve(e, l, rs, mul)
+        y = _row_solve(e, l, rs, mul)
         for out, solved in ((dz, x), (dzb, y)):
             for r, c, v, s in wanted:
                 forms = out.setdefault(v, {})
@@ -557,7 +529,7 @@ def _numeric_potential(atlas: CoordinateAtlas, minors: AdmissibleMinors,
     if len(values) != len(minors.indices):
         raise ValueError("one coefficient per admissible minor is required")
     pts = np.asarray(points, dtype=complex)
-    m = atlas.Z.size
+    m = atlas.size
     rows, cols, var, sign = atlas.scatter
     z = np.zeros((len(pts), m, m), dtype=complex)
     z[:, rows, cols] = sign * pts[:, var]

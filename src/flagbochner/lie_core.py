@@ -296,12 +296,6 @@ class PoincarePoly:
     def b2(self) -> int:
         return self.coeffs[2] if len(self.coeffs) > 2 else 0
 
-    def value(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def render(self) -> str:
         parts = []
         for i, c in enumerate(self.coeffs):

@@ -7,10 +7,12 @@ principal minors used downstream are the admissible ones, which is the whole
 point of fixing it.  Rows and columns are 0-based throughout this module.
 
 Z(z) is the sum over alpha in -Q of z_alpha E_alpha; each variable occupies
-its own matrix positions, and the assembled matrix is nilpotent.  Its
-nonzero powers are computed once per chart, in integer arithmetic on
-packed monomials (Packing, the one definition of that format), and serve
-the nilpotency index, exp Z, the forbidden jet and the Gram expansion.
+its own matrix positions, and the assembled matrix is nilpotent.  A chart
+holds Z as its entry map, (row, col) -> (variable, sign); no symbolic
+matrix is built.  Its nonzero powers are computed once per chart, in
+integer arithmetic on packed monomials (Packing, the one definition of
+that format), and serve the nilpotency index, exp Z, the forbidden jet
+and the Gram expansion.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .lie_core import Family, GroupSpec, PaintedDiagram, Root, all_roots, black_roots
-from .poly import EngineInvariantError, Polynomial, SymbolicMatrix
+from .poly import EngineInvariantError
 
 Entry = tuple[int, int, int]  # (row, col, sign)
 
@@ -86,8 +88,8 @@ class Packing:
     most the total degree, so a sum of packed monomials is exact when its
     total degree is at most max_degree = 2**width - 1; when it is not, the
     degree field reads more than max_degree, whether or not a field
-    overflowed into the next.  Hence packed ints below limit(d), for
-    d <= max_degree, are exactly the monomials of total degree <= d.
+    overflowed into the next.  Hence, for d <= max_degree, a sum whose
+    degree() reads at most d is exactly the product monomial.
     """
 
     __slots__ = ("width", "top")
@@ -105,10 +107,6 @@ class Packing:
 
     def degree(self, packed: int) -> int:
         return packed >> self.top
-
-    def limit(self, degree: int) -> int:
-        """The least packed int of total degree above degree."""
-        return degree + 1 << self.top
 
     def exponents(self, packed: int) -> tuple[tuple[int, int], ...]:
         """(variable, exponent) pairs by variable, the Monomial layout."""
@@ -133,13 +131,16 @@ class Packing:
 class CoordinateAtlas:
     """Chart data: the ordered variables (roots of -Q) and the matrix Z.
 
-    Variable v corresponds to vars[v]; Z carries +-z_v at the positions of
-    the matching root vector and is nilpotent.
+    Variable v corresponds to vars[v].  Z is the size x size matrix whose
+    nonzero entries are entries[(row, col)] = (v, sign), standing for
+    sign * z_v at the positions of the matching root vector; it is
+    nilpotent.
     """
 
     diagram: PaintedDiagram
     vars: tuple[Root, ...]
-    Z: SymbolicMatrix
+    size: int
+    entries: dict[tuple[int, int], tuple[int, int]]
 
     @property
     def nvars(self) -> int:
@@ -152,7 +153,7 @@ class CoordinateAtlas:
     def packing(self) -> "Packing":
         """The packed format of powers: Z^k has degree k <= size (a power
         past size - 1 only exists to be rejected as non-nilpotent)."""
-        return Packing(self.nvars, self.Z.size)
+        return Packing(self.nvars, self.size)
 
     @cached_property
     def powers(self) -> tuple[dict[tuple[int, int], dict[int, int]], ...]:
@@ -164,19 +165,16 @@ class CoordinateAtlas:
         entries and terms come in the order of the sparse product
         Z^(k-1) @ Z that walks Z^(k-1)'s entries, then Z's row.
         """
-        size = self.Z.size
         pack = self.packing
         power: dict[tuple[int, int], dict[int, int]] = {}
         rows: dict[int, list[tuple[int, int, int]]] = {}
-        for (r, c), p in self.Z.entries.items():
-            ((m, f),) = p.terms.items()  # +-z_v
-            ((v, _),) = m.holo
-            var, s = pack.variable(v), int(f)
+        for (r, c), (v, s) in self.entries.items():
+            var = pack.variable(v)
             power[(r, c)] = {var: s}
             rows.setdefault(r, []).append((c, var, s))
         out = []
         while power:
-            if len(out) + 1 >= size:
+            if len(out) + 1 >= self.size:
                 raise EngineInvariantError("Z is not nilpotent")
             out.append(power)
             nxt: dict[tuple[int, int], dict[int, int]] = {}
@@ -195,21 +193,13 @@ class CoordinateAtlas:
             power = nxt
         return tuple(out)
 
-    def entry_map(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """(row, col) -> (variable index, sign) for the nonzero Z positions."""
-        out: dict[tuple[int, int], tuple[int, int]] = {}
-        for v, root in enumerate(self.vars):
-            for r, c, s in root_vector(self.diagram.group, root).entries:
-                out[(r, c)] = (v, s)
-        return out
-
     @cached_property
     def scatter(self):
-        """(rows, cols, var, sign): entry_map as read-only numpy index
+        """(rows, cols, var, sign): entries as read-only numpy index
         arrays, so Z(z)[rows, cols] = sign * z[var]."""
         import numpy as np
 
-        ent = self.entry_map()
+        ent = self.entries
         arrays = (*map(np.array, zip(*ent)), *map(np.array, zip(*ent.values())))
         for a in arrays:
             a.flags.writeable = False
@@ -228,8 +218,7 @@ def build_Z(diagram: PaintedDiagram) -> CoordinateAtlas:
     group = diagram.group
     _, q = black_roots(diagram)
     negs = tuple(sorted(-r for r in q))
-    m = group.matrix_size
-    entries: dict[tuple[int, int], Polynomial] = {}
+    entries: dict[tuple[int, int], tuple[int, int]] = {}
     for v, root in enumerate(negs):
         for r, c, s in root_vector(group, root).entries:
             if (r, c) in entries:
@@ -237,8 +226,8 @@ def build_Z(diagram: PaintedDiagram) -> CoordinateAtlas:
                     f"variable collision at matrix position ({r},{c}) while "
                     f"assembling Z for {diagram.label()}"
                 )
-            entries[(r, c)] = Polynomial.variable(v, sign=s)
-    return CoordinateAtlas(diagram, negs, SymbolicMatrix(m, entries))
+            entries[(r, c)] = (v, s)
+    return CoordinateAtlas(diagram, negs, group.matrix_size, entries)
 
 
 def nilpotency_index(atlas: CoordinateAtlas) -> int:

@@ -6,7 +6,9 @@ in the ring has exact rational coefficients (Fraction).  The Kaehler
 parameters c[k] enter only the finished symbolic potential, whose
 coefficients are exact linear forms in them (CoeffForm).  The engine's
 products run on packed integer monomials (matrices.Packing) and build
-Monomials, Fractions and CoeffForms for their finished terms only.
+Monomials, Fractions and CoeffForms for their finished terms only; the
+ring arithmetic here serves the reference routes of the tests, which add
+their own sparse matrix type on top of it.
 """
 
 from __future__ import annotations
@@ -347,34 +349,3 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({len(self.terms)} terms, trunc={self.trunc})"
 
-
-class SymbolicMatrix:
-    """Sparse square matrix with Polynomial entries, such as the chart
-    matrix Z; zero entries unstored."""
-
-    __slots__ = ("size", "entries", "trunc")
-
-    def __init__(self, size: int, entries: Mapping[tuple[int, int], Polynomial]
-                 | None = None, trunc: int | None = None):
-        self.size = size
-        self.trunc = trunc
-        clean: dict[tuple[int, int], Polynomial] = {}
-        if entries:
-            for (i, j), p in entries.items():
-                if not (0 <= i < size and 0 <= j < size):
-                    raise IndexError(f"entry ({i},{j}) outside {size}x{size}")
-                pt = p if p.trunc == trunc else p.truncate(trunc)
-                if not pt.is_zero():
-                    clean[(i, j)] = pt
-        self.entries = clean
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymbolicMatrix)
-            and self.size == other.size
-            and self.trunc == other.trunc
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"SymbolicMatrix({self.size}x{self.size}, {len(self.entries)} entries)"

@@ -1,8 +1,9 @@
 """Slow, transparent reference computations that the engine is tested against.
 
 Each oracle follows its textbook definition with no memoization, pruning
-or batching; they share only the root data, the chart, the polynomial ring
-and the sparse matrix type with the engine.  The one exception is the
+or batching; they share only the root data, the chart's entry map and the
+polynomial ring with the engine, and build the symbolic matrices
+themselves (Matrix, with Matrix.chart for Z).  The one exception is the
 reference Gram route on Monomials and Fractions (Matrix arithmetic,
 minor_det, log1p_expand, linear_combination, gram_logs, combine_logs): the
 engine's packed route must equal it term for term, dict order included,
@@ -20,25 +21,37 @@ import numpy as np
 from flagbochner.expansion import admissible_minors
 from flagbochner.lie_core import Family, Root, all_roots, white_roots
 from flagbochner.matrices import build_Z, root_vector
-from flagbochner.poly import (
-    CoeffForm,
-    EngineInvariantError,
-    Monomial,
-    Polynomial,
-    SymbolicMatrix,
-)
+from flagbochner.poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
 
 
 # ------------------------------------------------------ matrix arithmetic
 
-class Matrix(SymbolicMatrix):
-    """SymbolicMatrix with the arithmetic of the reference route."""
+class Matrix:
+    """Sparse square matrix with Polynomial entries, zero entries unstored,
+    and the arithmetic of the reference route."""
 
-    __slots__ = ()
+    __slots__ = ("size", "entries", "trunc")
+
+    def __init__(self, size: int, entries=None, trunc=None):
+        self.size = size
+        self.trunc = trunc
+        clean: dict[tuple[int, int], Polynomial] = {}
+        if entries:
+            for (i, j), p in entries.items():
+                if not (0 <= i < size and 0 <= j < size):
+                    raise IndexError(f"entry ({i},{j}) outside {size}x{size}")
+                pt = p if p.trunc == trunc else p.truncate(trunc)
+                if not pt.is_zero():
+                    clean[(i, j)] = pt
+        self.entries = clean
 
     @classmethod
-    def of(cls, mat: SymbolicMatrix) -> "Matrix":
-        return cls(mat.size, mat.entries, mat.trunc)
+    def chart(cls, atlas) -> "Matrix":
+        """The symbolic Z of a chart: sign * z_v at each of its entries."""
+        return cls(atlas.size, {
+            key: Polynomial.variable(v, sign=s)
+            for key, (v, s) in atlas.entries.items()
+        })
 
     @classmethod
     def identity(cls, size: int, trunc=None) -> "Matrix":
@@ -51,7 +64,7 @@ class Matrix(SymbolicMatrix):
     def is_zero(self) -> bool:
         return not self.entries
 
-    def __add__(self, other: SymbolicMatrix) -> "Matrix":
+    def __add__(self, other: "Matrix") -> "Matrix":
         if self.size != other.size:
             raise ValueError("size mismatch")
         trunc = _combine_trunc(self.trunc, other.trunc)
@@ -71,7 +84,7 @@ class Matrix(SymbolicMatrix):
             self.trunc,
         )
 
-    def __matmul__(self, other: SymbolicMatrix) -> "Matrix":
+    def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.size != other.size:
             raise ValueError("size mismatch")
         trunc = _combine_trunc(self.trunc, other.trunc)
@@ -114,6 +127,17 @@ class Matrix(SymbolicMatrix):
             out[i][j] = p.evaluate(zvals)
         return out
 
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Matrix)
+            and self.size == other.size
+            and self.trunc == other.trunc
+            and self.entries == other.entries
+        )
+
+    def __repr__(self):
+        return f"Matrix({self.size}x{self.size}, {len(self.entries)} entries)"
+
 
 def _combine_trunc(a, b):
     if a is None:
@@ -125,11 +149,10 @@ def _combine_trunc(a, b):
     return a
 
 
-def leibniz_minor(mat: SymbolicMatrix, l: int, rows=None) -> Polynomial:
+def leibniz_minor(mat: Matrix, l: int, rows=None) -> Polynomial:
     """Determinant of mat[rows, :l] as a signed sum over permutations;
     rows defaults to the leading l rows."""
     rows = tuple(range(l)) if rows is None else tuple(rows)
-    mat = Matrix.of(mat)
     acc = Polynomial.zero(mat.trunc)
     for perm in itertools.permutations(range(l)):
         inversions = sum(
@@ -144,15 +167,13 @@ def leibniz_minor(mat: SymbolicMatrix, l: int, rows=None) -> Polynomial:
     return acc
 
 
-def gram(e: SymbolicMatrix) -> Matrix:
+def gram(e: Matrix) -> Matrix:
     """The Gram matrix E^H E."""
-    e = Matrix.of(e)
     return e.conj_transpose() @ e
 
 
-def cauchy_binet_minor(e: SymbolicMatrix, l: int) -> Polynomial:
+def cauchy_binet_minor(e: Matrix, l: int) -> Polynomial:
     """Delta_l(E^H E) as the sum over l-row sets S of |det E[S, :l]|^2."""
-    e = Matrix.of(e)
     acc = Polynomial.zero(e.trunc)
     for rows in itertools.combinations(range(e.size), l):
         d = leibniz_minor(e, l, rows)
@@ -371,10 +392,10 @@ def catalog_trinomials(atlas, r: int) -> list:
       III  -1  * Z[s,i]  Zb[s,j] Zb[j,i]   i,j <= r, i!=j, s = 1..m
       IV   +1  * Z[a,b]  Zb[a,c] Zb[c,b]   a,b,c <= r pairwise distinct
     """
-    m = atlas.Z.size
+    m = atlas.size
     if r > m:
         raise ValueError(f"minor size {r} exceeds matrix size {m}")
-    ent = atlas.entry_map()
+    ent = atlas.entries
 
     def z(i: int, j: int):
         return ent.get((i - 1, j - 1))
@@ -448,11 +469,11 @@ def catalog_sum(trinomials) -> Polynomial:
 
 # ------------------------------------------------------------ powers of Z
 
-def nilpotent_powers(z: SymbolicMatrix, last=None):
+def nilpotent_powers(z: Matrix, last=None):
     """Yield (k, Z^k) for k = 1, 2, ... while Z^k is nonzero, each power
     the symbolic product Z^(k-1) @ Z, stopping after k = last when given.
     A nonzero Z^size means Z is not nilpotent."""
-    z = power = Matrix.of(z)
+    power = z
     k = 1
     while not power.is_zero():
         if k >= z.size:
@@ -466,13 +487,13 @@ def nilpotent_powers(z: SymbolicMatrix, last=None):
 
 def nilpotency_index(atlas) -> int:
     """Smallest k with Z^k identically zero, by symbolic matrix powers."""
-    return 1 + sum(1 for _ in nilpotent_powers(atlas.Z))
+    return 1 + sum(1 for _ in nilpotent_powers(Matrix.chart(atlas)))
 
 
 def exp_Z(atlas, degree):
     """exp(Z) as the matrix sum I + Z + Z^2/2 + ... of truncated symbolic
     powers, stopping at Z^degree or at the first zero power."""
-    z = Matrix.of(atlas.Z).truncate(degree)
+    z = Matrix.chart(atlas).truncate(degree)
     acc = Matrix.identity(z.size, degree)
     for k, power in nilpotent_powers(z, degree):
         acc = acc + power.scale(Fraction(1, math.factorial(k)))
@@ -481,7 +502,7 @@ def exp_Z(atlas, degree):
 
 # ------------------------------------------------- reference Gram route
 
-def minor_det(mat: SymbolicMatrix, l: int) -> Polynomial:
+def minor_det(mat: Matrix, l: int) -> Polynomial:
     """Determinant of the leading l x l submatrix, exact and truncation-aware.
 
     Laplace expansion along columns with memoization on the set of unused
@@ -634,7 +655,7 @@ def jet_half(mat, atlas, minors, trunc) -> dict:
     """v -> sum_k c_k sum_{(r,c,s) in E_v, c < l_k <= r} s*X_{l_k}[c, r]
     with X_l = M_l^{-1} M[:l, l:], each monomial's linear form in the c_k
     collected once, at the end."""
-    ent = atlas.entry_map()
+    ent = atlas.entries
     parts = {}
     for pos, l in minors.pairing:
         wanted = [(r, c, v, s) for (r, c), (v, s) in ent.items() if c < l <= r]
@@ -675,9 +696,9 @@ def forbidden_jet(diagram, degree) -> Polynomial:
 
 def numeric_Z(atlas, zvals):
     """Dense complex Z(z) at a numeric point, as nested lists."""
-    m = atlas.Z.size
+    m = atlas.size
     out = [[0j] * m for _ in range(m)]
-    for (r, c), (v, s) in atlas.entry_map().items():
+    for (r, c), (v, s) in atlas.entries.items():
         out[r][c] = s * complex(zvals[v])
     return out
 

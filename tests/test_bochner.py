@@ -162,7 +162,7 @@ def test_su_three_black_contains_both_obstruction_forms():
     j, q, r = 1, 2, 3
     expansion = diastasis(diagram(Family.SU, 5, (j, q, r)), 3, "symbolic")
     report = forbidden_report(expansion.poly)
-    forms = set(report.coefficient_forms())
+    forms = {f for _, f in report.entries}
     assert CoeffForm(((j, F(1, 2)), (q, F(-1, 2)))) in forms
     assert CoeffForm(((j, F(1, 2)), (q, F(-1, 2)), (r, F(-1, 2)))) in forms
 
@@ -222,7 +222,7 @@ def test_classify_sp_mixed_never_bochner_with_exact_witness():
         atlas, ["-2e1"], [f"-e1-e{d}", f"-e1+e{d}"]
     )
     report = forbidden_report(diastasis(dia, 3, "symbolic").poly)
-    form = report.form_of(expected)
+    form = dict(report.entries).get(expected)
     assert form is not None
     assert form.orthant_sign() != 0
     # the chosen witness is itself sign definite here
@@ -373,8 +373,8 @@ def test_rescaling_soundness_for_admissible_numeric_coefficients():
         expansion = diastasis(dia, 3, coeffs)
         report = forbidden_report(expansion.poly)
         assert report.is_empty()
-        quad = expansion.quadratic_coefficients()
-        lams = {v: float(f) for v, f in quad.items()}
+        quad = expansion.poly.bidegree_part(1, 1).terms
+        lams = {m.holo[0][0]: float(f) for m, f in quad.items()}
         assert all(lam > 0 for lam in lams.values())
         rescaled_11 = {v: lam / lams[v] for v, lam in lams.items()}
         assert all(abs(x - 1.0) < 1e-12 for x in rescaled_11.values())

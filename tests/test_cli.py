@@ -171,6 +171,28 @@ def test_exit_one_on_validation_error(capsys):
     (["--sweep", "--max-black", "0"], "admit no painting"),
     (["--sweep", "--families", "SU,SOeven", "--max-rank", "1"],
      "admit no painting"),
+    # a flag its mode does not read is refused, not ignored
+    (["--sweep", "--audit-degree", "5"],
+     "--audit-degree does not apply to --sweep"),
+    (["--sweep", "--coeffs", "1,2"], "--coeffs does not apply to --sweep"),
+    (["--sweep", "--group", "SU:4", "--black", "1"],
+     "--group does not apply to --sweep"),
+    (["--sweep", "--numeric-check", "--samples", "5"],
+     "--numeric-check does not apply to --sweep"),
+    (["--group", "SU:4", "--black", "1", "--samples", "5"],
+     "--samples does not apply to a single case"),
+    (["--group", "SU:4", "--black", "1", "--seed", "4"],
+     "--seed does not apply to a single case"),
+    (["--group", "SU:4", "--black", "1", "--max-rank", "5"],
+     "--max-rank does not apply to a single case"),
+    (["--group", "SU:4", "--black", "1", "--families", "SU"],
+     "--families does not apply to a single case"),
+    (["--group", "SU:3", "--black", "1", "--coeffs", "1",
+      "--numeric-check", "--max-black", "2"],
+     "--max-black does not apply to --numeric-check"),
+    # given at its default value, a flag is still part of the request
+    (["--group", "SU:4", "--black", "1", "--samples", "10"],
+     "--samples does not apply to a single case"),
 ])
 def test_exit_one_on_inconsistent_request(capsys, argv, reason):
     assert main(argv) == 1

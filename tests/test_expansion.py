@@ -16,7 +16,6 @@ from flagbochner import expansion as expansion_module
 from flagbochner.expansion import (
     NumericDomainError,
     _column_solve,
-    _multiplier,
     _numeric_potential,
     _packed_exp,
     _packed_gram,
@@ -142,7 +141,7 @@ def test_exp_Z_equals_symbolic_power_sum(degree):
     assert len(PAINTINGS_RANK6) == 256
     for dia in [*PAINTINGS_RANK6, diagram(Family.SU, 33, (1, 32))]:
         atlas = build_Z(dia)
-        pack = Packing(2 * atlas.nvars, degree or atlas.Z.size)
+        pack = Packing(2 * atlas.nvars, degree or atlas.size)
         engine = _packed_exp(atlas, pack, degree)
         oracle = oracles.exp_Z(atlas, degree)
         assert oracle.trunc == degree
@@ -156,7 +155,7 @@ def test_exp_Z_equals_symbolic_power_sum(degree):
 def test_exp_is_identity_plus_z_for_one_su_block():
     atlas = build_Z(diagram(Family.SU, 4, (2,)))
     e = oracles.exp_Z(atlas, None)
-    assert e == oracles.Matrix.identity(4) + atlas.Z
+    assert e == oracles.Matrix.identity(4) + oracles.Matrix.chart(atlas)
 
 
 def test_exp_group_inverse():
@@ -165,15 +164,15 @@ def test_exp_group_inverse():
     for dia in SAMPLE_DIAGRAMS[:5]:
         atlas = build_Z(dia)
         plus = oracles.exp_Z(atlas, None)
-        neg_z = oracles.Matrix.of(atlas.Z).scale(-1)
-        minus = oracles.Matrix.identity(atlas.Z.size)
+        neg_z = oracles.Matrix.chart(atlas).scale(-1)
+        minus = oracles.Matrix.identity(atlas.size)
         power = neg_z
         n = 1
         while not power.is_zero():
             minus = minus + power.scale(F(1, math.factorial(n)))
             n += 1
             power = power @ neg_z
-        assert plus @ minus == oracles.Matrix.identity(atlas.Z.size)
+        assert plus @ minus == oracles.Matrix.identity(atlas.size)
 
 
 def test_exp_su3_full_flag_corner_entry():
@@ -194,14 +193,14 @@ def test_gram_is_identity_at_origin():
         atlas = build_Z(dia)
         a = gram(atlas, 3)
         dense = np.array(a.evaluate([0j] * atlas.nvars))
-        assert np.allclose(dense, np.eye(atlas.Z.size))
+        assert np.allclose(dense, np.eye(atlas.size))
 
 
 def test_gram_grassmannian_block_formula():
     r, d = 2, 4
     atlas = build_Z(diagram(Family.SU, d, (r,)))
     a = gram(atlas, None)
-    emap = atlas.entry_map()
+    emap = atlas.entries
     for i in range(r):
         for j in range(r):
             expected = Polynomial.one() if i == j else Polynomial.zero()
@@ -228,7 +227,7 @@ def _packed_route(atlas, degree):
     """The packed Gram matrix with its packing and product, to total degree
     <= degree; for None, under a bound no minor's term reaches (an exp Z
     term has degree <= K, the top power of Z, and A's at most 2K)."""
-    limit = degree or 2 * len(atlas.powers) * atlas.Z.size
+    limit = degree or 2 * len(atlas.powers) * atlas.size
     pack = Packing(2 * atlas.nvars, limit)
     mul = _truncated_product(pack, limit)
     e = _packed_exp(atlas, pack, limit)
@@ -389,13 +388,13 @@ def test_packed_solves_are_integer_and_equal_the_rational_solve(dia, degree):
     limit = minors.indices[-1] * len(atlas.powers) if degree is None else degree
     pack = Packing(atlas.nvars, limit)
     e = _packed_exp(atlas, pack, limit)
-    mul = _multiplier(pack, limit, degree is None, limit)
+    mul = _truncated_product(pack, limit, degree is None)
     u = oracles.exp_Z(atlas, degree).conj_transpose().entries
     for _, l in minors.pairing:
-        cols = range(l, atlas.Z.size)
+        cols = range(l, atlas.size)
         want = oracles.leading_solve(u, l, cols, degree)
-        x = _column_solve(e, l, cols, pack, mul)
-        y = _row_solve(e, l, cols, pack, mul)
+        x = _column_solve(e, l, cols, mul)
+        y = _row_solve(e, l, cols, mul)
         for r in cols:
             for c in range(l):
                 expected = want[r].get(c, Polynomial.zero(degree))
@@ -408,8 +407,8 @@ def test_diastasis_grassmannian_is_norm_squared_at_degree_two():
     dia = diagram(Family.SU, 4, (2,))
     expansion = diastasis(dia, 2, "symbolic")
     n = expansion.atlas.nvars
-    quad = expansion.quadratic_coefficients()
-    assert set(quad) == set(range(n))
+    quad = expansion.poly.bidegree_part(1, 1).terms
+    assert {m.holo[0][0] for m in quad} == set(range(n))
     assert all(f == CoeffForm(((2, F(1)),)) for f in quad.values())
     assert len(expansion.poly.terms) == n
 
@@ -520,7 +519,7 @@ def test_forbidden_jet_rejects_off_diagonal_quadratic_term(monkeypatch):
     # each of two variables also sits at the other's position, the same way
     # in both halves, so only the (1,1) check can see it
     def crossed(atlas, pack):
-        (k0, (v0, s0)), (k1, (v1, s1)) = list(atlas.entry_map().items())[:2]
+        (k0, (v0, s0)), (k1, (v1, s1)) = list(atlas.entries.items())[:2]
         return {k0: {pack.variable(v1): s0}, k1: {pack.variable(v0): s1}}
 
     _patch_packed_exp(monkeypatch, crossed)
@@ -541,7 +540,7 @@ def test_forbidden_jet_halves_must_agree(monkeypatch):
 
 def test_packed_sums_are_exact_within_the_field_width():
     # 2-bit fields: a sum of monomials of total degree <= 3 is the packed
-    # product; a higher one reads at least limit(3), overflow or not
+    # product; a higher one reads a degree above 3, overflow or not
     pack = Packing(3, 3)
     assert pack.max_degree == 3
 
@@ -557,9 +556,9 @@ def test_packed_sums_are_exact_within_the_field_width():
             total = packed(x) + packed(y)
             if sum(x) + sum(y) <= 3:
                 assert total == packed([i + j for i, j in zip(x, y)])
-                assert total < pack.limit(3)
+                assert pack.degree(total) <= 3
             else:
-                assert total >= pack.limit(3)
+                assert pack.degree(total) > 3
     wide = Packing(3, 12)
     assert pack.repack(packed((1, 0, 2)), wide) == (
         wide.variable(0) + 2 * wide.variable(2))
@@ -568,21 +567,19 @@ def test_packed_sums_are_exact_within_the_field_width():
 def test_packed_product_above_the_bound_raises_or_drops():
     pack = Packing(2, 3)
     z0 = pack.variable(0)
-    # z0 * z0^3 overflows z0's field into z1's; the degree field shows it
+    # z0 * z0^3 would overflow z0's field into z1's; the degree shows it
     for strict in (True, False):
-        mul = _multiplier(pack, 3, strict, 1)
-        acc = {}
-        mul(acc, [(z0, 1, 1)], {2 * z0: 5})
-        assert acc == {3 * z0: 15}  # 1/1! * 5/2! = 15/3!
+        mul = _truncated_product(pack, 3, strict)
+        assert mul({z0: 1}, {2 * z0: 5}) == {3 * z0: 15}  # 1/1! * 5/2! = 15/3!
         if strict:
             with pytest.raises(EngineInvariantError, match="degree bound 3"):
-                mul(acc, [(z0, 1, 1)], {3 * z0: 1})
+                mul({z0: 1}, {2 * z0: 5, 3 * z0: 1})
         else:
-            mul(acc, [(z0, 1, 1)], {3 * z0: 1})
-            assert acc == {3 * z0: 15}
-    # a limit the fields cannot hold is refused up front
-    with pytest.raises(EngineInvariantError, match="2-bit fields"):
-        _multiplier(pack, 4, True, 1)
+            assert mul({z0: 1}, {2 * z0: 5, 3 * z0: 1}) == {3 * z0: 15}
+    # a degree the fields cannot hold is refused up front
+    for strict in (True, False):
+        with pytest.raises(EngineInvariantError, match="2-bit fields"):
+            _truncated_product(pack, 4, strict)
 
 
 @pytest.mark.parametrize("degree", [1, 0, -1, 2.5])

@@ -24,7 +24,8 @@ from flagbochner.matrices import (
     nilpotency_index,
     root_vector,
 )
-from flagbochner.poly import EngineInvariantError, Polynomial, SymbolicMatrix
+from flagbochner import matrices
+from flagbochner.poly import EngineInvariantError
 
 F = Fraction
 
@@ -172,7 +173,7 @@ def test_root_vectors_annihilate_invariant_form():
 def test_su3_full_flag_z_strictly_lower_triangular():
     atlas = build_Z(PaintedDiagram(GroupSpec(Family.SU, 3), (1, 2)))
     assert atlas.nvars == 3
-    assert all(i > j for (i, j) in atlas.Z.entries)
+    assert all(i > j for (i, j) in atlas.entries)
     # hand enumeration of -Q: the three negative roots
     assert set(atlas.vars) == {
         Root((-1, 1, 0)), Root((0, -1, 1)), Root((-1, 0, 1))
@@ -182,7 +183,7 @@ def test_su3_full_flag_z_strictly_lower_triangular():
 def test_su_one_black_node_z_block_shape():
     r = 2
     atlas = build_Z(PaintedDiagram(GroupSpec(Family.SU, 4), (r,)))
-    for (i, j) in atlas.Z.entries:
+    for (i, j) in atlas.entries:
         assert i >= r and j < r
 
 
@@ -190,13 +191,13 @@ def test_so_odd_terminal_node_z_block_shape():
     d = 3
     atlas = build_Z(PaintedDiagram(GroupSpec(Family.SO_ODD, d), (d,)))
     m = 2 * d + 1
-    for (i, j) in atlas.Z.entries:
+    for (i, j) in atlas.entries:
         lower_left = d <= i < 2 * d and j < d
         u_block = d <= i < 2 * d and j == m - 1
         neg_u = i == m - 1 and j < d
         assert lower_left or u_block or neg_u
     # u and its negative transpose carry the same variables
-    emap = atlas.entry_map()
+    emap = atlas.entries
     for i in range(d):
         vu = emap.get((d + i, m - 1))
         vt = emap.get((m - 1, i))
@@ -213,7 +214,7 @@ def test_so_skew_block_symmetry():
     ]:
         d = group.rank
         atlas = build_Z(PaintedDiagram(group, black))
-        emap = atlas.entry_map()
+        emap = atlas.entries
         for i in range(d):
             for j in range(d):
                 a = emap.get((d + i, j))
@@ -236,9 +237,24 @@ def test_variable_count_matches_dimension():
         assert atlas.nvars == len(q)
 
 
+def test_variable_collision_is_an_invariant_violation(monkeypatch):
+    # Z is its entry map, one variable per position; a second root vector
+    # landing on a position already taken is a bug in the root vectors
+    dia = PaintedDiagram(GroupSpec(Family.SU, 3), (1, 2))
+    first, second = build_Z(dia).vars[:2]
+    real = matrices.root_vector
+
+    def doubled(group, alpha):
+        return real(group, first if alpha == second else alpha)
+
+    monkeypatch.setattr(matrices, "root_vector", doubled)
+    with pytest.raises(EngineInvariantError, match="variable collision"):
+        build_Z.__wrapped__(dia)
+
+
 def test_z_vanishes_at_origin():
     atlas = build_Z(PaintedDiagram(GroupSpec(Family.SP, 2), (1, 2)))
-    dense = oracles.Matrix.of(atlas.Z).evaluate([0j] * atlas.nvars)
+    dense = oracles.Matrix.chart(atlas).evaluate([0j] * atlas.nvars)
     assert all(all(x == 0 for x in row) for row in dense)
 
 
@@ -265,8 +281,8 @@ def test_nilpotency_is_sharp():
     ]:
         atlas = build_Z(PaintedDiagram(group, black))
         k = nilpotency_index(atlas)
-        assert k <= atlas.Z.size
-        z = power = oracles.Matrix.of(atlas.Z)
+        assert k <= atlas.size
+        z = power = oracles.Matrix.chart(atlas)
         for _ in range(k - 2):
             power = power @ z
         assert not power.is_zero()
@@ -295,9 +311,8 @@ def test_nilpotency_index_equals_symbolic_power_count():
 def test_non_nilpotent_Z_is_an_invariant_violation():
     # z_0 on the diagonal keeps z_0^k in every power of Z
     atlas = build_Z(PaintedDiagram(GroupSpec(Family.SU, 3), (1, 2)))
-    z = SymbolicMatrix(atlas.Z.size, {**atlas.Z.entries,
-                                      (0, 0): Polynomial.variable(0)})
-    bad = CoordinateAtlas(atlas.diagram, atlas.vars, z)
+    bad = CoordinateAtlas(atlas.diagram, atlas.vars, atlas.size,
+                          {**atlas.entries, (0, 0): (0, 1)})
     with pytest.raises(EngineInvariantError, match="Z is not nilpotent"):
         nilpotency_index(bad)
     with pytest.raises(EngineInvariantError, match="Z is not nilpotent"):
