@@ -20,6 +20,7 @@ from fractions import Fraction
 from .bochner import (
     BochnerVerdict,
     ForbiddenReport,
+    classify,
     forbidden_report,
     render_constraint,
     verdict_from_report,
@@ -304,9 +305,7 @@ def run_sweep(request: SweepRequest) -> dict:
                     })
                     continue
                 names = build_Z(diagram).var_names()
-                report = forbidden_report(
-                    forbidden_jet(diagram, request.degree))
-                verdict = verdict_from_report(report, diagram.black)
+                verdict = classify(diagram, request.degree)
                 row = {
                     "family": family.value,
                     "rank": rank,
@@ -375,22 +374,26 @@ def run_numeric_check(request: CaseRequest, samples: int, seed: int) -> dict:
 
     import numpy as np
 
+    atlas = build_Z(diagram)
+    nvars = atlas.nvars
     hess = hessian_fd(diagram, coeffs)
-    metric = symbolic_metric(expansion)
+    metric = symbolic_metric(expansion, nvars)
     herr = float(np.max(np.abs(hess - metric)))
     eigs = np.linalg.eigvalsh((hess + hess.conj().T) / 2)
     min_eig = float(eigs.min())
 
-    nvars = expansion.atlas.nvars
     radius = DEFAULT_RADIUS
     csum = sum(coeffs)
     tol_pot = POTENTIAL_TOL_FACTOR * csum * nvars * nvars * radius ** (
         request.max_degree + 1
     )
+    points = _sample_points(nvars, samples, seed, radius)
+    # the samples and the origin in one stacked evaluation
+    *exact_values, zero_val = map(float, eval_numeric(
+        atlas, admissible_minors(diagram), points + [[0j] * nvars], coeffs))
     sample_rows = []
     worst = 0.0
-    for point in _sample_points(nvars, samples, seed, radius):
-        exact = eval_numeric(expansion, point, coeffs)
+    for point, exact in zip(points, exact_values):
         approx = truncated_value(expansion, point)
         err = abs(exact - approx)
         worst = max(worst, err)
@@ -400,7 +403,6 @@ def run_numeric_check(request: CaseRequest, samples: int, seed: int) -> dict:
             "truncated": approx,
             "error": err,
         })
-    zero_val = eval_numeric(expansion, [0j] * nvars, coeffs)
 
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -7,17 +7,22 @@ A = (exp Z)^H exp Z, and the potential is
     D0(z) = sum_k c_k * ln Delta_{l_k}(A),
 
 a real-analytic function vanishing at 0.  Its expansion to a chosen total
-degree (diastasis) has exact coefficients linear in the c parameters.  It
-runs exp Z, the Gram matrix, its Laplace minors and the log series on
-packed monomials (matrices.Packing, z and zb fields side by side) with
-integer numerators over d!, and builds Monomials, Fractions and the linear
-forms once, for the finished terms.  Each step keeps the loop order of the
+degree, the Polynomial diastasis returns, has exact coefficients linear in
+the c parameters.  It runs exp Z, the leading block of the Gram matrix
+that the minors read, its Laplace minors and the log series on packed
+monomials (matrices.Packing, z and zb fields side by side) with integer
+numerators over d!, and builds Monomials, Fractions and the linear forms
+once, for the finished terms.  Each step keeps the loop order of the
 Polynomial ring route kept in tests/oracles.py, so both list the finished
 terms in the same order, and the numeric lane, which sums floats in that
 order, is the same to the last bit.  The expansion is centered at the
 distinguished point, so it has no pure holomorphic or antiholomorphic
 terms and its (1,1) part is a positive diagonal; both facts are asserted,
 not assumed.
+
+The numeric lane compares a numeric expansion (truncated_value,
+symbolic_metric) with the exact potential, which eval_numeric evaluates
+from numpy Gram minors at a whole stack of points in one call.
 
 The Bochner verdict needs only the potential's (1, .) and (., 1) parts.
 forbidden_jet computes them from exp Z alone, without the Gram matrix, its
@@ -74,25 +79,6 @@ def admissible_minors(diagram: PaintedDiagram) -> AdmissibleMinors:
     if len(set(indices)) != len(indices) or list(indices) != sorted(indices):
         raise EngineInvariantError("minor sizes are not strictly increasing")
     return AdmissibleMinors(indices, tuple(pairing))
-
-
-@dataclass(frozen=True, eq=False)
-class DiastasisExpansion:
-    """Truncated expansion of the potential, with its chart and minors.
-
-    poly.trunc is the degree bound.  coeff_values is None for a symbolic
-    expansion (coefficients are CoeffForms keyed by black position), or the
-    (position, value) pairs used (coefficients are Fractions).
-    """
-
-    atlas: CoordinateAtlas
-    poly: Polynomial
-    minors: AdmissibleMinors
-    coeff_values: tuple[tuple[int, Fraction], ...] | None
-
-    @property
-    def diagram(self) -> PaintedDiagram:
-        return self.atlas.diagram
 
 
 def _parse_coeffs(diagram: PaintedDiagram, coeffs):
@@ -295,8 +281,10 @@ def _packed_log1p(x: dict[int, int], degree: int, lcm: int,
 
 
 def diastasis(diagram: PaintedDiagram, degree: int = 3,
-              coeffs="symbolic") -> DiastasisExpansion:
-    """Expansion of sum_k c_k ln Delta_{l_k}(A) to total degree <= degree.
+              coeffs="symbolic") -> Polynomial:
+    """Expansion of sum_k c_k ln Delta_{l_k}(A) to total degree <= degree,
+    as a Polynomial truncated at degree: its coefficients are CoeffForms
+    keyed by black position for symbolic coeffs, Fractions for numeric.
 
     Numeric coeffs pair with diagram.black, which is sorted.  Packed
     monomials hold z_v in field v and zb_v in field nvars + v."""
@@ -307,7 +295,12 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
     nvars = atlas.nvars
     pack = Packing(2 * nvars, degree)
     mul = _truncated_product(pack, degree)
-    a = _packed_gram(_packed_exp(atlas, pack, degree), pack.width * nvars, mul)
+    # the minors read only the leading L x L block of A, L the largest
+    # minor, and A[i, j] takes only columns i and j of exp Z
+    lead = minors.indices[-1]
+    e = {key: t for key, t in _packed_exp(atlas, pack, degree).items()
+         if key[1] < lead}
+    a = _packed_gram(e, pack.width * nvars, mul)
     denom = math.lcm(*range(1, degree + 1))
     logs = []
     for pos, l in minors.pairing:
@@ -324,7 +317,12 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
                 lam = total.setdefault(m, {})
                 lam[pos] = lam.get(pos, 0) + n
     else:
-        # total + c_k * log_k, each c_k = a_k / scale with integer a_k
+        # total + c_k * log_k, each c_k = a_k / scale with integer a_k.
+        # Evaluating the symbolic forms instead gives an equal polynomial in
+        # another term order: where a partial sum c_1 log_1 + c_2 log_2
+        # cancels to 0 the term is popped here and re-enters last (Sp:4
+        # {2,3,4} with c = 5,5,3 is one case), and truncated_value, which
+        # sums floats in term order, then moves in the last bit
         scale = math.lcm(*(v.denominator for _, v in stored))
         values = {pos: int(v * scale) for pos, v in stored}
         for pos, log in logs:
@@ -344,7 +342,7 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
     poly = Polynomial(terms, degree)
     _check_invariants(poly)
     _check_quadratic(poly, nvars, stored)
-    return DiastasisExpansion(atlas, poly, minors, stored)
+    return poly
 
 
 def _neg_block(e, l: int):
@@ -519,10 +517,11 @@ def forbidden_jet(diagram: PaintedDiagram,
     return Polynomial(first, degree)
 
 
-def _numeric_potential(atlas: CoordinateAtlas, minors: AdmissibleMinors,
-                       points, coeffs):
-    """sum_k c_k ln Delta_{l_k} at each row of a P x nvars stack of numeric
-    points, from numpy Gram minors; one value per point."""
+def eval_numeric(atlas: CoordinateAtlas, minors: AdmissibleMinors,
+                 points, coeffs):
+    """The untruncated potential sum_k c_k ln Delta_{l_k} at each row of a
+    P x nvars stack of numeric points, from numpy Gram minors, independent
+    of the polynomial truncation; one value per point."""
     import numpy as np
 
     values = [float(c) for c in coeffs]
@@ -561,31 +560,15 @@ def _numeric_potential(atlas: CoordinateAtlas, minors: AdmissibleMinors,
     return acc
 
 
-def eval_numeric(expansion: DiastasisExpansion, point, coeffs) -> float:
-    """The untruncated potential at a numeric point: logs of the numeric
-    Gram minors, independent of the polynomial truncation."""
-    return float(
-        _numeric_potential(expansion.atlas, expansion.minors, [point], coeffs)[0]
-    )
+def _require_numeric(poly: Polynomial) -> None:
+    if any(isinstance(x, CoeffForm) for x in poly.terms.values()):
+        raise ValueError("a symbolic expansion has no numeric value; "
+                         "expand with numeric coeffs")
 
 
-def _rational_poly(expansion: DiastasisExpansion, coeffs) -> Polynomial:
-    """The expansion with rational coefficients: a symbolic expansion takes
-    coeffs, paired with the sorted black nodes, into its linear forms."""
-    if expansion.coeff_values is not None:
-        return expansion.poly
-    if coeffs is None:
-        raise ValueError("symbolic expansion needs coefficient values")
-    cvals = {p: Fraction(c) for p, c in zip(expansion.diagram.black, coeffs)}
-    return Polynomial(
-        {m: f.evaluate(cvals) for m, f in expansion.poly.terms.items()},
-        expansion.poly.trunc,
-    )
-
-
-def truncated_value(expansion: DiastasisExpansion, point, coeffs=None) -> float:
-    """Value of the truncated expansion at a numeric point."""
-    poly = _rational_poly(expansion, coeffs)
+def truncated_value(poly: Polynomial, point) -> float:
+    """Value of a numeric expansion at a numeric point."""
+    _require_numeric(poly)
     val = poly.evaluate([complex(z) for z in point])
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise EngineInvariantError("potential expansion is not numerically real")
@@ -611,7 +594,7 @@ def hessian_fd(diagram: PaintedDiagram, coeffs, step: float = 1e-4):
         pts = np.empty((len(u), n), dtype=complex)
         pts.real = u[:, 0::2]
         pts.imag = u[:, 1::2]
-        return _numeric_potential(atlas, minors, pts, coeffs)
+        return eval_numeric(atlas, minors, pts, coeffs)
 
     f0 = f(np.zeros((1, dim)))[0]
     real = np.zeros((dim, dim))
@@ -636,14 +619,14 @@ def hessian_fd(diagram: PaintedDiagram, coeffs, step: float = 1e-4):
     return 0.25 * ((rxx + ryy) + 1j * (rxy - ryx))
 
 
-def symbolic_metric(expansion: DiastasisExpansion, coeffs=None):
-    """The (1,1) part as a numeric diagonal matrix, for comparison against
-    the finite-difference Hessian."""
+def symbolic_metric(poly: Polynomial, nvars: int):
+    """The (1,1) part of a numeric expansion in nvars variables as a
+    diagonal matrix, for comparison against the finite-difference
+    Hessian."""
     import numpy as np
 
-    quad = _rational_poly(expansion, coeffs).bidegree_part(1, 1)
-    n = expansion.atlas.nvars
-    out = np.zeros((n, n), dtype=complex)
-    for m, x in quad.terms.items():
+    _require_numeric(poly)
+    out = np.zeros((nvars, nvars), dtype=complex)
+    for m, x in poly.bidegree_part(1, 1).terms.items():
         out[m.holo[0][0], m.holo[0][0]] = float(x)
     return out

@@ -172,7 +172,7 @@ def test_criterion_4_witness_trinomials():
         for r in range(1, d):
             diagram = PaintedDiagram(GroupSpec(Family.SP, d), (r, d))
             atlas = build_Z(diagram)
-            report = forbidden_report(diastasis(diagram, 3, "symbolic").poly)
+            report = forbidden_report(diastasis(diagram, 3, "symbolic"))
             witness = _mono(atlas, ["-2e1"], [f"-e1-e{d}", f"-e1+e{d}"])
             form = dict(report.entries).get(witness)
             if form is None or form.orthant_sign() == 0:
@@ -191,7 +191,7 @@ def test_criterion_4_witness_trinomials():
     for fam, d, (k, r) in chain_cases:
         diagram = PaintedDiagram(GroupSpec(fam, d), (k, r))
         atlas = build_Z(diagram)
-        report = forbidden_report(diastasis(diagram, 3, "symbolic").poly)
+        report = forbidden_report(diastasis(diagram, 3, "symbolic"))
         witness = _mono(
             atlas,
             [f"-e{k}-e{r}"],
@@ -210,7 +210,7 @@ def test_criterion_4_witness_trinomials():
     for d in (2, 3, 4):
         diagram = PaintedDiagram(GroupSpec(Family.SO_ODD, d), (1, d))
         atlas = build_Z(diagram)
-        report = forbidden_report(diastasis(diagram, 3, "symbolic").poly)
+        report = forbidden_report(diastasis(diagram, 3, "symbolic"))
         witness = _mono(atlas, [f"-e1-e{d}"], [f"-e{d}", "-e1"])
         form = dict(report.entries).get(witness)
         if form is None or form.orthant_sign() == 0:
@@ -227,7 +227,7 @@ def test_criterion_5_three_black_obstruction():
     for d, (j, q, r) in [(4, (1, 2, 3)), (5, (1, 2, 3)), (5, (1, 3, 4)),
                          (6, (2, 3, 5))]:
         diagram = PaintedDiagram(GroupSpec(Family.SU, d), (j, q, r))
-        report = forbidden_report(diastasis(diagram, 3, "symbolic").poly)
+        report = forbidden_report(diastasis(diagram, 3, "symbolic"))
         forms = {f for _, f in report.entries}
         first = CoeffForm(((j, F(1, 2)), (q, F(-1, 2))))
         second = CoeffForm(((j, F(1, 2)), (q, F(-1, 2)), (r, F(-1, 2))))
@@ -247,7 +247,7 @@ def test_criterion_6_diastasis_invariants_degree_six():
     n = 0
     for diagram in _sweep_diagrams(4, 3):
         expansion = diastasis(diagram, 6, "symbolic")
-        for mono, form in expansion.poly.terms.items():
+        for mono, form in expansion.terms.items():
             p, q = mono.bidegree
             if p == 0 or q == 0:
                 problems.append((diagram.label(), "pure term", mono.bidegree))
@@ -329,7 +329,7 @@ def test_criterion_8_numeric_spot_check():
         expansion = diastasis(diagram, 3, coeffs)
         cvals = [float(c) for c in coeffs]
         hess = hessian_fd(diagram, cvals)
-        metric = symbolic_metric(expansion)
+        metric = symbolic_metric(expansion, build_Z(diagram).nvars)
         err = float(np.max(np.abs(hess - metric)))
         if err > 1e-6:
             problems.append((diagram.label(), "hessian", err))
@@ -340,8 +340,9 @@ def test_criterion_8_numeric_spot_check():
         # truncation agreement at the audit degree: the degree-6 expansion
         # must match the exact-log potential to 1e-5 on the 0.05 polydisk
         audit = diastasis(diagram, 6, coeffs)
-        for point in _boundary_samples(rng, audit.atlas.nvars, 3, 0.05):
-            exact = eval_numeric(audit, point, cvals)
+        atlas, minors = build_Z(diagram), admissible_minors(diagram)
+        for point in _boundary_samples(rng, atlas.nvars, 3, 0.05):
+            exact = eval_numeric(atlas, minors, [point], cvals)[0]
             approx = truncated_value(audit, point)
             if abs(exact - approx) > 1e-5:
                 problems.append(
@@ -353,10 +354,11 @@ def test_criterion_8_numeric_spot_check():
     su3 = PaintedDiagram(GroupSpec(Family.SU, 3), (1, 2))
     expansion = diastasis(su3, 3, (1, 1))
     audit = diastasis(su3, 6, (1, 1))
+    atlas, minors = build_Z(su3), admissible_minors(su3)
     worst_d3 = 0.0
     worst_d6 = 0.0
     for point in _boundary_samples(rng, 3, 10, 0.05):
-        exact = eval_numeric(expansion, point, [1, 1])
+        exact = eval_numeric(atlas, minors, [point], [1, 1])[0]
         worst_d3 = max(worst_d3, abs(exact - truncated_value(expansion, point)))
         worst_d6 = max(worst_d6, abs(exact - truncated_value(audit, point)))
     if worst_d3 > 64 * 2 * 9 * 0.05 ** 4:

@@ -143,7 +143,7 @@ def test_trinomial_weights_by_kind():
 
 def test_su_one_black_empty_report_at_degree_six():
     expansion = diastasis(diagram(Family.SU, 4, (2,)), 6, "symbolic")
-    report = forbidden_report(expansion.poly)
+    report = forbidden_report(expansion)
     assert report.is_empty()
     assert report.degree_checked == 6
 
@@ -151,7 +151,7 @@ def test_su_one_black_empty_report_at_degree_six():
 def test_su_two_black_forms_are_half_differences():
     k, r = 1, 2
     expansion = diastasis(diagram(Family.SU, 3, (k, r)), 3, "symbolic")
-    report = forbidden_report(expansion.poly)
+    report = forbidden_report(expansion)
     assert not report.is_empty()
     expected = CoeffForm(((k, F(1, 2)), (r, F(-1, 2))))
     for _, form in report.entries:
@@ -161,7 +161,7 @@ def test_su_two_black_forms_are_half_differences():
 def test_su_three_black_contains_both_obstruction_forms():
     j, q, r = 1, 2, 3
     expansion = diastasis(diagram(Family.SU, 5, (j, q, r)), 3, "symbolic")
-    report = forbidden_report(expansion.poly)
+    report = forbidden_report(expansion)
     forms = {f for _, f in report.entries}
     assert CoeffForm(((j, F(1, 2)), (q, F(-1, 2)))) in forms
     assert CoeffForm(((j, F(1, 2)), (q, F(-1, 2)), (r, F(-1, 2)))) in forms
@@ -169,7 +169,7 @@ def test_su_three_black_contains_both_obstruction_forms():
 
 def test_report_is_conjugate_closed_with_equal_forms():
     expansion = diastasis(diagram(Family.SP, 3, (1, 3)), 3, "symbolic")
-    report = forbidden_report(expansion.poly)
+    report = forbidden_report(expansion)
     table = dict(report.entries)
     assert table
     for mono, form in report.entries:
@@ -178,7 +178,7 @@ def test_report_is_conjugate_closed_with_equal_forms():
 
 def test_report_entries_sorted_and_minimal_witness_deterministic():
     expansion = diastasis(diagram(Family.SP, 2, (1, 2)), 3, "symbolic")
-    report = forbidden_report(expansion.poly)
+    report = forbidden_report(expansion)
     keys = [m.sort_key() for m, _ in report.entries]
     assert keys == sorted(keys)
 
@@ -221,7 +221,7 @@ def test_classify_sp_mixed_never_bochner_with_exact_witness():
     expected = mono_from_names(
         atlas, ["-2e1"], [f"-e1-e{d}", f"-e1+e{d}"]
     )
-    report = forbidden_report(diastasis(dia, 3, "symbolic").poly)
+    report = forbidden_report(diastasis(dia, 3, "symbolic"))
     form = dict(report.entries).get(expected)
     assert form is not None
     assert form.orthant_sign() != 0
@@ -290,8 +290,8 @@ def test_verdicts_stabilize_at_degree_three(degree_five_expansions):
                     continue
                 deep = degree_five_expansions[dia]
                 v3 = verdict_from_report(
-                    forbidden_report(deep.poly.truncate(3)), dia.black)
-                v5 = verdict_from_report(forbidden_report(deep.poly), dia.black)
+                    forbidden_report(deep.truncate(3)), dia.black)
+                v5 = verdict_from_report(forbidden_report(deep), dia.black)
                 assert v5.status == v3.status, dia
                 assert v5.constraints == v3.constraints, dia
                 checked += 1
@@ -302,17 +302,17 @@ def test_jet_report_equals_expansion_report(degree_five_expansions):
     # the jet's report is the full expansion's, entry by entry and in
     # order; the expansion to degree d is the truncation of a deeper one,
     # and so is the jet, down from the untruncated one
-    cases = [(exp, (3, 4, 5)) for exp in degree_five_expansions.values()]
+    cases = [(dia, exp, (3, 4, 5))
+             for dia, exp in degree_five_expansions.items()]
     deeper = [*_paintings(3), diagram(Family.SO_ODD, 4, (2, 3, 4))]
-    cases += [(diastasis(dia, 6, "symbolic"), (6,)) for dia in deeper]
+    cases += [(dia, diastasis(dia, 6, "symbolic"), (6,)) for dia in deeper]
     assert len(cases) == 64 + 26 + 1
-    for expansion, degrees in cases:
-        dia = expansion.diagram
+    for dia, expansion, degrees in cases:
         every = forbidden_jet(dia, None)
         for d in degrees:
             jet = forbidden_jet(dia, d)
             assert jet == every.truncate(d), (dia, d)
-            expected = forbidden_report(expansion.poly.truncate(d))
+            expected = forbidden_report(expansion.truncate(d))
             got = forbidden_report(jet)
             assert got.entries == expected.entries, (dia, d)
             assert got.degree_checked == d
@@ -371,9 +371,9 @@ def test_rescaling_soundness_for_admissible_numeric_coefficients():
     ]
     for dia, coeffs in cases:
         expansion = diastasis(dia, 3, coeffs)
-        report = forbidden_report(expansion.poly)
+        report = forbidden_report(expansion)
         assert report.is_empty()
-        quad = expansion.poly.bidegree_part(1, 1).terms
+        quad = expansion.bidegree_part(1, 1).terms
         lams = {m.holo[0][0]: float(f) for m, f in quad.items()}
         assert all(lam > 0 for lam in lams.values())
         rescaled_11 = {v: lam / lams[v] for v, lam in lams.items()}
@@ -383,5 +383,5 @@ def test_rescaling_soundness_for_admissible_numeric_coefficients():
 def test_verdict_from_report_matches_classify():
     dia = diagram(Family.SU, 4, (1, 3))
     expansion = diastasis(dia, 3, "symbolic")
-    report = forbidden_report(expansion.poly)
+    report = forbidden_report(expansion)
     assert verdict_from_report(report, dia.black) == classify(dia, 3)

@@ -16,7 +16,6 @@ from flagbochner import expansion as expansion_module
 from flagbochner.expansion import (
     NumericDomainError,
     _column_solve,
-    _numeric_potential,
     _packed_exp,
     _packed_gram,
     _packed_minor,
@@ -276,7 +275,7 @@ def test_ring_is_rational_and_forms_are_built_last(dia, monkeypatch):
     # equal to the reference route's term for term, in order
     degree = 6
     formed = _spy_on_products(monkeypatch)
-    got = diastasis(dia, degree).poly
+    got = diastasis(dia, degree)
     assert formed and max(formed) <= degree
     assert all(type(lam) is Fraction
                for f in got.terms.values() for _, lam in f.terms)
@@ -344,7 +343,7 @@ def test_diastasis_equals_the_reference_route(case):
     for dia, variants in _reference_cases(name):
         logs = oracles.gram_logs(dia, degree)
         for coeffs in variants:
-            got = diastasis(dia, degree, coeffs).poly
+            got = diastasis(dia, degree, coeffs)
             stored = None if coeffs == "symbolic" else tuple(
                 zip(dia.black, map(Fraction, coeffs)))
             want = oracles.combine_logs(logs, stored, degree)
@@ -406,32 +405,45 @@ def test_packed_solves_are_integer_and_equal_the_rational_solve(dia, degree):
 def test_diastasis_grassmannian_is_norm_squared_at_degree_two():
     dia = diagram(Family.SU, 4, (2,))
     expansion = diastasis(dia, 2, "symbolic")
-    n = expansion.atlas.nvars
-    quad = expansion.poly.bidegree_part(1, 1).terms
+    n = build_Z(dia).nvars
+    quad = expansion.bidegree_part(1, 1).terms
     assert {m.holo[0][0] for m in quad} == set(range(n))
     assert all(f == CoeffForm(((2, F(1)),)) for f in quad.values())
-    assert len(expansion.poly.terms) == n
+    assert len(expansion.terms) == n
 
 
 def test_diastasis_vanishes_at_origin():
     dia = diagram(Family.SP, 2, (1, 2))
     expansion = diastasis(dia, 3, (1, 2))
-    assert truncated_value(expansion, [0j] * expansion.atlas.nvars) == 0.0
-    value = eval_numeric(expansion, [0j] * expansion.atlas.nvars, [1.0, 2.0])
-    assert value == 0.0 and type(value) is float
+    atlas = build_Z(dia)
+    assert truncated_value(expansion, [0j] * atlas.nvars) == 0.0
+    values = eval_numeric(atlas, admissible_minors(dia), [[0j] * atlas.nvars],
+                          [1.0, 2.0])
+    assert values.tolist() == [0.0]
+
+
+def test_numeric_readers_refuse_a_symbolic_expansion():
+    # a one-line ValueError, not a TypeError from complex(CoeffForm)
+    dia = diagram(Family.SP, 2, (1, 2))
+    symbolic = diastasis(dia, 3, "symbolic")
+    nvars = build_Z(dia).nvars
+    with pytest.raises(ValueError, match="symbolic expansion"):
+        truncated_value(symbolic, [0.01j] * nvars)
+    with pytest.raises(ValueError, match="symbolic expansion"):
+        symbolic_metric(symbolic, nvars)
 
 
 def test_su3_full_flag_equal_coefficients_kill_cubics():
     dia = diagram(Family.SU, 3, (1, 2))
     expansion = diastasis(dia, 3, (1, 1))
-    assert not expansion.poly.bidegree_part(1, 2).terms
-    assert not expansion.poly.bidegree_part(2, 1).terms
+    assert not expansion.bidegree_part(1, 2).terms
+    assert not expansion.bidegree_part(2, 1).terms
 
 
 def test_diastasis_invariants_across_samples():
     for dia in SAMPLE_DIAGRAMS:
         expansion = diastasis(dia, 4, "symbolic")
-        for mono, form in expansion.poly.terms.items():
+        for mono, form in expansion.terms.items():
             p, q = mono.bidegree
             assert p >= 1 and q >= 1
             if (p, q) == (1, 1):
@@ -448,10 +460,10 @@ def test_diastasis_linear_in_coefficients():
     num = diastasis(dia, 3, values)
     cvals = dict(zip(dia.black, values))
     evaluated = {
-        m: f.evaluate(cvals) for m, f in sym.poly.terms.items()
+        m: f.evaluate(cvals) for m, f in sym.terms.items()
     }
     collected = {
-        m: f for m, f in num.poly.terms.items()
+        m: f for m, f in num.terms.items()
     }
     evaluated = {m: v for m, v in evaluated.items() if v}
     assert evaluated == collected
@@ -459,9 +471,9 @@ def test_diastasis_linear_in_coefficients():
 
 def test_truncated_expansion_equals_lower_degree_expansion():
     for dia in SAMPLE_DIAGRAMS:
-        deep = diastasis(dia, 5, "symbolic").poly.truncate(3)
+        deep = diastasis(dia, 5, "symbolic").truncate(3)
         assert deep.trunc == 3
-        assert deep == diastasis(dia, 3, "symbolic").poly
+        assert deep == diastasis(dia, 3, "symbolic")
 
 
 def test_diastasis_rejects_bad_coefficients():
@@ -480,7 +492,7 @@ def test_forbidden_jet_is_the_one_sided_part_of_the_expansion():
     for dia in SAMPLE_DIAGRAMS:
         for degree in (2, 3, 4):
             jet = forbidden_jet(dia, degree)
-            full = diastasis(dia, degree, "symbolic").poly
+            full = diastasis(dia, degree, "symbolic")
             assert jet.trunc == degree
             assert jet.terms == {
                 m: f for m, f in full.terms.items() if 1 in m.bidegree
@@ -607,10 +619,11 @@ def test_hessian_matches_symbolic_metric():
     rng = random.Random(23)
     for dia in (diagram(Family.SP, 2, (1, 2)), diagram(Family.SO_ODD, 2, (2,))):
         coeffs = [1 + rng.random() for _ in dia.black]
-        expansion = diastasis(dia, 3, [F(c).limit_denominator(100) for c in coeffs])
-        cvals = [float(v) for _, v in expansion.coeff_values]
+        values = [F(c).limit_denominator(100) for c in coeffs]
+        expansion = diastasis(dia, 3, values)
+        cvals = [float(v) for v in values]
         hess = hessian_fd(dia, cvals)
-        metric = symbolic_metric(expansion)
+        metric = symbolic_metric(expansion, build_Z(dia).nvars)
         assert np.max(np.abs(hess - metric)) < 1e-6
         eigs = np.linalg.eigvalsh((hess + hess.conj().T) / 2)
         assert eigs.min() > 0
@@ -642,10 +655,10 @@ def test_numeric_potential_stack_equals_one_point_calls():
     # the origin's powers of Z vanish at once, the others' only later
     points.insert(2, [0j] * atlas.nvars)
     coeffs = [1.5, 0.25]
-    stacked = _numeric_potential(atlas, minors, points, coeffs)
+    stacked = eval_numeric(atlas, minors, points, coeffs)
     assert stacked.shape == (len(points),)
     for value, point in zip(stacked, points):
-        assert value == _numeric_potential(atlas, minors, [point], coeffs)[0]
+        assert value == eval_numeric(atlas, minors, [point], coeffs)[0]
         expected = oracles.potential_pointwise(atlas, minors, point, coeffs)
         assert abs(value - expected) <= 1e-12
 
@@ -657,23 +670,25 @@ def test_numeric_potential_stack_with_one_bad_point_raises():
     minors = admissible_minors(dia)
     good = [0.01j] * atlas.nvars
     bad = [1e8] * atlas.nvars
-    _numeric_potential(atlas, minors, [good, good], [1, 1])
+    eval_numeric(atlas, minors, [good, good], [1, 1])
     with pytest.raises(NumericDomainError, match="not positive"):
-        _numeric_potential(atlas, minors, [good, bad, good], [1, 1])
+        eval_numeric(atlas, minors, [good, bad, good], [1, 1])
 
 
 def test_truncation_error_scales_with_radius():
     dia = diagram(Family.SU, 3, (1, 2))
     expansion = diastasis(dia, 3, (1, 1))
+    atlas = build_Z(dia)
+    minors = admissible_minors(dia)
     rng = random.Random(4)
-    n = expansion.atlas.nvars
+    n = atlas.nvars
     for radius, bound in ((0.05, 1e-4), (0.01, 1e-7)):
         for _ in range(5):
             raw = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
             top = max(abs(z) for z in raw)
             point = [z * radius / top for z in raw]
             err = abs(
-                eval_numeric(expansion, point, [1, 1])
+                eval_numeric(atlas, minors, [point], [1, 1])[0]
                 - truncated_value(expansion, point)
             )
             assert err < bound
