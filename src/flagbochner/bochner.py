@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .expansion import forbidden_jet
-from .feasibility import positive_solution_exists, rref
+from .feasibility import positive_solution_exists, primitive_row, rref
 from .lie_core import PaintedDiagram
 from .poly import (
     CoeffForm,
@@ -64,7 +64,8 @@ def forbidden_report(poly: Polynomial) -> ForbiddenReport:
     by_mono = dict(report.entries)
     for m, f in report.entries:
         g = by_mono.get(m.conj())
-        if g is None or g != f:
+        # the jet shares form objects, so identity settles most checks
+        if g is not f and g != f:
             raise EngineInvariantError(
                 "forbidden report is not conjugate-closed; the potential "
                 "expansion is not real"
@@ -98,15 +99,20 @@ class BochnerVerdict:
 
 
 def _constraint_rows(report: ForbiddenReport,
-                     black: tuple[int, ...]) -> list[tuple[Fraction, ...]]:
-    seen = set()
-    rows = []
-    for _, form in report.entries:
-        row = tuple(form.coeff_of(p) for p in black)
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
-    return rows
+                     black: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """One primitive integer row per distinct direction of the coefficient
+    forms, columns ordered like black, in order of first appearance.  The
+    jet shares one form object among many monomials, so each object is
+    read once."""
+    col = {p: i for i, p in enumerate(black)}
+    forms = {id(f): f for _, f in report.entries}
+    rows = {}
+    for form in forms.values():
+        row = [0] * len(black)
+        for k, lam in form.terms:
+            row[col[k]] = lam
+        rows[primitive_row(row)] = None
+    return list(rows)
 
 
 def _select_witness(report: ForbiddenReport):
@@ -123,9 +129,9 @@ def verdict_from_report(report: ForbiddenReport,
     degree = report.degree_checked
     if report.is_empty():
         return BochnerVerdict(BochnerStatus.BOCHNER_FOR_ALL_C, black, degree)
-    rows = _constraint_rows(report, black)
-    reduced = rref(rows)
-    if positive_solution_exists(reduced):
+    reduced = rref(_constraint_rows(report, black))
+    # at full column rank only c = 0 solves the rows; no LP is needed
+    if len(reduced) < len(black) and positive_solution_exists(reduced):
         return BochnerVerdict(
             BochnerStatus.BOCHNER_IFF, black, degree,
             constraints=tuple(reduced),

@@ -219,10 +219,15 @@ def _verdict_json(verdict: BochnerVerdict, names) -> dict:
 
 def _forbidden_json(report: ForbiddenReport, names, cvals=None) -> list[dict]:
     out = []
+    done = {}  # the jet shares one form object among many monomials
     for mono, form in report.entries:
-        entry = {"monomial": mono.render(names), "coeff_form": _form_json(form)}
-        if cvals is not None:
-            entry["value"] = str(form.evaluate(cvals))
+        if id(form) not in done:
+            value = None if cvals is None else str(form.evaluate(cvals))
+            done[id(form)] = (_form_json(form), value)
+        doc, value = done[id(form)]
+        entry = {"monomial": mono.render(names), "coeff_form": dict(doc)}
+        if value is not None:
+            entry["value"] = value
         out.append(entry)
     return out
 

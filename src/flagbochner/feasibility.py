@@ -2,43 +2,65 @@
 
 Two questions arise downstream: what is a canonical basis for a system of
 homogeneous linear constraints, and does the solution set meet the open
-positive orthant.  Both are answered exactly over Fraction; the orthant
-question reduces to a phase-one simplex on c = 1 + u, u >= 0, with Bland's
-rule for termination.
+positive orthant.  Both are answered exactly: the basis by fraction-free
+elimination on integer rows, and the orthant question (which a verdict asks
+only below full column rank) by a phase-one simplex over Fraction on
+c = 1 + u, u >= 0, with Bland's rule for termination.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from .poly import EngineInvariantError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def rref(rows: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]]:
-    """Reduced row-echelon form; returns the nonzero rows with pivot 1,
-    sorted by pivot column."""
-    mat = [list(r) for r in rows if any(r)]
+def primitive_row(row) -> tuple[int, ...]:
+    """An int or Fraction row as coprime integers in the same direction,
+    leading entry positive; a zero row stays zero."""
+    den = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = math.gcd(*ints) or 1
+    if next((x for x in ints if x), 0) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+def rref(rows) -> list[tuple[Fraction, ...]]:
+    """Reduced row-echelon form of int or Fraction rows; returns the nonzero
+    rows as Fractions with pivot 1, sorted by pivot column.
+
+    Elimination stays in the integers: a row is cleared against the pivot
+    row by cross-multiplication and then divided by the gcd of its entries.
+    """
+    mat = [primitive_row(r) for r in rows if any(r)]
     if not mat:
         return []
-    ncols = len(mat[0])
     row = 0
-    for col in range(ncols):
+    for col in range(len(mat[0])):
         piv = next((r for r in range(row, len(mat)) if mat[r][col]), None)
         if piv is None:
             continue
         mat[row], mat[piv] = mat[piv], mat[row]
-        scale = mat[row][col]
-        mat[row] = [x / scale for x in mat[row]]
+        prow = mat[row]
+        p = prow[col]
         for r in range(len(mat)):
-            if r != row and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[row])]
+            factor = mat[r][col]
+            if r != row and factor:
+                mat[r] = primitive_row(
+                    [p * x - factor * y for x, y in zip(mat[r], prow)])
         row += 1
         if row == len(mat):
             break
-    out = [tuple(r) for r in mat if any(r)]
-    out.sort(key=lambda r: next(i for i, x in enumerate(r) if x))
+    # rows below the last pivot are zero; the pivots come in column order
+    out = []
+    for r in mat[:row]:
+        p = next(x for x in r if x)
+        out.append(tuple(Fraction(x, p) for x in r))
     return out
 
 
@@ -78,8 +100,9 @@ def _phase_one_feasible(a: list[list[Fraction]], b: list[Fraction]) -> bool:
             if tab[i][enter] > 0
         ]
         if not ratios:
-            # unbounded phase-one objective cannot happen; treat as failure
-            return False
+            # the artificial sum is bounded below by 0, so a column that
+            # improves it without limit means the tableau is corrupt
+            raise EngineInvariantError("unbounded phase-one objective")
         _, _, leave = min(ratios, key=lambda t: (t[0], t[1]))
         pivot = tab[leave][enter]
         tab[leave] = [x / pivot for x in tab[leave]]

@@ -77,12 +77,6 @@ class CoeffForm:
             return -1
         return 0
 
-    def coeff_of(self, label: int) -> Fraction:
-        for k, lam in self.terms:
-            if k == label:
-                return lam
-        return _ZERO
-
     def render(self, prefix: str = "c") -> str:
         return render_signed_sum((f"{prefix}{k}", lam) for k, lam in self.terms)
 

@@ -760,3 +760,32 @@ def hessian_fd_pointwise(diagram, coeffs, step: float = 1e-4):
             imag = second(xa, yb) - second(ya, xb)
             hess[a, b] = 0.25 * (real + 1j * imag)
     return hess
+
+
+# ------------------------------------------------------ linear constraints
+
+def gauss_jordan(rows) -> list:
+    """Reduced row-echelon form over Fraction: the nonzero rows with pivot
+    1, sorted by pivot column."""
+    mat = [[Fraction(x) for x in r] for r in rows if any(r)]
+    if not mat:
+        return []
+    ncols = len(mat[0])
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[row], mat[piv] = mat[piv], mat[row]
+        scale = mat[row][col]
+        mat[row] = [x / scale for x in mat[row]]
+        for r in range(len(mat)):
+            if r != row and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[row])]
+        row += 1
+        if row == len(mat):
+            break
+    out = [tuple(r) for r in mat if any(r)]
+    out.sort(key=lambda r: next(i for i, x in enumerate(r) if x))
+    return out

@@ -1,14 +1,19 @@
 """Trinomial catalog, forbidden reports and the Bochner classification."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import oracles
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import catalog_sum, catalog_trinomials
 
 from flagbochner.bochner import (
     BochnerStatus,
+    _constraint_rows,
     classify,
     forbidden_report,
     render_constraint,
@@ -24,7 +29,7 @@ from flagbochner.lie_core import (
     iter_black_sets,
 )
 from flagbochner.matrices import build_Z
-from flagbochner.poly import CoeffForm, Monomial
+from flagbochner.poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
 
 F = Fraction
 
@@ -49,6 +54,40 @@ def test_rref_normalizes_rows():
     rows = [(F(2), F(-2), F(0)), (F(1), F(-1), F(-1))]
     reduced = rref(rows)
     assert reduced == [(F(1), F(-1), F(0)), (F(0), F(0), F(1))]
+
+
+_ENTRY = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def _row_systems(draw):
+    """Small rational rows, with zero rows, copies and rows scaled by a
+    nonzero (possibly negative or fractional) factor mixed in; integral
+    entries are sometimes passed as ints."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[_ENTRY] * n), max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "copy", "scaled")))
+        if kind == "zero" or not rows:
+            rows.append((F(0),) * n)
+        else:
+            scale = F(1) if kind == "copy" else draw(_ENTRY.filter(bool))
+            rows.append(tuple(scale * x for x in draw(st.sampled_from(rows))))
+    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        rows = [tuple(x.numerator if x.denominator == 1 else x for x in r)
+                for r in rows]
+    return list(rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_row_systems())
+def test_rref_matches_the_fraction_gauss_jordan(rows):
+    got = rref(rows)
+    assert got == oracles.gauss_jordan(rows)
+    for r in got:
+        assert all(type(x) is Fraction for x in r)
+        assert next(x for x in r if x) == 1
 
 
 def test_positive_solution_exists_basic_cases():
@@ -174,6 +213,21 @@ def test_report_is_conjugate_closed_with_equal_forms():
     assert table
     for mono, form in report.entries:
         assert table[mono.conj()] == form
+
+
+def test_report_refuses_a_potential_that_is_not_real():
+    # z0 zb1^2 with its conjugate: equal forms pass whether or not they
+    # are one object; a missing or different conjugate form is an engine
+    # fault
+    m = Monomial(((0, 1),), ((1, 2),))
+    form = CoeffForm(((1, F(1, 2)), (2, F(-1))))
+    same = CoeffForm(((1, F(1, 2)), (2, F(-1))))
+    for conj in (form, same):
+        report = forbidden_report(Polynomial({m: form, m.conj(): conj}, 3))
+        assert len(report.entries) == 2
+    for terms in ({m: form}, {m: form, m.conj(): CoeffForm(((1, F(1)),))}):
+        with pytest.raises(EngineInvariantError, match="conjugate-closed"):
+            forbidden_report(Polynomial(terms, 3))
 
 
 def test_report_entries_sorted_and_minimal_witness_deterministic():
@@ -330,6 +384,37 @@ def test_jet_equals_the_reference_jet():
                 dia, degree)
         checked += 1
     assert checked == 256
+
+
+def test_constraint_rows_are_primitive_and_full_rank_means_no_solution():
+    # the verdict skips the LP when the rows have full column rank; on
+    # every painting of rank <= 4 with 1-3 black nodes, at degrees 3 and
+    # 5, the LP agrees there, and the primitive rows span the same space
+    # as one rational row per forbidden entry
+    checked = full_rank = 0
+    for dia in _paintings(4):
+        jet = forbidden_jet(dia, 5)
+        for degree in (3, 5):
+            report = forbidden_report(jet.truncate(degree))
+            rows = _constraint_rows(report, dia.black)
+            for r in rows:
+                assert all(type(x) is int for x in r)
+                assert math.gcd(*r) == 1
+                assert next(x for x in r if x) > 0
+            for a, b in itertools.combinations(rows, 2):
+                assert any(a[i] * b[j] != a[j] * b[i]
+                           for i, j in itertools.combinations(range(len(a)), 2)
+                           ), (dia, degree, a, b)
+            entry_rows = [tuple(dict(f.terms).get(p, F(0)) for p in dia.black)
+                          for _, f in report.entries]
+            reduced = rref(rows)
+            assert reduced == oracles.gauss_jordan(entry_rows), (dia, degree)
+            if len(reduced) == len(dia.black):
+                assert not positive_solution_exists(reduced), (dia, degree)
+                full_rank += 1
+            checked += 1
+    assert checked == 128
+    assert full_rank > 0
 
 
 def test_untruncated_jet_keeps_degree_three_verdicts():
