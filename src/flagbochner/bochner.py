@@ -3,9 +3,11 @@
 The obstruction lives in the forbidden monomials of the potential:
 bidegree (1, q >= 2), (p >= 2, 1), or off-diagonal (1,1).  They all sit in
 the potential's (1, .) and (., 1) parts, which forbidden_jet computes
-without the full expansion.  At degree three all candidates are trinomials
-of four explicit kinds; the tests enumerate that catalog directly and check
-it against the determinant expansion.
+without the full expansion, checking reality on their packed halves at
+every degree; forbidden_report re-checks conjugate closure, since it also
+reads diastasis expansions.  At degree three all candidates are
+trinomials of four explicit kinds; the tests enumerate that catalog
+directly and check it against the determinant expansion.
 
 A verdict is degree-stamped: emptiness of the forbidden report is certified
 up to the audited total degree, or at every degree for the untruncated jet
@@ -14,6 +16,7 @@ up to the audited total degree, or at every degree for the untruncated jet
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -49,6 +52,15 @@ class ForbiddenReport:
 
     def is_empty(self) -> bool:
         return not self.entries
+
+    def truncate(self, degree: int) -> "ForbiddenReport":
+        """The report of the potential truncated at degree: entries sort by
+        total degree first, so its entries are a prefix of these."""
+        if self.degree_checked is not None and degree > self.degree_checked:
+            raise ValueError(f"a report checked to degree "
+                             f"{self.degree_checked} cannot certify {degree}")
+        end = bisect.bisect_right(self.entries, degree, key=lambda e: e[0].total)
+        return ForbiddenReport(self.entries[:end], degree)
 
 
 def forbidden_report(poly: Polynomial) -> ForbiddenReport:

@@ -251,9 +251,10 @@ def run_case(request: CaseRequest) -> dict:
     names = atlas.var_names()
     minors = admissible_minors(diagram)
     # the jet to degree d is the truncation of any deeper one, so one jet
-    # serves both the report and the audit
-    jet = forbidden_jet(diagram, request.audit_degree or request.max_degree)
-    report = forbidden_report(jet.truncate(request.max_degree))
+    # and one report serve both the verdict and the audit
+    deepest = forbidden_report(
+        forbidden_jet(diagram, request.audit_degree or request.max_degree))
+    report = deepest.truncate(request.max_degree)
     verdict = verdict_from_report(report, diagram.black)
     cvals = None
     if request.coeffs != "symbolic":
@@ -269,12 +270,11 @@ def run_case(request: CaseRequest) -> dict:
         "forbidden": _forbidden_json(report, names, cvals),
     }
     if request.audit_degree is not None:
-        audit_rep = forbidden_report(jet)
-        audit_ver = verdict_from_report(audit_rep, diagram.black)
+        audit_ver = verdict_from_report(deepest, diagram.black)
         doc["audit"] = {
             "degree": request.audit_degree,
             "verdict": _verdict_json(audit_ver, names),
-            "forbidden": _forbidden_json(audit_rep, names, cvals),
+            "forbidden": _forbidden_json(deepest, names, cvals),
         }
     return doc
 

@@ -438,15 +438,17 @@ def forbidden_jet(diagram: PaintedDiagram,
     X_l = U_l^{-1} U[:l, l:]; entries with r < l drop out because root
     vectors are off-diagonal.  The coefficient of zb_v comes the same way
     from Y_l = E[l:, :l] E_l^{-1}, E = exp Z, by a row solve on E rather
-    than the column solve on U, so the two halves check each other on the
-    (1,1) part.  No log series, Gram matrix or minor is formed.
+    than the column solve on U.  No log series, Gram matrix or minor is formed.
 
     exp Z has real coefficients, so U is E^T with each z read as zb, and
     both solves work on E's packed monomials (matrices.Packing) with
     integer coefficients: a term of total degree d holds n for n / d!,
     exact because every product of such terms is again one.  Each
-    (v, monomial) sums its linear form in the c_k in integers; Fractions
-    and Monomials are built for the finished terms only.
+    (v, monomial) sums its linear form in the c_k in integers.  The
+    potential is real, so the two packed halves must be equal at every
+    degree; that is checked before any Monomial exists.  Each term of the
+    (1, q) half then gets its Fractions once and gives both z_v zb^m and
+    z^m zb_v.
     """
     if degree is not None:
         _check_degree(degree)
@@ -462,7 +464,7 @@ def forbidden_jet(diagram: PaintedDiagram,
     e = _packed_exp(atlas, pack, limit)
     mul = _truncated_product(pack, limit, strict)
     # dz[v][m] = {k: n}: the form of zb^m in F_v; dzb[v] that of z^m in
-    # the coefficient of zb_v
+    # the coefficient of zb_v.  Zero numerators and empty forms are popped.
     dz: dict[int, dict[int, dict[int, int]]] = {}
     dzb: dict[int, dict[int, dict[int, int]]] = {}
     for pos, l in minors.pairing:
@@ -477,44 +479,43 @@ def forbidden_jet(diagram: PaintedDiagram,
                 for term in solved[r]:
                     for m, n in term.get(c, {}).items():
                         lam = forms.setdefault(m, {})
-                        lam[pos] = lam.get(pos, 0) + s * n
+                        t = lam.get(pos, 0) + s * n
+                        if t:
+                            lam[pos] = t
+                        else:
+                            lam.pop(pos, None)
+                            if not lam:
+                                del forms[m]
+    # the potential is real: z_v zb^m and z^m zb_v share one coefficient
+    if dz != dzb:
+        raise EngineInvariantError("the (1,q) and (p,1) halves of the jet differ")
     exps: dict[int, tuple[tuple[int, int], ...]] = {}
     # many terms share a form; CoeffForms are immutable, so they share one
     made: dict[tuple, CoeffForm] = {}
-
-    def finished(half, monomial) -> dict[Monomial, CoeffForm]:
-        terms = {}
-        for v, forms in half.items():
-            for m, lam in forms.items():
-                d = pack.degree(m)
-                key = (d, *lam.items())
-                form = made.get(key)
-                if form is None:
-                    fact = math.factorial(d)
-                    form = made[key] = CoeffForm(
-                        (k, Fraction(n, fact)) for k, n in lam.items()
-                    )
-                if not form:
-                    continue
-                if not m:
-                    raise EngineInvariantError("pure term in the potential jet")
-                x = exps.get(m)
-                if x is None:
-                    x = exps[m] = pack.exponents(m)
-                terms[monomial(((v, 1),), x)] = form
-        return terms
-
-    # first holds z_v zb^m, second z^m zb_v: they meet on the (1,1) part
-    first = finished(dz, Monomial)
-    second = finished(dzb, lambda zb_v, z_m: Monomial(z_m, zb_v))
-    quadratic = {m: f for m, f in first.items() if m.q == 1}
-    if quadratic != {m: f for m, f in second.items() if m.p == 1}:
-        raise EngineInvariantError(
-            "the (1,q) and (p,1) halves of the jet differ on the (1,1) part"
-        )
+    terms = {}
+    for v, forms in dz.items():
+        zv = ((v, 1),)
+        for m, lam in forms.items():
+            if not m:
+                raise EngineInvariantError("pure term in the potential jet")
+            d = pack.degree(m)
+            key = (d, *lam.items())
+            form = made.get(key)
+            if form is None:
+                fact = math.factorial(d)
+                form = made[key] = CoeffForm(
+                    (k, Fraction(n, fact)) for k, n in lam.items()
+                )
+            x = exps.get(m)
+            if x is None:
+                x = exps[m] = pack.exponents(m)
+            terms[Monomial._of_bidegree(zv, x, 1, d)] = form
+            if d >= 2:
+                terms[Monomial._of_bidegree(x, zv, d, 1)] = form
+    # every term is (1, q) or (p, 1), so total degree 2 is the (1,1) part
+    quadratic = {m: f for m, f in terms.items() if m.total == 2}
     _check_quadratic(Polynomial(quadratic), atlas.nvars, None)
-    first.update((m, f) for m, f in second.items() if m.p >= 2)
-    return Polynomial(first, degree)
+    return Polynomial(terms, degree)
 
 
 def eval_numeric(atlas: CoordinateAtlas, minors: AdmissibleMinors,

@@ -260,11 +260,6 @@ def black_roots(diagram: PaintedDiagram) -> tuple[frozenset[Root], tuple[Root, .
     return frozenset(q) | frozenset(-r for r in q), q
 
 
-def white_roots(diagram: PaintedDiagram) -> frozenset[Root]:
-    r_m, _ = black_roots(diagram)
-    return all_roots(diagram.group) - r_m
-
-
 class PoincarePoly:
     """Coefficients of the Poincare polynomial in the variable s.
 

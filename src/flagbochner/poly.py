@@ -135,6 +135,16 @@ class Monomial:
         self._hash = hash((self.holo, self.anti))
 
     @classmethod
+    def _of_bidegree(cls, holo, anti, p: int, q: int) -> "Monomial":
+        """The monomial of the exponent tuples holo and anti, for a caller
+        that already knows its bidegree (p, q); nothing is re-summed."""
+        self = object.__new__(cls)
+        self.holo, self.anti, self.p, self.q = holo, anti, p, q
+        self.total = p + q
+        self._hash = hash((holo, anti))
+        return self
+
+    @classmethod
     def unit(cls) -> "Monomial":
         return cls((), ())
 
@@ -153,7 +163,7 @@ class Monomial:
         )
 
     def conj(self) -> "Monomial":
-        return Monomial(self.anti, self.holo)
+        return Monomial._of_bidegree(self.anti, self.holo, self.q, self.p)
 
     def sort_key(self):
         # total degree first, then the sparse exponent tuples; deterministic

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from flagbochner.expansion import admissible_minors
-from flagbochner.lie_core import Family, Root, all_roots, white_roots
+from flagbochner.lie_core import Family, Root, all_roots, black_roots
 from flagbochner.matrices import build_Z, root_vector
 from flagbochner.poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
 
@@ -347,6 +347,12 @@ def validate_Q(group, q, r_m) -> bool:
         if s in roots and s not in qs:
             return False
     return True
+
+
+def white_roots(diagram) -> frozenset[Root]:
+    """The roots of the Levi factor: those off every black simple root."""
+    r_m, _ = black_roots(diagram)
+    return all_roots(diagram.group) - r_m
 
 
 def is_admissible(diagram, l: int) -> bool:

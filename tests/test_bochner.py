@@ -417,6 +417,26 @@ def test_constraint_rows_are_primitive_and_full_rank_means_no_solution():
     assert full_rank > 0
 
 
+def test_report_truncation_is_the_report_of_the_truncated_jet():
+    # entries sort by total degree first, so truncating a report keeps a
+    # prefix; it must be the report of the jet truncated first
+    checked = 0
+    for dia in _paintings(4):
+        jet = forbidden_jet(dia, 5)
+        deepest = forbidden_report(jet)
+        for d in range(2, 5):
+            truncated = deepest.truncate(d)
+            assert truncated == forbidden_report(jet.truncate(d)), (dia, d)
+            assert truncated.degree_checked == d
+            checked += 1
+        with pytest.raises(ValueError, match="checked to degree 5"):
+            deepest.truncate(6)
+    assert checked == 3 * 64
+    untruncated = forbidden_jet(diagram(Family.SP, 2, (1, 2)), None)
+    assert (forbidden_report(untruncated).truncate(4)
+            == forbidden_report(untruncated.truncate(4)))
+
+
 def test_untruncated_jet_keeps_degree_three_verdicts():
     # the untruncated jet carries every forbidden monomial of the
     # potential, so its verdict holds at every degree: on every painting of

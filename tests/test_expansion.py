@@ -550,6 +550,36 @@ def test_forbidden_jet_halves_must_agree(monkeypatch):
         forbidden_jet(diagram(Family.SP, 2, (1, 2)), 3)
 
 
+@pytest.mark.parametrize("degree", [3, None])
+def test_forbidden_jet_halves_must_agree_above_the_quadratic_part(
+        monkeypatch, degree):
+    # one numerator of the row solve's first Neumann step is off by one:
+    # that term has degree >= 2, so only the (p >= 2, 1) half changes and
+    # the (1,1) part still agrees
+    dia = diagram(Family.SU, 3, (1, 2))
+    entries = build_Z(dia).entries
+    corrupted = []
+
+    def corrupt(e, l, rows, mul):
+        y = _row_solve(e, l, rows, mul)
+        for r in rows:
+            if corrupted or len(y[r]) < 2:
+                continue
+            step = y[r][1]
+            read = [c for c in step if (r, c) in entries and c < l]
+            if read:
+                terms = step[read[0]] = dict(step[read[0]])
+                m = next(iter(terms))
+                terms[m] += 1
+                corrupted.append((l, r, read[0], m))
+        return y
+
+    monkeypatch.setattr(expansion_module, "_row_solve", corrupt)
+    with pytest.raises(EngineInvariantError, match="halves"):
+        forbidden_jet(dia, degree)
+    assert corrupted
+
+
 def test_packed_sums_are_exact_within_the_field_width():
     # 2-bit fields: a sum of monomials of total degree <= 3 is the packed
     # product; a higher one reads a degree above 3, overflow or not

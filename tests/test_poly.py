@@ -79,6 +79,16 @@ def test_monomial_mul_and_conj():
     assert sq.holo == ((0, 2),) and sq.anti == ((1, 2),)
 
 
+def test_monomial_of_known_bidegree_is_the_summed_one():
+    # the conjugate is built with its bidegree swapped, not re-summed
+    m = Monomial(((0, 2), (3, 1)), ((1, 1),))
+    for built, summed in ((m.conj(), Monomial(m.anti, m.holo)),
+                          (Monomial._of_bidegree(m.holo, m.anti, 3, 1), m)):
+        assert built == summed and hash(built) == hash(summed)
+        assert (built.p, built.q, built.total) == (summed.p, summed.q,
+                                                  summed.total)
+
+
 def test_monomial_ordering_is_total_degree_first():
     a = Monomial.variable(0)
     b = Monomial.variable(0) * Monomial.variable(1)
