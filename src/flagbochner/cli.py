@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -640,7 +641,16 @@ def main(argv=None) -> int:
     except (PaintingError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    print(json.dumps(doc, indent=2) if args.emit == "json" else rendered)
+    try:
+        print(json.dumps(doc, indent=2) if args.emit == "json" else rendered)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); point it at devnull so
+        # the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

@@ -25,7 +25,8 @@ symbolic_metric) with the exact potential, which eval_numeric evaluates
 from numpy Gram minors at a whole stack of points in one call.
 
 The Bochner verdict needs only the potential's (1, .) and (., 1) parts.
-forbidden_jet computes them from exp Z alone, without the Gram matrix, its
+forbidden_jet computes them from exp Z alone, as the product
+exp Z exp(-Z) read at each chart entry, without the Gram matrix, its
 minors or the log series, and at every degree if asked; the expansion
 serves the numeric lane and checks the jet in the tests.  Both routes
 multiply with the one packed product, _truncated_product: the expansion
@@ -345,85 +346,11 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
     return poly
 
 
-def _neg_block(e, l: int):
-    """(a, b) -> -(E_l - I)[a, b] as {packed: n}, for the leading l x l
-    block E_l of a packed exp Z, which must be I at the origin."""
-    out = {}
-    for a in range(l):
-        for b in range(l):
-            terms = e.get((a, b), {})
-            if terms.get(0, 0) != (a == b):
-                raise EngineInvariantError(
-                    f"leading {l}x{l} block of exp Z is not I at the origin"
-                )
-            neg = {m: -n for m, n in terms.items() if m}
-            if neg:
-                out[(a, b)] = neg
-    return out
-
-
-def _neumann(term, step, l: int) -> list:
-    """[term, step(term), step(step(term)), ...] up to the first empty
-    one: the terms of v sum_k (-N)^k for an l x l block N = M_l - I, where
-    step multiplies by -N.  N has no constant term, so under a degree
-    bound the series is exact once a term drops out; without one it ends
-    because M_l is unipotent (N^l = 0)."""
-    series = [term]
-    for _ in range(l):
-        term = step(term)
-        if not term:
-            return series
-        series.append(term)
-    raise EngineInvariantError(f"leading {l}x{l} block of exp Z is not unipotent")
-
-
-def _column_solve(e, l: int, cols, mul):
-    """r -> the Neumann terms (-N)^k U[:l, r] of the column r of
-    X_l = U_l^{-1} U[:l, l:], N = U_l - I, for r in cols, read off
-    U = E^T for the packed exp Z e; each term maps row to {packed: n}.
-    A step gathers each row of -N against the column."""
-    gather: dict[int, list] = {}
-    for (b, a), t in _neg_block(e, l).items():  # -N[a, b]
-        gather.setdefault(a, []).append((b, t))
-
-    def step(term):
-        nxt = {}
-        for a, row in gather.items():
-            acc: dict[int, int] = {}
-            for b, t in row:
-                p = term.get(b)
-                if p is not None:
-                    _accumulate(acc, mul(t, p), 1)
-            if acc:
-                nxt[a] = acc
-        return nxt
-
-    return {
-        r: _neumann({a: e[(r, a)] for a in range(l) if (r, a) in e}, step, l)
-        for r in cols
-    }
-
-
-def _row_solve(e, l: int, rows, mul):
-    """r -> the Neumann terms E[r, :l] (-N)^k of the row r of
-    Y_l = E[l:, :l] E_l^{-1}, N = E_l - I, for r in rows and the packed
-    exp Z e; each term maps column to {packed: n}.  A step scatters the
-    row's entry a along row a of -N."""
-    scatter: dict[int, list] = {}
-    for (a, b), t in _neg_block(e, l).items():
-        scatter.setdefault(a, []).append((b, t))
-
-    def step(term):
-        nxt: dict[int, dict[int, int]] = {}
-        for a, p in term.items():
-            for b, t in scatter.get(a, ()):
-                _accumulate(nxt.setdefault(b, {}), mul(t, p), 1)
-        return {b: acc for b, acc in nxt.items() if acc}
-
-    return {
-        r: _neumann({c: e[(r, c)] for c in range(l) if (r, c) in e}, step, l)
-        for r in rows
-    }
+def _exp_of_minus(e, pack: Packing):
+    """exp(-Z) from the packed exp Z e: each term of odd degree negated."""
+    top = pack.top
+    return {key: {m: -n if m >> top & 1 else n for m, n in t.items()}
+            for key, t in e.items()}
 
 
 def forbidden_jet(diagram: PaintedDiagram,
@@ -431,64 +358,85 @@ def forbidden_jet(diagram: PaintedDiagram,
     """The (1, q) and (p, 1) parts of the symbolic potential, to total
     degree <= degree, or at every degree when degree is None.
 
-    At z = 0, exp Z = I, so dA/dz_v = U E_v with U = (exp Z)^H, and the
-    coefficient of z_v is
-        F_v(zb) = sum_k c_k tr(U_l^{-1} (U E_v)_l)
-                = sum_k c_k sum_{(r,c,s) in E_v, c < l_k <= r} s*X_{l_k}[c, r],
-    X_l = U_l^{-1} U[:l, l:]; entries with r < l drop out because root
-    vectors are off-diagonal.  The coefficient of zb_v comes the same way
-    from Y_l = E[l:, :l] E_l^{-1}, E = exp Z, by a row solve on E rather
-    than the column solve on U.  No log series, Gram matrix or minor is formed.
+    At zb = 0, (exp Z)^H = I, so with E = exp Z, dA/dzb_v = E_v^T E, and
+    the coefficient of zb_v is
+        G_v(z) = sum_k c_k tr(E_{l_k}^{-1} (E_v^T E)_{l_k})
+               = sum_k c_k sum_{(r,c,s) in E_v, c < l_k <= r} s*Y_{l_k}[r, c],
+    Y_l = E[l:, :l] E_l^{-1}; entries with r < l drop out because root
+    vectors are off-diagonal.  The potential is real, so the coefficient
+    of z_v is the conjugate of G_v.  No entry of Z lies above a split
+    (r < l <= c), so E is block lower triangular at every split l, E_l^{-1}
+    is the leading block of F = exp(-Z), and
+        Y_l[r, c] = sum_{a < l} E[r, a] F[a, c].
+    F is E with the sign (-1)^d on each term of degree d.  Each product
+    E[r, a] F[a, c] is formed once per chart entry and feeds every split
+    l > a; the sum over all a is (E F)[r, c] = 0, which is checked, so the
+    a < l half of each Y_l is compared with the a >= l half.  No Neumann
+    series, log series, Gram matrix or minor is formed.
 
-    exp Z has real coefficients, so U is E^T with each z read as zb, and
-    both solves work on E's packed monomials (matrices.Packing) with
-    integer coefficients: a term of total degree d holds n for n / d!,
-    exact because every product of such terms is again one.  Each
-    (v, monomial) sums its linear form in the c_k in integers.  The
-    potential is real, so the two packed halves must be equal at every
-    degree; that is checked before any Monomial exists.  Each term of the
-    (1, q) half then gets its Fractions once and gives both z_v zb^m and
-    z^m zb_v.
+    E and F have integer coefficients on packed monomials
+    (matrices.Packing): a term of total degree d holds n for n / d!, exact
+    because every product of such terms is again one.  Each
+    (v, monomial) sums its linear form in the c_k in integers; each term
+    then gets its Fractions once and gives both z_v zb^m and z^m zb_v.
     """
     if degree is not None:
         _check_degree(degree)
     atlas = build_Z(diagram)
     minors = admissible_minors(diagram)
-    # exp Z has degree <= K, the top power of Z, so every term of X_l and
-    # Y_l, and of each step of their Neumann series, has degree <= l * K
-    bound = minors.indices[-1] * len(atlas.powers)
+    for r, c in atlas.entries:
+        for l in minors.indices:
+            if r < l <= c:
+                raise EngineInvariantError(
+                    f"chart entry ({r},{c}) lies above the split at {l}"
+                )
+    # E and F have degree <= K, the top power of Z, so every product
+    # E[r, a] F[a, c] has degree <= 2K
+    bound = 2 * len(atlas.powers)
     # z_v times a zb-polynomial of degree <= degree - 1
     strict = degree is None or degree - 1 >= bound
     limit = bound if strict else degree - 1
     pack = Packing(atlas.nvars, limit)
     e = _packed_exp(atlas, pack, limit)
+    f = _exp_of_minus(e, pack)
     mul = _truncated_product(pack, limit, strict)
-    # dz[v][m] = {k: n}: the form of zb^m in F_v; dzb[v] that of z^m in
-    # the coefficient of zb_v.  Zero numerators and empty forms are popped.
+    one = {0: 1}
+    rows: dict[int, list] = {}
+    for (r, a), t in e.items():
+        rows.setdefault(r, []).append((a, t))
+    # dz[v][m] = {k: n}: the form of z^m in G_v, which is that of zb^m in
+    # the coefficient of z_v.  Zero numerators and empty forms are popped.
     dz: dict[int, dict[int, dict[int, int]]] = {}
-    dzb: dict[int, dict[int, dict[int, int]]] = {}
-    for pos, l in minors.pairing:
-        wanted = [(r, c, v, s) for (r, c), (v, s) in atlas.entries.items()
-                  if c < l <= r]
-        rs = sorted({r for r, *_ in wanted})
-        x = _column_solve(e, l, rs, mul)
-        y = _row_solve(e, l, rs, mul)
-        for out, solved in ((dz, x), (dzb, y)):
-            for r, c, v, s in wanted:
-                forms = out.setdefault(v, {})
-                for term in solved[r]:
-                    for m, n in term.get(c, {}).items():
-                        lam = forms.setdefault(m, {})
-                        t = lam.get(pos, 0) + s * n
-                        if t:
-                            lam[pos] = t
-                        else:
-                            lam.pop(pos, None)
-                            if not lam:
-                                del forms[m]
-    # the potential is real: z_v zb^m and z^m zb_v share one coefficient
-    if dz != dzb:
-        raise EngineInvariantError("the (1,q) and (p,1) halves of the jet differ")
+    for (r, c), (v, s) in atlas.entries.items():
+        splits = [(l, pos) for pos, l in minors.pairing if c < l <= r]
+        if not splits:
+            continue
+        forms = dz.setdefault(v, {})
+        # E[r, a] F[a, c] summed over every a: (E F)[r, c], which must be 0
+        total: dict[int, int] = {}
+        for a, t in rows[r]:
+            q = f.get((a, c))
+            if q is None:
+                continue
+            # a factor of 1 (at a = r or a = c, mostly) needs no product
+            prod = q if t == one else t if q == one else mul(t, q)
+            _accumulate(total, prod, 1)
+            for l, pos in splits:
+                if a >= l:
+                    continue
+                for m, n in prod.items():
+                    lam = forms.setdefault(m, {})
+                    x = lam.get(pos, 0) + s * n
+                    if x:
+                        lam[pos] = x
+                    else:
+                        del lam[pos]
+                        if not lam:
+                            del forms[m]
+        if total:
+            raise EngineInvariantError(
+                f"exp(Z) exp(-Z) is not I at chart entry ({r},{c})"
+            )
     exps: dict[int, tuple[tuple[int, int], ...]] = {}
     # many terms share a form; CoeffForms are immutable, so they share one
     made: dict[tuple, CoeffForm] = {}

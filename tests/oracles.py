@@ -698,6 +698,38 @@ def forbidden_jet(diagram, degree) -> Polynomial:
     return Polynomial(terms, degree)
 
 
+def degree_three_jet(diagram) -> Polynomial:
+    """The forbidden jet to total degree <= 3 from the blocks of Z alone,
+    without exp Z: to degree 2 in z, Y_l = E[l:, :l] E_l^{-1} is
+    Z21 + (Z22 Z21 - Z21 Z_l) / 2, with Z21 = Z[l:, :l], Z22 = Z[l:, l:]
+    and Z_l = Z[:l, :l].  The coefficient of zb_v is the signed sum of the
+    Y_{l_k}[r, c] over the entries (r, c, s) of E_v with c < l_k <= r,
+    weighted by the c_k, and that of z_v is its conjugate."""
+    atlas = build_Z(diagram)
+    z = Matrix.chart(atlas)
+
+    def block(rows, cols) -> Matrix:
+        return Matrix(z.size, {(i, j): p for (i, j), p in z.entries.items()
+                               if i in rows and j in cols})
+
+    parts = {}
+    for pos, l in admissible_minors(diagram).pairing:
+        lead, tail = range(l), range(l, z.size)
+        z21 = block(tail, lead)
+        second = block(tail, tail) @ z21 + (z21 @ block(lead, lead)).scale(-1)
+        y = z21 + second.scale(Fraction(1, 2))
+        for (r, c), (v, s) in atlas.entries.items():
+            if c < l <= r and (r, c) in y.entries:
+                parts.setdefault(v, []).append((pos, s, y.entries[(r, c)]))
+    terms = {}
+    for v, ps in parts.items():
+        for m, f in linear_combination(ps, 2).terms.items():
+            terms[Monomial(((v, 1),), m.holo)] = f
+            if m.total >= 2:
+                terms[Monomial(m.holo, ((v, 1),))] = f
+    return Polynomial(terms, 3)
+
+
 # ------------------------------------------------------- numeric lane
 
 def numeric_Z(atlas, zvals):

@@ -386,6 +386,18 @@ def test_jet_equals_the_reference_jet():
     assert checked == 256
 
 
+def test_degree_three_jet_equals_the_block_oracle():
+    # the default request's jet against Y_l to degree 2 in z, built from
+    # the blocks of Z without exp Z, on every painting of rank <= 6 with
+    # 1-3 black nodes
+    checked = 0
+    for dia in _paintings(6):
+        assert forbidden_jet(dia, 3).terms == oracles.degree_three_jet(
+            dia).terms, dia
+        checked += 1
+    assert checked == 256
+
+
 def test_constraint_rows_are_primitive_and_full_rank_means_no_solution():
     # the verdict skips the LP when the rows have full column rank; on
     # every painting of rank <= 4 with 1-3 black nodes, at degrees 3 and

@@ -1,6 +1,10 @@
 """End-to-end checks of the command-line driver and its JSON schema."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +127,24 @@ def test_exit_zero_regardless_of_verdict(capsys):
     assert main(["--group", "Sp:2", "--black", "1,2"]) == 0
     out = capsys.readouterr().out
     assert "NeverBochner" in out
+
+
+def test_exit_one_without_a_traceback_when_stdout_closes_early():
+    # a reader that stops after one line (`| head -1`) closes the pipe
+    # while far more than a pipe buffer of JSON is still to be written
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["--group", "SOodd:8", "--black", "1,2,3,4", "--max-degree", "6",
+            "--emit", "json"]
+    with subprocess.Popen([sys.executable, "-m", "flagbochner.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert err.count("\n") <= 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_exit_one_on_validation_error(capsys):

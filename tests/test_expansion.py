@@ -15,11 +15,10 @@ from hypothesis import strategies as st
 from flagbochner import expansion as expansion_module
 from flagbochner.expansion import (
     NumericDomainError,
-    _column_solve,
+    _exp_of_minus,
     _packed_exp,
     _packed_gram,
     _packed_minor,
-    _row_solve,
     _truncated_product,
     admissible_minors,
     diastasis,
@@ -36,7 +35,7 @@ from flagbochner.lie_core import (
     PaintingError,
     iter_black_sets,
 )
-from flagbochner.matrices import Packing, build_Z
+from flagbochner.matrices import CoordinateAtlas, Packing, build_Z
 from flagbochner.poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -354,17 +353,16 @@ def test_diastasis_equals_the_reference_route(case):
     assert checked == {"numeric": 256, "broad": 256, "SOodd4": 2}[name]
 
 
-def _unpacked(pack, series, c, anti) -> Polynomial:
-    """The sum of a packed solve's terms at index c, each numerator n of a
-    degree-d monomial read as n / d!."""
+def _unpacked(pack, products) -> Polynomial:
+    """The sum of packed products, each numerator n of a degree-d monomial
+    read as n / d!."""
     acc = {}
-    for term in series:
-        for m, n in term.get(c, {}).items():
+    for prod in products:
+        for m, n in prod.items():
             assert type(n) is int
             acc[m] = acc.get(m, 0) + n
-    exps = pack.exponents
     return Polynomial({
-        (Monomial((), exps(m)) if anti else Monomial(exps(m), ())):
+        Monomial(pack.exponents(m), ()):
             Fraction(n, math.factorial(pack.degree(m)))
         for m, n in acc.items()
     })
@@ -378,28 +376,30 @@ def _unpacked(pack, series, c, anti) -> Polynomial:
 ], ids=lambda d: d.label())
 @pytest.mark.parametrize("degree", [3, None])
 def test_packed_solves_are_integer_and_equal_the_rational_solve(dia, degree):
-    # the jet's solves keep integer numerators over d!; read as Fractions,
-    # the column solve on E^T and the row solve on E both give the
-    # Polynomial solve's X_l = U_l^{-1} U[:l, l:], U = (exp Z)^H
+    # Y_l = E[l:, :l] E_l^{-1} as the jet forms it, the integer products
+    # sum_{a < l} E[r, a] exp(-Z)[a, c] over d!, is the conjugate transpose
+    # of the Polynomial solve X_l = U_l^{-1} U[:l, l:], U = (exp Z)^H, at
+    # every entry of the block, not only at those the jet reads
     atlas = build_Z(dia)
     minors = admissible_minors(dia)
-    # the jet's proven bound: every term has degree <= l * (top power of Z)
-    limit = minors.indices[-1] * len(atlas.powers) if degree is None else degree
+    # the jet's proven bound: every product has degree <= 2 * (top power of Z)
+    limit = 2 * len(atlas.powers) if degree is None else degree
     pack = Packing(atlas.nvars, limit)
     e = _packed_exp(atlas, pack, limit)
+    f = _exp_of_minus(e, pack)
     mul = _truncated_product(pack, limit, degree is None)
     u = oracles.exp_Z(atlas, degree).conj_transpose().entries
     for _, l in minors.pairing:
         cols = range(l, atlas.size)
         want = oracles.leading_solve(u, l, cols, degree)
-        x = _column_solve(e, l, cols, mul)
-        y = _row_solve(e, l, cols, mul)
         for r in cols:
             for c in range(l):
+                got = _unpacked(pack, (mul(e[(r, a)], f[(a, c)])
+                                       for a in range(l)
+                                       if (r, a) in e and (a, c) in f))
                 expected = want[r].get(c, Polynomial.zero(degree))
-                assert _unpacked(pack, x[r], c, True).terms == expected.terms
-                conj = {m.conj(): f for m, f in expected.terms.items()}
-                assert _unpacked(pack, y[r], c, False).terms == conj
+                assert got.terms == {m.conj(): x
+                                     for m, x in expected.terms.items()}
 
 
 def test_diastasis_grassmannian_is_norm_squared_at_degree_two():
@@ -499,6 +499,9 @@ def test_forbidden_jet_is_the_one_sided_part_of_the_expansion():
             }
 
 
+NOT_I = r"exp\(Z\) exp\(-Z\) is not I"
+
+
 def _patch_packed_exp(monkeypatch, extra):
     """forbidden_jet sees the packed exp Z plus extra(atlas, pack)."""
     def patched(atlas, pack, limit):
@@ -514,22 +517,23 @@ def _patch_packed_exp(monkeypatch, extra):
 
 def test_forbidden_jet_rejects_leading_block_not_identity(monkeypatch):
     _patch_packed_exp(monkeypatch, lambda atlas, pack: {(1, 0): {0: 1}})
-    with pytest.raises(EngineInvariantError, match="not I at the origin"):
+    with pytest.raises(EngineInvariantError, match=NOT_I):
         forbidden_jet(diagram(Family.SU, 3, (1, 2)), 3)
 
 
 def test_forbidden_jet_rejects_leading_block_not_unipotent(monkeypatch):
-    # z_0 on the diagonal: I at the origin, but no power of N vanishes, so
-    # only the untruncated series can see it
+    # z_0 on the diagonal: I at the origin, but the leading block is not
+    # unipotent, so exp(-Z), read off it by sign, is not its inverse
     _patch_packed_exp(monkeypatch,
                       lambda atlas, pack: {(0, 0): {pack.variable(0): 1}})
-    with pytest.raises(EngineInvariantError, match="not unipotent"):
+    with pytest.raises(EngineInvariantError, match=NOT_I):
         forbidden_jet(diagram(Family.SU, 3, (1, 2)), None)
 
 
 def test_forbidden_jet_rejects_off_diagonal_quadratic_term(monkeypatch):
-    # each of two variables also sits at the other's position, the same way
-    # in both halves, so only the (1,1) check can see it
+    # each of two variables also sits at the other's position; exp(-Z),
+    # read off the patched E by sign, is still its inverse, so only the
+    # (1,1) check can see it
     def crossed(atlas, pack):
         (k0, (v0, s0)), (k1, (v1, s1)) = list(atlas.entries.items())[:2]
         return {k0: {pack.variable(v1): s0}, k1: {pack.variable(v0): s1}}
@@ -539,45 +543,54 @@ def test_forbidden_jet_rejects_off_diagonal_quadratic_term(monkeypatch):
         forbidden_jet(diagram(Family.SU, 3, (1,)), 3)
 
 
-def test_forbidden_jet_halves_must_agree(monkeypatch):
-    # a column solve that reads E where it needs U = E^T breaks only the
-    # (1, q) half, which the (p, 1) half then contradicts
-    def untransposed(e, *args):
-        return _column_solve({(j, i): t for (i, j), t in e.items()}, *args)
+@pytest.mark.parametrize("degree", [3, None])
+def test_forbidden_jet_halves_must_agree_above_the_quadratic_part(
+        monkeypatch, degree):
+    # one numerator of one product E[r, a] exp(-Z)[a, c] is off by one:
+    # that term has degree >= 2, so the (1,1) part still holds, but the
+    # a < l half of the row's sum no longer cancels the a >= l half
+    corrupted = []
 
-    monkeypatch.setattr(expansion_module, "_column_solve", untransposed)
-    with pytest.raises(EngineInvariantError, match="halves"):
+    def corrupt(pack, limit, strict=False):
+        mul = _truncated_product(pack, limit, strict)
+
+        def patched(p, q):
+            out = mul(p, q)
+            high = [m for m in out if pack.degree(m) >= 2]
+            if high and not corrupted:
+                out[high[0]] += 1
+                corrupted.append(high[0])
+            return out
+
+        return patched
+
+    monkeypatch.setattr(expansion_module, "_truncated_product", corrupt)
+    with pytest.raises(EngineInvariantError, match=NOT_I):
+        forbidden_jet(diagram(Family.SU, 3, (1, 2)), degree)
+    assert corrupted
+
+
+def test_forbidden_jet_halves_must_agree(monkeypatch):
+    # exp Z in place of exp(-Z): the halves of E E no longer cancel
+    monkeypatch.setattr(expansion_module, "_exp_of_minus",
+                        lambda e, pack: e)
+    with pytest.raises(EngineInvariantError, match=NOT_I):
         forbidden_jet(diagram(Family.SP, 2, (1, 2)), 3)
 
 
 @pytest.mark.parametrize("degree", [3, None])
-def test_forbidden_jet_halves_must_agree_above_the_quadratic_part(
-        monkeypatch, degree):
-    # one numerator of the row solve's first Neumann step is off by one:
-    # that term has degree >= 2, so only the (p >= 2, 1) half changes and
-    # the (1,1) part still agrees
-    dia = diagram(Family.SU, 3, (1, 2))
-    entries = build_Z(dia).entries
-    corrupted = []
-
-    def corrupt(e, l, rows, mul):
-        y = _row_solve(e, l, rows, mul)
-        for r in rows:
-            if corrupted or len(y[r]) < 2:
-                continue
-            step = y[r][1]
-            read = [c for c in step if (r, c) in entries and c < l]
-            if read:
-                terms = step[read[0]] = dict(step[read[0]])
-                m = next(iter(terms))
-                terms[m] += 1
-                corrupted.append((l, r, read[0], m))
-        return y
-
-    monkeypatch.setattr(expansion_module, "_row_solve", corrupt)
-    with pytest.raises(EngineInvariantError, match="halves"):
+def test_forbidden_jet_rejects_a_chart_entry_above_a_split(monkeypatch,
+                                                           degree):
+    # the product needs E block lower triangular at every split.  z_0 at
+    # (0, 3), above the split at 3, keeps Z nilpotent and E exp(-Z) = I,
+    # so only this check sees that exp(-Z)[:3, :3] is no longer E_3^{-1}
+    dia = diagram(Family.SO_EVEN, 3, (3,))
+    atlas = build_Z(dia)
+    bad = CoordinateAtlas(dia, atlas.vars, atlas.size,
+                          {**atlas.entries, (0, 3): (0, 1)})
+    monkeypatch.setattr(expansion_module, "build_Z", lambda diagram: bad)
+    with pytest.raises(EngineInvariantError, match="above the split at 3"):
         forbidden_jet(dia, degree)
-    assert corrupted
 
 
 def test_packed_sums_are_exact_within_the_field_width():
