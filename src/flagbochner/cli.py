@@ -399,8 +399,8 @@ def run_numeric_check(request: CaseRequest, samples: int, seed: int) -> dict:
         atlas, admissible_minors(diagram), points + [[0j] * nvars], coeffs))
     sample_rows = []
     worst = 0.0
-    for point, exact in zip(points, exact_values):
-        approx = truncated_value(expansion, point)
+    for point, exact, approx in zip(points, exact_values,
+                                    truncated_value(expansion, points)):
         err = abs(exact - approx)
         worst = max(worst, err)
         sample_rows.append({

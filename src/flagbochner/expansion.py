@@ -107,10 +107,13 @@ def _check_invariants(expansion: Polynomial) -> None:
             raise EngineInvariantError("nonzero constant term in the expansion")
 
 
-def _check_quadratic(poly: Polynomial, nvars: int, coeff_values) -> None:
-    """The (1,1) part must be a positive diagonal over every variable."""
+def _check_quadratic(terms, nvars: int, coeff_values) -> None:
+    """The (1,1) part of the terms, a Monomial -> coefficient mapping, must
+    be a positive diagonal over every variable."""
     seen = set()
-    for m, f in poly.bidegree_part(1, 1).terms.items():
+    for m, f in terms.items():
+        if m.p != 1 or m.q != 1:
+            continue
         if m.holo[0][0] != m.anti[0][0]:
             raise EngineInvariantError("off-diagonal (1,1) term in the potential")
         if coeff_values is None:
@@ -340,9 +343,9 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
             terms[mono] = CoeffForm((k, Fraction(n, den)) for k, n in x.items())
         else:
             terms[mono] = Fraction(x, den)
-    poly = Polynomial(terms, degree)
+    poly = Polynomial._of_clean(terms, degree)
     _check_invariants(poly)
-    _check_quadratic(poly, nvars, stored)
+    _check_quadratic(terms, nvars, stored)
     return poly
 
 
@@ -460,10 +463,8 @@ def forbidden_jet(diagram: PaintedDiagram,
             terms[Monomial._of_bidegree(zv, x, 1, d)] = form
             if d >= 2:
                 terms[Monomial._of_bidegree(x, zv, d, 1)] = form
-    # every term is (1, q) or (p, 1), so total degree 2 is the (1,1) part
-    quadratic = {m: f for m, f in terms.items() if m.total == 2}
-    _check_quadratic(Polynomial(quadratic), atlas.nvars, None)
-    return Polynomial(terms, degree)
+    _check_quadratic(terms, atlas.nvars, None)
+    return Polynomial._of_clean(terms, degree)
 
 
 def eval_numeric(atlas: CoordinateAtlas, minors: AdmissibleMinors,
@@ -515,57 +516,75 @@ def _require_numeric(poly: Polynomial) -> None:
                          "expand with numeric coeffs")
 
 
-def truncated_value(poly: Polynomial, point) -> float:
-    """Value of a numeric expansion at a numeric point."""
+def truncated_value(poly: Polynomial, points) -> list[float]:
+    """Values of a numeric expansion at each of a stack of numeric points.
+
+    The coefficients become complex once for the whole stack; each point
+    then sums its terms in the polynomial's order with the operations of
+    Polynomial.evaluate, so every value is the same to the last bit."""
     _require_numeric(poly)
-    val = poly.evaluate([complex(z) for z in point])
-    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-        raise EngineInvariantError("potential expansion is not numerically real")
-    return val.real
+    terms = [(complex(x), m.holo, m.anti) for m, x in poly.terms.items()]
+    out = []
+    for point in points:
+        z = [complex(x) for x in point]
+        zb = [x.conjugate() for x in z]
+        acc = 0j
+        for val, holo, anti in terms:
+            for v, e in holo:
+                val *= z[v] ** e
+            for v, e in anti:
+                val *= zb[v] ** e
+            acc += val
+        if abs(acc.imag) > 1e-9 * max(1.0, abs(acc.real)):
+            raise EngineInvariantError(
+                "potential expansion is not numerically real"
+            )
+        out.append(acc.real)
+    return out
 
 
 def hessian_fd(diagram: PaintedDiagram, coeffs, step: float = 1e-4):
-    """Central finite-difference complex Hessian of the exact potential at
-    the origin, as an N x N complex array.
+    """Complex Hessian H[v, w] = d^2 f / dz_v dzb_w of the exact potential
+    f at the origin, as an N x N complex array, by polarization.
 
-    The real Hessian R over u = (x_0, y_0, x_1, ...) is filled one row per
-    potential call: row i evaluates +-h e_i and +-h e_i +-h e_j for j > i,
-    and R[j, i] reuses the four values of R[i, j]."""
+    For a direction u, f(hu) + f(-hu) - 2 f(0) = 2 h^2 Q(u) + O(h^4) with
+    Q(u) = sum_{v,w} H[v, w] u_v conj(u_w), because f has no pure terms.
+    u = e_v gives H[v, v]; for v < w, u = e_v + e_w gives
+    H[v, v] + H[w, w] + 2 Re H[v, w] and u = e_v + i e_w gives
+    H[v, v] + H[w, w] + 2 Im H[v, w].  That is N^2 directions and
+    2 N^2 + 1 points, evaluated in stacks of at most 8 N - 2.  A pure part
+    would not cancel: kappa Re(z_0^2) adds kappa to H[0, 0], so the
+    comparison with the symbolic metric sees it."""
     import numpy as np
 
     atlas = build_Z(diagram)
     minors = admissible_minors(diagram)
     n = atlas.nvars
-    dim = 2 * n
     h = step
-
-    def f(u):
-        pts = np.empty((len(u), n), dtype=complex)
-        pts.real = u[:, 0::2]
-        pts.imag = u[:, 1::2]
-        return eval_numeric(atlas, minors, pts, coeffs)
-
-    f0 = f(np.zeros((1, dim)))[0]
-    real = np.zeros((dim, dim))
-    for i in range(dim):
-        rest = dim - 1 - i
-        u = np.zeros((2 + 4 * rest, dim))
-        u[0, i], u[1, i] = h, -h
-        # rows 2.. hold (u_i, u_j) = (+h,+h), (+h,-h), (-h,+h), (-h,-h)
-        # for each j > i in turn
-        cross = u[2:].reshape(rest, 4, dim)
-        cross[:, :, i] = (h, h, -h, -h)
-        cross[np.arange(rest), :, np.arange(i + 1, dim)] = (h, -h, h, -h)
-        vals = f(u)
-        # the operand order of the one-point difference quotients, so R is
-        # the same to the last bit
-        real[i, i] = ((vals[0] - 2 * f0) + vals[1]) / (h * h)
-        pp, pm, mp, mm = vals[2:].reshape(rest, 4).T
-        real[i, i + 1:] = (((pp - pm) - mp) + mm) / (4 * h * h)
-        real[i + 1:, i] = (((pp - mp) - pm) + mm) / (4 * h * h)
-    rxx, rxy = real[0::2, 0::2], real[0::2, 1::2]
-    ryx, ryy = real[1::2, 0::2], real[1::2, 1::2]
-    return 0.25 * ((rxx + ryy) + 1j * (rxy - ryx))
+    iv, iw = np.triu_indices(n, 1)
+    k = len(iv)
+    # rows: e_v, then e_v + e_w and e_v + i e_w for each v < w in turn
+    u = np.zeros((n + 2 * k, n), dtype=complex)
+    u[np.arange(n), np.arange(n)] = 1
+    cross = n + np.arange(k)
+    u[cross, iv] = u[cross, iw] = u[cross + k, iv] = 1
+    u[cross + k, iw] = 1j
+    points = np.concatenate((np.zeros((1, n)), h * u, -h * u))
+    batch = 8 * n - 2
+    vals = np.concatenate([
+        eval_numeric(atlas, minors, points[s:s + batch], coeffs)
+        for s in range(0, len(points), batch)
+    ])
+    f0, plus, minus = vals[0], vals[1:1 + len(u)], vals[1 + len(u):]
+    quad = ((plus - 2 * f0) + minus) / (2 * h * h)
+    diag = quad[:n]
+    both = diag[iv] + diag[iw]
+    re = (quad[n:n + k] - both) / 2
+    im = (quad[n + k:] - both) / 2
+    hess = np.diag(diag).astype(complex)
+    hess[iv, iw] = re + 1j * im
+    hess[iw, iv] = re - 1j * im
+    return hess
 
 
 def symbolic_metric(poly: Polynomial, nvars: int):

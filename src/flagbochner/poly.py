@@ -233,6 +233,15 @@ class Polynomial:
         self.trunc = trunc
 
     @classmethod
+    def _of_clean(cls, terms: dict, trunc: int | None) -> "Polynomial":
+        """The polynomial of terms, for a caller that built every term
+        nonzero and within trunc; the dict is taken over, not walked or
+        copied."""
+        self = object.__new__(cls)
+        self.terms, self.trunc = terms, trunc
+        return self
+
+    @classmethod
     def zero(cls, trunc: int | None = None) -> "Polynomial":
         return cls(None, trunc)
 

@@ -759,10 +759,43 @@ def potential_pointwise(atlas, minors, point, coeffs) -> float:
 
 
 def hessian_fd_pointwise(diagram, coeffs, step: float = 1e-4):
+    """Complex Hessian d^2/dz_a dzb_b of the potential at the origin by
+    polarization, from one-point evaluations: along u = e_a, e_a + e_b and
+    e_a + i e_b, (f(hu) - 2 f(0) + f(-hu)) / (2 h^2) reads H[a, a],
+    H[a, a] + H[b, b] + 2 Re H[a, b] and H[a, a] + H[b, b] + 2 Im H[a, b]."""
+    atlas = build_Z(diagram)
+    minors = admissible_minors(diagram)
+    n = atlas.nvars
+    h = step
+    f0 = potential_pointwise(atlas, minors, [0j] * n, coeffs)
+
+    def quad(direction) -> float:
+        u = [0j] * n
+        for a, x in direction:
+            u[a] = x
+        plus = potential_pointwise(atlas, minors, [h * x for x in u], coeffs)
+        minus = potential_pointwise(atlas, minors, [-h * x for x in u], coeffs)
+        return (plus - 2 * f0 + minus) / (2 * h * h)
+
+    hess = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        hess[a, a] = quad([(a, 1)])
+    for a in range(n):
+        for b in range(a + 1, n):
+            both = hess[a, a].real + hess[b, b].real
+            re = (quad([(a, 1), (b, 1)]) - both) / 2
+            im = (quad([(a, 1), (b, 1j)]) - both) / 2
+            hess[a, b] = complex(re, im)
+            hess[b, a] = complex(re, -im)
+    return hess
+
+
+def hessian_fd_real_pointwise(diagram, coeffs, step: float = 1e-4):
     """Central finite-difference complex Hessian of the potential at the
     origin, from one-point evaluations: four per mixed second derivative of
     the real coordinates (x_0, y_0, x_1, ...), and d^2/dz_a dzb_b assembled
-    from four of those."""
+    from four of those.  This stencil takes the Hermitian part, so it drops
+    a pure (2,0) term that the polarization stencil keeps."""
     atlas = build_Z(diagram)
     minors = admissible_minors(diagram)
     n = atlas.nvars

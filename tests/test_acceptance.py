@@ -343,7 +343,7 @@ def test_criterion_8_numeric_spot_check():
         atlas, minors = build_Z(diagram), admissible_minors(diagram)
         for point in _boundary_samples(rng, atlas.nvars, 3, 0.05):
             exact = eval_numeric(atlas, minors, [point], cvals)[0]
-            approx = truncated_value(audit, point)
+            approx = truncated_value(audit, [point])[0]
             if abs(exact - approx) > 1e-5:
                 problems.append(
                     (diagram.label(), "truncation", abs(exact - approx))
@@ -359,8 +359,10 @@ def test_criterion_8_numeric_spot_check():
     worst_d6 = 0.0
     for point in _boundary_samples(rng, 3, 10, 0.05):
         exact = eval_numeric(atlas, minors, [point], [1, 1])[0]
-        worst_d3 = max(worst_d3, abs(exact - truncated_value(expansion, point)))
-        worst_d6 = max(worst_d6, abs(exact - truncated_value(audit, point)))
+        worst_d3 = max(worst_d3,
+                       abs(exact - truncated_value(expansion, [point])[0]))
+        worst_d6 = max(worst_d6,
+                       abs(exact - truncated_value(audit, [point])[0]))
     if worst_d3 > 64 * 2 * 9 * 0.05 ** 4:
         problems.append(("SU(3) {1,2}", "degree-3 bound", worst_d3))
     if worst_d6 > 1e-5:

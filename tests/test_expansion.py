@@ -416,10 +416,23 @@ def test_diastasis_vanishes_at_origin():
     dia = diagram(Family.SP, 2, (1, 2))
     expansion = diastasis(dia, 3, (1, 2))
     atlas = build_Z(dia)
-    assert truncated_value(expansion, [0j] * atlas.nvars) == 0.0
+    assert truncated_value(expansion, [[0j] * atlas.nvars]) == [0.0]
     values = eval_numeric(atlas, admissible_minors(dia), [[0j] * atlas.nvars],
                           [1.0, 2.0])
     assert values.tolist() == [0.0]
+
+
+def test_truncated_value_stack_equals_polynomial_evaluate():
+    # the stacked lane converts each coefficient once; every value must
+    # still be the one-point sum to the last bit
+    dia = diagram(Family.SP, 3, (1, 3))
+    expansion = diastasis(dia, 4, (F(7, 3), F(5, 2)))
+    rng = random.Random(12)
+    points = [[complex(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+               for _ in range(build_Z(dia).nvars)] for _ in range(4)]
+    assert truncated_value(expansion, points) == [
+        expansion.evaluate(point).real for point in points
+    ]
 
 
 def test_numeric_readers_refuse_a_symbolic_expansion():
@@ -428,7 +441,7 @@ def test_numeric_readers_refuse_a_symbolic_expansion():
     symbolic = diastasis(dia, 3, "symbolic")
     nvars = build_Z(dia).nvars
     with pytest.raises(ValueError, match="symbolic expansion"):
-        truncated_value(symbolic, [0.01j] * nvars)
+        truncated_value(symbolic, [[0.01j] * nvars])
     with pytest.raises(ValueError, match="symbolic expansion"):
         symbolic_metric(symbolic, nvars)
 
@@ -672,17 +685,68 @@ def test_hessian_matches_symbolic_metric():
         assert eigs.min() > 0
 
 
-def test_hessian_fd_matches_pointwise_oracle():
-    # one painting per family, plus the largest rank <= 4 chart (16 variables)
+def _hessian_cases():
+    """One painting per family, plus the largest rank <= 4 chart (16
+    variables), each with seeded coefficients."""
     rng = random.Random(5)
     for dia in (diagram(Family.SU, 4, (1, 3)), diagram(Family.SP, 3, (1, 3)),
                 diagram(Family.SO_EVEN, 4, (1, 4)),
                 diagram(Family.SO_ODD, 3, (1, 3)),
                 diagram(Family.SO_ODD, 4, (1, 2, 3, 4))):
-        coeffs = [rng.randint(1, 9) / rng.randint(1, 4) for _ in dia.black]
+        yield dia, [rng.randint(1, 9) / rng.randint(1, 4) for _ in dia.black]
+
+
+def test_hessian_fd_matches_pointwise_oracle():
+    for dia, coeffs in _hessian_cases():
         hess = hessian_fd(dia, coeffs)
         expected = oracles.hessian_fd_pointwise(dia, coeffs)
         assert np.max(np.abs(hess - expected)) <= 1e-12, dia
+
+
+def test_hessian_fd_agrees_with_the_real_coordinate_stencil():
+    # two stencils with different points and error terms read one Hessian
+    for dia, coeffs in _hessian_cases():
+        hess = hessian_fd(dia, coeffs)
+        expected = oracles.hessian_fd_real_pointwise(dia, coeffs)
+        assert np.max(np.abs(hess - expected)) <= 1e-6, dia
+
+
+def test_hessian_fd_sees_a_pure_term(monkeypatch):
+    # kappa Re(z_0^2) has no (1,1) part; the real-coordinate stencil takes
+    # the Hermitian part and drops it, polarization moves H[0, 0] by kappa
+    dia = diagram(Family.SU, 3, (1, 2))
+    base = hessian_fd(dia, [1.0, 2.0])
+    kappa = 0.5
+    exact = expansion_module.eval_numeric
+
+    def with_pure_term(atlas, minors, points, coeffs):
+        z0 = np.asarray(points, dtype=complex)[:, 0]
+        return exact(atlas, minors, points, coeffs) + kappa * (z0 * z0).real
+
+    monkeypatch.setattr(expansion_module, "eval_numeric", with_pure_term)
+    moved = hessian_fd(dia, [1.0, 2.0])
+    shift = np.zeros_like(base)
+    shift[0, 0] = kappa
+    assert np.max(np.abs(moved - base - shift)) < 1e-6
+
+
+@pytest.mark.parametrize("dia", [diagram(Family.SU, 2, (1,)),
+                                 diagram(Family.SP, 2, (1, 2)),
+                                 diagram(Family.SO_ODD, 4, (1, 2, 3, 4))],
+                         ids=lambda d: d.label())
+def test_hessian_fd_point_count_and_batches(monkeypatch, dia):
+    n = build_Z(dia).nvars
+    sizes = []
+    exact = expansion_module.eval_numeric
+
+    def counted(atlas, minors, points, coeffs):
+        sizes.append(len(points))
+        return exact(atlas, minors, points, coeffs)
+
+    monkeypatch.setattr(expansion_module, "eval_numeric", counted)
+    hessian_fd(dia, [1.0] * len(dia.black))
+    assert sum(sizes) == 2 * n * n + 1
+    assert max(sizes) <= 8 * n - 2
 
 
 def test_numeric_potential_stack_equals_one_point_calls():
@@ -732,7 +796,7 @@ def test_truncation_error_scales_with_radius():
             point = [z * radius / top for z in raw]
             err = abs(
                 eval_numeric(atlas, minors, [point], [1, 1])[0]
-                - truncated_value(expansion, point)
+                - truncated_value(expansion, [point])[0]
             )
             assert err < bound
 
