@@ -75,9 +75,7 @@ def forbidden_report(poly: Polynomial) -> ForbiddenReport:
     report = ForbiddenReport(tuple(entries), poly.trunc)
     by_mono = dict(report.entries)
     for m, f in report.entries:
-        g = by_mono.get(m.conj())
-        # the jet shares form objects, so identity settles most checks
-        if g is not f and g != f:
+        if by_mono.get(m.conj()) != f:
             raise EngineInvariantError(
                 "forbidden report is not conjugate-closed; the potential "
                 "expansion is not real"
@@ -113,13 +111,11 @@ class BochnerVerdict:
 def _constraint_rows(report: ForbiddenReport,
                      black: tuple[int, ...]) -> list[tuple[int, ...]]:
     """One primitive integer row per distinct direction of the coefficient
-    forms, columns ordered like black, in order of first appearance.  The
-    jet shares one form object among many monomials, so each object is
-    read once."""
+    forms, columns ordered like black, in order of first appearance.  Many
+    monomials share one form, so each distinct form is read once."""
     col = {p: i for i, p in enumerate(black)}
-    forms = {id(f): f for _, f in report.entries}
     rows = {}
-    for form in forms.values():
+    for form in dict.fromkeys(f for _, f in report.entries):
         row = [0] * len(black)
         for k, lam in form.terms:
             row[col[k]] = lam

@@ -53,7 +53,7 @@ SCHEMA_VERSION = 1
 # dropped degree, with an engineering margin for coefficient growth
 HESSIAN_TOL = 1e-6
 POTENTIAL_TOL_FACTOR = 64.0
-DEFAULT_RADIUS = 0.05
+SAMPLE_RADIUS = 0.05
 # the float lane scales, sums and (in the finite-difference Hessian) divides
 # the coefficients; half the double exponent range leaves room for all of
 # it, where float() overflows on 1e400 and rounds 1e-400 to 0.0
@@ -96,9 +96,6 @@ class CaseRequest:
             raise ValueError(
                 f"--max-degree and --audit-degree are capped at {MAX_CASE_DEGREE}"
             )
-        repeated = sorted({p for p in self.black if self.black.count(p) > 1})
-        if repeated:
-            raise ValueError(f"--black lists node {repeated[0]} more than once")
         if self.coeffs != "symbolic":
             if len(self.coeffs) != len(self.black):
                 raise ValueError(
@@ -220,12 +217,12 @@ def _verdict_json(verdict: BochnerVerdict, names) -> dict:
 
 def _forbidden_json(report: ForbiddenReport, names, cvals=None) -> list[dict]:
     out = []
-    done = {}  # the jet shares one form object among many monomials
+    done = {}  # many monomials share one form
     for mono, form in report.entries:
-        if id(form) not in done:
+        if form not in done:
             value = None if cvals is None else str(form.evaluate(cvals))
-            done[id(form)] = (_form_json(form), value)
-        doc, value = done[id(form)]
+            done[form] = (_form_json(form), value)
+        doc, value = done[form]
         entry = {"monomial": mono.render(names), "coeff_form": dict(doc)}
         if value is not None:
             entry["value"] = value
@@ -344,7 +341,7 @@ def run_sweep(request: SweepRequest) -> dict:
     }
 
 
-def _sample_points(nvars: int, samples: int, seed: int, radius: float):
+def _sample_points(nvars: int, samples: int, seed: int):
     rng = random.Random(seed)
     points = []
     for _ in range(samples):
@@ -356,7 +353,7 @@ def _sample_points(nvars: int, samples: int, seed: int, radius: float):
         if top == 0:
             raw[0] = 1.0 + 0j
             top = 1.0
-        points.append([z * (radius / top) for z in raw])
+        points.append([z * (SAMPLE_RADIUS / top) for z in raw])
     return points
 
 
@@ -388,12 +385,9 @@ def run_numeric_check(request: CaseRequest, samples: int, seed: int) -> dict:
     eigs = np.linalg.eigvalsh((hess + hess.conj().T) / 2)
     min_eig = float(eigs.min())
 
-    radius = DEFAULT_RADIUS
-    csum = sum(coeffs)
-    tol_pot = POTENTIAL_TOL_FACTOR * csum * nvars * nvars * radius ** (
-        request.max_degree + 1
-    )
-    points = _sample_points(nvars, samples, seed, radius)
+    tol_pot = (POTENTIAL_TOL_FACTOR * sum(coeffs) * nvars * nvars
+               * SAMPLE_RADIUS ** (request.max_degree + 1))
+    points = _sample_points(nvars, samples, seed)
     # the samples and the origin in one stacked evaluation
     *exact_values, zero_val = map(float, eval_numeric(
         atlas, admissible_minors(diagram), points + [[0j] * nvars], coeffs))
@@ -416,7 +410,7 @@ def run_numeric_check(request: CaseRequest, samples: int, seed: int) -> dict:
         "request": request.echo(),
         "seed": seed,
         "samples": sample_rows,
-        "radius": radius,
+        "radius": SAMPLE_RADIUS,
         "potential_at_zero": zero_val,
         "potential_tolerance": tol_pot,
         "max_potential_error": worst,

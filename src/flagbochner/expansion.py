@@ -96,33 +96,29 @@ def _parse_coeffs(diagram: PaintedDiagram, coeffs):
     return tuple(zip(diagram.black, values))
 
 
-def _check_invariants(expansion: Polynomial) -> None:
-    for m in expansion.terms:
-        p, q = m.bidegree
-        if (p == 0) != (q == 0):
-            raise EngineInvariantError(
-                f"pure term of bidegree ({p},{q}) in the potential expansion"
-            )
-        if p == 0 and q == 0:
-            raise EngineInvariantError("nonzero constant term in the expansion")
-
-
-def _check_quadratic(terms, nvars: int, coeff_values) -> None:
-    """The (1,1) part of the terms, a Monomial -> coefficient mapping, must
-    be a positive diagonal over every variable."""
+def _check_potential(terms, nvars: int, coeff_values) -> None:
+    """The checks every finished potential or jet passes, in one walk over
+    its terms, a Monomial -> coefficient dict: there is no pure or
+    constant term, and the (1,1) part is a positive diagonal over all
+    nvars variables.  Coefficients are CoeffForms when coeff_values is
+    None, and positive means every lam_k > 0; otherwise numbers."""
     seen = set()
     for m, f in terms.items():
-        if m.p != 1 or m.q != 1:
+        p, q = m.p, m.q
+        if not (p and q):
+            raise EngineInvariantError(
+                f"pure term of bidegree ({p},{q}) in the potential" if p or q
+                else "nonzero constant term in the potential"
+            )
+        if p != 1 or q != 1:
             continue
-        if m.holo[0][0] != m.anti[0][0]:
+        v = m.holo[0][0]
+        if v != m.anti[0][0]:
             raise EngineInvariantError("off-diagonal (1,1) term in the potential")
-        if coeff_values is None:
-            ok = all(l > 0 for _, l in f.terms)
-        else:
-            ok = f > 0
+        ok = all(l > 0 for _, l in f.terms) if coeff_values is None else f > 0
         if not ok:
             raise EngineInvariantError("(1,1) coefficient is not a positive form")
-        seen.add(m.holo[0][0])
+        seen.add(v)
     missing = set(range(nvars)) - seen
     if missing:
         raise EngineInvariantError(
@@ -343,10 +339,8 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
             terms[mono] = CoeffForm((k, Fraction(n, den)) for k, n in x.items())
         else:
             terms[mono] = Fraction(x, den)
-    poly = Polynomial._of_clean(terms, degree)
-    _check_invariants(poly)
-    _check_quadratic(terms, nvars, stored)
-    return poly
+    _check_potential(terms, nvars, stored)
+    return Polynomial._of_clean(terms, degree)
 
 
 def _exp_of_minus(e, pack: Packing):
@@ -447,8 +441,6 @@ def forbidden_jet(diagram: PaintedDiagram,
     for v, forms in dz.items():
         zv = ((v, 1),)
         for m, lam in forms.items():
-            if not m:
-                raise EngineInvariantError("pure term in the potential jet")
             d = pack.degree(m)
             key = (d, *lam.items())
             form = made.get(key)
@@ -463,7 +455,7 @@ def forbidden_jet(diagram: PaintedDiagram,
             terms[Monomial._of_bidegree(zv, x, 1, d)] = form
             if d >= 2:
                 terms[Monomial._of_bidegree(x, zv, d, 1)] = form
-    _check_quadratic(terms, atlas.nvars, None)
+    _check_potential(terms, atlas.nvars, None)
     return Polynomial._of_clean(terms, degree)
 
 
@@ -543,7 +535,7 @@ def truncated_value(poly: Polynomial, points) -> list[float]:
     return out
 
 
-def hessian_fd(diagram: PaintedDiagram, coeffs, step: float = 1e-4):
+def hessian_fd(diagram: PaintedDiagram, coeffs):
     """Complex Hessian H[v, w] = d^2 f / dz_v dzb_w of the exact potential
     f at the origin, as an N x N complex array, by polarization.
 
@@ -560,7 +552,7 @@ def hessian_fd(diagram: PaintedDiagram, coeffs, step: float = 1e-4):
     atlas = build_Z(diagram)
     minors = admissible_minors(diagram)
     n = atlas.nvars
-    h = step
+    h = 1e-4
     iv, iw = np.triu_indices(n, 1)
     k = len(iv)
     # rows: e_v, then e_v + e_w and e_v + i e_w for each v < w in turn

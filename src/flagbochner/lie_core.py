@@ -197,19 +197,23 @@ def height(group: GroupSpec, root: Root) -> int:
 class PaintedDiagram:
     """A classical group with a nonempty set of black simple-root positions.
 
-    Positions are 1-based indices into the canonical simple basis.  SO
-    paintings whose white tail would be a rank-one orthogonal factor are
-    rejected (PaintingError), as is painting the even-orthogonal node d-1
-    without node d: that diagram is the mirror image, under the order-two
-    diagram flip, of the painting that uses node d, and only the latter is
-    compatible with the fixed matrix realization used downstream.
+    Positions are 1-based indices into the canonical simple basis, each
+    given once; black holds them sorted.  SO paintings whose white tail
+    would be a rank-one orthogonal factor are rejected (PaintingError), as
+    is painting the even-orthogonal node d-1 without node d: that diagram
+    is the mirror image, under the order-two diagram flip, of the painting
+    that uses node d, and only the latter is compatible with the fixed
+    matrix realization used downstream.
     """
 
     group: GroupSpec
     black: tuple[int, ...]
 
     def __post_init__(self):
-        black = tuple(sorted(set(self.black)))
+        black = tuple(sorted(self.black))
+        for a, b in zip(black, black[1:]):
+            if a == b:
+                raise PaintingError(f"black lists node {a} more than once")
         object.__setattr__(self, "black", black)
         if not black:
             raise PaintingError("at least one black node is required")

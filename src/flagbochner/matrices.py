@@ -26,26 +26,18 @@ from .poly import EngineInvariantError
 Entry = tuple[int, int, int]  # (row, col, sign)
 
 
-@dataclass(frozen=True)
-class RootVectorMatrix:
-    """Sparse root-vector matrix: one or two +-1 entries in an m x m frame."""
-
-    size: int
-    entries: tuple[Entry, ...]
-
-
 def _signed_support(root: Root) -> list[tuple[int, int]]:
     """(index, coefficient) pairs with 1-based indices, coefficient != 0."""
     return [(i + 1, c) for i, c in enumerate(root.coeffs) if c]
 
 
 @lru_cache(maxsize=None)
-def root_vector(group: GroupSpec, alpha: Root) -> RootVectorMatrix:
-    """The root-vector matrix E_alpha in the fixed realization."""
+def root_vector(group: GroupSpec, alpha: Root) -> tuple[Entry, ...]:
+    """E_alpha in the fixed realization, group.matrix_size square, as its
+    one or two nonzero entries (row, col, sign), each sign +-1."""
     if alpha not in all_roots(group):
         raise ValueError(f"{alpha!r} is not a root of {group.label()}")
     d = group.rank
-    m = group.matrix_size
     fam = group.family
     sup = _signed_support(alpha)
 
@@ -53,29 +45,29 @@ def root_vector(group: GroupSpec, alpha: Root) -> RootVectorMatrix:
         (i, ci), (j, cj) = sup
         if ci == -1:
             i, j = j, i
-        return RootVectorMatrix(m, ((i - 1, j - 1, 1),))
+        return ((i - 1, j - 1, 1),)
 
     if len(sup) == 2:
         (i, ci), (j, cj) = sup
         if ci == 1 and cj == -1:  # e_i - e_j
-            return RootVectorMatrix(m, ((i - 1, j - 1, 1), (d + j - 1, d + i - 1, -1)))
+            return ((i - 1, j - 1, 1), (d + j - 1, d + i - 1, -1))
         if ci == -1 and cj == 1:  # e_j - e_i
-            return RootVectorMatrix(m, ((j - 1, i - 1, 1), (d + i - 1, d + j - 1, -1)))
+            return ((j - 1, i - 1, 1), (d + i - 1, d + j - 1, -1))
         skew = -1 if fam in (Family.SO_EVEN, Family.SO_ODD) else 1
         if ci == 1 and cj == 1:  # e_i + e_j, upper-right block
-            return RootVectorMatrix(m, ((i - 1, d + j - 1, 1), (j - 1, d + i - 1, skew)))
+            return ((i - 1, d + j - 1, 1), (j - 1, d + i - 1, skew))
         # -e_i - e_j, lower-left block
-        return RootVectorMatrix(m, ((d + i - 1, j - 1, 1), (d + j - 1, i - 1, skew)))
+        return ((d + i - 1, j - 1, 1), (d + j - 1, i - 1, skew))
 
     (i, c) = sup[0]
     if fam is Family.SP:  # +-2e_i, single entry keeps signs in {-1, +1}
         if c == 2:
-            return RootVectorMatrix(m, ((i - 1, d + i - 1, 1),))
-        return RootVectorMatrix(m, ((d + i - 1, i - 1, 1),))
+            return ((i - 1, d + i - 1, 1),)
+        return ((d + i - 1, i - 1, 1),)
     # SO(2d+1) short roots +-e_i use the last row and column
     if c == 1:
-        return RootVectorMatrix(m, ((i - 1, 2 * d, 1), (2 * d, d + i - 1, -1)))
-    return RootVectorMatrix(m, ((d + i - 1, 2 * d, 1), (2 * d, i - 1, -1)))
+        return ((i - 1, 2 * d, 1), (2 * d, d + i - 1, -1))
+    return ((d + i - 1, 2 * d, 1), (2 * d, i - 1, -1))
 
 
 class Packing:
@@ -220,7 +212,7 @@ def build_Z(diagram: PaintedDiagram) -> CoordinateAtlas:
     negs = tuple(sorted(-r for r in q))
     entries: dict[tuple[int, int], tuple[int, int]] = {}
     for v, root in enumerate(negs):
-        for r, c, s in root_vector(group, root).entries:
+        for r, c, s in root_vector(group, root):
             if (r, c) in entries:
                 raise EngineInvariantError(
                     f"variable collision at matrix position ({r},{c}) while "

@@ -52,12 +52,15 @@ class CoeffForm:
 
     terms pairs distinct labels k with their lam_k; zero entries are
     dropped and the rest sorted by label.  A form is false when it is zero.
+    Forms are immutable and compare by value; the hash is computed once,
+    and a form equals itself without a walk of its terms.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Iterable[tuple[int, Fraction]] = ()):
         self.terms = tuple(sorted((k, lam) for k, lam in terms if lam))
+        self._hash = hash(self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -77,14 +80,16 @@ class CoeffForm:
             return -1
         return 0
 
-    def render(self, prefix: str = "c") -> str:
-        return render_signed_sum((f"{prefix}{k}", lam) for k, lam in self.terms)
+    def render(self) -> str:
+        return render_signed_sum((f"c{k}", lam) for k, lam in self.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CoeffForm) and self.terms == other.terms
+        return self is other or (
+            isinstance(other, CoeffForm) and self.terms == other.terms
+        )
 
     def __hash__(self):
-        return hash(self.terms)
+        return self._hash
 
     def __repr__(self):
         return f"CoeffForm({self.render()})"

@@ -359,7 +359,7 @@ def is_admissible(diagram, l: int) -> bool:
     """Direct invariance check for the minor Delta_l: no white-root vector
     may carry an entry from the leading l rows into the trailing columns."""
     for root in sorted(white_roots(diagram)):
-        for r, c, _ in root_vector(diagram.group, root).entries:
+        for r, c, _ in root_vector(diagram.group, root):
             if r < l <= c:
                 return False
     return True

@@ -8,10 +8,16 @@ from pathlib import Path
 
 import pytest
 
+from flagbochner.bochner import (
+    ForbiddenReport,
+    forbidden_report,
+    verdict_from_report,
+)
 from flagbochner.cli import (
     CaseRequest,
     NumericCheckFailure,
     SweepRequest,
+    _forbidden_json,
     main,
     parse_black,
     parse_coeffs,
@@ -20,8 +26,12 @@ from flagbochner.cli import (
     run_numeric_check,
     run_sweep,
 )
-from flagbochner.lie_core import Family, GroupSpec
+from flagbochner.expansion import forbidden_jet
+from flagbochner.lie_core import Family, GroupSpec, PaintedDiagram
 from flagbochner.matrices import build_Z
+from flagbochner.poly import CoeffForm
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 # ----------------------------------------------------------------- parsing
@@ -129,11 +139,57 @@ def test_exit_zero_regardless_of_verdict(capsys):
     assert "NeverBochner" in out
 
 
+@pytest.mark.parametrize("family, rank, black", [
+    (Family.SU, 4, (1, 3)),  # BochnerIff
+    (Family.SP, 3, (1, 2, 3)),  # NeverBochner
+    (Family.SO_EVEN, 5, (1, 5)),  # BochnerIff, c1 = 2*c5
+])
+def test_reports_read_forms_by_value(family, rank, black):
+    # the jet shares one form object among many monomials; a report whose
+    # forms are equal copies, none shared, must read the same
+    dia = PaintedDiagram(GroupSpec(family, rank), black)
+    report = forbidden_report(forbidden_jet(dia, 4))
+    copies = ForbiddenReport(
+        tuple((m, CoeffForm(f.terms)) for m, f in report.entries),
+        report.degree_checked,
+    )
+    assert report.entries
+    assert not any(f is g for (_, f), (_, g) in zip(report.entries,
+                                                    copies.entries))
+    assert (verdict_from_report(copies, dia.black)
+            == verdict_from_report(report, dia.black))
+    names = build_Z(dia).var_names()
+    cvals = {k: k + 1 for k in dia.black}
+    for values in (None, cvals):
+        assert (_forbidden_json(copies, names, values)
+                == _forbidden_json(report, names, values))
+
+
+def test_the_verdict_path_does_not_load_numpy():
+    # only the numeric check needs numpy; the benchmark's setup time and a
+    # plain case or sweep assume the import, a case and a sweep leave it
+    # unloaded
+    code = "\n".join([
+        "import sys",
+        "from flagbochner.cli import main",
+        "assert 'numpy' not in sys.modules, 'import'",
+        "argv = ['--group', 'SOodd:4', '--black', '2,3,4', '--coeffs',",
+        "        '1,2,3', '--audit-degree', '5', '--emit', 'json']",
+        "assert main(argv) == 0",
+        "assert 'numpy' not in sys.modules, 'case'",
+        "assert main(['--sweep', '--max-rank', '3', '--max-black', '2']) == 0",
+        "assert 'numpy' not in sys.modules, 'sweep'",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+
+
 def test_exit_one_without_a_traceback_when_stdout_closes_early():
     # a reader that stops after one line (`| head -1`) closes the pipe
     # while far more than a pipe buffer of JSON is still to be written
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": SRC}
     argv = ["--group", "SOodd:8", "--black", "1,2,3,4", "--max-degree", "6",
             "--emit", "json"]
     with subprocess.Popen([sys.executable, "-m", "flagbochner.cli", *argv],
@@ -215,6 +271,9 @@ def test_exit_one_on_validation_error(capsys):
     # given at its default value, a flag is still part of the request
     (["--group", "SU:4", "--black", "1", "--samples", "10"],
      "--samples does not apply to a single case"),
+    # the painting, not the request, refuses a repeated node
+    (["--group", "SU:4", "--black", "1,1", "--coeffs", "1,2"],
+     "node 1 more than once"),
 ])
 def test_exit_one_on_inconsistent_request(capsys, argv, reason):
     assert main(argv) == 1

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from flagbochner import expansion as expansion_module
 from flagbochner.expansion import (
     NumericDomainError,
+    _check_potential,
     _exp_of_minus,
     _packed_exp,
     _packed_gram,
@@ -541,6 +542,66 @@ def test_forbidden_jet_rejects_leading_block_not_unipotent(monkeypatch):
                       lambda atlas, pack: {(0, 0): {pack.variable(0): 1}})
     with pytest.raises(EngineInvariantError, match=NOT_I):
         forbidden_jet(diagram(Family.SU, 3, (1, 2)), None)
+
+
+def _z(v, e=1):
+    return ((v, e),)
+
+
+# a finished symbolic potential in two variables: a positive diagonal (1,1)
+# part and one (1,2) term
+GOOD_POTENTIAL = {
+    Monomial(_z(0), _z(0)): CoeffForm(((1, F(1)),)),
+    Monomial(_z(1), _z(1)): CoeffForm(((1, F(1)), (2, F(1, 2)))),
+    Monomial(_z(0), _z(1, 2)): CoeffForm(((1, F(1)), (2, F(-1)))),
+}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({Monomial(_z(0, 2), ()): CoeffForm(((1, F(1)),))},
+     r"pure term of bidegree \(2,0\)"),
+    ({Monomial((), _z(1)): CoeffForm(((2, F(1)),))},
+     r"pure term of bidegree \(0,1\)"),
+    ({Monomial(): CoeffForm(((1, F(1)),))}, "constant term"),
+    ({Monomial(_z(0), _z(1)): CoeffForm(((1, F(1)),))}, "off-diagonal"),
+    ({Monomial(_z(1), _z(1)): CoeffForm(((1, F(1)), (2, F(-1))))},
+     "not a positive form"),
+    ({Monomial(_z(1), _z(1)): None}, r"variables \[1\] missing"),
+])
+def test_check_potential_rejects_each_fault(change, message):
+    terms = {**GOOD_POTENTIAL, **change}
+    terms = {m: f for m, f in terms.items() if f is not None}
+    with pytest.raises(EngineInvariantError, match=message):
+        _check_potential(terms, 2, None)
+    _check_potential(GOOD_POTENTIAL, 2, None)
+
+
+def test_check_potential_on_numeric_coefficients():
+    good = {m: f.evaluate({1: F(1), 2: F(1)})
+            for m, f in GOOD_POTENTIAL.items()}
+    _check_potential(good, 2, ((1, F(1)), (2, F(1))))
+    for value in (F(0), F(-1, 2)):
+        bad = {**good, Monomial(_z(0), _z(0)): value}
+        with pytest.raises(EngineInvariantError, match="not a positive form"):
+            _check_potential(bad, 2, ((1, F(1)), (2, F(1))))
+
+
+def test_diastasis_and_the_jet_each_check_their_potential_once(monkeypatch):
+    seen = []
+
+    def record(terms, nvars, coeff_values):
+        seen.append((len(terms), nvars, coeff_values))
+        _check_potential(terms, nvars, coeff_values)
+
+    monkeypatch.setattr(expansion_module, "_check_potential", record)
+    dia = diagram(Family.SP, 2, (1, 2))
+    jet = forbidden_jet(dia, 3)
+    sym = diastasis(dia, 3)
+    num = diastasis(dia, 3, (1, 2))
+    nvars = build_Z(dia).nvars
+    assert seen == [(len(jet.terms), nvars, None),
+                    (len(sym.terms), nvars, None),
+                    (len(num.terms), nvars, ((1, F(1)), (2, F(2))))]
 
 
 def test_forbidden_jet_rejects_off_diagonal_quadratic_term(monkeypatch):

@@ -311,6 +311,13 @@ def test_painting_rejects_out_of_range_and_empty():
         PaintedDiagram(sp(2), (0,))
 
 
+def test_painting_rejects_a_repeated_black_node():
+    # a repeat is refused, not dropped: (3, 1, 3) is not the painting (1, 3)
+    with pytest.raises(PaintingError, match="node 3 more than once"):
+        PaintedDiagram(su(4), (3, 1, 3))
+    assert PaintedDiagram(su(4), (3, 1)).black == (1, 3)
+
+
 def test_painting_rejects_so_odd_l_equals_one():
     with pytest.raises(PaintingError, match="SO\\(3\\) tail"):
         PaintedDiagram(so_odd(4), (3,))

@@ -40,9 +40,11 @@ GROUPS = [
 ]
 
 
-def _dense(rv):
-    out = [[0] * rv.size for _ in range(rv.size)]
-    for r, c, s in rv.entries:
+def _dense(group, alpha):
+    """E_alpha as a dense group.matrix_size square list of rows."""
+    m = group.matrix_size
+    out = [[0] * m for _ in range(m)]
+    for r, c, s in root_vector(group, alpha):
         out[r][c] = s
     return out
 
@@ -59,20 +61,20 @@ def _matmul(a, b):
 
 def test_su3_root_vector_single_entry():
     rv = root_vector(GroupSpec(Family.SU, 3), Root((1, -1, 0)))
-    assert rv.entries == ((0, 1, 1),)
+    assert rv == ((0, 1, 1),)
 
 
 def test_sp_lower_left_block_for_negative_sum_roots():
     d = 3
     rv = root_vector(GroupSpec(Family.SP, d), Root((-1, -1, 0)))
-    assert set(rv.entries) == {(d + 0, 1, 1), (d + 1, 0, 1)}
+    assert set(rv) == {(d + 0, 1, 1), (d + 1, 0, 1)}
 
 
 def test_so_odd_short_negative_root_entries():
     d = 3
     rv = root_vector(GroupSpec(Family.SO_ODD, d), Root((0, -1, 0)))
     # 1-based: (d+i, 2d+1, +1) and (2d+1, i, -1)
-    assert set(rv.entries) == {(d + 1, 2 * d, 1), (2 * d, 1, -1)}
+    assert set(rv) == {(d + 1, 2 * d, 1), (2 * d, 1, -1)}
 
 
 def test_root_vector_rejects_non_roots():
@@ -82,10 +84,12 @@ def test_root_vector_rejects_non_roots():
 
 def test_entry_signs_are_unit():
     for group in GROUPS:
+        m = group.matrix_size
         for alpha in all_roots(group):
             rv = root_vector(group, alpha)
-            assert 1 <= len(rv.entries) <= 2
-            assert all(s in (1, -1) for _, _, s in rv.entries)
+            assert 1 <= len(rv) <= 2
+            assert all(s in (1, -1) for _, _, s in rv)
+            assert all(0 <= r < m and 0 <= c < m for r, c, _ in rv)
 
 
 # --------------------------------------------------- Lie-algebra identities
@@ -99,7 +103,7 @@ def test_cartan_bracket_eigenvalue_identity():
         diag = cartan_diagonal(group, hs)
         for alpha in all_roots(group):
             value = sum(c * h for c, h in zip(alpha.coeffs, hs))
-            for r, c, _ in root_vector(group, alpha).entries:
+            for r, c, _ in root_vector(group, alpha):
                 assert diag[r] - diag[c] == value
 
 
@@ -114,13 +118,13 @@ def test_commutators_are_multiples_of_root_vectors():
         s = a + b
         if s not in all_roots(group):
             continue
-        ea = _dense(root_vector(group, a))
-        eb = _dense(root_vector(group, b))
+        ea = _dense(group, a)
+        eb = _dense(group, b)
         comm = [
             [x - y for x, y in zip(row1, row2)]
             for row1, row2 in zip(_matmul(ea, eb), _matmul(eb, ea))
         ]
-        es = _dense(root_vector(group, s))
+        es = _dense(group, s)
         ratios = set()
         n = len(comm)
         for i in range(n):
@@ -159,7 +163,7 @@ def test_root_vectors_annihilate_invariant_form():
             continue
         s = _form_matrix(group)
         for alpha in all_roots(group):
-            e = _dense(root_vector(group, alpha))
+            e = _dense(group, alpha)
             et = [list(row) for row in zip(*e)]
             lhs = [
                 [x + y for x, y in zip(r1, r2)]
