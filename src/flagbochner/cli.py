@@ -27,6 +27,8 @@ from .bochner import (
     verdict_from_report,
 )
 from .expansion import (
+    LOWEST_DEGREE,
+    LOWEST_VERDICT_DEGREE,
     admissible_minors,
     diastasis,
     eval_numeric,
@@ -85,9 +87,10 @@ class CaseRequest:
     def __post_init__(self):
         if self.group.rank > MAX_SWEEP_RANK:
             raise ValueError(f"--group rank is capped at {MAX_SWEEP_RANK}")
-        # degree 2 is the lowest that carries the (1,1) part of the potential
-        if self.max_degree < 2:
-            raise ValueError("--max-degree must be at least 2")
+        # the numeric check compares the (1,1) part, which degree 2
+        # carries; run_case asks more of a verdict
+        if self.max_degree < LOWEST_DEGREE:
+            raise ValueError(f"--max-degree must be at least {LOWEST_DEGREE}")
         # an audit at or below the main degree would re-check nothing
         audit = self.audit_degree
         if audit is not None and audit <= self.max_degree:
@@ -231,19 +234,23 @@ def _forbidden_json(report: ForbiddenReport, names, cvals=None) -> list[dict]:
 
 
 def _diagram_json(diagram: PaintedDiagram) -> dict:
-    _, q = black_roots(diagram)
     return {
         "family": diagram.group.family.value,
         "rank": diagram.group.rank,
         "group": diagram.group.label(),
         "black": list(diagram.black),
-        "dim": len(q),
+        "dim": len(black_roots(diagram)),
         "b2": diagram.b2,
         "poincare": list(poincare(diagram).coeffs),
     }
 
 
 def run_case(request: CaseRequest) -> dict:
+    if request.max_degree < LOWEST_VERDICT_DEGREE:
+        raise ValueError(
+            f"--max-degree must be at least {LOWEST_VERDICT_DEGREE} for a "
+            "verdict: no forbidden monomial has a lower degree"
+        )
     diagram = PaintedDiagram(request.group, request.black)
     atlas = build_Z(diagram)
     names = atlas.var_names()
@@ -286,9 +293,10 @@ def run_sweep(request: SweepRequest) -> dict:
     repeated = [f for f in request.families if request.families.count(f) > 1]
     if repeated:
         raise ValueError(f"--families lists {repeated[0].value} more than once")
-    if not 2 <= request.degree <= MAX_CASE_DEGREE:
+    if not LOWEST_VERDICT_DEGREE <= request.degree <= MAX_CASE_DEGREE:
         raise ValueError(
-            f"--max-degree must be between 2 and {MAX_CASE_DEGREE}"
+            f"--max-degree must be between {LOWEST_VERDICT_DEGREE} and "
+            f"{MAX_CASE_DEGREE}"
         )
     rows = []
     rejected = []
@@ -314,7 +322,7 @@ def run_sweep(request: SweepRequest) -> dict:
                     "rank": rank,
                     "group": group.label(),
                     "black": list(black),
-                    "dim": len(black_roots(diagram)[1]),
+                    "dim": len(black_roots(diagram)),
                     "verdict": verdict.status.value,
                     "constraints": [
                         render_constraint(r, verdict.black)

@@ -126,10 +126,16 @@ def _check_potential(terms, nvars: int, coeff_values) -> None:
         )
 
 
-def _check_degree(degree) -> None:
-    # degree 2 is the lowest that carries the (1,1) part of the potential
-    if not isinstance(degree, int) or degree < 2:
-        raise ValueError(f"degree must be an integer at least 2, got {degree!r}")
+# degree 2 is the lowest that carries the (1,1) part of the potential, and
+# 3 the lowest with a forbidden monomial: a verdict below it is vacuous
+LOWEST_DEGREE = 2
+LOWEST_VERDICT_DEGREE = 3
+
+
+def _check_degree(degree, lowest: int) -> None:
+    if not isinstance(degree, int) or degree < lowest:
+        raise ValueError(
+            f"degree must be an integer at least {lowest}, got {degree!r}")
 
 
 def _packed_exp(atlas: CoordinateAtlas, pack: Packing,
@@ -137,9 +143,17 @@ def _packed_exp(atlas: CoordinateAtlas, pack: Packing,
     """exp Z to total degree <= limit as (row, col) -> {packed: n}, in
     pack; a term of total degree d stands for n / d!, so Z^k / k! keeps
     the powers' integers.  Entries come diagonal first, then in the order
-    the powers reach them; terms by k, then in the power's own order."""
+    the powers reach them; terms by k, then in the power's own order.
+    In the chart's own packing the powers' terms are taken as they are."""
     out = {(i, i): {0: 1} for i in range(atlas.size)}
     src = atlas.packing
+    # equal widths alone do not make one format: the degree field sits
+    # above the last variable
+    if (pack.width, pack.top) == (src.width, src.top):
+        for power in atlas.powers[:limit]:
+            for key, terms in power.items():
+                out.setdefault(key, {}).update(terms)
+        return out
     monos: dict[int, int] = {}
     for power in atlas.powers[:limit]:
         for key, terms in power.items():
@@ -288,7 +302,7 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
 
     Numeric coeffs pair with diagram.black, which is sorted.  Packed
     monomials hold z_v in field v and zb_v in field nvars + v."""
-    _check_degree(degree)
+    _check_degree(degree, LOWEST_DEGREE)
     stored = _parse_coeffs(diagram, coeffs)
     atlas = build_Z(diagram)
     minors = admissible_minors(diagram)
@@ -378,7 +392,7 @@ def forbidden_jet(diagram: PaintedDiagram,
     then gets its Fractions once and gives both z_v zb^m and z^m zb_v.
     """
     if degree is not None:
-        _check_degree(degree)
+        _check_degree(degree, LOWEST_VERDICT_DEGREE)
     atlas = build_Z(diagram)
     minors = admissible_minors(diagram)
     for r, c in atlas.entries:
@@ -393,7 +407,8 @@ def forbidden_jet(diagram: PaintedDiagram,
     # z_v times a zb-polynomial of degree <= degree - 1
     strict = degree is None or degree - 1 >= bound
     limit = bound if strict else degree - 1
-    pack = Packing(atlas.nvars, limit)
+    # limit <= 2K, which the chart's packing holds
+    pack = atlas.packing
     e = _packed_exp(atlas, pack, limit)
     f = _exp_of_minus(e, pack)
     mul = _truncated_product(pack, limit, strict)

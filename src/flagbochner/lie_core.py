@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .poly import EngineInvariantError
 
@@ -52,14 +53,16 @@ class PaintingError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True, order=True)
-class Root:
-    """Integer coefficient vector over e_1..e_d; ordering is lexicographic."""
+class Root(NamedTuple):
+    """Integer coefficient vector over e_1..e_d; ordering is lexicographic.
+
+    A tuple of one field, so construction, hashing and comparison run in
+    C; hash and order are those of (coeffs,)."""
 
     coeffs: tuple[int, ...]
 
     def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coeffs))
+        return Root(tuple([-c for c in self.coeffs]))
 
     def __add__(self, other: "Root") -> "Root":
         return Root(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -157,40 +160,50 @@ def all_roots(group: GroupSpec) -> frozenset[Root]:
     return frozenset(pos) | frozenset(-r for r in pos)
 
 
-def simple_coefficients(group: GroupSpec, root: Root) -> tuple[int | Fraction, ...]:
-    """Exact expansion coefficients of a root over the simple basis, in
-    closed form from the prefix sums s_k = c_1 + ... + c_k of its
-    e-coordinates (entries with s_d / 2 are Fractions, the rest integers):
+def twice_simple_coefficients(group: GroupSpec, root: Root) -> tuple[int, ...]:
+    """Twice the expansion coefficients of a root over the simple basis, as
+    integers, in closed form from the prefix sums s_k = c_1 + ... + c_k of
+    its e-coordinates:
 
-    * SU:     (s_1, ..., s_{d-1}); raises unless s_d = 0 (the span)
-    * Sp:     (s_1, ..., s_{d-1}, s_d / 2)
-    * SOodd:  (s_1, ..., s_d)
-    * SOeven: (s_1, ..., s_{d-2}, s_{d-1} - s_d / 2, s_d / 2)
+    * SU:     (2 s_1, ..., 2 s_{d-1}); raises unless s_d = 0 (the span)
+    * Sp:     (2 s_1, ..., 2 s_{d-1}, s_d)
+    * SOodd:  (2 s_1, ..., 2 s_d)
+    * SOeven: (2 s_1, ..., 2 s_{d-2}, 2 s_{d-1} - s_d, s_d)
     """
     s = list(itertools.accumulate(root.coeffs))
+    last = s.pop()
+    twice = [x + x for x in s]
     family = group.family
     if family is Family.SU:
-        if s[-1]:
+        if last:
             raise ValueError(f"{root!r} is not in the span of the simple basis")
-        return tuple(s[:-1])
-    if family is Family.SO_ODD:
-        return tuple(s)
-    half = Fraction(s[-1], 2)
-    if family is Family.SP:
-        return (*s[:-1], half)
-    return (*s[:-2], s[-2] - half, half)
+    elif family is Family.SO_ODD:
+        twice.append(last + last)
+    elif family is Family.SP:
+        twice.append(last)
+    else:
+        twice[-1] -= last
+        twice.append(last)
+    return tuple(twice)
+
+
+def simple_coefficients(group: GroupSpec, root: Root) -> tuple[int | Fraction, ...]:
+    """Exact expansion coefficients of a root over the simple basis: half
+    of twice_simple_coefficients, an int where it is integral and a
+    Fraction where it is not (only Sp and SOeven halve s_d)."""
+    return tuple(c >> 1 if c % 2 == 0 else Fraction(c, 2)
+                 for c in twice_simple_coefficients(group, root))
 
 
 def height(group: GroupSpec, root: Root) -> int:
     """Sum of the simple-basis coefficients; defined for positive roots."""
-    coeffs = simple_coefficients(group, root)
-    if not all(c >= 0 for c in coeffs) or not any(coeffs):
+    twice = twice_simple_coefficients(group, root)
+    if not all(c >= 0 for c in twice) or not any(twice):
         raise ValueError(f"{root!r} is not a positive root of {group.label()}")
-    # only Sp and SOeven halve s_d, so an odd s_d is the one way to get a
-    # non-integral expansion
-    if group.family in (Family.SP, Family.SO_EVEN) and sum(root.coeffs) % 2:
+    # an odd entry is a half-integral coefficient
+    if any(c % 2 for c in twice):
         raise EngineInvariantError("non-integral simple-root expansion")
-    return int(sum(coeffs))
+    return sum(twice) >> 1
 
 
 @dataclass(frozen=True)
@@ -251,17 +264,17 @@ class PaintedDiagram:
 
 
 @lru_cache(maxsize=None)
-def black_roots(diagram: PaintedDiagram) -> tuple[frozenset[Root], tuple[Root, ...]]:
-    """(R_M, Q): roots with nonzero coefficient on some black simple root,
-    and Q = R_M intersected with R+, sorted."""
+def black_roots(diagram: PaintedDiagram) -> tuple[Root, ...]:
+    """Q: the positive roots with nonzero coefficient on some black simple
+    root, sorted.  The black part R_M of the root system is Q u -Q."""
     group = diagram.group
     black_idx = [p - 1 for p in diagram.black]
-    # -r has the coefficients of r negated, so R_M = Q u -Q
-    q = tuple(
-        r for r in positive_roots(group)
-        if any(simple_coefficients(group, r)[i] for i in black_idx)
-    )
-    return frozenset(q) | frozenset(-r for r in q), q
+    out = []
+    for r in positive_roots(group):
+        twice = twice_simple_coefficients(group, r)
+        if any(twice[i] for i in black_idx):
+            out.append(r)
+    return tuple(out)
 
 
 class PoincarePoly:
@@ -342,8 +355,7 @@ def poincare(diagram: PaintedDiagram) -> PoincarePoly:
     n_{k-1} - n_k in the product, so the factors cancel before anything is
     multiplied; what is left of the denominator then divides exactly."""
     group = diagram.group
-    _, q = black_roots(diagram)
-    count = Counter(height(group, r) for r in q)
+    count = Counter(height(group, r) for r in black_roots(diagram))
     exponents = [count[k - 1] - count[k] for k in range(1, max(count) + 2)]
     poly = [1]
     for k, e in enumerate(exponents, 1):

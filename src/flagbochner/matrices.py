@@ -82,6 +82,11 @@ class Packing:
     degree field reads more than max_degree, whether or not a field
     overflowed into the next.  Hence, for d <= max_degree, a sum whose
     degree() reads at most d is exactly the product monomial.
+
+    Two packings are one format when width and top agree; equal widths
+    alone are not enough.  A chart's powers of Z and its forbidden jet
+    share CoordinateAtlas.packing; diastasis, with a z and a zb field per
+    variable, has a packing of its own and repacks the powers into it.
     """
 
     __slots__ = ("width", "top")
@@ -143,9 +148,11 @@ class CoordinateAtlas:
 
     @property
     def packing(self) -> "Packing":
-        """The packed format of powers: Z^k has degree k <= size (a power
-        past size - 1 only exists to be rejected as non-nilpotent)."""
-        return Packing(self.nvars, self.size)
+        """The packed format of the powers of Z and of the forbidden jet:
+        Z^k has degree k <= size (a power past size - 1 only exists to be
+        rejected as non-nilpotent), and the jet's products have degree at
+        most its proven bound 2K <= 2 * size, K < size the top power."""
+        return Packing(self.nvars, 2 * self.size)
 
     @cached_property
     def powers(self) -> tuple[dict[tuple[int, int], dict[int, int]], ...]:
@@ -208,8 +215,9 @@ def build_Z(diagram: PaintedDiagram) -> CoordinateAtlas:
     chart ill-defined; that is a bug in the root vectors, not user error.
     """
     group = diagram.group
-    _, q = black_roots(diagram)
-    negs = tuple(sorted(-r for r in q))
+    # Q is sorted and negation reverses the lexicographic order, so the
+    # variables, the roots of -Q, come sorted
+    negs = tuple(-r for r in reversed(black_roots(diagram)))
     entries: dict[tuple[int, int], tuple[int, int]] = {}
     for v, root in enumerate(negs):
         for r, c, s in root_vector(group, root):

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from flagbochner.expansion import admissible_minors
-from flagbochner.lie_core import Family, Root, all_roots, black_roots
+from flagbochner.lie_core import Family, Root, all_roots
 from flagbochner.matrices import build_Z, root_vector
 from flagbochner.poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
 
@@ -274,6 +274,33 @@ def elimination_height(group, root) -> int:
     return int(sum(coeffs))
 
 
+def prefix_sum_coefficients(group, root) -> tuple:
+    """The simple-basis coefficients in Fractions, from the prefix sums s_k
+    of the e-coordinates: s_1..s_{d-1} (SU, which needs s_d = 0),
+    s_1..s_{d-1}, s_d / 2 (Sp), s_1..s_d (SOodd) and s_1..s_{d-2},
+    s_{d-1} - s_d / 2, s_d / 2 (SOeven)."""
+    s = [Fraction(x) for x in itertools.accumulate(root.coeffs)]
+    if group.family is Family.SU:
+        if s[-1]:
+            raise ValueError(f"{root!r} is not in the span of the simple basis")
+        return tuple(s[:-1])
+    if group.family is Family.SO_ODD:
+        return tuple(s)
+    half = s[-1] / 2
+    if group.family is Family.SP:
+        return (*s[:-1], half)
+    return (*s[:-2], s[-2] - half, half)
+
+
+def prefix_sum_height(group, root) -> int:
+    """Sum of the Fraction prefix-sum coefficients; raises ValueError unless
+    they are nonnegative integers, not all zero."""
+    coeffs = prefix_sum_coefficients(group, root)
+    if not all(c >= 0 and c.denominator == 1 for c in coeffs) or not any(coeffs):
+        raise ValueError(f"{root!r} has no height in {group.label()}")
+    return int(sum(coeffs))
+
+
 def poincare_from_heights(heights) -> tuple:
     """Coefficients in t of prod (1 - t^(h+1)) / (1 - t^h) over the heights,
     as the power series prod (1 - t^(h+1)) * prod sum_k t^(k h) cut at
@@ -349,10 +376,19 @@ def validate_Q(group, q, r_m) -> bool:
     return True
 
 
+def black_part(diagram) -> frozenset[Root]:
+    """R_M: the roots with a nonzero coefficient on some black simple root,
+    by the elimination; Q u -Q, for Q the engine's black_roots."""
+    group = diagram.group
+    return frozenset(
+        r for r in all_roots(group)
+        if any(elimination_coefficients(group, r)[p - 1] for p in diagram.black)
+    )
+
+
 def white_roots(diagram) -> frozenset[Root]:
     """The roots of the Levi factor: those off every black simple root."""
-    r_m, _ = black_roots(diagram)
-    return all_roots(diagram.group) - r_m
+    return all_roots(diagram.group) - black_part(diagram)
 
 
 def is_admissible(diagram, l: int) -> bool:

@@ -296,7 +296,7 @@ def test_criterion_7_betti_and_poincare():
 
     full_flag = PaintedDiagram(GroupSpec(Family.SU, 3), (1, 2))
     group = full_flag.group
-    _, q = black_roots(full_flag)
+    q = black_roots(full_flag)
     heights = [height(group, root) for root in q]
     oracle = _poincare_series_oracle(heights)
     engine = poincare(full_flag)

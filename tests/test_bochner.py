@@ -240,7 +240,7 @@ def test_report_entries_sorted_and_minimal_witness_deterministic():
 # ---------------------------------------------------------------- classify
 
 def test_classify_rejects_degree_below_two():
-    with pytest.raises(ValueError, match="at least 2"):
+    with pytest.raises(ValueError, match="at least 3"):
         classify(diagram(Family.SU, 3, (1, 2)), 1)
 
 

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from flagbochner.bochner import (
+    BochnerStatus,
     ForbiddenReport,
+    classify,
     forbidden_report,
     verdict_from_report,
 )
@@ -223,11 +225,11 @@ def test_exit_one_on_validation_error(capsys):
     (["--group", "SU:3", "--black", "1", "--max-degree", "7"], "capped at 6"),
     (["--group", "SU:3", "--black", "1", "--audit-degree", "7"], "capped at 6"),
     (["--sweep", "--families", "SU", "--max-rank", "2", "--max-black", "1",
-      "--max-degree", "0"], "between 2 and 6"),
+      "--max-degree", "0"], "between 3 and 6"),
     (["--sweep", "--families", "SU", "--max-rank", "2", "--max-black", "1",
-      "--max-degree", "1"], "between 2 and 6"),
+      "--max-degree", "1"], "between 3 and 6"),
     (["--sweep", "--families", "SU", "--max-rank", "2", "--max-black", "1",
-      "--max-degree", "7"], "between 2 and 6"),
+      "--max-degree", "7"], "between 3 and 6"),
     (["--group", "SU:3", "--black", "1", "--coeffs", "1",
       "--numeric-check", "--audit-degree", "5"], "--audit-degree"),
     (["--group", "SU:3", "--black", "1", "--coeffs", "1",
@@ -274,6 +276,13 @@ def test_exit_one_on_validation_error(capsys):
     # the painting, not the request, refuses a repeated node
     (["--group", "SU:4", "--black", "1,1", "--coeffs", "1,2"],
      "node 1 more than once"),
+    # no forbidden monomial has degree 2, so a verdict there is vacuous
+    (["--sweep", "--families", "SU", "--max-rank", "3", "--max-black", "2",
+      "--max-degree", "2"], "between 3 and 6"),
+    (["--group", "SU:3", "--black", "1,2", "--max-degree", "2"],
+     "at least 3 for a verdict"),
+    (["--group", "SU:3", "--black", "1,2", "--max-degree", "2",
+      "--audit-degree", "4"], "at least 3 for a verdict"),
 ])
 def test_exit_one_on_inconsistent_request(capsys, argv, reason):
     assert main(argv) == 1
@@ -286,6 +295,20 @@ def test_exit_one_on_inconsistent_request(capsys, argv, reason):
 def test_case_request_rejects_degree_below_two():
     with pytest.raises(ValueError, match="at least 2"):
         _case("SU:3", "1", max_degree=1)
+
+
+def test_degree_two_has_no_verdict_but_a_numeric_check():
+    # degree 2 carries the (1,1) part, which the numeric check compares,
+    # but no forbidden monomial: SU(3) black {1,2} is Bochner iff c1 = c2,
+    # which a degree-2 verdict would miss
+    dia = PaintedDiagram(GroupSpec(Family.SU, 3), (1, 2))
+    with pytest.raises(ValueError, match="at least 3"):
+        classify(dia, 2)
+    with pytest.raises(ValueError, match="at least 3"):
+        run_case(_case("SU:3", "1,2", max_degree=2))
+    assert classify(dia, 3).status is BochnerStatus.BOCHNER_IFF
+    doc = run_numeric_check(_case("SU:3", "1,2", "1,2", max_degree=2), 2, 0)
+    assert doc["passed"] and doc["request"]["max_degree"] == 2
 
 
 @pytest.mark.parametrize("audit", [2, 3])

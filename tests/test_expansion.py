@@ -136,19 +136,21 @@ def _unpack(pack, nvars, terms) -> dict:
 @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6, None])
 def test_exp_Z_equals_symbolic_power_sum(degree):
     # the packed exp Z: entries, terms and their order as the matrix sum of
-    # symbolic powers; SU(33) packs each exponent into a 6-bit field
+    # symbolic powers, repacked into the expansion's packing and taken as
+    # they are in the chart's; SU(33) packs each exponent into a 6-bit field
     assert len(PAINTINGS_RANK6) == 256
     for dia in [*PAINTINGS_RANK6, diagram(Family.SU, 33, (1, 32))]:
         atlas = build_Z(dia)
-        pack = Packing(2 * atlas.nvars, degree or atlas.size)
-        engine = _packed_exp(atlas, pack, degree)
         oracle = oracles.exp_Z(atlas, degree)
         assert oracle.trunc == degree
-        assert list(engine) == list(oracle.entries), dia
-        for key, p in oracle.entries.items():
-            q = _unpack(pack, atlas.nvars, engine[key])
-            assert p.trunc == degree
-            assert list(q.items()) == list(p.terms.items()), (dia, key)
+        for pack in (Packing(2 * atlas.nvars, degree or atlas.size),
+                     atlas.packing):
+            engine = _packed_exp(atlas, pack, degree)
+            assert list(engine) == list(oracle.entries), dia
+            for key, p in oracle.entries.items():
+                q = _unpack(pack, atlas.nvars, engine[key])
+                assert p.trunc == degree
+                assert list(q.items()) == list(p.terms.items()), (dia, key)
 
 
 def test_exp_is_identity_plus_z_for_one_su_block():
@@ -504,13 +506,16 @@ def test_forbidden_jet_is_the_one_sided_part_of_the_expansion():
     # every term of bidegree (1, q) or (p, 1), the (1,1) part included,
     # with the expansion's exact coefficient form
     for dia in SAMPLE_DIAGRAMS:
-        for degree in (2, 3, 4):
+        for degree in (3, 4):
             jet = forbidden_jet(dia, degree)
             full = diastasis(dia, degree, "symbolic")
             assert jet.trunc == degree
             assert jet.terms == {
                 m: f for m, f in full.terms.items() if 1 in m.bidegree
             }
+        # the jet has no degree 2 of its own; truncated there it is the
+        # (1,1) part of the degree-2 expansion
+        assert jet.truncate(2).terms == diastasis(dia, 2, "symbolic").terms
 
 
 NOT_I = r"exp\(Z\) exp\(-Z\) is not I"
@@ -713,7 +718,7 @@ def test_packed_product_above_the_bound_raises_or_drops():
 
 @pytest.mark.parametrize("degree", [1, 0, -1, 2.5])
 def test_forbidden_jet_rejects_degree_below_two(degree):
-    with pytest.raises(ValueError, match="at least 2"):
+    with pytest.raises(ValueError, match="at least 3"):
         forbidden_jet(diagram(Family.SU, 3, (1, 2)), degree)
 
 

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 from oracles import (
+    black_part,
     elimination_coefficients,
     elimination_height,
     poincare_by_division,
     poincare_from_heights,
+    prefix_sum_coefficients,
+    prefix_sum_height,
     simple_roots,
     validate_Q,
 )
@@ -27,6 +30,7 @@ from flagbochner.lie_core import (
     poincare,
     positive_roots,
     simple_coefficients,
+    twice_simple_coefficients,
 )
 from flagbochner.poly import EngineInvariantError
 
@@ -112,9 +116,11 @@ def test_group_spec_validation():
 
 def test_su3_full_flag_black_roots():
     diagram = PaintedDiagram(su(3), (1, 2))
-    r_m, q = black_roots(diagram)
+    q = black_roots(diagram)
     assert set(q) == set(positive_roots(su(3)))
     assert len(q) == 3
+    # every simple root is black, so R_M is the whole root system
+    assert black_part(diagram) == all_roots(su(3))
 
 
 def test_su4_grassmannian_black_roots():
@@ -122,7 +128,7 @@ def test_su4_grassmannian_black_roots():
     # nonzero alpha_2 coefficient: an independent derivation of R_M+
     group = su(4)
     diagram = PaintedDiagram(group, (2,))
-    _, q = black_roots(diagram)
+    q = black_roots(diagram)
     expected = {
         r for r in positive_roots(group)
         if simple_coefficients(group, r)[1]
@@ -139,7 +145,7 @@ def test_su4_grassmannian_black_roots():
 def test_so_even_black_1_d_contains_expected_roots():
     d = 4
     diagram = PaintedDiagram(so_even(d), (1, d))
-    _, q = black_roots(diagram)
+    q = black_roots(diagram)
     qset = set(q)
     for j in range(2, d + 1):
         v = [0] * d
@@ -157,14 +163,16 @@ def test_validate_q_accepts_canonical_choice():
     for group, black in [(su(3), (1, 2)), (sp(2), (1,)), (so_odd(3), (1, 3)),
                          (so_even(4), (1, 4))]:
         diagram = PaintedDiagram(group, black)
-        r_m, q = black_roots(diagram)
+        q = black_roots(diagram)
+        r_m = black_part(diagram)
         assert validate_Q(group, q, r_m)
 
 
 def test_validate_q_detects_broken_closure_by_swap_search():
     group = su(3)
     diagram = PaintedDiagram(group, (1, 2))
-    r_m, q = black_roots(diagram)
+    q = black_roots(diagram)
+    r_m = black_part(diagram)
     broken = []
     for r in q:
         swapped = [x if x != r else -x for x in q]
@@ -292,12 +300,74 @@ def test_poincare_equals_elimination_heights_at_rank_7_and_8():
                 continue
             q = tuple(r for r, cs in oracle.items()
                       if any(cs[p - 1] for p in black))
-            assert black_roots(diagram)[1] == q
+            assert black_roots(diagram) == q
             series = poincare_from_heights([heights[r] for r in q])
             coeffs = poincare(diagram).coeffs
             assert coeffs[::2] == series and not any(coeffs[1::2]), diagram
             checked += 1
     assert checked == 480
+
+
+# ------------------------------------- integer coefficients vs Fractions
+
+def test_twice_the_coefficients_halved_are_the_fraction_closed_form():
+    # on every root of rank <= 8: the integer helper halved is
+    # simple_coefficients and the Fraction prefix sums, and height is the
+    # Fraction reference's
+    count = 0
+    for group in groups_up_to(8):
+        positive = set(positive_roots(group))
+        for r in all_roots(group):
+            twice = twice_simple_coefficients(group, r)
+            assert all(type(c) is int for c in twice)
+            halved = tuple(Fraction(c, 2) for c in twice)
+            assert halved == simple_coefficients(group, r), (group, r)
+            assert halved == prefix_sum_coefficients(group, r), (group, r)
+            if r in positive:
+                assert height(group, r) == prefix_sum_height(group, r)
+            count += 1
+    assert count == 1316
+
+
+def test_poincare_equals_the_fraction_reference_on_every_painting():
+    # Q and its heights from the Fraction prefix sums, the product divided
+    # out, on every painting of rank <= 8 with 1-3 black nodes
+    checked = 0
+    for group in groups_up_to(8):
+        coeffs = {r: prefix_sum_coefficients(group, r)
+                  for r in positive_roots(group)}
+        for black in iter_black_sets(group, 3):
+            try:
+                diagram = PaintedDiagram(group, black)
+            except PaintingError:
+                continue
+            q = tuple(r for r, cs in coeffs.items()
+                      if any(cs[p - 1] for p in black))
+            assert black_roots(diagram) == q, diagram
+            quot = poincare_by_division(
+                [prefix_sum_height(group, r) for r in q])
+            got = poincare(diagram).coeffs
+            assert got[::2] == quot and not any(got[1::2]), diagram
+            checked += 1
+    assert checked == 736
+
+
+def test_root_order_hash_and_equality_are_those_of_its_coefficients():
+    # Root is a one-field tuple: it sorts, hashes and compares as (coeffs,)
+    # did when it was a frozen dataclass, on every pair of roots of one
+    # group of rank <= 8
+    pairs = 0
+    for group in groups_up_to(8):
+        roots = sorted(all_roots(group))
+        assert [(r.coeffs,) for r in roots] == sorted((r.coeffs,) for r in roots)
+        for a in roots:
+            assert hash(a) == hash((a.coeffs,))
+            assert -(-a) == a and (a + -a).coeffs == (0,) * group.rank
+            for b in roots:
+                assert (a < b) == ((a.coeffs,) < (b.coeffs,))
+                assert (a == b) == (a.coeffs == b.coeffs)
+                pairs += 1
+    assert pairs == sum(len(all_roots(g)) ** 2 for g in groups_up_to(8))
 
 
 # ---------------------------------------------------------------- painting
@@ -353,7 +423,7 @@ def test_poincare_su3_full_flag_euler_number():
     p = poincare(diagram)
     # independent oracle: P(1) = product over R_M+ of (h+1)/h
     group = diagram.group
-    _, q = black_roots(diagram)
+    q = black_roots(diagram)
     expected = Fraction(1)
     for r in q:
         h = height(group, r)
@@ -376,7 +446,7 @@ def test_poincare_b2_equals_black_count():
 
 def test_poincare_top_degree_is_twice_dim():
     for diagram in (PaintedDiagram(su(4), (2,)), PaintedDiagram(sp(2), (1, 2))):
-        _, q = black_roots(diagram)
+        q = black_roots(diagram)
         assert poincare(diagram).degree == 2 * len(q)
 
 
@@ -402,7 +472,7 @@ def test_poincare_equals_the_product_divided_out():
                 diagram = PaintedDiagram(group, black)
             except PaintingError:
                 continue
-            _, q = black_roots(diagram)
+            q = black_roots(diagram)
             quot = poincare_by_division([height(group, r) for r in q])
             coeffs = poincare(diagram).coeffs
             assert coeffs[::2] == quot and not any(coeffs[1::2]), diagram
@@ -425,7 +495,8 @@ def test_family_a_q_closed_under_composition():
     for d, black in [(3, (1, 2)), (4, (2,)), (5, (1, 3))]:
         group = su(d)
         diagram = PaintedDiagram(group, black)
-        r_m, q = black_roots(diagram)
+        q = black_roots(diagram)
+        r_m = black_part(diagram)
         roots = all_roots(group)
         qset = set(q)
         for a, b in itertools.permutations(q, 2):

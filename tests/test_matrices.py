@@ -237,8 +237,36 @@ def test_variable_count_matches_dimension():
     ]:
         diagram = PaintedDiagram(group, black)
         atlas = build_Z(diagram)
-        _, q = black_roots(diagram)
+        q = black_roots(diagram)
         assert atlas.nvars == len(q)
+
+
+def _paintings_up_to(max_rank):
+    for family in Family:
+        for rank in range(1, max_rank + 1):
+            try:
+                group = GroupSpec(family, rank)
+            except ValueError:
+                continue
+            for black in iter_black_sets(group, 3):
+                try:
+                    yield PaintedDiagram(group, black)
+                except PaintingError:
+                    continue
+
+
+def test_chart_variables_and_packing_on_every_painting():
+    # on every painting of rank <= 8 with 1-3 black nodes: the variables,
+    # read off Q in reverse, are the sorted roots of -Q, and the chart's
+    # packing holds the jet's proven bound 2K, K the top power of Z
+    checked = 0
+    for diagram in _paintings_up_to(8):
+        atlas = build_Z(diagram)
+        q = black_roots(diagram)
+        assert atlas.vars == tuple(sorted(-r for r in q)), diagram
+        assert 2 * len(atlas.powers) <= atlas.packing.max_degree, diagram
+        checked += 1
+    assert checked == 736
 
 
 def test_variable_collision_is_an_invariant_violation(monkeypatch):
