@@ -1,13 +1,14 @@
 """Deciding when the chart coordinates are Bochner up to rescaling.
 
-The obstruction lives in the forbidden monomials of the potential:
-bidegree (1, q >= 2), (p >= 2, 1), or off-diagonal (1,1).  They all sit in
-the potential's (1, .) and (., 1) parts, which forbidden_jet computes
-without the full expansion, checking exp Z exp(-Z) = I on the products it
-reads at every degree; forbidden_report checks conjugate closure, since it
-also reads diastasis expansions.  At degree three all candidates are
-trinomials of four explicit kinds; the tests enumerate that catalog
-directly and check it against the determinant expansion.
+The obstruction lives in the forbidden monomials of the potential: bidegree
+(1, q >= 2), (p >= 2, 1), or off-diagonal (1,1), which every expansion and
+jet refuses (expansion._check_potential).  They all sit in the
+potential's (1, .) and (., 1) parts, which forbidden_jet computes without
+the full expansion, checking exp Z exp(-Z) = I on the products it reads at
+every degree; forbidden_report checks conjugate closure, since it also
+reads diastasis expansions.  At degree three all candidates are trinomials
+of four explicit kinds; the tests enumerate that catalog directly and check
+it against the determinant expansion.
 
 A verdict is degree-stamped: emptiness of the forbidden report is certified
 up to the audited total degree, or at every degree for the untruncated jet
@@ -41,10 +42,7 @@ def is_forbidden_bidegree(p: int, q: int) -> bool:
 class ForbiddenReport:
     """Forbidden monomials with their exact coefficient forms, sorted.
 
-    Off-diagonal (1,1) monomials are included in the scan even though the
-    expansion invariants already exclude them; finding one here means the
-    engine itself is broken.  degree_checked is None for a scan of every
-    degree.
+    degree_checked is None for a scan of every degree.
     """
 
     entries: tuple[tuple[Monomial, CoeffForm], ...]
@@ -68,9 +66,7 @@ def forbidden_report(poly: Polynomial) -> ForbiddenReport:
     through its truncation degree (every degree when untruncated)."""
     entries = []
     for m, f in poly.items_sorted():
-        p, q = m.bidegree
-        bad_11 = (p, q) == (1, 1) and m.holo[0][0] != m.anti[0][0]
-        if is_forbidden_bidegree(p, q) or bad_11:
+        if is_forbidden_bidegree(*m.bidegree):
             entries.append((m, f))
     report = ForbiddenReport(tuple(entries), poly.trunc)
     by_mono = dict(report.entries)

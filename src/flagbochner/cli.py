@@ -29,7 +29,6 @@ from .bochner import (
 from .expansion import (
     LOWEST_DEGREE,
     LOWEST_VERDICT_DEGREE,
-    admissible_minors,
     diastasis,
     eval_numeric,
     forbidden_jet,
@@ -42,7 +41,6 @@ from .lie_core import (
     GroupSpec,
     PaintedDiagram,
     PaintingError,
-    black_roots,
     iter_black_sets,
     poincare,
 )
@@ -88,7 +86,7 @@ class CaseRequest:
         if self.group.rank > MAX_SWEEP_RANK:
             raise ValueError(f"--group rank is capped at {MAX_SWEEP_RANK}")
         # the numeric check compares the (1,1) part, which degree 2
-        # carries; run_case asks more of a verdict
+        # carries; a verdict needs more, which main checks first
         if self.max_degree < LOWEST_DEGREE:
             raise ValueError(f"--max-degree must be at least {LOWEST_DEGREE}")
         # an audit at or below the main degree would re-check nothing
@@ -233,28 +231,31 @@ def _forbidden_json(report: ForbiddenReport, names, cvals=None) -> list[dict]:
     return out
 
 
-def _diagram_json(diagram: PaintedDiagram) -> dict:
+def _diagram_json(diagram: PaintedDiagram, dim: int) -> dict:
     return {
         "family": diagram.group.family.value,
         "rank": diagram.group.rank,
         "group": diagram.group.label(),
         "black": list(diagram.black),
-        "dim": len(black_roots(diagram)),
+        "dim": dim,
         "b2": diagram.b2,
         "poincare": list(poincare(diagram).coeffs),
     }
 
 
-def run_case(request: CaseRequest) -> dict:
-    if request.max_degree < LOWEST_VERDICT_DEGREE:
+def _check_verdict_degree(max_degree: int) -> None:
+    if max_degree < LOWEST_VERDICT_DEGREE:
         raise ValueError(
             f"--max-degree must be at least {LOWEST_VERDICT_DEGREE} for a "
             "verdict: no forbidden monomial has a lower degree"
         )
+
+
+def run_case(request: CaseRequest) -> dict:
+    _check_verdict_degree(request.max_degree)
     diagram = PaintedDiagram(request.group, request.black)
     atlas = build_Z(diagram)
     names = atlas.var_names()
-    minors = admissible_minors(diagram)
     # the jet to degree d is the truncation of any deeper one, so one jet
     # and one report serve both the verdict and the audit
     deepest = forbidden_report(
@@ -268,8 +269,8 @@ def run_case(request: CaseRequest) -> dict:
         "schema_version": SCHEMA_VERSION,
         "mode": "case",
         "request": request.echo(),
-        "diagram": _diagram_json(diagram),
-        "minors": [{"node": p, "size": l} for p, l in minors.pairing],
+        "diagram": _diagram_json(diagram, atlas.nvars),
+        "minors": [{"node": p, "size": p} for p in diagram.black],
         "nilpotency": nilpotency_index(atlas),
         "verdict": _verdict_json(verdict, names),
         "forbidden": _forbidden_json(report, names, cvals),
@@ -322,7 +323,7 @@ def run_sweep(request: SweepRequest) -> dict:
                     "rank": rank,
                     "group": group.label(),
                     "black": list(black),
-                    "dim": len(black_roots(diagram)),
+                    "dim": len(names),
                     "verdict": verdict.status.value,
                     "constraints": [
                         render_constraint(r, verdict.black)
@@ -392,13 +393,16 @@ def run_numeric_check(request: CaseRequest, samples: int, seed: int) -> dict:
     herr = float(np.max(np.abs(hess - metric)))
     eigs = np.linalg.eigvalsh((hess + hess.conj().T) / 2)
     min_eig = float(eigs.min())
+    # the exact (1,1) part is positive (diastasis checks it), so by Weyl
+    # min_eig > -nvars * herr; a tiny c_k beside a large one puts it below 0
+    eig_floor = -nvars * HESSIAN_TOL
 
     tol_pot = (POTENTIAL_TOL_FACTOR * sum(coeffs) * nvars * nvars
                * SAMPLE_RADIUS ** (request.max_degree + 1))
     points = _sample_points(nvars, samples, seed)
     # the samples and the origin in one stacked evaluation
     *exact_values, zero_val = map(float, eval_numeric(
-        atlas, admissible_minors(diagram), points + [[0j] * nvars], coeffs))
+        atlas, points + [[0j] * nvars], coeffs))
     sample_rows = []
     worst = 0.0
     for point, exact, approx in zip(points, exact_values,
@@ -426,7 +430,7 @@ def run_numeric_check(request: CaseRequest, samples: int, seed: int) -> dict:
         "hessian_tolerance": HESSIAN_TOL,
         "min_hessian_eigenvalue": min_eig,
         "passed": bool(
-            herr <= HESSIAN_TOL and min_eig > 0 and worst <= tol_pot
+            herr <= HESSIAN_TOL and min_eig > eig_floor and worst <= tol_pot
             and abs(zero_val) < 1e-12
         ),
     }
@@ -435,7 +439,7 @@ def run_numeric_check(request: CaseRequest, samples: int, seed: int) -> dict:
         raise NumericCheckFailure(
             "numeric spot check failed: "
             f"hessian_err={herr:.3e} (tol {HESSIAN_TOL:.1e}), "
-            f"min_eig={min_eig:.3e}, "
+            f"min_eig={min_eig:.3e} (floor {eig_floor:.1e}), "
             f"max_potential_err={worst:.3e} (tol {tol_pot:.3e}), "
             f"worst sample={offender['point'] if offender else None}",
             doc,
@@ -532,8 +536,13 @@ def _render_numeric_table(doc: dict) -> str:
     return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit 1, not usage and exit 2
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="flagbochner",
         description=(
             "Exact expansion of the invariant potential on classical flag "
@@ -605,10 +614,10 @@ def _build_case_request(args) -> CaseRequest:
 
 
 def main(argv=None) -> int:
-    args, given = _parse_args(argv)
-    mode = ("--sweep" if args.sweep
-            else "--numeric-check" if args.numeric_check else "a single case")
     try:
+        args, given = _parse_args(argv)
+        mode = ("--sweep" if args.sweep else "--numeric-check"
+                if args.numeric_check else "a single case")
         for dest in _UNREAD_FLAGS[mode]:
             if dest in given:
                 flag = "--" + dest.replace("_", "-")
@@ -630,6 +639,7 @@ def main(argv=None) -> int:
             doc = run_numeric_check(request, args.samples, args.seed)
             rendered = _render_numeric_table(doc)
         else:
+            _check_verdict_degree(args.max_degree)
             request = _build_case_request(args)
             doc = run_case(request)
             rendered = _render_case_table(doc)

@@ -1,24 +1,27 @@
 """The invariant potential and its exact truncated expansion.
 
-For a painted diagram with black positions j_1 < ... < j_s, each black node
-pairs with one admissible leading principal minor Delta_l of the Gram matrix
-A = (exp Z)^H exp Z, and the potential is
+For a painted diagram with black positions l_1 < ... < l_s, the potential is
 
-    D0(z) = sum_k c_k * ln Delta_{l_k}(A),
+    D0(z) = sum_k c_k * ln Delta_{l_k}(A),    A = (exp Z)^H exp Z,
 
-a real-analytic function vanishing at 0.  Its expansion to a chosen total
-degree, the Polynomial diastasis returns, has exact coefficients linear in
-the c parameters.  It runs exp Z, the leading block of the Gram matrix
-that the minors read, its Laplace minors and the log series on packed
-monomials (matrices.Packing, z and zb fields side by side) with integer
-numerators over d!, and builds Monomials, Fractions and the linear forms
-once, for the finished terms.  Each step keeps the loop order of the
-Polynomial ring route kept in tests/oracles.py, so both list the finished
-terms in the same order, and the numeric lane, which sums floats in that
-order, is the same to the last bit.  The expansion is centered at the
-distinguished point, so it has no pure holomorphic or antiholomorphic
-terms and its (1,1) part is a positive diagonal; both facts are asserted,
-not assumed.
+a real-analytic function vanishing at 0.  In the split basis that matrices
+fixes, the chain node e_p - e_{p+1} pairs with the invariant leading
+principal minor Delta_p and the terminal node d with Delta_d, so the minor
+sizes are the black positions and c_l labels ln Delta_l; PaintedDiagram
+refuses the fork node d - 1 of SO(2d) and repeated nodes, and sorts black.
+
+Its expansion to a chosen total degree, the Polynomial diastasis returns,
+has exact coefficients linear in the c parameters.  It runs exp Z, the
+leading block of the Gram matrix that the minors read, its Laplace minors
+and the log series on packed monomials (matrices.Packing, z and zb fields
+side by side) with integer numerators over d!, and builds Monomials,
+Fractions and the linear forms once, for the finished terms.  Each step
+keeps the loop order of the Polynomial ring route kept in tests/oracles.py,
+so both list the finished terms in the same order, and the numeric lane,
+which sums floats in that order, is the same to the last bit.  The
+expansion is centered at the distinguished point, so it has no pure
+holomorphic or antiholomorphic terms and its (1,1) part is a positive
+diagonal; both facts are asserted, not assumed.
 
 The numeric lane compares a numeric expansion (truncated_value,
 symbolic_metric) with the exact potential, which eval_numeric evaluates
@@ -37,10 +40,9 @@ that no product may exceed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .lie_core import Family, PaintedDiagram
+from .lie_core import PaintedDiagram
 from .matrices import CoordinateAtlas, Packing, build_Z
 from .poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
 
@@ -49,41 +51,8 @@ class NumericDomainError(ValueError):
     """The exact potential is undefined at the requested point."""
 
 
-@dataclass(frozen=True)
-class AdmissibleMinors:
-    """Minor sizes l_1 < ... < l_s and the black-position -> size pairing."""
-
-    indices: tuple[int, ...]
-    pairing: tuple[tuple[int, int], ...]  # (black position, minor size)
-
-
-def admissible_minors(diagram: PaintedDiagram) -> AdmissibleMinors:
-    """Minor sizes for the painting.
-
-    Chain nodes e_r - e_{r+1} pair with Delta_r; the terminal node (2e_d,
-    e_{d-1} + e_d or e_d) pairs with Delta_d.  For SU every black node is a
-    chain node, so the sizes are exactly the black positions.
-    """
-    d = diagram.group.rank
-    fam = diagram.group.family
-    pairing = []
-    for pos in diagram.black:
-        if fam is not Family.SU and pos == diagram.group.num_simple:
-            pairing.append((pos, d))
-        else:
-            if fam is Family.SO_EVEN and pos == d - 1:
-                raise EngineInvariantError(
-                    "fork-node painting should have been rejected upstream"
-                )
-            pairing.append((pos, pos))
-    indices = tuple(l for _, l in pairing)
-    if len(set(indices)) != len(indices) or list(indices) != sorted(indices):
-        raise EngineInvariantError("minor sizes are not strictly increasing")
-    return AdmissibleMinors(indices, tuple(pairing))
-
-
 def _parse_coeffs(diagram: PaintedDiagram, coeffs):
-    """None for symbolic coeffs, else the (position, value) pairs."""
+    """None for symbolic coeffs, else the values, one per black node."""
     if coeffs == "symbolic" or coeffs is None:
         return None
     values = [Fraction(v) for v in coeffs]
@@ -93,7 +62,7 @@ def _parse_coeffs(diagram: PaintedDiagram, coeffs):
         )
     if any(v <= 0 for v in values):
         raise ValueError("Kaehler coefficients must be positive")
-    return tuple(zip(diagram.black, values))
+    return tuple(values)
 
 
 def _check_potential(terms, nvars: int, coeff_values) -> None:
@@ -305,31 +274,30 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
     _check_degree(degree, LOWEST_DEGREE)
     stored = _parse_coeffs(diagram, coeffs)
     atlas = build_Z(diagram)
-    minors = admissible_minors(diagram)
     nvars = atlas.nvars
     pack = Packing(2 * nvars, degree)
     mul = _truncated_product(pack, degree)
     # the minors read only the leading L x L block of A, L the largest
     # minor, and A[i, j] takes only columns i and j of exp Z
-    lead = minors.indices[-1]
+    lead = diagram.black[-1]
     e = {key: t for key, t in _packed_exp(atlas, pack, degree).items()
          if key[1] < lead}
     a = _packed_gram(e, pack.width * nvars, mul)
     denom = math.lcm(*range(1, degree + 1))
     logs = []
-    for pos, l in minors.pairing:
+    for l in diagram.black:
         arg = _packed_minor(a, l, mul)
         _accumulate(arg, {0: 1}, -1)
         if arg.get(0):
             raise EngineInvariantError("minor determinant has constant term != 1")
-        logs.append((pos, _packed_log1p(arg, degree, denom, mul)))
+        logs.append(_packed_log1p(arg, degree, denom, mul))
     total: dict[int, object] = {}
     if stored is None:
         # one linear form per monomial, in order of first appearance
-        for pos, log in logs:
+        for l, log in zip(diagram.black, logs):
             for m, n in log.items():
                 lam = total.setdefault(m, {})
-                lam[pos] = lam.get(pos, 0) + n
+                lam[l] = lam.get(l, 0) + n
     else:
         # total + c_k * log_k, each c_k = a_k / scale with integer a_k.
         # Evaluating the symbolic forms instead gives an equal polynomial in
@@ -337,10 +305,9 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
         # cancels to 0 the term is popped here and re-enters last (Sp:4
         # {2,3,4} with c = 5,5,3 is one case), and truncated_value, which
         # sums floats in term order, then moves in the last bit
-        scale = math.lcm(*(v.denominator for _, v in stored))
-        values = {pos: int(v * scale) for pos, v in stored}
-        for pos, log in logs:
-            _accumulate(total, log, values[pos])
+        scale = math.lcm(*(v.denominator for v in stored))
+        for v, log in zip(stored, logs):
+            _accumulate(total, log, int(v * scale))
         denom *= scale
     fact = [math.factorial(d) * denom for d in range(degree + 1)]
     terms = {}
@@ -388,15 +355,14 @@ def forbidden_jet(diagram: PaintedDiagram,
     E and F have integer coefficients on packed monomials
     (matrices.Packing): a term of total degree d holds n for n / d!, exact
     because every product of such terms is again one.  Each
-    (v, monomial) sums its linear form in the c_k in integers; each term
+    (v, monomial) sums its linear form in the c_l in integers; each term
     then gets its Fractions once and gives both z_v zb^m and z^m zb_v.
     """
     if degree is not None:
         _check_degree(degree, LOWEST_VERDICT_DEGREE)
     atlas = build_Z(diagram)
-    minors = admissible_minors(diagram)
     for r, c in atlas.entries:
-        for l in minors.indices:
+        for l in diagram.black:
             if r < l <= c:
                 raise EngineInvariantError(
                     f"chart entry ({r},{c}) lies above the split at {l}"
@@ -416,11 +382,11 @@ def forbidden_jet(diagram: PaintedDiagram,
     rows: dict[int, list] = {}
     for (r, a), t in e.items():
         rows.setdefault(r, []).append((a, t))
-    # dz[v][m] = {k: n}: the form of z^m in G_v, which is that of zb^m in
+    # dz[v][m] = {l: n}: the form of z^m in G_v, which is that of zb^m in
     # the coefficient of z_v.  Zero numerators and empty forms are popped.
     dz: dict[int, dict[int, dict[int, int]]] = {}
     for (r, c), (v, s) in atlas.entries.items():
-        splits = [(l, pos) for pos, l in minors.pairing if c < l <= r]
+        splits = [l for l in diagram.black if c < l <= r]
         if not splits:
             continue
         forms = dz.setdefault(v, {})
@@ -433,16 +399,16 @@ def forbidden_jet(diagram: PaintedDiagram,
             # a factor of 1 (at a = r or a = c, mostly) needs no product
             prod = q if t == one else t if q == one else mul(t, q)
             _accumulate(total, prod, 1)
-            for l, pos in splits:
+            for l in splits:
                 if a >= l:
                     continue
                 for m, n in prod.items():
                     lam = forms.setdefault(m, {})
-                    x = lam.get(pos, 0) + s * n
+                    x = lam.get(l, 0) + s * n
                     if x:
-                        lam[pos] = x
+                        lam[l] = x
                     else:
-                        del lam[pos]
+                        del lam[l]
                         if not lam:
                             del forms[m]
         if total:
@@ -474,16 +440,16 @@ def forbidden_jet(diagram: PaintedDiagram,
     return Polynomial._of_clean(terms, degree)
 
 
-def eval_numeric(atlas: CoordinateAtlas, minors: AdmissibleMinors,
-                 points, coeffs):
+def eval_numeric(atlas: CoordinateAtlas, points, coeffs):
     """The untruncated potential sum_k c_k ln Delta_{l_k} at each row of a
     P x nvars stack of numeric points, from numpy Gram minors, independent
     of the polynomial truncation; one value per point."""
     import numpy as np
 
+    sizes = atlas.diagram.black
     values = [float(c) for c in coeffs]
-    if len(values) != len(minors.indices):
-        raise ValueError("one coefficient per admissible minor is required")
+    if len(values) != len(sizes):
+        raise ValueError("one coefficient per black node is required")
     pts = np.asarray(points, dtype=complex)
     m = atlas.size
     rows, cols, var, sign = atlas.scatter
@@ -499,7 +465,7 @@ def eval_numeric(atlas: CoordinateAtlas, minors: AdmissibleMinors,
             break
         e = e + power
     a = e.conj().transpose(0, 2, 1) @ e
-    det = np.array([np.linalg.det(a[:, :l, :l]) for l in minors.indices])
+    det = np.array([np.linalg.det(a[:, :l, :l]) for l in sizes])
     if np.any(np.abs(det.imag) > 1e-9 * np.maximum(1.0, np.abs(det.real))):
         raise EngineInvariantError("Gram minor is not numerically real")
     bad = ~(det.real > 0)
@@ -565,7 +531,6 @@ def hessian_fd(diagram: PaintedDiagram, coeffs):
     import numpy as np
 
     atlas = build_Z(diagram)
-    minors = admissible_minors(diagram)
     n = atlas.nvars
     h = 1e-4
     iv, iw = np.triu_indices(n, 1)
@@ -579,7 +544,7 @@ def hessian_fd(diagram: PaintedDiagram, coeffs):
     points = np.concatenate((np.zeros((1, n)), h * u, -h * u))
     batch = 8 * n - 2
     vals = np.concatenate([
-        eval_numeric(atlas, minors, points[s:s + batch], coeffs)
+        eval_numeric(atlas, points[s:s + batch], coeffs)
         for s in range(0, len(points), batch)
     ])
     f0, plus, minus = vals[0], vals[1:1 + len(u)], vals[1 + len(u):]

@@ -346,7 +346,6 @@ def _over_binomial(poly: list[int], k: int) -> list[int]:
     return out[:-k]
 
 
-@lru_cache(maxsize=None)
 def poincare(diagram: PaintedDiagram) -> PoincarePoly:
     """Product over alpha in R_M+ of (1 - t^(h+1))/(1 - t^h), computed in
     exact integer arithmetic and re-expressed in s with t = s^2.

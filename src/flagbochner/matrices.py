@@ -2,9 +2,9 @@
 
 The orthogonal groups are realized in the split quadratic-form basis: SO(2d)
 preserves z_1 z_{d+1} + ... + z_d z_{2d} and SO(2d+1) preserves
-2(z_1 z_{d+1} + ... + z_d z_{2d}) + z_{2d+1}^2.  In this basis the leading
-principal minors used downstream are the admissible ones, which is the whole
-point of fixing it.  Rows and columns are 0-based throughout this module.
+2(z_1 z_{d+1} + ... + z_d z_{2d}) + z_{2d+1}^2.  In this basis the black
+node at position p pairs with the invariant leading principal minor Delta_p,
+which is the whole point of fixing it.  Rows and columns are 0-based.
 
 Z(z) is the sum over alpha in -Q of z_alpha E_alpha; each variable occupies
 its own matrix positions, and the assembled matrix is nilpotent.  A chart

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from flagbochner.expansion import admissible_minors
 from flagbochner.lie_core import Family, Root, all_roots
 from flagbochner.matrices import build_Z, root_vector
 from flagbochner.poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
@@ -615,29 +614,28 @@ def linear_combination(parts, trunc) -> Polynomial:
 
 
 def gram_logs(diagram, degree) -> list:
-    """[(black position, ln Delta_l(A))] for A = (exp Z)^H exp Z, each log
-    a rational Polynomial truncated to total degree <= degree."""
+    """[(l, ln Delta_l(A))] for A = (exp Z)^H exp Z and each black position
+    l, each log a rational Polynomial truncated to total degree <= degree."""
     atlas = build_Z(diagram)
     a = gram(exp_Z(atlas, degree))
     logs = []
-    for pos, l in admissible_minors(diagram).pairing:
+    for l in diagram.black:
         arg = minor_det(a, l) - Polynomial.one(degree)
         if arg.constant_term():
             raise EngineInvariantError("minor determinant has constant term != 1")
-        logs.append((pos, log1p_expand(arg, degree)))
+        logs.append((l, log1p_expand(arg, degree)))
     return logs
 
 
 def combine_logs(logs, coeffs, degree) -> Polynomial:
     """sum_k c_k ln Delta_{l_k}: for coeffs None a linear combination of
-    the logs, else the running sum total + log * c_k over the (position,
-    value) pairs coeffs."""
+    the logs, else the running sum total + log * c_k, with the values
+    coeffs aligned with the logs."""
     if coeffs is None:
-        return linear_combination(((pos, 1, p) for pos, p in logs), degree)
-    values = dict(coeffs)
+        return linear_combination(((l, 1, p) for l, p in logs), degree)
     total = Polynomial.zero(degree)
-    for pos, p in logs:
-        total = total + p * values[pos]
+    for (_, p), c in zip(logs, coeffs):
+        total = total + p * c
     return total
 
 
@@ -693,19 +691,19 @@ def leading_solve(mat, l: int, cols, trunc):
     return out
 
 
-def jet_half(mat, atlas, minors, trunc) -> dict:
+def jet_half(mat, atlas, black, trunc) -> dict:
     """v -> sum_k c_k sum_{(r,c,s) in E_v, c < l_k <= r} s*X_{l_k}[c, r]
-    with X_l = M_l^{-1} M[:l, l:], each monomial's linear form in the c_k
-    collected once, at the end."""
+    over the black positions l_k, with X_l = M_l^{-1} M[:l, l:], each
+    monomial's linear form in the c_k collected once, at the end."""
     ent = atlas.entries
     parts = {}
-    for pos, l in minors.pairing:
+    for l in black:
         wanted = [(r, c, v, s) for (r, c), (v, s) in ent.items() if c < l <= r]
         x = leading_solve(mat, l, sorted({r for r, *_ in wanted}), trunc)
         for r, c, v, s in wanted:
             p = x[r].get(c)
             if p is not None:
-                parts.setdefault(v, []).append((pos, s, p))
+                parts.setdefault(v, []).append((l, s, p))
     return {v: linear_combination(ps, trunc) for v, ps in parts.items()}
 
 
@@ -716,12 +714,11 @@ def forbidden_jet(diagram, degree) -> Polynomial:
     U = (exp Z)^H, the (p, 1) half from the same solve on the transpose of
     exp Z."""
     atlas = build_Z(diagram)
-    minors = admissible_minors(diagram)
     trunc = None if degree is None else degree - 1
     e = exp_Z(atlas, trunc)
-    dz = jet_half(e.conj_transpose().entries, atlas, minors, trunc)
+    dz = jet_half(e.conj_transpose().entries, atlas, diagram.black, trunc)
     dzb = jet_half({(j, i): p for (i, j), p in e.entries.items()},
-                   atlas, minors, trunc)
+                   atlas, diagram.black, trunc)
     terms = {
         Monomial(((v, 1),), m.anti): f
         for v, poly in dz.items() for m, f in poly.terms.items()
@@ -749,14 +746,14 @@ def degree_three_jet(diagram) -> Polynomial:
                                if i in rows and j in cols})
 
     parts = {}
-    for pos, l in admissible_minors(diagram).pairing:
+    for l in diagram.black:
         lead, tail = range(l), range(l, z.size)
         z21 = block(tail, lead)
         second = block(tail, tail) @ z21 + (z21 @ block(lead, lead)).scale(-1)
         y = z21 + second.scale(Fraction(1, 2))
         for (r, c), (v, s) in atlas.entries.items():
             if c < l <= r and (r, c) in y.entries:
-                parts.setdefault(v, []).append((pos, s, y.entries[(r, c)]))
+                parts.setdefault(v, []).append((l, s, y.entries[(r, c)]))
     terms = {}
     for v, ps in parts.items():
         for m, f in linear_combination(ps, 2).terms.items():
@@ -777,9 +774,10 @@ def numeric_Z(atlas, zvals):
     return out
 
 
-def potential_pointwise(atlas, minors, point, coeffs) -> float:
-    """sum_k c_k ln Delta_{l_k}((exp Z)^H exp Z) at one point, from the dense
-    matrix exponential and numpy determinants."""
+def potential_pointwise(atlas, black, point, coeffs) -> float:
+    """sum_k c_k ln Delta_{l_k}((exp Z)^H exp Z) over the black positions
+    l_k at one point, from the dense matrix exponential and numpy
+    determinants."""
     z = np.array(numeric_Z(atlas, point), dtype=complex)
     m = z.shape[0]
     e = np.eye(m, dtype=complex)
@@ -789,7 +787,7 @@ def potential_pointwise(atlas, minors, point, coeffs) -> float:
         e = e + power
     a = e.conj().T @ e
     acc = 0.0
-    for c, l in zip(coeffs, minors.indices):
+    for c, l in zip(coeffs, black):
         acc += float(c) * math.log(np.linalg.det(a[:l, :l]).real)
     return acc
 
@@ -800,17 +798,17 @@ def hessian_fd_pointwise(diagram, coeffs, step: float = 1e-4):
     e_a + i e_b, (f(hu) - 2 f(0) + f(-hu)) / (2 h^2) reads H[a, a],
     H[a, a] + H[b, b] + 2 Re H[a, b] and H[a, a] + H[b, b] + 2 Im H[a, b]."""
     atlas = build_Z(diagram)
-    minors = admissible_minors(diagram)
+    black = diagram.black
     n = atlas.nvars
     h = step
-    f0 = potential_pointwise(atlas, minors, [0j] * n, coeffs)
+    f0 = potential_pointwise(atlas, black, [0j] * n, coeffs)
 
     def quad(direction) -> float:
         u = [0j] * n
         for a, x in direction:
             u[a] = x
-        plus = potential_pointwise(atlas, minors, [h * x for x in u], coeffs)
-        minus = potential_pointwise(atlas, minors, [-h * x for x in u], coeffs)
+        plus = potential_pointwise(atlas, black, [h * x for x in u], coeffs)
+        minus = potential_pointwise(atlas, black, [-h * x for x in u], coeffs)
         return (plus - 2 * f0 + minus) / (2 * h * h)
 
     hess = np.zeros((n, n), dtype=complex)
@@ -833,12 +831,12 @@ def hessian_fd_real_pointwise(diagram, coeffs, step: float = 1e-4):
     from four of those.  This stencil takes the Hermitian part, so it drops
     a pure (2,0) term that the polarization stencil keeps."""
     atlas = build_Z(diagram)
-    minors = admissible_minors(diagram)
+    black = diagram.black
     n = atlas.nvars
 
     def f(real_vec) -> float:
         point = [complex(real_vec[2 * a], real_vec[2 * a + 1]) for a in range(n)]
-        return potential_pointwise(atlas, minors, point, coeffs)
+        return potential_pointwise(atlas, black, point, coeffs)
 
     f0 = f([0.0] * 2 * n)
 

@@ -18,7 +18,6 @@ from flagbochner.bochner import (
     forbidden_report,
 )
 from flagbochner.expansion import (
-    admissible_minors,
     diastasis,
     eval_numeric,
     hessian_fd,
@@ -121,8 +120,7 @@ def test_criterion_2_trinomial_catalog_vs_leibniz_oracle():
             diagram = PaintedDiagram(group, black)
         except PaintingError:
             continue
-        minors = admissible_minors(diagram)
-        r = rng.choice(minors.indices)
+        r = rng.choice(diagram.black)
         atlas = build_Z(diagram)
         cat = catalog_sum(catalog_trinomials(atlas, r))
         oracle = leibniz_minor(gram(exp_Z(atlas, 3)), r)
@@ -340,9 +338,9 @@ def test_criterion_8_numeric_spot_check():
         # truncation agreement at the audit degree: the degree-6 expansion
         # must match the exact-log potential to 1e-5 on the 0.05 polydisk
         audit = diastasis(diagram, 6, coeffs)
-        atlas, minors = build_Z(diagram), admissible_minors(diagram)
+        atlas = build_Z(diagram)
         for point in _boundary_samples(rng, atlas.nvars, 3, 0.05):
-            exact = eval_numeric(atlas, minors, [point], cvals)[0]
+            exact = eval_numeric(atlas, [point], cvals)[0]
             approx = truncated_value(audit, [point])[0]
             if abs(exact - approx) > 1e-5:
                 problems.append(
@@ -354,11 +352,11 @@ def test_criterion_8_numeric_spot_check():
     su3 = PaintedDiagram(GroupSpec(Family.SU, 3), (1, 2))
     expansion = diastasis(su3, 3, (1, 1))
     audit = diastasis(su3, 6, (1, 1))
-    atlas, minors = build_Z(su3), admissible_minors(su3)
+    atlas = build_Z(su3)
     worst_d3 = 0.0
     worst_d6 = 0.0
     for point in _boundary_samples(rng, 3, 10, 0.05):
-        exact = eval_numeric(atlas, minors, [point], [1, 1])[0]
+        exact = eval_numeric(atlas, [point], [1, 1])[0]
         worst_d3 = max(worst_d3,
                        abs(exact - truncated_value(expansion, [point])[0]))
         worst_d6 = max(worst_d6,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -283,6 +284,16 @@ def test_exit_one_on_validation_error(capsys):
      "at least 3 for a verdict"),
     (["--group", "SU:3", "--black", "1,2", "--max-degree", "2",
       "--audit-degree", "4"], "at least 3 for a verdict"),
+    # usage errors get one line and exit 1, not argparse's usage and exit 2
+    (["--emit", "yaml"], "invalid choice"),
+    (["--max-degree", "abc"], "invalid int value"),
+    (["--bogus"], "unrecognized arguments"),
+    (["--group"], "expected one argument"),
+    # each mode names its own degree floor
+    (["--group", "SU:3", "--black", "1", "--max-degree", "1"],
+     "at least 3 for a verdict"),
+    (["--group", "SU:3", "--black", "1", "--coeffs", "1",
+      "--numeric-check", "--max-degree", "1"], "must be at least 2"),
 ])
 def test_exit_one_on_inconsistent_request(capsys, argv, reason):
     assert main(argv) == 1
@@ -290,6 +301,13 @@ def test_exit_one_on_inconsistent_request(capsys, argv, reason):
     assert captured.out == ""
     err = captured.err.strip()
     assert "\n" not in err and err.startswith("error: ") and reason in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert "usage: flagbochner" in capsys.readouterr().out
 
 
 def test_case_request_rejects_degree_below_two():
@@ -342,6 +360,21 @@ def test_numeric_check_runs_at_the_range_ends(coeffs):
     except NumericCheckFailure as err:
         doc = err.doc
     assert doc["min_hessian_eigenvalue"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--group", "SU:3", "--black", "1,2", "--coeffs", "1e-150,1"],
+    ["--group", "SU:4", "--black", "1,2,3", "--coeffs", "1e-150,1e-150,1"],
+], ids=["SU3", "SU4"])
+def test_numeric_check_passes_below_the_difference_error(capsys, argv):
+    # the smallest Hessian eigenvalue, set by the tiny coefficients, is
+    # below the finite-difference error, set by the largest one, so it
+    # reads about -1e-8; the exact (1,1) part is positive, and the check
+    # accepts any value above -nvars * HESSIAN_TOL
+    rc = main(argv + ["--numeric-check", "--samples", "2", "--emit", "json"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] and doc["min_hessian_eigenvalue"] < 0
 
 
 def test_numeric_check_cli_passes(capsys):
@@ -434,3 +467,27 @@ def test_run_numeric_check_deterministic():
     assert doc1["hessian_max_abs_err"] <= 1e-6
     assert doc1["min_hessian_eigenvalue"] > 0
     assert doc1["potential_at_zero"] == 0.0
+
+
+# ------------------------------------------------------------------ README
+
+def test_readme_quickstart_prints_its_commented_values():
+    # each `print(...)  # value` line of the block must print that value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library quickstart\n+```python\n(.*?)^```$",
+                      readme, re.M | re.S).group(1)
+    printed = {}
+
+    def record(*args):
+        line = sys._getframe(1).f_lineno
+        printed.setdefault(line, []).append(" ".join(map(str, args)))
+
+    exec(compile(block, "quickstart", "exec"), {"print": record})
+    claims = {}
+    for number, line in enumerate(block.splitlines(), 1):
+        match = re.fullmatch(r"print\(.*\)\s+# (.+)", line)
+        if match:
+            claims[number] = [match.group(1)]
+    assert list(claims.values()) == [
+        ["BochnerStatus.BOCHNER_IFF"], ["c1 = 2*c4"], ["21"]]
+    assert {n: printed.get(n) for n in claims} == claims

@@ -1,4 +1,4 @@
-"""Admissible minors, exp(Z), the Gram matrix and the potential expansion."""
+"""Minor sizes, exp(Z), the Gram matrix and the potential expansion."""
 
 import math
 import random
@@ -21,7 +21,6 @@ from flagbochner.expansion import (
     _packed_gram,
     _packed_minor,
     _truncated_product,
-    admissible_minors,
     diastasis,
     eval_numeric,
     forbidden_jet,
@@ -65,31 +64,7 @@ SAMPLE_DIAGRAMS = [
 ]
 
 
-# -------------------------------------------------------- admissible minors
-
-def test_admissible_minors_su_two_black():
-    minors = admissible_minors(diagram(Family.SU, 5, (2, 4)))
-    assert minors.indices == (2, 4)
-    assert dict(minors.pairing) == {2: 2, 4: 4}
-
-
-def test_admissible_minors_so_even_fork():
-    minors = admissible_minors(diagram(Family.SO_EVEN, 4, (1, 4)))
-    assert minors.indices == (1, 4)
-    assert dict(minors.pairing) == {1: 1, 4: 4}
-
-
-def test_admissible_minors_sp_terminal():
-    minors = admissible_minors(diagram(Family.SP, 3, (3,)))
-    assert minors.indices == (3,)
-
-
-def test_paired_minors_pass_direct_invariance_check():
-    # defense in depth: the positional rule must agree with the definition
-    for dia in SAMPLE_DIAGRAMS:
-        for _, l in admissible_minors(dia).pairing:
-            assert oracles.is_admissible(dia, l), (dia, l)
-
+# ------------------------------------------------------------- minor sizes
 
 def test_direct_invariance_check_rejects_unpaired_minor():
     # SU(4), black {2}: only Delta_2 is admissible
@@ -115,6 +90,17 @@ def _paintings(max_rank):
 
 PAINTINGS_RANK4 = _paintings(4)
 PAINTINGS_RANK6 = _paintings(6)
+
+
+def test_paired_minors_pass_direct_invariance_check():
+    # the engine reads the minor sizes off the black positions; by the
+    # definition, a white root vector carries no entry out of the leading
+    # block, exactly those sizes pass among 1..num_simple
+    assert len(PAINTINGS_RANK4) == 64
+    for dia in PAINTINGS_RANK4:
+        sizes = range(1, dia.group.num_simple + 1)
+        admissible = tuple(l for l in sizes if oracles.is_admissible(dia, l))
+        assert admissible == dia.black, dia
 
 
 # ------------------------------------------------------------------- exp_Z
@@ -240,7 +226,7 @@ def _check_minors_against_oracles(dia, degree, leibniz_up_to):
     atlas = build_Z(dia)
     e = oracles.exp_Z(atlas, degree)
     a, pack, mul = _packed_route(atlas, degree)
-    for l in admissible_minors(dia).indices:
+    for l in dia.black:
         engine = Polynomial(
             _unpack(pack, atlas.nvars, _packed_minor(a, l, mul)), degree)
         assert engine == oracles.cauchy_binet_minor(e, l), (dia, degree, l)
@@ -347,7 +333,7 @@ def test_diastasis_equals_the_reference_route(case):
         for coeffs in variants:
             got = diastasis(dia, degree, coeffs)
             stored = None if coeffs == "symbolic" else tuple(
-                zip(dia.black, map(Fraction, coeffs)))
+                map(Fraction, coeffs))
             want = oracles.combine_logs(logs, stored, degree)
             assert got.trunc == want.trunc == degree
             assert list(got.terms.items()) == list(want.terms.items()), (
@@ -384,7 +370,6 @@ def test_packed_solves_are_integer_and_equal_the_rational_solve(dia, degree):
     # of the Polynomial solve X_l = U_l^{-1} U[:l, l:], U = (exp Z)^H, at
     # every entry of the block, not only at those the jet reads
     atlas = build_Z(dia)
-    minors = admissible_minors(dia)
     # the jet's proven bound: every product has degree <= 2 * (top power of Z)
     limit = 2 * len(atlas.powers) if degree is None else degree
     pack = Packing(atlas.nvars, limit)
@@ -392,7 +377,7 @@ def test_packed_solves_are_integer_and_equal_the_rational_solve(dia, degree):
     f = _exp_of_minus(e, pack)
     mul = _truncated_product(pack, limit, degree is None)
     u = oracles.exp_Z(atlas, degree).conj_transpose().entries
-    for _, l in minors.pairing:
+    for l in dia.black:
         cols = range(l, atlas.size)
         want = oracles.leading_solve(u, l, cols, degree)
         for r in cols:
@@ -420,8 +405,7 @@ def test_diastasis_vanishes_at_origin():
     expansion = diastasis(dia, 3, (1, 2))
     atlas = build_Z(dia)
     assert truncated_value(expansion, [[0j] * atlas.nvars]) == [0.0]
-    values = eval_numeric(atlas, admissible_minors(dia), [[0j] * atlas.nvars],
-                          [1.0, 2.0])
+    values = eval_numeric(atlas, [[0j] * atlas.nvars], [1.0, 2.0])
     assert values.tolist() == [0.0]
 
 
@@ -606,7 +590,7 @@ def test_diastasis_and_the_jet_each_check_their_potential_once(monkeypatch):
     nvars = build_Z(dia).nvars
     assert seen == [(len(jet.terms), nvars, None),
                     (len(sym.terms), nvars, None),
-                    (len(num.terms), nvars, ((1, F(1)), (2, F(2))))]
+                    (len(num.terms), nvars, (F(1), F(2)))]
 
 
 def test_forbidden_jet_rejects_off_diagonal_quadratic_term(monkeypatch):
@@ -785,9 +769,9 @@ def test_hessian_fd_sees_a_pure_term(monkeypatch):
     kappa = 0.5
     exact = expansion_module.eval_numeric
 
-    def with_pure_term(atlas, minors, points, coeffs):
+    def with_pure_term(atlas, points, coeffs):
         z0 = np.asarray(points, dtype=complex)[:, 0]
-        return exact(atlas, minors, points, coeffs) + kappa * (z0 * z0).real
+        return exact(atlas, points, coeffs) + kappa * (z0 * z0).real
 
     monkeypatch.setattr(expansion_module, "eval_numeric", with_pure_term)
     moved = hessian_fd(dia, [1.0, 2.0])
@@ -805,9 +789,9 @@ def test_hessian_fd_point_count_and_batches(monkeypatch, dia):
     sizes = []
     exact = expansion_module.eval_numeric
 
-    def counted(atlas, minors, points, coeffs):
+    def counted(atlas, points, coeffs):
         sizes.append(len(points))
-        return exact(atlas, minors, points, coeffs)
+        return exact(atlas, points, coeffs)
 
     monkeypatch.setattr(expansion_module, "eval_numeric", counted)
     hessian_fd(dia, [1.0] * len(dia.black))
@@ -818,7 +802,6 @@ def test_hessian_fd_point_count_and_batches(monkeypatch, dia):
 def test_numeric_potential_stack_equals_one_point_calls():
     dia = diagram(Family.SP, 3, (1, 3))
     atlas = build_Z(dia)
-    minors = admissible_minors(dia)
     rng = random.Random(8)
     points = [
         [complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
@@ -828,11 +811,12 @@ def test_numeric_potential_stack_equals_one_point_calls():
     # the origin's powers of Z vanish at once, the others' only later
     points.insert(2, [0j] * atlas.nvars)
     coeffs = [1.5, 0.25]
-    stacked = eval_numeric(atlas, minors, points, coeffs)
+    stacked = eval_numeric(atlas, points, coeffs)
     assert stacked.shape == (len(points),)
     for value, point in zip(stacked, points):
-        assert value == eval_numeric(atlas, minors, [point], coeffs)[0]
-        expected = oracles.potential_pointwise(atlas, minors, point, coeffs)
+        assert value == eval_numeric(atlas, [point], coeffs)[0]
+        expected = oracles.potential_pointwise(atlas, dia.black, point,
+                                               coeffs)
         assert abs(value - expected) <= 1e-12
 
 
@@ -840,19 +824,17 @@ def test_numeric_potential_stack_with_one_bad_point_raises():
     # at |z| = 1e8 the float Gram minor of SU(3) cancels to a negative value
     dia = diagram(Family.SU, 3, (1, 2))
     atlas = build_Z(dia)
-    minors = admissible_minors(dia)
     good = [0.01j] * atlas.nvars
     bad = [1e8] * atlas.nvars
-    eval_numeric(atlas, minors, [good, good], [1, 1])
+    eval_numeric(atlas, [good, good], [1, 1])
     with pytest.raises(NumericDomainError, match="not positive"):
-        eval_numeric(atlas, minors, [good, bad, good], [1, 1])
+        eval_numeric(atlas, [good, bad, good], [1, 1])
 
 
 def test_truncation_error_scales_with_radius():
     dia = diagram(Family.SU, 3, (1, 2))
     expansion = diastasis(dia, 3, (1, 1))
     atlas = build_Z(dia)
-    minors = admissible_minors(dia)
     rng = random.Random(4)
     n = atlas.nvars
     for radius, bound in ((0.05, 1e-4), (0.01, 1e-7)):
@@ -861,7 +843,7 @@ def test_truncation_error_scales_with_radius():
             top = max(abs(z) for z in raw)
             point = [z * radius / top for z in raw]
             err = abs(
-                eval_numeric(atlas, minors, [point], [1, 1])[0]
+                eval_numeric(atlas, [point], [1, 1])[0]
                 - truncated_value(expansion, [point])[0]
             )
             assert err < bound
