@@ -4,9 +4,9 @@ The obstruction lives in the forbidden monomials of the potential: bidegree
 (1, q >= 2), (p >= 2, 1), or off-diagonal (1,1), which every expansion and
 jet refuses (expansion._check_potential).  They all sit in the
 potential's (1, .) and (., 1) parts, which forbidden_jet computes without
-the full expansion, checking exp Z exp(-Z) = I on the products it reads at
-every degree; forbidden_report checks conjugate closure, since it also
-reads diastasis expansions.  At degree three all candidates are trinomials
+the full expansion, checking the torus weight of every term it returns;
+forbidden_report checks conjugate closure, since it also reads diastasis
+expansions.  At degree three all candidates are trinomials
 of four explicit kinds; the tests enumerate that catalog directly and check
 it against the determinant expansion.
 

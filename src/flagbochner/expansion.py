@@ -28,22 +28,20 @@ symbolic_metric) with the exact potential, which eval_numeric evaluates
 from numpy Gram minors at a whole stack of points in one call.
 
 The Bochner verdict needs only the potential's (1, .) and (., 1) parts.
-forbidden_jet computes them from exp Z alone, as the product
-exp Z exp(-Z) read at each chart entry, without the Gram matrix, its
-minors or the log series, and at every degree if asked; the expansion
-serves the numeric lane and checks the jet in the tests.  Both routes
-multiply with the one packed product, _truncated_product: the expansion
-truncates at its degree, the untruncated jet sets it to a proven bound
-that no product may exceed.
+forbidden_jet computes them from Z alone, at every degree if asked, by the
+recursion W_1 = Z21, W_(n+1) = Z W_n - W_n Z at each split, which
+multiplies only by the entries +-z_v of Z, and checks the torus weight of
+every term; the expansion serves the numeric lane and the tests.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .lie_core import PaintedDiagram
-from .matrices import CoordinateAtlas, Packing, build_Z
+from .matrices import CoordinateAtlas, Packing, add_shifted, build_Z
 from .poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
 
 
@@ -112,17 +110,9 @@ def _packed_exp(atlas: CoordinateAtlas, pack: Packing,
     """exp Z to total degree <= limit as (row, col) -> {packed: n}, in
     pack; a term of total degree d stands for n / d!, so Z^k / k! keeps
     the powers' integers.  Entries come diagonal first, then in the order
-    the powers reach them; terms by k, then in the power's own order.
-    In the chart's own packing the powers' terms are taken as they are."""
+    the powers reach them; terms by k, then in the power's own order."""
     out = {(i, i): {0: 1} for i in range(atlas.size)}
     src = atlas.packing
-    # equal widths alone do not make one format: the degree field sits
-    # above the last variable
-    if (pack.width, pack.top) == (src.width, src.top):
-        for power in atlas.powers[:limit]:
-            for key, terms in power.items():
-                out.setdefault(key, {}).update(terms)
-        return out
     monos: dict[int, int] = {}
     for power in atlas.powers[:limit]:
         for key, terms in power.items():
@@ -151,14 +141,12 @@ def _accumulate(acc: dict[int, int], terms: dict[int, int], scale: int) -> None:
             del acc[m]
 
 
-def _truncated_product(pack: Packing, degree: int, strict: bool = False):
+def _truncated_product(pack: Packing, degree: int):
     """p * q to total degree <= degree on the n / d! encoding, as
     Polynomial.__mul__ forms it: each term of p walks the terms of q that
     fit its budget, in q's order, so no product above degree is formed
     and no field can overflow.  n1/a! * n2/b! = n1 n2 C(a+b, a) / (a+b)!,
-    so a product multiplies the numerators and one binomial.  When strict
-    (degree a proven bound, not a truncation), a pair above degree
-    raises instead of being skipped."""
+    so a product multiplies the numerators and one binomial."""
     if degree > pack.max_degree:
         raise EngineInvariantError(
             f"{pack.width}-bit fields cannot hold total degree {degree}"
@@ -179,10 +167,6 @@ def _truncated_product(pack: Packing, degree: int, strict: bool = False):
                 c = binom[d1]
                 row = rows[d1] = [(m2, n2 * c[d2]) for m2, n2, d2 in items
                                   if d2 < len(c)]
-                if strict and len(row) < len(items):
-                    raise EngineInvariantError(
-                        f"packed monomial above its degree bound {degree}"
-                    )
             for m2, n2 in row:
                 m = m1 + m2
                 s = out.get(m, 0) + n1 * n2
@@ -324,11 +308,44 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
     return Polynomial._of_clean(terms, degree)
 
 
-def _exp_of_minus(e, pack: Packing):
-    """exp(-Z) from the packed exp Z e: each term of odd degree negated."""
-    top = pack.top
-    return {key: {m: -n if m >> top & 1 else n for m, n in t.items()}
-            for key, t in e.items()}
+def _sylvester_terms(atlas: CoordinateAtlas, l: int, targets, last):
+    """Yield W_1 = Z21, W_2, ... at the split l, each (r, c) -> {packed: n},
+    with W_(n+1) = Z W_n - W_n Z: integer and homogeneous of degree n, so
+    W_n / n!, the degree-n part of Y_l, is the n / d! encoding.  A chart
+    entry above the split, which would take W out of the (2, 1) block,
+    raises.  Stops after a zero W, or after W_last, formed only at the
+    positions in targets; last None runs until W vanishes.  Nilpotent Z
+    has W_n = 0 past 2K < 2 * size (Y_l = E21 E11^{-1} has degree <= 2K),
+    so a W still nonzero at that bound raises."""
+    rows, cols = atlas.lines
+    pack = atlas.packing
+    bound = 2 * atlas.size
+    w = {}
+    for (r, c), (v, s) in atlas.entries.items():
+        if r < l <= c:
+            raise EngineInvariantError(
+                f"chart entry ({r},{c}) lies above the split at {l}")
+        if c < l <= r:
+            w[(r, c)] = {pack.variable(v): s}
+    n = 1
+    while w:
+        yield w
+        if n == last:
+            return
+        if n == bound:
+            raise EngineInvariantError(f"the recursion at split {l} does "
+                                       f"not end by degree {bound}")
+        n += 1
+        keep = targets if n == last else None
+        nxt: dict[tuple[int, int], dict[int, int]] = {}
+        for (a, b), t in w.items():
+            for r, var, s in cols.get(a, ()):  # Z[r, a] W[a, b]
+                if keep is None or (r, b) in keep:
+                    add_shifted(nxt.setdefault((r, b), {}), t, var, s)
+            for c, var, s in rows.get(b, ()):  # W[a, b] Z[b, c]
+                if keep is None or (a, c) in keep:
+                    add_shifted(nxt.setdefault((a, c), {}), t, var, -s)
+        w = {key: t for key, t in nxt.items() if t}
 
 
 def forbidden_jet(diagram: PaintedDiagram,
@@ -343,66 +360,34 @@ def forbidden_jet(diagram: PaintedDiagram,
     Y_l = E[l:, :l] E_l^{-1}; entries with r < l drop out because root
     vectors are off-diagonal.  The potential is real, so the coefficient
     of z_v is the conjugate of G_v.  No entry of Z lies above a split
-    (r < l <= c), so E is block lower triangular at every split l, E_l^{-1}
-    is the leading block of F = exp(-Z), and
-        Y_l[r, c] = sum_{a < l} E[r, a] F[a, c].
-    F is E with the sign (-1)^d on each term of degree d.  Each product
-    E[r, a] F[a, c] is formed once per chart entry and feeds every split
-    l > a; the sum over all a is (E F)[r, c] = 0, which is checked, so the
-    a < l half of each Y_l is compared with the a >= l half.  No Neumann
-    series, log series, Gram matrix or minor is formed.
+    (r < l <= c), so Z is block lower triangular at every split, and
+    Y(t) = E(t)21 E(t)11^{-1} with E(t) = exp tZ solves
+    Y' = Z21 + Z22 Y - Y Z11, Y(0) = 0: Y_l = sum_n W_n / n!, the terms of
+    _sylvester_terms.
 
-    E and F have integer coefficients on packed monomials
-    (matrices.Packing): a term of total degree d holds n for n / d!, exact
-    because every product of such terms is again one.  Each
-    (v, monomial) sums its linear form in the c_l in integers; each term
-    then gets its Fractions once and gives both z_v zb^m and z^m zb_v.
+    Each (v, monomial) sums its linear form in the c_l in integers, then
+    gives z_v zb^m and z^m zb_v.  A diagonal unitary t maps Z to t Z t^{-1}
+    and leaves the potential invariant, so on every term z_v zb^m the root
+    of z_v is the sum of the roots in m; that torus weight is checked.
     """
     if degree is not None:
         _check_degree(degree, LOWEST_VERDICT_DEGREE)
     atlas = build_Z(diagram)
-    for r, c in atlas.entries:
-        for l in diagram.black:
-            if r < l <= c:
-                raise EngineInvariantError(
-                    f"chart entry ({r},{c}) lies above the split at {l}"
-                )
-    # E and F have degree <= K, the top power of Z, so every product
-    # E[r, a] F[a, c] has degree <= 2K
-    bound = 2 * len(atlas.powers)
     # z_v times a zb-polynomial of degree <= degree - 1
-    strict = degree is None or degree - 1 >= bound
-    limit = bound if strict else degree - 1
-    # limit <= 2K, which the chart's packing holds
-    pack = atlas.packing
-    e = _packed_exp(atlas, pack, limit)
-    f = _exp_of_minus(e, pack)
-    mul = _truncated_product(pack, limit, strict)
-    one = {0: 1}
-    rows: dict[int, list] = {}
-    for (r, a), t in e.items():
-        rows.setdefault(r, []).append((a, t))
+    last = None if degree is None else degree - 1
     # dz[v][m] = {l: n}: the form of z^m in G_v, which is that of zb^m in
     # the coefficient of z_v.  Zero numerators and empty forms are popped.
     dz: dict[int, dict[int, dict[int, int]]] = {}
-    for (r, c), (v, s) in atlas.entries.items():
-        splits = [l for l in diagram.black if c < l <= r]
-        if not splits:
-            continue
-        forms = dz.setdefault(v, {})
-        # E[r, a] F[a, c] summed over every a: (E F)[r, c], which must be 0
-        total: dict[int, int] = {}
-        for a, t in rows[r]:
-            q = f.get((a, c))
-            if q is None:
-                continue
-            # a factor of 1 (at a = r or a = c, mostly) needs no product
-            prod = q if t == one else t if q == one else mul(t, q)
-            _accumulate(total, prod, 1)
-            for l in splits:
-                if a >= l:
+    for l in diagram.black:
+        reads = {key: vs for key, vs in atlas.entries.items()
+                 if key[1] < l <= key[0]}
+        for w in _sylvester_terms(atlas, l, reads, last):
+            for key, (v, s) in reads.items():
+                t = w.get(key)
+                if t is None:
                     continue
-                for m, n in prod.items():
+                forms = dz.setdefault(v, {})
+                for m, n in t.items():
                     lam = forms.setdefault(m, {})
                     x = lam.get(l, 0) + s * n
                     if x:
@@ -411,11 +396,12 @@ def forbidden_jet(diagram: PaintedDiagram,
                         del lam[l]
                         if not lam:
                             del forms[m]
-        if total:
-            raise EngineInvariantError(
-                f"exp(Z) exp(-Z) is not I at chart entry ({r},{c})"
-            )
-    exps: dict[int, tuple[tuple[int, int], ...]] = {}
+    pack = atlas.packing
+    # a root's e-coordinates in one int, 16 bits each: adding such ints
+    # adds the roots while no coordinate leaves +-2**15, far above a degree
+    scale = [1 << 16 * i for i in range(diagram.group.rank)]
+    weights = [sum(map(operator.mul, root.coeffs, scale))
+               for root in atlas.vars]
     # many terms share a form; CoeffForms are immutable, so they share one
     made: dict[tuple, CoeffForm] = {}
     terms = {}
@@ -428,14 +414,17 @@ def forbidden_jet(diagram: PaintedDiagram,
             if form is None:
                 fact = math.factorial(d)
                 form = made[key] = CoeffForm(
-                    (k, Fraction(n, fact)) for k, n in lam.items()
-                )
-            x = exps.get(m)
-            if x is None:
-                x = exps[m] = pack.exponents(m)
-            terms[Monomial._of_bidegree(zv, x, 1, d)] = form
+                    (k, Fraction(n, fact)) for k, n in lam.items())
+            exps = pack.exponents(m)
+            weight = 0
+            for u, e in exps:
+                weight += weights[u] * e
+            if weight != weights[v]:
+                raise EngineInvariantError(
+                    f"jet term of z_{v} breaks the torus weight")
+            terms[Monomial._of_bidegree(zv, exps, 1, d)] = form
             if d >= 2:
-                terms[Monomial._of_bidegree(x, zv, d, 1)] = form
+                terms[Monomial._of_bidegree(exps, zv, d, 1)] = form
     _check_potential(terms, atlas.nvars, None)
     return Polynomial._of_clean(terms, degree)
 

@@ -154,12 +154,6 @@ def positive_roots(group: GroupSpec) -> tuple[Root, ...]:
     return tuple(sorted(roots))
 
 
-@lru_cache(maxsize=None)
-def all_roots(group: GroupSpec) -> frozenset[Root]:
-    pos = positive_roots(group)
-    return frozenset(pos) | frozenset(-r for r in pos)
-
-
 def twice_simple_coefficients(group: GroupSpec, root: Root) -> tuple[int, ...]:
     """Twice the expansion coefficients of a root over the simple basis, as
     integers, in closed form from the prefix sums s_k = c_1 + ... + c_k of

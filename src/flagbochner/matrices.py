@@ -9,10 +9,10 @@ which is the whole point of fixing it.  Rows and columns are 0-based.
 Z(z) is the sum over alpha in -Q of z_alpha E_alpha; each variable occupies
 its own matrix positions, and the assembled matrix is nilpotent.  A chart
 holds Z as its entry map, (row, col) -> (variable, sign); no symbolic
-matrix is built.  Its nonzero powers are computed once per chart, in
-integer arithmetic on packed monomials (Packing, the one definition of
-that format), and serve the nilpotency index, exp Z, the forbidden jet
-and the Gram expansion.
+matrix is built.  Its lines (Z by rows and by columns) serve the forbidden
+jet's recursion.  Its nonzero powers, in integer arithmetic on packed
+monomials (Packing, the one definition of that format), serve the
+nilpotency index and exp Z in the Gram expansion.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .lie_core import Family, GroupSpec, PaintedDiagram, Root, all_roots, black_roots
+from .lie_core import Family, GroupSpec, PaintedDiagram, Root, black_roots
 from .poly import EngineInvariantError
 
 Entry = tuple[int, int, int]  # (row, col, sign)
@@ -34,40 +34,39 @@ def _signed_support(root: Root) -> list[tuple[int, int]]:
 @lru_cache(maxsize=None)
 def root_vector(group: GroupSpec, alpha: Root) -> tuple[Entry, ...]:
     """E_alpha in the fixed realization, group.matrix_size square, as its
-    one or two nonzero entries (row, col, sign), each sign +-1."""
-    if alpha not in all_roots(group):
-        raise ValueError(f"{alpha!r} is not a root of {group.label()}")
+    one or two nonzero entries (row, col, sign), each sign +-1.  Each
+    branch is one shape of root of the family; any other alpha raises."""
     d = group.rank
     fam = group.family
-    sup = _signed_support(alpha)
-
-    if fam is Family.SU:
-        (i, ci), (j, cj) = sup
+    sup = _signed_support(alpha) if len(alpha.coeffs) == d else []
+    signs = [c for _, c in sup]
+    if signs in ([1, -1], [-1, 1]):  # e_i - e_j, i and j swapped for -1, 1
+        (i, ci), (j, _) = sup
         if ci == -1:
             i, j = j, i
-        return ((i - 1, j - 1, 1),)
-
-    if len(sup) == 2:
-        (i, ci), (j, cj) = sup
-        if ci == 1 and cj == -1:  # e_i - e_j
-            return ((i - 1, j - 1, 1), (d + j - 1, d + i - 1, -1))
-        if ci == -1 and cj == 1:  # e_j - e_i
-            return ((j - 1, i - 1, 1), (d + i - 1, d + j - 1, -1))
-        skew = -1 if fam in (Family.SO_EVEN, Family.SO_ODD) else 1
-        if ci == 1 and cj == 1:  # e_i + e_j, upper-right block
+        if fam is Family.SU:
+            return ((i - 1, j - 1, 1),)
+        return ((i - 1, j - 1, 1), (d + j - 1, d + i - 1, -1))
+    if fam is not Family.SU and signs in ([1, 1], [-1, -1]):
+        (i, ci), (j, _) = sup
+        skew = 1 if fam is Family.SP else -1
+        if ci == 1:  # e_i + e_j, upper-right block
             return ((i - 1, d + j - 1, 1), (j - 1, d + i - 1, skew))
         # -e_i - e_j, lower-left block
         return ((d + i - 1, j - 1, 1), (d + j - 1, i - 1, skew))
-
-    (i, c) = sup[0]
-    if fam is Family.SP:  # +-2e_i, single entry keeps signs in {-1, +1}
-        if c == 2:
+    if fam is Family.SP and signs in ([2], [-2]):
+        # +-2e_i, single entry keeps signs in {-1, +1}
+        i = sup[0][0]
+        if signs[0] == 2:
             return ((i - 1, d + i - 1, 1),)
         return ((d + i - 1, i - 1, 1),)
-    # SO(2d+1) short roots +-e_i use the last row and column
-    if c == 1:
-        return ((i - 1, 2 * d, 1), (2 * d, d + i - 1, -1))
-    return ((d + i - 1, 2 * d, 1), (2 * d, i - 1, -1))
+    if fam is Family.SO_ODD and signs in ([1], [-1]):
+        # SO(2d+1) short roots +-e_i use the last row and column
+        i = sup[0][0]
+        if signs[0] == 1:
+            return ((i - 1, 2 * d, 1), (2 * d, d + i - 1, -1))
+        return ((d + i - 1, 2 * d, 1), (2 * d, i - 1, -1))
+    raise ValueError(f"{alpha!r} is not a root of {group.label()}")
 
 
 class Packing:
@@ -124,6 +123,19 @@ class Packing:
         return out
 
 
+def add_shifted(acc: dict[int, int], terms: dict[int, int], var: int,
+                sign: int) -> None:
+    """acc += sign * z_v * terms in place, on packed monomials with var the
+    packed z_v; a term whose sum cancels is popped."""
+    for m, x in terms.items():
+        m += var
+        y = acc.get(m, 0) + sign * x
+        if y:
+            acc[m] = y
+        else:
+            del acc[m]
+
+
 @dataclass(frozen=True, eq=False)
 class CoordinateAtlas:
     """Chart data: the ordered variables (roots of -Q) and the matrix Z.
@@ -150,9 +162,21 @@ class CoordinateAtlas:
     def packing(self) -> "Packing":
         """The packed format of the powers of Z and of the forbidden jet:
         Z^k has degree k <= size (a power past size - 1 only exists to be
-        rejected as non-nilpotent), and the jet's products have degree at
-        most its proven bound 2K <= 2 * size, K < size the top power."""
+        rejected as non-nilpotent), and the jet's terms W_n of degree n
+        vanish past 2K < 2 * size, K < size the top power."""
         return Packing(self.nvars, 2 * self.size)
+
+    @cached_property
+    def lines(self):
+        """(rows, cols): rows[r] = [(c, z_v, sign)] and cols[c] =
+        [(r, z_v, sign)], z_v packed, in the order of the entry map."""
+        pack = self.packing
+        rows, cols = {}, {}
+        for (r, c), (v, s) in self.entries.items():
+            var = pack.variable(v)
+            rows.setdefault(r, []).append((c, var, s))
+            cols.setdefault(c, []).append((r, var, s))
+        return rows, cols
 
     @cached_property
     def powers(self) -> tuple[dict[tuple[int, int], dict[int, int]], ...]:
@@ -164,13 +188,10 @@ class CoordinateAtlas:
         entries and terms come in the order of the sparse product
         Z^(k-1) @ Z that walks Z^(k-1)'s entries, then Z's row.
         """
-        pack = self.packing
-        power: dict[tuple[int, int], dict[int, int]] = {}
-        rows: dict[int, list[tuple[int, int, int]]] = {}
-        for (r, c), (v, s) in self.entries.items():
-            var = pack.variable(v)
-            power[(r, c)] = {var: s}
-            rows.setdefault(r, []).append((c, var, s))
+        variable = self.packing.variable
+        power = {key: {variable(v): s}
+                 for key, (v, s) in self.entries.items()}
+        rows = self.lines[0]
         out = []
         while power:
             if len(out) + 1 >= self.size:
@@ -180,13 +201,7 @@ class CoordinateAtlas:
             for (i, k), terms in power.items():
                 for j, var, s in rows.get(k, ()):
                     acc = nxt.setdefault((i, j), {})
-                    for m, x in terms.items():
-                        m += var
-                        y = acc.get(m, 0) + x * s
-                        if y:
-                            acc[m] = y
-                        else:
-                            del acc[m]
+                    add_shifted(acc, terms, var, s)
                     if not acc:
                         del nxt[(i, j)]
             power = nxt

@@ -8,7 +8,9 @@ reference Gram route on Monomials and Fractions (Matrix arithmetic,
 minor_det, log1p_expand, linear_combination, gram_logs, combine_logs): the
 engine's packed route must equal it term for term, dict order included,
 so it keeps a memoised Laplace expansion and the loops whose order the
-engine follows.
+engine follows.  product_jet, the jet as the products exp Z exp(-Z) that
+the engine formed before its recursion, also runs on the engine's packed
+exp Z and packed product.
 """
 
 import itertools
@@ -18,7 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from flagbochner.lie_core import Family, Root, all_roots
+from flagbochner.lie_core import Family, Root, positive_roots
+from flagbochner.expansion import _accumulate, _packed_exp, _truncated_product
 from flagbochner.matrices import build_Z, root_vector
 from flagbochner.poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
 
@@ -205,6 +208,12 @@ def mul(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 # ------------------------------------------------------------ root data
+
+def all_roots(group) -> frozenset[Root]:
+    """R = R+ and its negatives."""
+    pos = positive_roots(group)
+    return frozenset(pos) | frozenset(-r for r in pos)
+
 
 def simple_roots(group) -> tuple:
     """The canonical simple basis, indexed 1..num_simple: e_i - e_{i+1},
@@ -728,6 +737,63 @@ def forbidden_jet(diagram, degree) -> Polynomial:
         for v, poly in dzb.items() for m, f in poly.terms.items()
         if m.total >= 2
     )
+    return Polynomial(terms, degree)
+
+
+def product_jet(diagram, degree) -> Polynomial:
+    """The (1, q) and (p, 1) parts of the symbolic potential, to total
+    degree <= degree or at every degree for None, on the packed exp Z:
+    Y_l[r, c] = sum_{a < l} E[r, a] F[a, c] with E = exp Z and F = exp(-Z),
+    E with the sign (-1)^d on each term of degree d, which is E_l^{-1} on
+    the leading block because no chart entry lies above a split.  Each
+    product E[r, a] F[a, c] is formed once per chart entry and feeds every
+    split l > a; the sum over all a is (E F)[r, c] = 0, which is checked."""
+    atlas = build_Z(diagram)
+    # E and F have degree <= K, the top power of Z, so every product
+    # E[r, a] F[a, c] has degree <= 2K, which the chart's packing holds
+    bound = 2 * len(atlas.powers)
+    limit = bound if degree is None else min(degree - 1, bound)
+    pack = atlas.packing
+    e = _packed_exp(atlas, pack, limit)
+    f = {key: {m: -n if pack.degree(m) % 2 else n for m, n in t.items()}
+         for key, t in e.items()}
+    mul = _truncated_product(pack, limit)
+    rows = {}
+    for (r, a), t in e.items():
+        rows.setdefault(r, []).append((a, t))
+    dz = {}
+    for (r, c), (v, s) in atlas.entries.items():
+        splits = [l for l in diagram.black if c < l <= r]
+        if not splits:
+            continue
+        forms = dz.setdefault(v, {})
+        total = {}
+        for a, t in rows[r]:
+            q = f.get((a, c))
+            if q is None:
+                continue
+            prod = mul(t, q)
+            _accumulate(total, prod, 1)
+            for l in splits:
+                if a < l:
+                    for m, n in prod.items():
+                        lam = forms.setdefault(m, {})
+                        lam[l] = lam.get(l, 0) + s * n
+        if total:
+            raise EngineInvariantError(
+                f"exp(Z) exp(-Z) is not I at chart entry ({r},{c})")
+    terms = {}
+    for v, forms in dz.items():
+        for m, lam in forms.items():
+            d = pack.degree(m)
+            form = CoeffForm((k, Fraction(n, math.factorial(d)))
+                             for k, n in lam.items())
+            if not form:
+                continue
+            exps = pack.exponents(m)
+            terms[Monomial(((v, 1),), exps)] = form
+            if d >= 2:
+                terms[Monomial(exps, ((v, 1),))] = form
     return Polynomial(terms, degree)
 
 

@@ -16,10 +16,10 @@ from flagbochner import expansion as expansion_module
 from flagbochner.expansion import (
     NumericDomainError,
     _check_potential,
-    _exp_of_minus,
     _packed_exp,
     _packed_gram,
     _packed_minor,
+    _sylvester_terms,
     _truncated_product,
     diastasis,
     eval_numeric,
@@ -122,8 +122,8 @@ def _unpack(pack, nvars, terms) -> dict:
 @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6, None])
 def test_exp_Z_equals_symbolic_power_sum(degree):
     # the packed exp Z: entries, terms and their order as the matrix sum of
-    # symbolic powers, repacked into the expansion's packing and taken as
-    # they are in the chart's; SU(33) packs each exponent into a 6-bit field
+    # symbolic powers, repacked into the expansion's packing or the
+    # chart's; SU(33) packs each exponent into a 6-bit field
     assert len(PAINTINGS_RANK6) == 256
     for dia in [*PAINTINGS_RANK6, diagram(Family.SU, 33, (1, 32))]:
         atlas = build_Z(dia)
@@ -365,29 +365,23 @@ def _unpacked(pack, products) -> Polynomial:
 ], ids=lambda d: d.label())
 @pytest.mark.parametrize("degree", [3, None])
 def test_packed_solves_are_integer_and_equal_the_rational_solve(dia, degree):
-    # Y_l = E[l:, :l] E_l^{-1} as the jet forms it, the integer products
-    # sum_{a < l} E[r, a] exp(-Z)[a, c] over d!, is the conjugate transpose
-    # of the Polynomial solve X_l = U_l^{-1} U[:l, l:], U = (exp Z)^H, at
-    # every entry of the block, not only at those the jet reads
+    # Y_l = E[l:, :l] E_l^{-1} as the jet's recursion forms it, the integer
+    # W_n over n!, is the conjugate transpose of the Polynomial solve
+    # X_l = U_l^{-1} U[:l, l:], U = (exp Z)^H, at every entry of the
+    # block, not only at those the jet reads
     atlas = build_Z(dia)
-    # the jet's proven bound: every product has degree <= 2 * (top power of Z)
-    limit = 2 * len(atlas.powers) if degree is None else degree
-    pack = Packing(atlas.nvars, limit)
-    e = _packed_exp(atlas, pack, limit)
-    f = _exp_of_minus(e, pack)
-    mul = _truncated_product(pack, limit, degree is None)
     u = oracles.exp_Z(atlas, degree).conj_transpose().entries
     for l in dia.black:
         cols = range(l, atlas.size)
+        block = [(r, c) for r in cols for c in range(l)]
         want = oracles.leading_solve(u, l, cols, degree)
-        for r in cols:
-            for c in range(l):
-                got = _unpacked(pack, (mul(e[(r, a)], f[(a, c)])
-                                       for a in range(l)
-                                       if (r, a) in e and (a, c) in f))
-                expected = want[r].get(c, Polynomial.zero(degree))
-                assert got.terms == {m.conj(): x
-                                     for m, x in expected.terms.items()}
+        ws = list(_sylvester_terms(atlas, l, set(block), degree))
+        for r, c in block:
+            got = _unpacked(atlas.packing,
+                            (w[(r, c)] for w in ws if (r, c) in w))
+            expected = want[r].get(c, Polynomial.zero(degree))
+            assert got.terms == {m.conj(): x
+                                 for m, x in expected.terms.items()}
 
 
 def test_diastasis_grassmannian_is_norm_squared_at_degree_two():
@@ -502,35 +496,68 @@ def test_forbidden_jet_is_the_one_sided_part_of_the_expansion():
         assert jet.truncate(2).terms == diastasis(dia, 2, "symbolic").terms
 
 
-NOT_I = r"exp\(Z\) exp\(-Z\) is not I"
+WEIGHT = "breaks the torus weight"
 
 
-def _patch_packed_exp(monkeypatch, extra):
-    """forbidden_jet sees the packed exp Z plus extra(atlas, pack)."""
-    def patched(atlas, pack, limit):
-        e = _packed_exp(atlas, pack, limit)
-        for key, terms in extra(atlas, pack).items():
-            entry = e.setdefault(key, {})
-            for m, n in terms.items():
-                entry[m] = entry.get(m, 0) + n
-        return e
+def _patch_recursion(monkeypatch, fault):
+    """forbidden_jet reads each W_n of _sylvester_terms after
+    fault(atlas, l, n, w) has changed it in place, so the recursion also
+    carries the change on."""
+    real = _sylvester_terms
 
-    monkeypatch.setattr(expansion_module, "_packed_exp", patched)
+    def patched(atlas, l, targets, last):
+        for n, w in enumerate(real(atlas, l, targets, last), 1):
+            fault(atlas, l, n, w)
+            yield w
+
+    monkeypatch.setattr(expansion_module, "_sylvester_terms", patched)
+
+
+def _with_entries(monkeypatch, dia, extra):
+    """forbidden_jet sees dia's chart with the entries extra added."""
+    atlas = build_Z(dia)
+    bad = CoordinateAtlas(dia, atlas.vars, atlas.size,
+                          {**atlas.entries, **extra})
+    monkeypatch.setattr(expansion_module, "build_Z", lambda diagram: bad)
+    return bad
 
 
 def test_forbidden_jet_rejects_leading_block_not_identity(monkeypatch):
-    _patch_packed_exp(monkeypatch, lambda atlas, pack: {(1, 0): {0: 1}})
-    with pytest.raises(EngineInvariantError, match=NOT_I):
+    # exp Z not I at the origin would make Y_l(0) nonzero: a constant term
+    # in W_1 gives z_v a pure term of torus weight 0, not the root of z_v
+    def constant(atlas, l, n, w):
+        if n == 1:
+            next(iter(w.values()))[0] = 1
+
+    _patch_recursion(monkeypatch, constant)
+    with pytest.raises(EngineInvariantError, match=WEIGHT):
         forbidden_jet(diagram(Family.SU, 3, (1, 2)), 3)
 
 
 def test_forbidden_jet_rejects_leading_block_not_unipotent(monkeypatch):
-    # z_0 on the diagonal: I at the origin, but the leading block is not
-    # unipotent, so exp(-Z), read off it by sign, is not its inverse
-    _patch_packed_exp(monkeypatch,
-                      lambda atlas, pack: {(0, 0): {pack.variable(0): 1}})
-    with pytest.raises(EngineInvariantError, match=NOT_I):
-        forbidden_jet(diagram(Family.SU, 3, (1, 2)), None)
+    # z_0 on the diagonal: the leading block of exp Z is not unipotent, and
+    # every step past W_1 multiplies some term by z_0 once more than the
+    # torus weight of its entry allows
+    dia = diagram(Family.SU, 3, (1, 2))
+    _with_entries(monkeypatch, dia, {(0, 0): (0, 1)})
+    with pytest.raises(EngineInvariantError, match=WEIGHT):
+        forbidden_jet(dia, 3)
+
+
+@pytest.mark.parametrize("dia", [diagram(Family.SU, 3, (1, 2)),
+                                 diagram(Family.SO_ODD, 4, (2, 3, 4))],
+                         ids=lambda d: d.label())
+def test_untruncated_jet_refuses_a_recursion_that_does_not_end(monkeypatch,
+                                                               dia):
+    # with z_0 on the diagonal Z is not nilpotent and W_n never vanishes;
+    # the untruncated jet must stop at the packing's bound 2 * size, one W
+    # per degree, and raise instead of running on
+    bad = _with_entries(monkeypatch, dia, {(0, 0): (0, 1)})
+    seen = []
+    _patch_recursion(monkeypatch, lambda atlas, l, n, w: seen.append(n))
+    with pytest.raises(EngineInvariantError, match="does not end by degree"):
+        forbidden_jet(dia, None)
+    assert seen == list(range(1, 2 * bad.size + 1))
 
 
 def _z(v, e=1):
@@ -594,64 +621,69 @@ def test_diastasis_and_the_jet_each_check_their_potential_once(monkeypatch):
 
 
 def test_forbidden_jet_rejects_off_diagonal_quadratic_term(monkeypatch):
-    # each of two variables also sits at the other's position; exp(-Z),
-    # read off the patched E by sign, is still its inverse, so only the
-    # (1,1) check can see it
-    def crossed(atlas, pack):
-        (k0, (v0, s0)), (k1, (v1, s1)) = list(atlas.entries.items())[:2]
-        return {k0: {pack.variable(v1): s0}, k1: {pack.variable(v0): s1}}
+    # two chart entries of W_1 trade variables, so z_v meets zb_w: the
+    # (1,1) check would call the term off-diagonal, but the weight check,
+    # which sees every term first, reads the root of z_w, not that of z_v
+    def crossed(atlas, l, n, w):
+        if n == 1:
+            (k0, t0), (k1, t1) = list(w.items())[:2]
+            w[k0], w[k1] = t1, t0
 
-    _patch_packed_exp(monkeypatch, crossed)
-    with pytest.raises(EngineInvariantError, match="off-diagonal"):
+    _patch_recursion(monkeypatch, crossed)
+    with pytest.raises(EngineInvariantError, match=WEIGHT):
         forbidden_jet(diagram(Family.SU, 3, (1,)), 3)
 
 
 @pytest.mark.parametrize("degree", [3, None])
-def test_forbidden_jet_halves_must_agree_above_the_quadratic_part(
-        monkeypatch, degree):
-    # one numerator of one product E[r, a] exp(-Z)[a, c] is off by one:
-    # that term has degree >= 2, so the (1,1) part still holds, but the
-    # a < l half of the row's sum no longer cancels the a >= l half
-    corrupted = []
+def test_forbidden_jet_weight_check_sees_a_misplaced_term(monkeypatch,
+                                                          degree):
+    # one step puts one term of W_2 on another variable of the same degree:
+    # the (1,1) part still holds, but the term's torus weight is wrong
+    moved = []
 
-    def corrupt(pack, limit, strict=False):
-        mul = _truncated_product(pack, limit, strict)
+    def misplace(atlas, l, n, w):
+        if n != 2 or moved:
+            return
+        pack = atlas.packing
+        terms = next(iter(w.values()))
+        m = next(iter(terms))
+        u = pack.exponents(m)[0][0]
+        other = (u + 1) % atlas.nvars
+        x = terms.pop(m)
+        terms[m - pack.variable(u) + pack.variable(other)] = x
+        moved.append(m)
 
-        def patched(p, q):
-            out = mul(p, q)
-            high = [m for m in out if pack.degree(m) >= 2]
-            if high and not corrupted:
-                out[high[0]] += 1
-                corrupted.append(high[0])
-            return out
-
-        return patched
-
-    monkeypatch.setattr(expansion_module, "_truncated_product", corrupt)
-    with pytest.raises(EngineInvariantError, match=NOT_I):
+    _patch_recursion(monkeypatch, misplace)
+    with pytest.raises(EngineInvariantError, match=WEIGHT):
         forbidden_jet(diagram(Family.SU, 3, (1, 2)), degree)
-    assert corrupted
+    assert moved
 
 
-def test_forbidden_jet_halves_must_agree(monkeypatch):
-    # exp Z in place of exp(-Z): the halves of E E no longer cancel
-    monkeypatch.setattr(expansion_module, "_exp_of_minus",
-                        lambda e, pack: e)
-    with pytest.raises(EngineInvariantError, match=NOT_I):
-        forbidden_jet(diagram(Family.SP, 2, (1, 2)), 3)
+def test_forbidden_jet_sees_a_wrong_chart_sign(monkeypatch):
+    # one entry of Z21 with the wrong sign at the split at 1: its variable
+    # reads -c1 + c2 in the (1,1) part, which is not a positive form
+    flipped = []
+
+    def flip(atlas, l, n, w):
+        if n == 1 and l == 1:
+            key = next(iter(w))
+            w[key] = {m: -x for m, x in w[key].items()}
+            flipped.append(key)
+
+    _patch_recursion(monkeypatch, flip)
+    with pytest.raises(EngineInvariantError, match="not a positive form"):
+        forbidden_jet(diagram(Family.SU, 3, (1, 2)), 3)
+    assert flipped
 
 
 @pytest.mark.parametrize("degree", [3, None])
 def test_forbidden_jet_rejects_a_chart_entry_above_a_split(monkeypatch,
                                                            degree):
-    # the product needs E block lower triangular at every split.  z_0 at
-    # (0, 3), above the split at 3, keeps Z nilpotent and E exp(-Z) = I,
-    # so only this check sees that exp(-Z)[:3, :3] is no longer E_3^{-1}
+    # the recursion needs Z block lower triangular at every split.  z_0 at
+    # (0, 3), above the split at 3, keeps Z nilpotent, but Z W - W Z then
+    # leaves the (2, 1) block, so only this check sees it
     dia = diagram(Family.SO_EVEN, 3, (3,))
-    atlas = build_Z(dia)
-    bad = CoordinateAtlas(dia, atlas.vars, atlas.size,
-                          {**atlas.entries, (0, 3): (0, 1)})
-    monkeypatch.setattr(expansion_module, "build_Z", lambda diagram: bad)
+    _with_entries(monkeypatch, dia, {(0, 3): (0, 1)})
     with pytest.raises(EngineInvariantError, match="above the split at 3"):
         forbidden_jet(dia, degree)
 
@@ -685,19 +717,13 @@ def test_packed_sums_are_exact_within_the_field_width():
 def test_packed_product_above_the_bound_raises_or_drops():
     pack = Packing(2, 3)
     z0 = pack.variable(0)
-    # z0 * z0^3 would overflow z0's field into z1's; the degree shows it
-    for strict in (True, False):
-        mul = _truncated_product(pack, 3, strict)
-        assert mul({z0: 1}, {2 * z0: 5}) == {3 * z0: 15}  # 1/1! * 5/2! = 15/3!
-        if strict:
-            with pytest.raises(EngineInvariantError, match="degree bound 3"):
-                mul({z0: 1}, {2 * z0: 5, 3 * z0: 1})
-        else:
-            assert mul({z0: 1}, {2 * z0: 5, 3 * z0: 1}) == {3 * z0: 15}
+    mul = _truncated_product(pack, 3)
+    assert mul({z0: 1}, {2 * z0: 5}) == {3 * z0: 15}  # 1/1! * 5/2! = 15/3!
+    # z0 * z0^3 would overflow z0's field into z1's; the pair is dropped
+    assert mul({z0: 1}, {2 * z0: 5, 3 * z0: 1}) == {3 * z0: 15}
     # a degree the fields cannot hold is refused up front
-    for strict in (True, False):
-        with pytest.raises(EngineInvariantError, match="2-bit fields"):
-            _truncated_product(pack, 4, strict)
+    with pytest.raises(EngineInvariantError, match="2-bit fields"):
+        _truncated_product(pack, 4)
 
 
 @pytest.mark.parametrize("degree", [1, 0, -1, 2.5])

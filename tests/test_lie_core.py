@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from oracles import (
+    all_roots,
     black_part,
     elimination_coefficients,
     elimination_height,
@@ -23,7 +24,6 @@ from flagbochner.lie_core import (
     PaintingError,
     Root,
     _over_binomial,
-    all_roots,
     black_roots,
     height,
     iter_black_sets,

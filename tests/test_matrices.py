@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import oracles
 import pytest
-from oracles import cartan_diagonal
+from oracles import all_roots, cartan_diagonal
 
 from flagbochner.expansion import _packed_exp
 from flagbochner.lie_core import (
@@ -14,7 +14,6 @@ from flagbochner.lie_core import (
     PaintedDiagram,
     PaintingError,
     Root,
-    all_roots,
     black_roots,
     iter_black_sets,
 )
