@@ -239,7 +239,7 @@ def _diagram_json(diagram: PaintedDiagram, dim: int) -> dict:
         "black": list(diagram.black),
         "dim": dim,
         "b2": diagram.b2,
-        "poincare": list(poincare(diagram).coeffs),
+        "poincare": list(poincare(diagram)),
     }
 
 
@@ -381,12 +381,14 @@ def run_numeric_check(request: CaseRequest, samples: int, seed: int) -> dict:
                 f"the value for node {pos} is not"
             )
     diagram = PaintedDiagram(request.group, request.black)
+    atlas = build_Z(diagram)
+    # eval_numeric sums exp Z only to Z^(size - 1), which needs Z^size = 0
+    nilpotency_index(atlas)
     expansion = diastasis(diagram, request.max_degree, request.coeffs)
     coeffs = [float(c) for c in request.coeffs]
 
     import numpy as np
 
-    atlas = build_Z(diagram)
     nvars = atlas.nvars
     hess = hessian_fd(diagram, coeffs)
     metric = symbolic_metric(expansion, nvars)

@@ -41,7 +41,8 @@ import operator
 from fractions import Fraction
 
 from .lie_core import PaintedDiagram
-from .matrices import CoordinateAtlas, Packing, add_shifted, build_Z
+from .matrices import (CoordinateAtlas, Packing, add_shifted, build_Z,
+                       z_powers)
 from .poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
 
 
@@ -106,22 +107,16 @@ def _check_degree(degree, lowest: int) -> None:
 
 
 def _packed_exp(atlas: CoordinateAtlas, pack: Packing,
-                limit: int) -> dict[tuple[int, int], dict[int, int]]:
-    """exp Z to total degree <= limit as (row, col) -> {packed: n}, in
-    pack; a term of total degree d stands for n / d!, so Z^k / k! keeps
-    the powers' integers.  Entries come diagonal first, then in the order
-    the powers reach them; terms by k, then in the power's own order."""
+                limit: int | None) -> dict[tuple[int, int], dict[int, int]]:
+    """exp Z to total degree <= limit, or untruncated for None, as
+    (row, col) -> {packed: n}, in pack; a term of total degree d stands
+    for n / d!, so Z^k / k! keeps the powers' integers.  Entries come
+    diagonal first, then in the order the powers reach them; terms by k,
+    then in the power's own order."""
     out = {(i, i): {0: 1} for i in range(atlas.size)}
-    src = atlas.packing
-    monos: dict[int, int] = {}
-    for power in atlas.powers[:limit]:
+    for power in z_powers(atlas, pack, limit):
         for key, terms in power.items():
-            entry = out.setdefault(key, {})
-            for m, x in terms.items():
-                packed = monos.get(m)
-                if packed is None:
-                    packed = monos[m] = src.repack(m, pack)
-                entry[packed] = x
+            out.setdefault(key, {}).update(terms)
     return out
 
 

@@ -23,7 +23,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -181,14 +180,6 @@ def twice_simple_coefficients(group: GroupSpec, root: Root) -> tuple[int, ...]:
     return tuple(twice)
 
 
-def simple_coefficients(group: GroupSpec, root: Root) -> tuple[int | Fraction, ...]:
-    """Exact expansion coefficients of a root over the simple basis: half
-    of twice_simple_coefficients, an int where it is integral and a
-    Fraction where it is not (only Sp and SOeven halve s_d)."""
-    return tuple(c >> 1 if c % 2 == 0 else Fraction(c, 2)
-                 for c in twice_simple_coefficients(group, root))
-
-
 def height(group: GroupSpec, root: Root) -> int:
     """Sum of the simple-basis coefficients; defined for positive roots."""
     twice = twice_simple_coefficients(group, root)
@@ -271,53 +262,6 @@ def black_roots(diagram: PaintedDiagram) -> tuple[Root, ...]:
     return tuple(out)
 
 
-class PoincarePoly:
-    """Coefficients of the Poincare polynomial in the variable s.
-
-    Construction validates the shape: constant coefficient 1, vanishing odd
-    coefficients, nonnegative entries, palindromic.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        if not coeffs or coeffs[0] != 1:
-            raise EngineInvariantError("Poincare polynomial must start at 1")
-        if any(c < 0 for c in coeffs):
-            raise EngineInvariantError("negative Betti number")
-        if any(coeffs[i] for i in range(1, len(coeffs), 2)):
-            raise EngineInvariantError("odd-degree Betti number is nonzero")
-        if coeffs != coeffs[::-1]:
-            raise EngineInvariantError("Poincare polynomial is not palindromic")
-        self.coeffs = coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def b2(self) -> int:
-        return self.coeffs[2] if len(self.coeffs) > 2 else 0
-
-    def render(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                parts.append(f"{head}s^{i}" if i > 1 else f"{head}s")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"PoincarePoly({self.render()})"
-
-
 def _times_binomial(poly: list[int], k: int) -> list[int]:
     """poly * (1 - t^k), in O(len(poly)) steps."""
     out = poly + [0] * k
@@ -340,13 +284,16 @@ def _over_binomial(poly: list[int], k: int) -> list[int]:
     return out[:-k]
 
 
-def poincare(diagram: PaintedDiagram) -> PoincarePoly:
-    """Product over alpha in R_M+ of (1 - t^(h+1))/(1 - t^h), computed in
+def poincare(diagram: PaintedDiagram) -> tuple[int, ...]:
+    """The coefficients of the Poincare polynomial in s, from s^0 up: the
+    product over alpha in R_M+ of (1 - t^(h+1))/(1 - t^h), computed in
     exact integer arithmetic and re-expressed in s with t = s^2.
 
     With n_h roots of height h, the factor 1 - t^k has exponent
     n_{k-1} - n_k in the product, so the factors cancel before anything is
-    multiplied; what is left of the denominator then divides exactly."""
+    multiplied; what is left of the denominator then divides exactly.  The
+    result must have the shape of a Poincare polynomial: constant
+    coefficient 1, nonnegative, vanishing odd coefficients, palindromic."""
     group = diagram.group
     count = Counter(height(group, r) for r in black_roots(diagram))
     exponents = [count[k - 1] - count[k] for k in range(1, max(count) + 2)]
@@ -357,10 +304,17 @@ def poincare(diagram: PaintedDiagram) -> PoincarePoly:
     for k, e in enumerate(exponents, 1):
         for _ in range(-e):
             poly = _over_binomial(poly, k)
-    coeffs_s = [0] * (2 * len(poly) - 1)
-    for i, c in enumerate(poly):
-        coeffs_s[2 * i] = c
-    return PoincarePoly(coeffs_s)
+    coeffs = [0] * (2 * len(poly) - 1)
+    coeffs[::2] = poly
+    if coeffs[0] != 1:
+        raise EngineInvariantError("Poincare polynomial must start at 1")
+    if any(c < 0 for c in coeffs):
+        raise EngineInvariantError("negative Betti number")
+    if any(coeffs[1::2]):
+        raise EngineInvariantError("odd-degree Betti number is nonzero")
+    if coeffs != coeffs[::-1]:
+        raise EngineInvariantError("Poincare polynomial is not palindromic")
+    return tuple(coeffs)
 
 
 def iter_black_sets(group: GroupSpec, max_black: int):

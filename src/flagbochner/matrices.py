@@ -10,9 +10,10 @@ Z(z) is the sum over alpha in -Q of z_alpha E_alpha; each variable occupies
 its own matrix positions, and the assembled matrix is nilpotent.  A chart
 holds Z as its entry map, (row, col) -> (variable, sign); no symbolic
 matrix is built.  Its lines (Z by rows and by columns) serve the forbidden
-jet's recursion.  Its nonzero powers, in integer arithmetic on packed
-monomials (Packing, the one definition of that format), serve the
-nilpotency index and exp Z in the Gram expansion.
+jet's recursion.  z_powers forms the nonzero powers of Z, in integer
+arithmetic on packed monomials (Packing, the one definition of that
+format), in the packing of the caller: the nilpotency index counts them and
+exp Z in the Gram expansion reads them to its degree.
 """
 
 from __future__ import annotations
@@ -83,9 +84,7 @@ class Packing:
     degree() reads at most d is exactly the product monomial.
 
     Two packings are one format when width and top agree; equal widths
-    alone are not enough.  A chart's powers of Z and its forbidden jet
-    share CoordinateAtlas.packing; diastasis, with a z and a zb field per
-    variable, has a packing of its own and repacks the powers into it.
+    alone are not enough.
     """
 
     __slots__ = ("width", "top")
@@ -114,13 +113,6 @@ class Packing:
             out.append((v, packed >> width * v & mask))
             packed &= ~(mask << width * v)
         return tuple(out)
-
-    def repack(self, packed: int, into: "Packing") -> int:
-        """The same monomial in another packing; its degree must fit."""
-        out = self.degree(packed) << into.top
-        for v, e in self.exponents(packed):
-            out += e << into.width * v
-        return out
 
 
 def add_shifted(acc: dict[int, int], terms: dict[int, int], var: int,
@@ -160,10 +152,9 @@ class CoordinateAtlas:
 
     @property
     def packing(self) -> "Packing":
-        """The packed format of the powers of Z and of the forbidden jet:
-        Z^k has degree k <= size (a power past size - 1 only exists to be
-        rejected as non-nilpotent), and the jet's terms W_n of degree n
-        vanish past 2K < 2 * size, K < size the top power."""
+        """The packed format of the forbidden jet and of the nilpotency
+        index: the jet's terms W_n of degree n vanish past 2K < 2 * size,
+        K < size the top power of Z, and Z^k has degree k <= size."""
         return Packing(self.nvars, 2 * self.size)
 
     @cached_property
@@ -179,35 +170,6 @@ class CoordinateAtlas:
         return rows, cols
 
     @cached_property
-    def powers(self) -> tuple[dict[tuple[int, int], dict[int, int]], ...]:
-        """Z, Z^2, ... while nonzero, untruncated, with int coefficients.
-
-        Z's entries are +-z_v, so Z^k is homogeneous of degree k and each
-        monomial is one packed int (self.packing).
-        Each power maps (row, col) to {packed monomial: coefficient};
-        entries and terms come in the order of the sparse product
-        Z^(k-1) @ Z that walks Z^(k-1)'s entries, then Z's row.
-        """
-        variable = self.packing.variable
-        power = {key: {variable(v): s}
-                 for key, (v, s) in self.entries.items()}
-        rows = self.lines[0]
-        out = []
-        while power:
-            if len(out) + 1 >= self.size:
-                raise EngineInvariantError("Z is not nilpotent")
-            out.append(power)
-            nxt: dict[tuple[int, int], dict[int, int]] = {}
-            for (i, k), terms in power.items():
-                for j, var, s in rows.get(k, ()):
-                    acc = nxt.setdefault((i, j), {})
-                    add_shifted(acc, terms, var, s)
-                    if not acc:
-                        del nxt[(i, j)]
-            power = nxt
-        return tuple(out)
-
-    @cached_property
     def scatter(self):
         """(rows, cols, var, sign): entries as read-only numpy index
         arrays, so Z(z)[rows, cols] = sign * z[var]."""
@@ -220,8 +182,8 @@ class CoordinateAtlas:
         return arrays
 
 
-# a request needs one chart at a time, and each chart keeps its powers of
-# Z, so a sweep holds only the last few charts, not all of them
+# a request needs one chart at a time, so a sweep holds only the last few
+# charts, not all of them
 @lru_cache(maxsize=8)
 def build_Z(diagram: PaintedDiagram) -> CoordinateAtlas:
     """Assemble Z = sum over alpha in -Q of z_alpha E_alpha.
@@ -245,6 +207,45 @@ def build_Z(diagram: PaintedDiagram) -> CoordinateAtlas:
     return CoordinateAtlas(diagram, negs, group.matrix_size, entries)
 
 
+def z_powers(atlas: CoordinateAtlas, pack: Packing, limit: int | None = None):
+    """Yield Z, Z^2, ... while nonzero, with int coefficients, each
+    (row, col) -> {packed monomial in pack: coefficient}; stop after
+    Z^limit, a positive int, or run to the first zero power for None.
+
+    Z's entries are +-z_v, so Z^k is homogeneous of degree k and each
+    monomial is one packed int; pack must hold the highest power the call
+    could form, Z^size or Z^limit.  Entries and terms come in the order of
+    the sparse product Z^(k-1) @ Z that walks Z^(k-1)'s entries, then Z's
+    row.  A nonzero Z^size means Z is not nilpotent, which raises.
+    """
+    size = atlas.size
+    last = size if limit is None else min(limit, size)
+    if pack.max_degree < last:
+        raise EngineInvariantError(
+            f"{pack.width}-bit fields cannot hold total degree {last}")
+    rows: dict[int, list[tuple[int, int, int]]] = {}
+    for (r, c), (v, s) in atlas.entries.items():
+        rows.setdefault(r, []).append((c, pack.variable(v), s))
+    power = {key: {pack.variable(v): s}
+             for key, (v, s) in atlas.entries.items()}
+    k = 1
+    while power:
+        if k == size:
+            raise EngineInvariantError("Z is not nilpotent")
+        yield power
+        if k == last:
+            return
+        k += 1
+        nxt: dict[tuple[int, int], dict[int, int]] = {}
+        for (i, j), terms in power.items():
+            for c, var, s in rows.get(j, ()):
+                acc = nxt.setdefault((i, c), {})
+                add_shifted(acc, terms, var, s)
+                if not acc:
+                    del nxt[(i, c)]
+        power = nxt
+
+
 def nilpotency_index(atlas: CoordinateAtlas) -> int:
     """Smallest k with Z^k identically zero; at most the matrix size."""
-    return 1 + len(atlas.powers)
+    return 1 + sum(1 for _ in z_powers(atlas, atlas.packing))

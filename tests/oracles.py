@@ -20,8 +20,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from flagbochner.lie_core import Family, Root, positive_roots
+from flagbochner.lie_core import (
+    Family,
+    Root,
+    positive_roots,
+    twice_simple_coefficients,
+)
 from flagbochner.expansion import _accumulate, _packed_exp, _truncated_product
+from flagbochner import matrices
 from flagbochner.matrices import build_Z, root_vector
 from flagbochner.poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
 
@@ -234,6 +240,14 @@ def simple_roots(group) -> tuple:
     elif group.family is Family.SO_ODD:
         basis.append(root((d, 1)))
     return tuple(basis)
+
+
+def simple_coefficients(group, root) -> tuple:
+    """Exact expansion coefficients of a root over the simple basis: half
+    of the engine's twice_simple_coefficients, an int where it is integral
+    and a Fraction where it is not (only Sp and SOeven halve s_d)."""
+    return tuple(c >> 1 if c % 2 == 0 else Fraction(c, 2)
+                 for c in twice_simple_coefficients(group, root))
 
 
 def elimination_coefficients(group, root) -> tuple:
@@ -751,7 +765,7 @@ def product_jet(diagram, degree) -> Polynomial:
     atlas = build_Z(diagram)
     # E and F have degree <= K, the top power of Z, so every product
     # E[r, a] F[a, c] has degree <= 2K, which the chart's packing holds
-    bound = 2 * len(atlas.powers)
+    bound = 2 * (matrices.nilpotency_index(atlas) - 1)
     limit = bound if degree is None else min(degree - 1, bound)
     pack = atlas.packing
     e = _packed_exp(atlas, pack, limit)

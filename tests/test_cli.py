@@ -31,7 +31,7 @@ from flagbochner.cli import (
 )
 from flagbochner.expansion import forbidden_jet
 from flagbochner.lie_core import Family, GroupSpec, PaintedDiagram
-from flagbochner.matrices import build_Z
+from flagbochner.matrices import CoordinateAtlas, build_Z
 from flagbochner.poly import CoeffForm
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -384,6 +384,24 @@ def test_numeric_check_cli_passes(capsys):
     ])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_numeric_check_refuses_a_non_nilpotent_chart(monkeypatch, capsys):
+    # eval_numeric sums exp Z only to Z^(size - 1), so the check proves
+    # Z^size = 0 first.  z_0 on the diagonal keeps z_0^k in every power;
+    # at degree 2 diastasis forms only Z and Z^2 and would refuse the
+    # chart for a pure term instead
+    from flagbochner import cli, expansion
+
+    atlas = build_Z(PaintedDiagram(GroupSpec(Family.SU, 3), (1, 2)))
+    bad = CoordinateAtlas(atlas.diagram, atlas.vars, atlas.size,
+                          {**atlas.entries, (0, 0): (0, 1)})
+    for module in (cli, expansion):
+        monkeypatch.setattr(module, "build_Z", lambda diagram: bad)
+    rc = main(["--group", "SU:3", "--black", "1,2", "--coeffs", "1,1",
+               "--max-degree", "2", "--numeric-check", "--samples", "1"])
+    assert rc == 2
+    assert "Z is not nilpotent" in capsys.readouterr().err
 
 
 def test_numeric_check_requires_numeric_coeffs(capsys):

@@ -35,7 +35,12 @@ from flagbochner.lie_core import (
     PaintingError,
     iter_black_sets,
 )
-from flagbochner.matrices import CoordinateAtlas, Packing, build_Z
+from flagbochner.matrices import (
+    CoordinateAtlas,
+    Packing,
+    build_Z,
+    nilpotency_index,
+)
 from flagbochner.poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -122,8 +127,8 @@ def _unpack(pack, nvars, terms) -> dict:
 @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6, None])
 def test_exp_Z_equals_symbolic_power_sum(degree):
     # the packed exp Z: entries, terms and their order as the matrix sum of
-    # symbolic powers, repacked into the expansion's packing or the
-    # chart's; SU(33) packs each exponent into a 6-bit field
+    # symbolic powers, formed in the expansion's packing or the chart's;
+    # SU(33) packs each exponent into a 6-bit field
     assert len(PAINTINGS_RANK6) == 256
     for dia in [*PAINTINGS_RANK6, diagram(Family.SU, 33, (1, 32))]:
         atlas = build_Z(dia)
@@ -137,6 +142,26 @@ def test_exp_Z_equals_symbolic_power_sum(degree):
                 q = _unpack(pack, atlas.nvars, engine[key])
                 assert p.trunc == degree
                 assert list(q.items()) == list(p.terms.items()), (dia, key)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5])
+def test_diastasis_forms_no_power_of_Z_above_its_degree(monkeypatch, degree):
+    # exp Z to degree d reads Z, ..., Z^d and no higher power; the powers
+    # come one at a time from z_powers, which forms none past its limit
+    real = expansion_module.z_powers
+    seen = []
+
+    def recorded(atlas, pack, limit=None):
+        for power in real(atlas, pack, limit):
+            seen.append({pack.degree(m) for t in power.values() for m in t})
+            yield power
+
+    monkeypatch.setattr(expansion_module, "z_powers", recorded)
+    for dia in PAINTINGS_RANK4:
+        seen.clear()
+        diastasis(dia, degree)
+        top = min(degree, nilpotency_index(build_Z(dia)) - 1)
+        assert seen == [{k} for k in range(1, top + 1)], dia
 
 
 def test_exp_is_identity_plus_z_for_one_su_block():
@@ -214,7 +239,7 @@ def _packed_route(atlas, degree):
     """The packed Gram matrix with its packing and product, to total degree
     <= degree; for None, under a bound no minor's term reaches (an exp Z
     term has degree <= K, the top power of Z, and A's at most 2K)."""
-    limit = degree or 2 * len(atlas.powers) * atlas.size
+    limit = degree or 2 * (nilpotency_index(atlas) - 1) * atlas.size
     pack = Packing(2 * atlas.nvars, limit)
     mul = _truncated_product(pack, limit)
     e = _packed_exp(atlas, pack, limit)
@@ -709,9 +734,6 @@ def test_packed_sums_are_exact_within_the_field_width():
                 assert pack.degree(total) <= 3
             else:
                 assert pack.degree(total) > 3
-    wide = Packing(3, 12)
-    assert pack.repack(packed((1, 0, 2)), wide) == (
-        wide.variable(0) + 2 * wide.variable(2))
 
 
 def test_packed_product_above_the_bound_raises_or_drops():

@@ -19,9 +19,11 @@ from flagbochner.lie_core import (
 )
 from flagbochner.matrices import (
     CoordinateAtlas,
+    Packing,
     build_Z,
     nilpotency_index,
     root_vector,
+    z_powers,
 )
 from flagbochner import matrices
 from flagbochner.poly import EngineInvariantError
@@ -263,7 +265,8 @@ def test_chart_variables_and_packing_on_every_painting():
         atlas = build_Z(diagram)
         q = black_roots(diagram)
         assert atlas.vars == tuple(sorted(-r for r in q)), diagram
-        assert 2 * len(atlas.powers) <= atlas.packing.max_degree, diagram
+        assert 2 * (nilpotency_index(atlas) - 1) <= atlas.packing.max_degree, \
+            diagram
         checked += 1
     assert checked == 736
 
@@ -339,6 +342,35 @@ def test_nilpotency_index_equals_symbolic_power_count():
     assert nilpotency_index(wide) == oracles.nilpotency_index(wide)
 
 
+def test_z_powers_refuses_a_packing_too_narrow_for_its_limit():
+    # SO(9) black {2,3,4}: size 9, so Z^9 would be formed to prove Z^9 = 0
+    atlas = build_Z(PaintedDiagram(GroupSpec(Family.SO_ODD, 4), (2, 3, 4)))
+    narrow = Packing(atlas.nvars, 3)
+    with pytest.raises(EngineInvariantError, match="2-bit fields"):
+        next(z_powers(atlas, narrow, 4))
+    with pytest.raises(EngineInvariantError, match="2-bit fields"):
+        next(z_powers(atlas, narrow))
+    # the fields hold Z^3; a packing that holds degree size holds any run
+    assert len(list(z_powers(atlas, narrow, 3))) == 3
+    wide = Packing(atlas.nvars, atlas.size)
+    assert len(list(z_powers(atlas, wide))) == \
+        nilpotency_index(atlas) - 1 > 3
+
+
+def test_z_powers_forms_no_power_past_its_limit():
+    # z_0 on the diagonal: Z^3 is nonzero and would prove Z not nilpotent,
+    # but a run stopped at Z^2 never forms it
+    atlas = build_Z(PaintedDiagram(GroupSpec(Family.SU, 3), (1, 2)))
+    bad = CoordinateAtlas(atlas.diagram, atlas.vars, atlas.size,
+                          {**atlas.entries, (0, 0): (0, 1)})
+    pack = bad.packing
+    got = [{pack.degree(m) for t in p.values() for m in t}
+           for p in z_powers(bad, pack, 2)]
+    assert got == [{1}, {2}]
+    with pytest.raises(EngineInvariantError, match="Z is not nilpotent"):
+        list(z_powers(bad, pack, 3))
+
+
 def test_non_nilpotent_Z_is_an_invariant_violation():
     # z_0 on the diagonal keeps z_0^k in every power of Z
     atlas = build_Z(PaintedDiagram(GroupSpec(Family.SU, 3), (1, 2)))
@@ -347,6 +379,6 @@ def test_non_nilpotent_Z_is_an_invariant_violation():
     with pytest.raises(EngineInvariantError, match="Z is not nilpotent"):
         nilpotency_index(bad)
     with pytest.raises(EngineInvariantError, match="Z is not nilpotent"):
-        _packed_exp(bad, bad.packing, 3)
+        _packed_exp(bad, bad.packing, None)
     with pytest.raises(EngineInvariantError, match="Z is not nilpotent"):
         oracles.nilpotency_index(bad)
