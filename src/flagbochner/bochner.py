@@ -21,6 +21,7 @@ import bisect
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 
 from .expansion import forbidden_jet
 from .feasibility import positive_solution_exists, primitive_row, rref
@@ -32,10 +33,6 @@ from .poly import (
     Polynomial,
     render_signed_sum,
 )
-
-
-def is_forbidden_bidegree(p: int, q: int) -> bool:
-    return (p == 1 and q >= 2) or (q == 1 and p >= 2)
 
 
 @dataclass(frozen=True)
@@ -63,20 +60,27 @@ class ForbiddenReport:
 
 def forbidden_report(poly: Polynomial) -> ForbiddenReport:
     """The forbidden monomials of a potential expansion or jet, checked
-    through its truncation degree (every degree when untruncated)."""
-    entries = []
-    for m, f in poly.items_sorted():
-        if is_forbidden_bidegree(*m.bidegree):
-            entries.append((m, f))
-    report = ForbiddenReport(tuple(entries), poly.trunc)
-    by_mono = dict(report.entries)
-    for m, f in report.entries:
-        if by_mono.get(m.conj()) != f:
+    through its truncation degree (every degree when untruncated), in
+    Monomial.sort_key order.
+
+    Only the forbidden terms are sorted, on keys read once per term.
+    Conjugation maps forbidden bidegrees to forbidden bidegrees, so the
+    report of a real potential is conjugate-closed; that is checked on
+    every input, on the (holo, anti) exponent tuples."""
+    keyed = []
+    for m, f in poly.terms.items():
+        p, q = m.p, m.q
+        if (p == 1 and q >= 2) or (q == 1 and p >= 2):
+            keyed.append(((m.total, m.holo, m.anti), m, f))
+    keyed.sort(key=itemgetter(0))
+    forms = {key[1:]: f for key, _, f in keyed}
+    for (_, holo, anti), _, f in keyed:
+        if forms.get((anti, holo)) != f:
             raise EngineInvariantError(
                 "forbidden report is not conjugate-closed; the potential "
                 "expansion is not real"
             )
-    return report
+    return ForbiddenReport(tuple((m, f) for _, m, f in keyed), poly.trunc)
 
 
 class BochnerStatus(Enum):

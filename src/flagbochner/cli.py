@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,6 +168,13 @@ def parse_black(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Fraction(str) accepts "1_000" from Python 3.11 on and "1 / 2" from 3.12
+# on, so a token must first match 3.10's grammar in ASCII digits: a sign,
+# then digits with "/digits", or a decimal with an optional exponent
+_RATIONAL = re.compile(
+    r"[-+]?(?=\.?[0-9])[0-9]*(?:/[0-9]+|(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?)")
+
+
 def parse_coeffs(text: str):
     if text == "symbolic":
         return "symbolic"
@@ -174,6 +182,8 @@ def parse_coeffs(text: str):
     for pos, token in enumerate(text.split(","), 1):
         token = token.strip()
         try:
+            if not _RATIONAL.fullmatch(token):
+                raise ValueError
             value = Fraction(token)
         except (ValueError, ZeroDivisionError):
             raise ValueError(

@@ -36,6 +36,7 @@ every term; the expansion serves the numeric lane and the tests.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from fractions import Fraction
@@ -289,12 +290,17 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
             _accumulate(total, log, int(v * scale))
         denom *= scale
     fact = [math.factorial(d) * denom for d in range(degree + 1)]
+    # weight 1 on the zb fields: decode sums the antiholomorphic degree
+    anti = [0] * nvars + [1] * nvars
     terms = {}
     for m, x in total.items():
-        exps = pack.exponents(m)
-        mono = Monomial([(v, e) for v, e in exps if v < nvars],
-                        [(v - nvars, e) for v, e in exps if v >= nvars])
-        den = fact[m >> pack.top]
+        exps, q = pack.decode(m, anti)
+        d = m >> pack.top
+        cut = bisect.bisect_left(exps, (nvars,))
+        mono = Monomial._of_bidegree(
+            exps[:cut], tuple([(v - nvars, e) for v, e in exps[cut:]]),
+            d - q, q)
+        den = fact[d]
         if stored is None:
             terms[mono] = CoeffForm((k, Fraction(n, den)) for k, n in x.items())
         else:
@@ -383,7 +389,10 @@ def forbidden_jet(diagram: PaintedDiagram,
                     continue
                 forms = dz.setdefault(v, {})
                 for m, n in t.items():
-                    lam = forms.setdefault(m, {})
+                    lam = forms.get(m)
+                    if lam is None:  # n != 0: W keeps no zero term
+                        forms[m] = {l: s * n}
+                        continue
                     x = lam.get(l, 0) + s * n
                     if x:
                         lam[l] = x
@@ -392,34 +401,41 @@ def forbidden_jet(diagram: PaintedDiagram,
                         if not lam:
                             del forms[m]
     pack = atlas.packing
+    top, decode = pack.top, pack.decode
     # a root's e-coordinates in one int, 16 bits each: adding such ints
     # adds the roots while no coordinate leaves +-2**15, far above a degree
     scale = [1 << 16 * i for i in range(diagram.group.rank)]
     weights = [sum(map(operator.mul, root.coeffs, scale))
                for root in atlas.vars]
-    # many terms share a form; CoeffForms are immutable, so they share one
+    # many terms share a form, and most forms share their numerators:
+    # CoeffForms and Fractions are immutable, so each is built once.  A
+    # form's labels come sorted, as the loop above inserts them
     made: dict[tuple, CoeffForm] = {}
+    fracs: dict[tuple[int, int], Fraction] = {}
+    of = Monomial._of_bidegree
     terms = {}
     for v, forms in dz.items():
         zv = ((v, 1),)
+        wv = weights[v]
         for m, lam in forms.items():
-            d = pack.degree(m)
+            d = m >> top
             key = (d, *lam.items())
             form = made.get(key)
             if form is None:
-                fact = math.factorial(d)
-                form = made[key] = CoeffForm(
-                    (k, Fraction(n, fact)) for k, n in lam.items())
-            exps = pack.exponents(m)
-            weight = 0
-            for u, e in exps:
-                weight += weights[u] * e
-            if weight != weights[v]:
+                parts = []
+                for k, n in lam.items():
+                    x = fracs.get((n, d))
+                    if x is None:
+                        x = fracs[(n, d)] = Fraction(n, math.factorial(d))
+                    parts.append((k, x))
+                form = made[key] = CoeffForm._of_sorted(tuple(parts))
+            exps, weight = decode(m, weights)
+            if weight != wv:
                 raise EngineInvariantError(
                     f"jet term of z_{v} breaks the torus weight")
-            terms[Monomial._of_bidegree(zv, exps, 1, d)] = form
+            terms[of(zv, exps, 1, d)] = form
             if d >= 2:
-                terms[Monomial._of_bidegree(exps, zv, d, 1)] = form
+                terms[of(exps, zv, d, 1)] = form
     _check_potential(terms, atlas.nvars, None)
     return Polynomial._of_clean(terms, degree)
 

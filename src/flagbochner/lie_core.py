@@ -180,17 +180,6 @@ def twice_simple_coefficients(group: GroupSpec, root: Root) -> tuple[int, ...]:
     return tuple(twice)
 
 
-def height(group: GroupSpec, root: Root) -> int:
-    """Sum of the simple-basis coefficients; defined for positive roots."""
-    twice = twice_simple_coefficients(group, root)
-    if not all(c >= 0 for c in twice) or not any(twice):
-        raise ValueError(f"{root!r} is not a positive root of {group.label()}")
-    # an odd entry is a half-integral coefficient
-    if any(c % 2 for c in twice):
-        raise EngineInvariantError("non-integral simple-root expansion")
-    return sum(twice) >> 1
-
-
 @dataclass(frozen=True)
 class PaintedDiagram:
     """A classical group with a nonempty set of black simple-root positions.
@@ -284,36 +273,55 @@ def _over_binomial(poly: list[int], k: int) -> list[int]:
     return out[:-k]
 
 
-def poincare(diagram: PaintedDiagram) -> tuple[int, ...]:
-    """The coefficients of the Poincare polynomial in s, from s^0 up: the
-    product over alpha in R_M+ of (1 - t^(h+1))/(1 - t^h), computed in
-    exact integer arithmetic and re-expressed in s with t = s^2.
+def _degrees(family: Family, rank: int) -> list[int]:
+    """The degrees of the basic invariants of the family's group at rank,
+    SU(d) counted as U(d): 1..d for U(d), 2, 4, .., 2d for Sp(d) and
+    SO(2d+1), and 2, 4, .., 2d - 2, d for SO(2d)."""
+    if family is Family.SU:
+        return list(range(1, rank + 1))
+    out = list(range(2, 2 * rank + 1, 2))
+    if family is Family.SO_EVEN and out:
+        out[-1] = rank
+    return out
 
-    With n_h roots of height h, the factor 1 - t^k has exponent
-    n_{k-1} - n_k in the product, so the factors cancel before anything is
-    multiplied; what is left of the denominator then divides exactly.  The
-    result must have the shape of a Poincare polynomial: constant
-    coefficient 1, nonnegative, vanishing odd coefficients, palindromic."""
-    group = diagram.group
-    count = Counter(height(group, r) for r in black_roots(diagram))
-    exponents = [count[k - 1] - count[k] for k in range(1, max(count) + 2)]
+
+def poincare(diagram: PaintedDiagram) -> tuple[int, ...]:
+    """The coefficients of the Poincare polynomial of G/L in s, from s^0
+    up: prod_i [d_i]_t / prod_j [d'_j]_t with t = s^2 and
+    [d]_t = (1 - t^d)/(1 - t), computed in exact integer arithmetic.
+
+    The d_i are the degrees of G, the d'_j those of the Levi L: U(n) for
+    each block of n positions between consecutive black nodes (and, for
+    SU, after the last), and for Sp and SO the group of the same family at
+    rank d - l_s.  Both lists have d entries, so the (1 - t) factors
+    cancel; so do the factors 1 - t^k common to both sides, before
+    anything is multiplied, and what is left of the denominator then
+    divides exactly.  The result must have the shape of a Poincare
+    polynomial: constant coefficient 1, nonnegative, palindromic."""
+    family, rank = diagram.group.family, diagram.group.rank
+    # the U(n) blocks end at d for SU and at l_s for Sp and SO, whose tail
+    # group of rank d - l_s has the family's degrees; SU's tail is empty
+    end = rank if family is Family.SU else diagram.black[-1]
+    cuts = (0, *diagram.black, end)
+    levi = [k for a, b in zip(cuts, cuts[1:]) for k in range(1, b - a + 1)]
+    levi += _degrees(family, rank - end)
+    count = Counter(_degrees(family, rank))
+    count.subtract(levi)
     poly = [1]
-    for k, e in enumerate(exponents, 1):
+    for k, e in count.items():
         for _ in range(e):
             poly = _times_binomial(poly, k)
-    for k, e in enumerate(exponents, 1):
+    for k, e in count.items():
         for _ in range(-e):
             poly = _over_binomial(poly, k)
+    if poly[0] != 1:
+        raise EngineInvariantError("Poincare polynomial must start at 1")
+    if any(c < 0 for c in poly):
+        raise EngineInvariantError("negative Betti number")
+    if poly != poly[::-1]:
+        raise EngineInvariantError("Poincare polynomial is not palindromic")
     coeffs = [0] * (2 * len(poly) - 1)
     coeffs[::2] = poly
-    if coeffs[0] != 1:
-        raise EngineInvariantError("Poincare polynomial must start at 1")
-    if any(c < 0 for c in coeffs):
-        raise EngineInvariantError("negative Betti number")
-    if any(coeffs[1::2]):
-        raise EngineInvariantError("odd-degree Betti number is nonzero")
-    if coeffs != coeffs[::-1]:
-        raise EngineInvariantError("Poincare polynomial is not palindromic")
     return tuple(coeffs)
 
 

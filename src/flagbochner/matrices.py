@@ -103,16 +103,22 @@ class Packing:
     def degree(self, packed: int) -> int:
         return packed >> self.top
 
-    def exponents(self, packed: int) -> tuple[tuple[int, int], ...]:
-        """(variable, exponent) pairs by variable, the Monomial layout."""
+    def decode(self, packed: int, weights) -> tuple[tuple, int]:
+        """The (variable, exponent) pairs by variable, the Monomial layout,
+        and sum weights[v] * exponent over them, in one walk over the
+        nonzero fields; weights holds one number per field."""
         width, mask = self.width, (1 << self.width) - 1
         packed &= (1 << self.top) - 1
         out = []
+        weight = 0
         while packed:
             v = ((packed & -packed).bit_length() - 1) // width
-            out.append((v, packed >> width * v & mask))
-            packed &= ~(mask << width * v)
-        return tuple(out)
+            shift = width * v
+            e = packed >> shift & mask
+            out.append((v, e))
+            weight += weights[v] * e
+            packed ^= e << shift
+        return tuple(out), weight
 
 
 def add_shifted(acc: dict[int, int], terms: dict[int, int], var: int,

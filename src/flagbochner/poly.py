@@ -62,6 +62,15 @@ class CoeffForm:
         self.terms = tuple(sorted((k, lam) for k, lam in terms if lam))
         self._hash = hash(self.terms)
 
+    @classmethod
+    def _of_sorted(cls, terms: tuple) -> "CoeffForm":
+        """The form of terms, for a caller that built them nonzero and
+        sorted by label; nothing is filtered or sorted again."""
+        self = object.__new__(cls)
+        self.terms = terms
+        self._hash = hash(terms)
+        return self
+
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -342,9 +351,6 @@ class Polynomial:
             {m: f for m, f in self.terms.items() if m.bidegree == (p, q)},
             self.trunc,
         )
-
-    def items_sorted(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
     def evaluate(self, zvals) -> complex:
         acc = 0j

@@ -287,6 +287,18 @@ def elimination_coefficients(group, root) -> tuple:
     return tuple(coeffs)
 
 
+def height(group, root) -> int:
+    """Sum of the simple-basis coefficients, from the engine's integer
+    closed form; defined for positive roots."""
+    twice = twice_simple_coefficients(group, root)
+    if not all(c >= 0 for c in twice) or not any(twice):
+        raise ValueError(f"{root!r} is not a positive root of {group.label()}")
+    # an odd entry is a half-integral coefficient
+    if any(c % 2 for c in twice):
+        raise EngineInvariantError("non-integral simple-root expansion")
+    return sum(twice) >> 1
+
+
 def elimination_height(group, root) -> int:
     """Sum of the elimination's coefficients; raises ValueError unless they
     are nonnegative integers, not all zero."""
@@ -754,6 +766,27 @@ def forbidden_jet(diagram, degree) -> Polynomial:
     return Polynomial(terms, degree)
 
 
+def report_by_sorting(poly) -> tuple:
+    """The forbidden report's entries by their definition: every term in
+    Monomial.sort_key order, those of bidegree (1, q >= 2) or (p >= 2, 1)
+    kept.  Raises EngineInvariantError unless the conjugate Monomial of
+    each kept one carries an equal form."""
+    ordered = sorted(poly.terms.items(), key=lambda kv: kv[0].sort_key())
+    entries = tuple((m, f) for m, f in ordered
+                    if (m.p == 1 and m.q >= 2) or (m.q == 1 and m.p >= 2))
+    by_mono = dict(entries)
+    for m, f in entries:
+        if by_mono.get(m.conj()) != f:
+            raise EngineInvariantError("forbidden report is not "
+                                       "conjugate-closed")
+    return entries
+
+
+def exponents(pack, packed: int) -> tuple:
+    """The (variable, exponent) pairs of a packed monomial, by variable."""
+    return pack.decode(packed, [0] * (pack.top // pack.width))[0]
+
+
 def product_jet(diagram, degree) -> Polynomial:
     """The (1, q) and (p, 1) parts of the symbolic potential, to total
     degree <= degree or at every degree for None, on the packed exp Z:
@@ -804,7 +837,7 @@ def product_jet(diagram, degree) -> Polynomial:
                              for k, n in lam.items())
             if not form:
                 continue
-            exps = pack.exponents(m)
+            exps = exponents(pack, m)
             terms[Monomial(((v, 1),), exps)] = form
             if d >= 2:
                 terms[Monomial(exps, ((v, 1),))] = form

@@ -10,7 +10,8 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from oracles import catalog_sum, catalog_trinomials, exp_Z, gram, leibniz_minor
+from oracles import (catalog_sum, catalog_trinomials, exp_Z, gram, height,
+                     leibniz_minor)
 
 from flagbochner.bochner import (
     BochnerStatus,
@@ -30,7 +31,6 @@ from flagbochner.lie_core import (
     PaintedDiagram,
     PaintingError,
     black_roots,
-    height,
     iter_black_sets,
     poincare,
 )

@@ -460,6 +460,32 @@ def test_report_truncation_is_the_report_of_the_truncated_jet():
             == forbidden_report(untruncated.truncate(4)))
 
 
+@pytest.mark.parametrize("degree", [3, 5, None])
+def test_report_equals_its_definition_on_jets(degree):
+    # the report sorts only the forbidden terms, on keys read once: the
+    # same entries, forms and order as sorting every term, then filtering,
+    # on every painting of rank <= 6 with 1-3 black nodes
+    checked = 0
+    for dia in _paintings(6):
+        jet = forbidden_jet(dia, degree)
+        assert (forbidden_report(jet).entries
+                == oracles.report_by_sorting(jet)), (dia, degree)
+        checked += 1
+    assert checked == 256
+
+
+def test_report_equals_its_definition_on_expansions():
+    # an expansion also has terms of bidegree (p >= 2, q >= 2), which the
+    # report drops before it sorts
+    checked = 0
+    for dia in _paintings(4):
+        expansion = diastasis(dia, 4, "symbolic")
+        assert (forbidden_report(expansion).entries
+                == oracles.report_by_sorting(expansion)), dia
+        checked += 1
+    assert checked == 64
+
+
 def test_untruncated_jet_keeps_degree_three_verdicts():
     # the untruncated jet carries every forbidden monomial of the
     # potential, so its verdict holds at every degree: on every painting of

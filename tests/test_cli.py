@@ -294,6 +294,12 @@ def test_exit_one_on_validation_error(capsys):
      "at least 3 for a verdict"),
     (["--group", "SU:3", "--black", "1", "--coeffs", "1",
       "--numeric-check", "--max-degree", "1"], "must be at least 2"),
+    # Fraction(str) takes these on some Python versions only; --coeffs
+    # takes one grammar on all of them
+    (["--group", "SU:3", "--black", "1,2", "--coeffs", "1_000,1"],
+     "item 1 ('1_000') is not a rational"),
+    (["--group", "SU:3", "--black", "1", "--coeffs", "1 / 2"],
+     "item 1 ('1 / 2') is not a rational"),
 ])
 def test_exit_one_on_inconsistent_request(capsys, argv, reason):
     assert main(argv) == 1

@@ -9,6 +9,7 @@ from oracles import (
     black_part,
     elimination_coefficients,
     elimination_height,
+    height,
     poincare_by_division,
     poincare_from_heights,
     prefix_sum_coefficients,
@@ -26,7 +27,6 @@ from flagbochner.lie_core import (
     Root,
     _over_binomial,
     black_roots,
-    height,
     iter_black_sets,
     poincare,
     positive_roots,
