@@ -173,6 +173,9 @@ def parse_black(text: str) -> tuple[int, ...]:
 # then digits with "/digits", or a decimal with an optional exponent
 _RATIONAL = re.compile(
     r"[-+]?(?=\.?[0-9])[0-9]*(?:/[0-9]+|(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?)")
+# the digits of a token, its exponent counted as that many zeros, bound the
+# digits of its value, which Fraction then reads at once and str() echoes
+MAX_COEFF_DIGITS = 1000
 
 
 def parse_coeffs(text: str):
@@ -181,8 +184,17 @@ def parse_coeffs(text: str):
     out = []
     for pos, token in enumerate(text.split(","), 1):
         token = token.strip()
+        matched = _RATIONAL.fullmatch(token)
+        mantissa, _, exp = token.lower().partition("e")
+        exp = exp.lstrip("+-").lstrip("0")
+        # five digits of exponent are too many already; int() reads no more
+        if matched and (len(exp) > 4 or sum(map(str.isdigit, mantissa))
+                        + int(exp or 0) > MAX_COEFF_DIGITS):
+            raise ValueError(
+                f"invalid coeffs: item {pos} has more than {MAX_COEFF_DIGITS} "
+                "digits, counting its exponent as that many zeros")
         try:
-            if not _RATIONAL.fullmatch(token):
+            if not matched:
                 raise ValueError
             value = Fraction(token)
         except (ValueError, ZeroDivisionError):
@@ -265,6 +277,8 @@ def run_case(request: CaseRequest) -> dict:
     _check_verdict_degree(request.max_degree)
     diagram = PaintedDiagram(request.group, request.black)
     atlas = build_Z(diagram)
+    # the jet's recursion ends because Z is nilpotent; prove it first
+    nilpotency = nilpotency_index(atlas)
     names = atlas.var_names()
     # the jet to degree d is the truncation of any deeper one, so one jet
     # and one report serve both the verdict and the audit
@@ -281,7 +295,7 @@ def run_case(request: CaseRequest) -> dict:
         "request": request.echo(),
         "diagram": _diagram_json(diagram, atlas.nvars),
         "minors": [{"node": p, "size": p} for p in diagram.black],
-        "nilpotency": nilpotency_index(atlas),
+        "nilpotency": nilpotency,
         "verdict": _verdict_json(verdict, names),
         "forbidden": _forbidden_json(report, names, cvals),
     }

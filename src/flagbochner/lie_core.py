@@ -23,7 +23,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple
 
 from .poly import EngineInvariantError
@@ -82,19 +81,6 @@ class Root(NamedTuple):
         return f"Root({self.render()})"
 
 
-def _unit(rank: int, i: int, sign: int = 1) -> Root:
-    coeffs = [0] * rank
-    coeffs[i - 1] = sign
-    return Root(tuple(coeffs))
-
-
-def _pair(rank: int, i: int, j: int, si: int, sj: int) -> Root:
-    coeffs = [0] * rank
-    coeffs[i - 1] += si
-    coeffs[j - 1] += sj
-    return Root(tuple(coeffs))
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     """A classical compact group; rank d is the parameter in SU(d), Sp(d),
@@ -133,51 +119,6 @@ class GroupSpec:
         if self.family is Family.SO_EVEN:
             return f"SO({2 * d})"
         return f"SO({2 * d + 1})"
-
-
-@lru_cache(maxsize=None)
-def positive_roots(group: GroupSpec) -> tuple[Root, ...]:
-    """R+ with respect to the canonical simple basis, sorted."""
-    d = group.rank
-    fam = group.family
-    roots: list[Root] = []
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            roots.append(_pair(d, i, j, 1, -1))
-            if fam is not Family.SU:
-                roots.append(_pair(d, i, j, 1, 1))
-    if fam is Family.SP:
-        roots.extend(_unit(d, i, 2) for i in range(1, d + 1))
-    elif fam is Family.SO_ODD:
-        roots.extend(_unit(d, i) for i in range(1, d + 1))
-    return tuple(sorted(roots))
-
-
-def twice_simple_coefficients(group: GroupSpec, root: Root) -> tuple[int, ...]:
-    """Twice the expansion coefficients of a root over the simple basis, as
-    integers, in closed form from the prefix sums s_k = c_1 + ... + c_k of
-    its e-coordinates:
-
-    * SU:     (2 s_1, ..., 2 s_{d-1}); raises unless s_d = 0 (the span)
-    * Sp:     (2 s_1, ..., 2 s_{d-1}, s_d)
-    * SOodd:  (2 s_1, ..., 2 s_d)
-    * SOeven: (2 s_1, ..., 2 s_{d-2}, 2 s_{d-1} - s_d, s_d)
-    """
-    s = list(itertools.accumulate(root.coeffs))
-    last = s.pop()
-    twice = [x + x for x in s]
-    family = group.family
-    if family is Family.SU:
-        if last:
-            raise ValueError(f"{root!r} is not in the span of the simple basis")
-    elif family is Family.SO_ODD:
-        twice.append(last + last)
-    elif family is Family.SP:
-        twice.append(last)
-    else:
-        twice[-1] -= last
-        twice.append(last)
-    return tuple(twice)
 
 
 @dataclass(frozen=True)
@@ -236,19 +177,17 @@ class PaintedDiagram:
     def label(self) -> str:
         return f"{self.group.label()} black {{{','.join(map(str, self.black))}}}"
 
-
-@lru_cache(maxsize=None)
-def black_roots(diagram: PaintedDiagram) -> tuple[Root, ...]:
-    """Q: the positive roots with nonzero coefficient on some black simple
-    root, sorted.  The black part R_M of the root system is Q u -Q."""
-    group = diagram.group
-    black_idx = [p - 1 for p in diagram.black]
-    out = []
-    for r in positive_roots(group):
-        twice = twice_simple_coefficients(group, r)
-        if any(twice[i] for i in black_idx):
-            out.append(r)
-    return tuple(out)
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], int]:
+        """(sizes, tail): the sizes of the blocks of e-positions that the
+        black nodes cut, 1..l_1, l_1 + 1..l_2, .., and for SU also
+        l_s + 1..d; and the rank d - l_s of the tail group of Sp and SO,
+        0 for SU.  The Levi is U(n) per block times the tail group."""
+        cuts = (0, *self.black)
+        if self.group.family is Family.SU:
+            cuts += (self.group.rank,)
+        sizes = tuple(b - a for a, b in zip(cuts, cuts[1:]))
+        return sizes, self.group.rank - cuts[-1]
 
 
 def _times_binomial(poly: list[int], k: int) -> list[int]:
@@ -299,12 +238,9 @@ def poincare(diagram: PaintedDiagram) -> tuple[int, ...]:
     divides exactly.  The result must have the shape of a Poincare
     polynomial: constant coefficient 1, nonnegative, palindromic."""
     family, rank = diagram.group.family, diagram.group.rank
-    # the U(n) blocks end at d for SU and at l_s for Sp and SO, whose tail
-    # group of rank d - l_s has the family's degrees; SU's tail is empty
-    end = rank if family is Family.SU else diagram.black[-1]
-    cuts = (0, *diagram.black, end)
-    levi = [k for a, b in zip(cuts, cuts[1:]) for k in range(1, b - a + 1)]
-    levi += _degrees(family, rank - end)
+    sizes, tail = diagram.blocks
+    levi = [k for n in sizes for k in range(1, n + 1)]
+    levi += _degrees(family, tail)
     count = Counter(_degrees(family, rank))
     count.subtract(levi)
     poly = [1]

@@ -10,10 +10,11 @@ Z(z) is the sum over alpha in -Q of z_alpha E_alpha; each variable occupies
 its own matrix positions, and the assembled matrix is nilpotent.  A chart
 holds Z as its entry map, (row, col) -> (variable, sign); no symbolic
 matrix is built.  Its lines (Z by rows and by columns) serve the forbidden
-jet's recursion.  z_powers forms the nonzero powers of Z, in integer
+jet's recursion.  -Q and the nilpotency index are read off the blocks of
+the painting (PaintedDiagram.blocks), not off the root system or the
+powers of Z.  z_powers forms the nonzero powers of Z, in integer
 arithmetic on packed monomials (Packing, the one definition of that
-format), in the packing of the caller: the nilpotency index counts them and
-exp Z in the Gram expansion reads them to its degree.
+format), in the packing of the caller, for exp Z in the Gram expansion.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .lie_core import Family, GroupSpec, PaintedDiagram, Root, black_roots
+from .lie_core import Family, GroupSpec, PaintedDiagram, Root
 from .poly import EngineInvariantError
 
 Entry = tuple[int, int, int]  # (row, col, sign)
@@ -158,9 +159,8 @@ class CoordinateAtlas:
 
     @property
     def packing(self) -> "Packing":
-        """The packed format of the forbidden jet and of the nilpotency
-        index: the jet's terms W_n of degree n vanish past 2K < 2 * size,
-        K < size the top power of Z, and Z^k has degree k <= size."""
+        """The packed format of the forbidden jet: its terms W_n of degree
+        n vanish past 2K < 2 * size, K < size the top power of Z."""
         return Packing(self.nvars, 2 * self.size)
 
     @cached_property
@@ -188,29 +188,50 @@ class CoordinateAtlas:
         return arrays
 
 
+def _position_blocks(sizes: tuple[int, ...], tail: int) -> list[int]:
+    """k at index i when e-position i + 1 lies in the k-th of
+    PaintedDiagram.blocks, from 0; len(sizes) in the tail."""
+    return [k for k, n in enumerate(sizes) for _ in range(n)] + [len(sizes)] * tail
+
+
 # a request needs one chart at a time, so a sweep holds only the last few
 # charts, not all of them
 @lru_cache(maxsize=8)
 def build_Z(diagram: PaintedDiagram) -> CoordinateAtlas:
     """Assemble Z = sum over alpha in -Q of z_alpha E_alpha.
 
+    -Q, the negative roots with a nonzero black coefficient, is read off
+    the blocks: e_j - e_i (i < j) with i and j in different blocks (the
+    tail counts as one) and, for Sp and SO, -(e_i + e_j) (i < j), Sp's
+    -2e_i and SOodd's -e_i with i <= l_s.
+
     Two distinct variables landing on one matrix position would make the
     chart ill-defined; that is a bug in the root vectors, not user error.
     """
     group = diagram.group
-    # Q is sorted and negation reverses the lexicographic order, so the
-    # variables, the roots of -Q, come sorted
-    negs = tuple(-r for r in reversed(black_roots(diagram)))
+    d, family = group.rank, group.family
+    sizes, tail = diagram.blocks
+    block, l_s, z = _position_blocks(sizes, tail), d - tail, (0,) * d
+    # coefficient tuples spliced into zeros, then sorted into the variables
+    negs = [Root(z[:i] + (-1,) + z[i + 1:j] + (1,) + z[j + 1:])
+            for j in range(d) for i in range(j) if block[i] != block[j]]
+    if family is not Family.SU:
+        negs += [Root(z[:i] + (-1,) + z[i + 1:j] + (-1,) + z[j + 1:])
+                 for i in range(l_s) for j in range(i + 1, d)]
+        short = {Family.SP: (-2,), Family.SO_ODD: (-1,)}.get(family)
+        if short:
+            negs += [Root(z[:i] + short + z[i + 1:]) for i in range(l_s)]
+    negs.sort()
     entries: dict[tuple[int, int], tuple[int, int]] = {}
-    for v, root in enumerate(negs):
-        for r, c, s in root_vector(group, root):
+    for v, alpha in enumerate(negs):
+        for r, c, s in root_vector(group, alpha):
             if (r, c) in entries:
                 raise EngineInvariantError(
                     f"variable collision at matrix position ({r},{c}) while "
                     f"assembling Z for {diagram.label()}"
                 )
             entries[(r, c)] = (v, s)
-    return CoordinateAtlas(diagram, negs, group.matrix_size, entries)
+    return CoordinateAtlas(diagram, tuple(negs), group.matrix_size, entries)
 
 
 def z_powers(atlas: CoordinateAtlas, pack: Packing, limit: int | None = None):
@@ -252,6 +273,54 @@ def z_powers(atlas: CoordinateAtlas, pack: Packing, limit: int | None = None):
         power = nxt
 
 
+def _collapse(parts: list[int], parity: int) -> None:
+    """The C- (parity 1) or B- and D-collapse (parity 0) of a partition,
+    in place (Collingwood-McGovern, Lemma 6.3.3): while a part of that
+    parity has odd multiplicity, the last copy of the largest such q loses
+    1 to the first later part below q - 1, or to a new part."""
+    while True:
+        odd = [q for q in set(parts) if q % 2 == parity and parts.count(q) % 2]
+        if not odd:
+            return
+        q = max(odd)
+        i = len(parts) - 1 - parts[::-1].index(q)
+        parts[i] -= 1
+        parts.append(0)
+        parts[next(j for j in range(i + 1, len(parts)) if parts[j] < q - 1)] += 1
+        if not parts[-1]:
+            parts.pop()
+
+
 def nilpotency_index(atlas: CoordinateAtlas) -> int:
-    """Smallest k with Z^k identically zero; at most the matrix size."""
-    return 1 + sum(1 for _ in z_powers(atlas, atlas.packing))
+    """Smallest k with Z^k identically zero, read off the painting.
+
+    Every entry of Z lies strictly below the block diagonal of the flag
+    order B_1..B_s, tail, B_s'..B_1' (row d + i in B_k' for e-position
+    i + 1 in B_k), which proves Z nilpotent; any other entry raises.  Z
+    is generic in the nilradical, so the index is the largest part of the
+    Richardson orbit's Jordan type, induced from the Levi's zero orbit
+    (Collingwood-McGovern, Thm 7.3.3): one part per block for SU; for Sp
+    and SO, from 1^N' on the tail's N' rows, each block from last to
+    first adds 2 to the first n_k parts, then collapses.
+    """
+    diagram = atlas.diagram
+    family = diagram.group.family
+    sizes, tail = diagram.blocks
+    s = len(sizes)
+    order = _position_blocks(sizes, tail)
+    if family is not Family.SU:
+        order += [2 * s - k if k < s else s for k in order]
+        order += [s] * (atlas.size - len(order))
+    for r, c in atlas.entries:
+        if order[r] <= order[c]:
+            raise EngineInvariantError(
+                f"Z is not nilpotent by its flag order: entry ({r},{c}) "
+                "lies on or above the block diagonal")
+    if family is Family.SU:
+        return s
+    parts = [1] * (atlas.size - 2 * (diagram.group.rank - tail))
+    for n in reversed(sizes):
+        parts += [0] * (n - len(parts))
+        parts[:n] = [p + 2 for p in parts[:n]]
+        _collapse(parts, 1 if family is Family.SP else 0)
+    return parts[0]

@@ -1,14 +1,15 @@
 """Slow, transparent reference computations that the engine is tested against.
 
 Each oracle follows its textbook definition with no memoization, pruning
-or batching; they share only the root data, the chart's entry map and the
-polynomial ring with the engine, and build the symbolic matrices
-themselves (Matrix, with Matrix.chart for Z).  The one exception is the
-reference Gram route on Monomials and Fractions (Matrix arithmetic,
-minor_det, log1p_expand, linear_combination, gram_logs, combine_logs): the
-engine's packed route must equal it term for term, dict order included,
-so it keeps a memoised Laplace expansion and the loops whose order the
-engine follows.  product_jet, the jet as the products exp Z exp(-Z) that
+or batching; they share only the Root type, the chart's entry map and the
+polynomial ring with the engine, and build the root data (positive_roots,
+black_roots, the reference for the block rule that build_Z reads -Q by)
+and the symbolic matrices themselves (Matrix, with Matrix.chart for Z).
+The one exception is the reference Gram route on Monomials and Fractions
+(Matrix arithmetic, minor_det, log1p_expand, linear_combination,
+gram_logs, combine_logs): the engine's packed route must equal it term for
+term, dict order included, so it keeps a memoised Laplace expansion and
+the loops whose order the engine follows.  product_jet, the jet as the products exp Z exp(-Z) that
 the engine formed before its recursion, also runs on the engine's packed
 exp Z and packed product.
 """
@@ -20,12 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from flagbochner.lie_core import (
-    Family,
-    Root,
-    positive_roots,
-    twice_simple_coefficients,
-)
+from flagbochner.lie_core import Family, Root
 from flagbochner.expansion import _accumulate, _packed_exp, _truncated_product
 from flagbochner import matrices
 from flagbochner.matrices import build_Z, root_vector
@@ -215,6 +211,78 @@ def mul(a: Polynomial, b: Polynomial) -> Polynomial:
 
 # ------------------------------------------------------------ root data
 
+def _unit(rank: int, i: int, sign: int = 1) -> Root:
+    coeffs = [0] * rank
+    coeffs[i - 1] = sign
+    return Root(tuple(coeffs))
+
+
+def _pair(rank: int, i: int, j: int, si: int, sj: int) -> Root:
+    coeffs = [0] * rank
+    coeffs[i - 1] += si
+    coeffs[j - 1] += sj
+    return Root(tuple(coeffs))
+
+
+def positive_roots(group) -> tuple[Root, ...]:
+    """R+ with respect to the canonical simple basis, sorted."""
+    d = group.rank
+    fam = group.family
+    roots: list[Root] = []
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            roots.append(_pair(d, i, j, 1, -1))
+            if fam is not Family.SU:
+                roots.append(_pair(d, i, j, 1, 1))
+    if fam is Family.SP:
+        roots.extend(_unit(d, i, 2) for i in range(1, d + 1))
+    elif fam is Family.SO_ODD:
+        roots.extend(_unit(d, i) for i in range(1, d + 1))
+    return tuple(sorted(roots))
+
+
+def twice_simple_coefficients(group, root: Root) -> tuple[int, ...]:
+    """Twice the expansion coefficients of a root over the simple basis, as
+    integers, in closed form from the prefix sums s_k = c_1 + ... + c_k of
+    its e-coordinates:
+
+    * SU:     (2 s_1, ..., 2 s_{d-1}); raises unless s_d = 0 (the span)
+    * Sp:     (2 s_1, ..., 2 s_{d-1}, s_d)
+    * SOodd:  (2 s_1, ..., 2 s_d)
+    * SOeven: (2 s_1, ..., 2 s_{d-2}, 2 s_{d-1} - s_d, s_d)
+    """
+    s = list(itertools.accumulate(root.coeffs))
+    last = s.pop()
+    twice = [x + x for x in s]
+    family = group.family
+    if family is Family.SU:
+        if last:
+            raise ValueError(f"{root!r} is not in the span of the simple basis")
+    elif family is Family.SO_ODD:
+        twice.append(last + last)
+    elif family is Family.SP:
+        twice.append(last)
+    else:
+        twice[-1] -= last
+        twice.append(last)
+    return tuple(twice)
+
+
+def black_roots(diagram) -> tuple[Root, ...]:
+    """Q: the positive roots with nonzero coefficient on some black simple
+    root, sorted, by their definition; the reference for the block rule
+    that matrices.build_Z reads -Q by.  The black part R_M of the root
+    system is Q u -Q."""
+    group = diagram.group
+    black_idx = [p - 1 for p in diagram.black]
+    out = []
+    for r in positive_roots(group):
+        twice = twice_simple_coefficients(group, r)
+        if any(twice[i] for i in black_idx):
+            out.append(r)
+    return tuple(out)
+
+
 def all_roots(group) -> frozenset[Root]:
     """R = R+ and its negatives."""
     pos = positive_roots(group)
@@ -244,7 +312,7 @@ def simple_roots(group) -> tuple:
 
 def simple_coefficients(group, root) -> tuple:
     """Exact expansion coefficients of a root over the simple basis: half
-    of the engine's twice_simple_coefficients, an int where it is integral
+    of twice_simple_coefficients, an int where it is integral
     and a Fraction where it is not (only Sp and SOeven halve s_d)."""
     return tuple(c >> 1 if c % 2 == 0 else Fraction(c, 2)
                  for c in twice_simple_coefficients(group, root))
@@ -288,8 +356,8 @@ def elimination_coefficients(group, root) -> tuple:
 
 
 def height(group, root) -> int:
-    """Sum of the simple-basis coefficients, from the engine's integer
-    closed form; defined for positive roots."""
+    """Sum of the simple-basis coefficients, from the integer closed form
+    twice_simple_coefficients; defined for positive roots."""
     twice = twice_simple_coefficients(group, root)
     if not all(c >= 0 for c in twice) or not any(twice):
         raise ValueError(f"{root!r} is not a positive root of {group.label()}")
@@ -412,7 +480,7 @@ def validate_Q(group, q, r_m) -> bool:
 
 def black_part(diagram) -> frozenset[Root]:
     """R_M: the roots with a nonzero coefficient on some black simple root,
-    by the elimination; Q u -Q, for Q the engine's black_roots."""
+    by the elimination; Q u -Q, for Q as black_roots defines it."""
     group = diagram.group
     return frozenset(
         r for r in all_roots(group)

@@ -10,8 +10,8 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from oracles import (catalog_sum, catalog_trinomials, exp_Z, gram, height,
-                     leibniz_minor)
+from oracles import (black_roots, catalog_sum, catalog_trinomials, exp_Z, gram,
+                     height, leibniz_minor)
 
 from flagbochner.bochner import (
     BochnerStatus,
@@ -30,7 +30,6 @@ from flagbochner.lie_core import (
     GroupSpec,
     PaintedDiagram,
     PaintingError,
-    black_roots,
     iter_black_sets,
     poincare,
 )

@@ -300,6 +300,16 @@ def test_exit_one_on_validation_error(capsys):
      "item 1 ('1_000') is not a rational"),
     (["--group", "SU:3", "--black", "1", "--coeffs", "1 / 2"],
      "item 1 ('1 / 2') is not a rational"),
+    # a value too long to read at once or to echo: Fraction would take
+    # seconds on 1e10000000, and str() refuses the 5001 digits of 1e5000
+    (["--group", "SU:3", "--black", "1", "--coeffs", "1e5000",
+      "--emit", "json"], "item 1 has more than 1000 digits"),
+    (["--group", "SU:3", "--black", "1,2", "--coeffs", "1,1e10000000"],
+     "item 2 has more than 1000 digits"),
+    (["--group", "SU:3", "--black", "1", "--coeffs", "1e-10000000",
+      "--numeric-check"], "item 1 has more than 1000 digits"),
+    (["--group", "SU:3", "--black", "1", "--coeffs", "1/" + "3" * 1000],
+     "item 1 has more than 1000 digits"),
 ])
 def test_exit_one_on_inconsistent_request(capsys, argv, reason):
     assert main(argv) == 1
@@ -407,6 +417,20 @@ def test_numeric_check_refuses_a_non_nilpotent_chart(monkeypatch, capsys):
     rc = main(["--group", "SU:3", "--black", "1,2", "--coeffs", "1,1",
                "--max-degree", "2", "--numeric-check", "--samples", "1"])
     assert rc == 2
+    assert "Z is not nilpotent" in capsys.readouterr().err
+
+
+def test_case_refuses_a_non_nilpotent_chart(monkeypatch, capsys):
+    # the same patched chart in a single case: the case proves Z nilpotent
+    # before the jet reads it, so the jet's torus-weight check never runs
+    from flagbochner import cli, expansion
+
+    atlas = build_Z(PaintedDiagram(GroupSpec(Family.SU, 3), (1, 2)))
+    bad = CoordinateAtlas(atlas.diagram, atlas.vars, atlas.size,
+                          {**atlas.entries, (0, 0): (0, 1)})
+    for module in (cli, expansion):
+        monkeypatch.setattr(module, "build_Z", lambda diagram: bad)
+    assert main(["--group", "SU:3", "--black", "1,2"]) == 2
     assert "Z is not nilpotent" in capsys.readouterr().err
 
 

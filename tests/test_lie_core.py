@@ -7,15 +7,18 @@ import pytest
 from oracles import (
     all_roots,
     black_part,
+    black_roots,
     elimination_coefficients,
     elimination_height,
     height,
     poincare_by_division,
     poincare_from_heights,
+    positive_roots,
     prefix_sum_coefficients,
     prefix_sum_height,
     simple_coefficients,
     simple_roots,
+    twice_simple_coefficients,
     validate_Q,
 )
 
@@ -26,11 +29,8 @@ from flagbochner.lie_core import (
     PaintingError,
     Root,
     _over_binomial,
-    black_roots,
     iter_black_sets,
     poincare,
-    positive_roots,
-    twice_simple_coefficients,
 )
 from flagbochner.poly import EngineInvariantError
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import oracles
 import pytest
-from oracles import all_roots, cartan_diagonal
+from oracles import all_roots, black_roots, cartan_diagonal
 
 from flagbochner.expansion import _packed_exp
 from flagbochner.lie_core import (
@@ -14,7 +14,6 @@ from flagbochner.lie_core import (
     PaintedDiagram,
     PaintingError,
     Root,
-    black_roots,
     iter_black_sets,
 )
 from flagbochner.matrices import (
@@ -242,14 +241,14 @@ def test_variable_count_matches_dimension():
         assert atlas.nvars == len(q)
 
 
-def _paintings_up_to(max_rank):
+def _paintings_up_to(max_rank, max_black=3):
     for family in Family:
         for rank in range(1, max_rank + 1):
             try:
                 group = GroupSpec(family, rank)
             except ValueError:
                 continue
-            for black in iter_black_sets(group, 3):
+            for black in iter_black_sets(group, max_black):
                 try:
                     yield PaintedDiagram(group, black)
                 except PaintingError:
@@ -301,6 +300,8 @@ def test_z_vanishes_at_origin():
     (GroupSpec(Family.SO_EVEN, 4), (4,), 2),
     (GroupSpec(Family.SO_EVEN, 4), (1, 4), 3),
     (GroupSpec(Family.SO_ODD, 3), (3,), 3),
+    # (3,1^5) induced from the Levi collapses to (2^2,1^4)
+    (GroupSpec(Family.SP, 4), (1,), 2),
 ])
 def test_nilpotency_examples(group, black, expected):
     atlas = build_Z(PaintedDiagram(group, black))
@@ -340,6 +341,18 @@ def test_nilpotency_index_equals_symbolic_power_count():
     # SU(33) packs each exponent into a 6-bit field
     wide = build_Z(PaintedDiagram(GroupSpec(Family.SU, 33), (1, 32)))
     assert nilpotency_index(wide) == oracles.nilpotency_index(wide)
+
+
+def test_nilpotency_index_equals_the_count_of_nonzero_powers():
+    # the index read off the blocks against the powers of Z on every
+    # painting of rank <= 6 with any number of black nodes
+    checked = 0
+    for diagram in _paintings_up_to(6, max_black=6):
+        atlas = build_Z(diagram)
+        assert nilpotency_index(atlas) == \
+            1 + len(list(z_powers(atlas, atlas.packing))), diagram
+        checked += 1
+    assert checked == 322
 
 
 def test_z_powers_refuses_a_packing_too_narrow_for_its_limit():
