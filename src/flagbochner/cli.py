@@ -145,7 +145,7 @@ def parse_group(text: str) -> GroupSpec:
         raise ValueError(
             f"invalid group {text!r}: expected FAMILY:RANK, e.g. SU:4"
         )
-    family = Family.parse(parts[0])
+    family = Family(parts[0])
     try:
         rank = int(parts[1])
     except ValueError:
@@ -651,7 +651,7 @@ def main(argv=None) -> int:
         if args.sweep:
             request = SweepRequest(
                 families=tuple(
-                    Family.parse(tok.strip())
+                    Family(tok.strip())
                     for tok in args.families.split(",")
                 ),
                 max_rank=args.max_rank,

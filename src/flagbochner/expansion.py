@@ -52,8 +52,11 @@ class NumericDomainError(ValueError):
 
 
 def _parse_coeffs(diagram: PaintedDiagram, coeffs):
-    """None for symbolic coeffs, else the values, one per black node."""
-    if coeffs == "symbolic" or coeffs is None:
+    """None for symbolic coeffs (None or "symbolic"), else the values, one
+    per black node, from any iterable of numbers; other strings raise."""
+    if isinstance(coeffs, str) and coeffs != "symbolic":
+        raise ValueError(f"coeffs must be 'symbolic' or numbers, not {coeffs!r}")
+    if coeffs is None or isinstance(coeffs, str):
         return None
     values = [Fraction(v) for v in coeffs]
     if len(values) != len(diagram.black):

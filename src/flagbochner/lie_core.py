@@ -20,6 +20,7 @@ structure.  Each positive Kaehler parameter c attaches to one black node.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -35,12 +36,9 @@ class Family(str, Enum):
     SO_ODD = "SOodd"
 
     @classmethod
-    def parse(cls, text: str) -> "Family":
-        for fam in cls:
-            if fam.value == text:
-                return fam
+    def _missing_(cls, value):
         valid = ", ".join(f.value for f in cls)
-        raise ValueError(f"unknown family {text!r} (expected one of {valid})")
+        raise ValueError(f"unknown family {value!r} (expected one of {valid})")
 
 
 class PaintingError(ValueError):
@@ -84,12 +82,15 @@ class Root(NamedTuple):
 @dataclass(frozen=True)
 class GroupSpec:
     """A classical compact group; rank d is the parameter in SU(d), Sp(d),
-    SO(2d), SO(2d+1)."""
+    SO(2d), SO(2d+1).  family is normalised to a Family ("SU" builds
+    SU(d)) and rank to an int; other values raise."""
 
     family: Family
     rank: int
 
     def __post_init__(self):
+        object.__setattr__(self, "family", Family(self.family))
+        object.__setattr__(self, "rank", operator.index(self.rank))
         if self.rank < 1:
             raise ValueError("rank must be positive")
         if self.family is Family.SU and self.rank < 2:
@@ -125,8 +126,8 @@ class GroupSpec:
 class PaintedDiagram:
     """A classical group with a nonempty set of black simple-root positions.
 
-    Positions are 1-based indices into the canonical simple basis, each
-    given once; black holds them sorted.  SO paintings whose white tail
+    Positions are 1-based integers indexing the canonical simple basis,
+    each given once; black holds them sorted.  SO paintings whose white tail
     would be a rank-one orthogonal factor are rejected (PaintingError), as
     is painting the even-orthogonal node d-1 without node d: that diagram
     is the mirror image, under the order-two diagram flip, of the painting
@@ -138,7 +139,11 @@ class PaintedDiagram:
     black: tuple[int, ...]
 
     def __post_init__(self):
-        black = tuple(sorted(self.black))
+        try:
+            black = tuple(sorted(map(operator.index, self.black)))
+        except TypeError:
+            raise PaintingError(
+                f"black nodes must be integers, got {self.black!r}") from None
         for a, b in zip(black, black[1:]):
             if a == b:
                 raise PaintingError(f"black lists node {a} more than once")

@@ -1,4 +1,4 @@
-"""Matrix realizations of root vectors and the coordinate matrix Z(z).
+"""The coordinate matrix Z(z) in a fixed matrix realization.
 
 The orthogonal groups are realized in the split quadratic-form basis: SO(2d)
 preserves z_1 z_{d+1} + ... + z_d z_{2d} and SO(2d+1) preserves
@@ -10,11 +10,12 @@ Z(z) is the sum over alpha in -Q of z_alpha E_alpha; each variable occupies
 its own matrix positions, and the assembled matrix is nilpotent.  A chart
 holds Z as its entry map, (row, col) -> (variable, sign); no symbolic
 matrix is built.  Its lines (Z by rows and by columns) serve the forbidden
-jet's recursion.  -Q and the nilpotency index are read off the blocks of
-the painting (PaintedDiagram.blocks), not off the root system or the
-powers of Z.  z_powers forms the nonzero powers of Z, in integer
-arithmetic on packed monomials (Packing, the one definition of that
-format), in the packing of the caller, for exp Z in the Gram expansion.
+jet's recursion.  -Q, each root with the entries of its E_alpha, and the
+nilpotency index are read off the blocks of the painting
+(PaintedDiagram.blocks), not off the root system or the powers of Z.
+z_powers forms the nonzero powers of Z, in integer arithmetic on packed
+monomials (Packing, the one definition of that format), in the packing
+of the caller, for exp Z in the Gram expansion.
 """
 
 from __future__ import annotations
@@ -22,53 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .lie_core import Family, GroupSpec, PaintedDiagram, Root
+from .lie_core import Family, PaintedDiagram, Root
 from .poly import EngineInvariantError
-
-Entry = tuple[int, int, int]  # (row, col, sign)
-
-
-def _signed_support(root: Root) -> list[tuple[int, int]]:
-    """(index, coefficient) pairs with 1-based indices, coefficient != 0."""
-    return [(i + 1, c) for i, c in enumerate(root.coeffs) if c]
-
-
-@lru_cache(maxsize=None)
-def root_vector(group: GroupSpec, alpha: Root) -> tuple[Entry, ...]:
-    """E_alpha in the fixed realization, group.matrix_size square, as its
-    one or two nonzero entries (row, col, sign), each sign +-1.  Each
-    branch is one shape of root of the family; any other alpha raises."""
-    d = group.rank
-    fam = group.family
-    sup = _signed_support(alpha) if len(alpha.coeffs) == d else []
-    signs = [c for _, c in sup]
-    if signs in ([1, -1], [-1, 1]):  # e_i - e_j, i and j swapped for -1, 1
-        (i, ci), (j, _) = sup
-        if ci == -1:
-            i, j = j, i
-        if fam is Family.SU:
-            return ((i - 1, j - 1, 1),)
-        return ((i - 1, j - 1, 1), (d + j - 1, d + i - 1, -1))
-    if fam is not Family.SU and signs in ([1, 1], [-1, -1]):
-        (i, ci), (j, _) = sup
-        skew = 1 if fam is Family.SP else -1
-        if ci == 1:  # e_i + e_j, upper-right block
-            return ((i - 1, d + j - 1, 1), (j - 1, d + i - 1, skew))
-        # -e_i - e_j, lower-left block
-        return ((d + i - 1, j - 1, 1), (d + j - 1, i - 1, skew))
-    if fam is Family.SP and signs in ([2], [-2]):
-        # +-2e_i, single entry keeps signs in {-1, +1}
-        i = sup[0][0]
-        if signs[0] == 2:
-            return ((i - 1, d + i - 1, 1),)
-        return ((d + i - 1, i - 1, 1),)
-    if fam is Family.SO_ODD and signs in ([1], [-1]):
-        # SO(2d+1) short roots +-e_i use the last row and column
-        i = sup[0][0]
-        if signs[0] == 1:
-            return ((i - 1, 2 * d, 1), (2 * d, d + i - 1, -1))
-        return ((d + i - 1, 2 * d, 1), (2 * d, i - 1, -1))
-    raise ValueError(f"{alpha!r} is not a root of {group.label()}")
 
 
 class Packing:
@@ -194,44 +150,59 @@ def _position_blocks(sizes: tuple[int, ...], tail: int) -> list[int]:
     return [k for k, n in enumerate(sizes) for _ in range(n)] + [len(sizes)] * tail
 
 
+def _chart_roots(diagram: PaintedDiagram) -> list[tuple[Root, tuple]]:
+    """-Q read off the blocks, sorted, each root with the 0-based entries
+    (row, col, sign) of its E_alpha: e_j - e_i (i < j, in different
+    blocks, the tail counting as one) at (j, i, 1) and, outside SU,
+    (d+i, d+j, -1); for Sp and SO and i < l_s, -(e_i + e_j) (i < j) at
+    (d+i, j, 1) and (d+j, i, skew), skew +1 for Sp and -1 for SO, Sp's
+    -2e_i at (d+i, i, 1) and SOodd's -e_i at (d+i, 2d, 1), (2d, i, -1)."""
+    family, d = diagram.group.family, diagram.group.rank
+    sizes, tail = diagram.blocks
+    block, l_s, z = _position_blocks(sizes, tail), d - tail, (0,) * d
+    su = family is Family.SU
+    # coefficient tuples spliced into zeros
+    pairs = [(Root(z[:i] + (-1,) + z[i + 1:j] + (1,) + z[j + 1:]),
+              ((j, i, 1),) if su else ((j, i, 1), (d + i, d + j, -1)))
+             for j in range(d) for i in range(j) if block[i] != block[j]]
+    if not su:
+        skew = 1 if family is Family.SP else -1
+        pairs += [(Root(z[:i] + (-1,) + z[i + 1:j] + (-1,) + z[j + 1:]),
+                   ((d + i, j, 1), (d + j, i, skew)))
+                  for i in range(l_s) for j in range(i + 1, d)]
+    if family is Family.SP:
+        pairs += [(Root(z[:i] + (-2,) + z[i + 1:]), ((d + i, i, 1),))
+                  for i in range(l_s)]
+    elif family is Family.SO_ODD:
+        pairs += [(Root(z[:i] + (-1,) + z[i + 1:]),
+                   ((d + i, 2 * d, 1), (2 * d, i, -1)))
+                  for i in range(l_s)]
+    pairs.sort()  # the roots are distinct, so only they are compared
+    return pairs
+
+
 # a request needs one chart at a time, so a sweep holds only the last few
 # charts, not all of them
 @lru_cache(maxsize=8)
 def build_Z(diagram: PaintedDiagram) -> CoordinateAtlas:
-    """Assemble Z = sum over alpha in -Q of z_alpha E_alpha.
-
-    -Q, the negative roots with a nonzero black coefficient, is read off
-    the blocks: e_j - e_i (i < j) with i and j in different blocks (the
-    tail counts as one) and, for Sp and SO, -(e_i + e_j) (i < j), Sp's
-    -2e_i and SOodd's -e_i with i <= l_s.
+    """Assemble Z = sum over alpha in -Q of z_alpha E_alpha from
+    _chart_roots, the one place that decides where E_alpha sits.
 
     Two distinct variables landing on one matrix position would make the
-    chart ill-defined; that is a bug in the root vectors, not user error.
+    chart ill-defined; that is a bug in the generation, not user error.
     """
-    group = diagram.group
-    d, family = group.rank, group.family
-    sizes, tail = diagram.blocks
-    block, l_s, z = _position_blocks(sizes, tail), d - tail, (0,) * d
-    # coefficient tuples spliced into zeros, then sorted into the variables
-    negs = [Root(z[:i] + (-1,) + z[i + 1:j] + (1,) + z[j + 1:])
-            for j in range(d) for i in range(j) if block[i] != block[j]]
-    if family is not Family.SU:
-        negs += [Root(z[:i] + (-1,) + z[i + 1:j] + (-1,) + z[j + 1:])
-                 for i in range(l_s) for j in range(i + 1, d)]
-        short = {Family.SP: (-2,), Family.SO_ODD: (-1,)}.get(family)
-        if short:
-            negs += [Root(z[:i] + short + z[i + 1:]) for i in range(l_s)]
-    negs.sort()
+    pairs = _chart_roots(diagram)
     entries: dict[tuple[int, int], tuple[int, int]] = {}
-    for v, alpha in enumerate(negs):
-        for r, c, s in root_vector(group, alpha):
+    for v, (_, vector) in enumerate(pairs):
+        for r, c, s in vector:
             if (r, c) in entries:
                 raise EngineInvariantError(
                     f"variable collision at matrix position ({r},{c}) while "
                     f"assembling Z for {diagram.label()}"
                 )
             entries[(r, c)] = (v, s)
-    return CoordinateAtlas(diagram, tuple(negs), group.matrix_size, entries)
+    return CoordinateAtlas(diagram, tuple(r for r, _ in pairs),
+                           diagram.group.matrix_size, entries)
 
 
 def z_powers(atlas: CoordinateAtlas, pack: Packing, limit: int | None = None):

@@ -13,9 +13,11 @@ polynomial against oracles.poincare_by_division on the root heights.
 On every painting a single case accepts (rank <= 8, any number of black
 nodes, 1,370 paintings) it checks the chart that build_Z reads off the
 painting's blocks: its variables must be the sorted roots of -Q, Q as
-oracles.black_roots defines it, and nilpotency_index must count the
-nonzero powers of Z.  Tier-1 checks the variables up to 3 black nodes and
-the index up to rank 6.  Run from the repository root:
+oracles.black_roots defines it, its entry map must place them through
+oracles.root_vector, dict order included, and nilpotency_index must count
+the nonzero powers of Z.  Tier-1 checks the variables and the entry map
+up to 3 black nodes and the index up to rank 6.  Run from the repository
+root:
 
     PYTHONPATH=src python tests/audit_every_degree.py
 
@@ -24,7 +26,13 @@ Exit 0 when every check holds on every painting, 1 otherwise.
 
 import sys
 
-from oracles import black_roots, height, poincare_by_division, report_by_sorting
+from oracles import (
+    black_roots,
+    height,
+    placed_entries,
+    poincare_by_division,
+    report_by_sorting,
+)
 
 from flagbochner import classify
 from flagbochner.bochner import forbidden_report, verdict_from_report
@@ -76,6 +84,10 @@ def main() -> int:
                 problems = []
                 if atlas.vars != tuple(sorted(-r for r in black_roots(dia))):
                     problems.append("chart variables differ from -Q")
+                if (list(atlas.entries.items())
+                        != list(placed_entries(atlas).items())):
+                    problems.append("chart entries differ from the "
+                                    "reference root vectors")
                 if nilpotency_index(atlas) != 1 + len(
                         list(z_powers(atlas, atlas.packing))):
                     problems.append("nilpotency index differs from the "

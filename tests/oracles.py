@@ -3,8 +3,10 @@
 Each oracle follows its textbook definition with no memoization, pruning
 or batching; they share only the Root type, the chart's entry map and the
 polynomial ring with the engine, and build the root data (positive_roots,
-black_roots, the reference for the block rule that build_Z reads -Q by)
-and the symbolic matrices themselves (Matrix, with Matrix.chart for Z).
+black_roots, the reference for the block rule that build_Z reads -Q by),
+the realization of every root (root_vector, the reference for the
+entries build_Z places) and the symbolic matrices themselves (Matrix,
+with Matrix.chart for Z).
 The one exception is the reference Gram route on Monomials and Fractions
 (Matrix arithmetic, minor_det, log1p_expand, linear_combination,
 gram_logs, combine_logs): the engine's packed route must equal it term for
@@ -24,7 +26,7 @@ import numpy as np
 from flagbochner.lie_core import Family, Root
 from flagbochner.expansion import _accumulate, _packed_exp, _truncated_product
 from flagbochner import matrices
-from flagbochner.matrices import build_Z, root_vector
+from flagbochner.matrices import build_Z
 from flagbochner.poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
 
 
@@ -445,6 +447,51 @@ def poincare_by_division(heights) -> tuple:
     if any(rem):
         raise ValueError("the product is not a polynomial")
     return tuple(quot)
+
+
+def root_vector(group, alpha: Root) -> tuple:
+    """E_alpha in the fixed realization, group.matrix_size square, as its
+    one or two nonzero entries (row, col, sign), each sign +-1.  Each
+    branch is one shape of root of the family; any other alpha raises."""
+    d = group.rank
+    fam = group.family
+    sup = ([(i + 1, c) for i, c in enumerate(alpha.coeffs) if c]
+           if len(alpha.coeffs) == d else [])
+    signs = [c for _, c in sup]
+    if signs in ([1, -1], [-1, 1]):  # e_i - e_j, i and j swapped for -1, 1
+        (i, ci), (j, _) = sup
+        if ci == -1:
+            i, j = j, i
+        if fam is Family.SU:
+            return ((i - 1, j - 1, 1),)
+        return ((i - 1, j - 1, 1), (d + j - 1, d + i - 1, -1))
+    if fam is not Family.SU and signs in ([1, 1], [-1, -1]):
+        (i, ci), (j, _) = sup
+        skew = 1 if fam is Family.SP else -1
+        if ci == 1:  # e_i + e_j, upper-right block
+            return ((i - 1, d + j - 1, 1), (j - 1, d + i - 1, skew))
+        # -e_i - e_j, lower-left block
+        return ((d + i - 1, j - 1, 1), (d + j - 1, i - 1, skew))
+    if fam is Family.SP and signs in ([2], [-2]):
+        # +-2e_i, single entry keeps signs in {-1, +1}
+        i = sup[0][0]
+        if signs[0] == 2:
+            return ((i - 1, d + i - 1, 1),)
+        return ((d + i - 1, i - 1, 1),)
+    if fam is Family.SO_ODD and signs in ([1], [-1]):
+        # SO(2d+1) short roots +-e_i use the last row and column
+        i = sup[0][0]
+        if signs[0] == 1:
+            return ((i - 1, 2 * d, 1), (2 * d, d + i - 1, -1))
+        return ((d + i - 1, 2 * d, 1), (2 * d, i - 1, -1))
+    raise ValueError(f"{alpha!r} is not a root of {group.label()}")
+
+
+def placed_entries(atlas) -> dict:
+    """The entry map that places atlas.vars through root_vector, variable
+    by variable, as build_Z assembles Z."""
+    return {(r, c): (v, s) for v, alpha in enumerate(atlas.vars)
+            for r, c, s in root_vector(atlas.diagram.group, alpha)}
 
 
 def cartan_diagonal(group, hs) -> list:

@@ -944,3 +944,13 @@ def test_invariant_sweep_small_ranks_degree_four():
                 diastasis(dia, 4, "symbolic")  # invariants assert internally
                 count += 1
     assert count > 10
+
+
+def test_coefficients_come_from_any_sequence_of_numbers_or_symbolic():
+    dia = PaintedDiagram(GroupSpec(Family.SU, 4), (1, 3))
+    listed = diastasis(dia, 3, [1, 2])
+    from_array = diastasis(dia, 3, np.array([1, 2]))
+    assert list(from_array.terms.items()) == list(listed.terms.items())
+    assert diastasis(dia, 3, None) == diastasis(dia, 3, "symbolic")
+    with pytest.raises(ValueError, match="'symbolic' or numbers"):
+        diastasis(dia, 3, "12")

@@ -112,6 +112,21 @@ def test_group_spec_validation():
     assert su(4).matrix_size == 4
 
 
+def test_group_spec_normalises_its_family_and_refuses_other_values():
+    # Family is a str enum, so "SU" must build SU(3) itself, not a group
+    # that takes every non-SU branch
+    group = GroupSpec("SU", 3)
+    assert group.family is Family.SU
+    assert (group.label(), group.matrix_size) == ("SU(3)", 3)
+    assert GroupSpec("SOodd", 2) == so_odd(2)
+    with pytest.raises(ValueError, match="unknown family 'SP'"):
+        GroupSpec("SP", 2)
+    with pytest.raises(TypeError):
+        GroupSpec(Family.SU, 3.0)
+    with pytest.raises(TypeError):
+        GroupSpec(Family.SP, "3")
+
+
 # ------------------------------------------------------------- black roots
 
 def test_su3_full_flag_black_roots():
@@ -379,6 +394,12 @@ def test_painting_rejects_out_of_range_and_empty():
         PaintedDiagram(su(3), (3,))  # SU(3) has simple nodes 1..2
     with pytest.raises(PaintingError):
         PaintedDiagram(sp(2), (0,))
+
+
+def test_painting_refuses_a_non_integer_position():
+    for black in ((1.5,), (1, 2.0), ("1",)):
+        with pytest.raises(PaintingError, match="must be integers"):
+            PaintedDiagram(su(4), black)
 
 
 def test_painting_rejects_a_repeated_black_node():

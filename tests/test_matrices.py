@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import oracles
 import pytest
-from oracles import all_roots, black_roots, cartan_diagonal
+from oracles import all_roots, black_roots, cartan_diagonal, root_vector
 
 from flagbochner.expansion import _packed_exp
 from flagbochner.lie_core import (
@@ -21,7 +21,6 @@ from flagbochner.matrices import (
     Packing,
     build_Z,
     nilpotency_index,
-    root_vector,
     z_powers,
 )
 from flagbochner import matrices
@@ -257,13 +256,16 @@ def _paintings_up_to(max_rank, max_black=3):
 
 def test_chart_variables_and_packing_on_every_painting():
     # on every painting of rank <= 8 with 1-3 black nodes: the variables,
-    # read off Q in reverse, are the sorted roots of -Q, and the chart's
-    # packing holds the jet's proven bound 2K, K the top power of Z
+    # read off Q in reverse, are the sorted roots of -Q, their entries are
+    # those of the reference root vectors, dict order included, and the
+    # chart's packing holds the jet's proven bound 2K, K the top power of Z
     checked = 0
     for diagram in _paintings_up_to(8):
         atlas = build_Z(diagram)
         q = black_roots(diagram)
         assert atlas.vars == tuple(sorted(-r for r in q)), diagram
+        placed = oracles.placed_entries(atlas)
+        assert list(atlas.entries.items()) == list(placed.items()), diagram
         assert 2 * (nilpotency_index(atlas) - 1) <= atlas.packing.max_degree, \
             diagram
         checked += 1
@@ -272,17 +274,29 @@ def test_chart_variables_and_packing_on_every_painting():
 
 def test_variable_collision_is_an_invariant_violation(monkeypatch):
     # Z is its entry map, one variable per position; a second root vector
-    # landing on a position already taken is a bug in the root vectors
+    # landing on a position already taken is a bug in the generation
     dia = PaintedDiagram(GroupSpec(Family.SU, 3), (1, 2))
-    first, second = build_Z(dia).vars[:2]
-    real = matrices.root_vector
+    real = matrices._chart_roots
 
-    def doubled(group, alpha):
-        return real(group, first if alpha == second else alpha)
+    def doubled(diagram):
+        pairs = real(diagram)
+        pairs[1] = (pairs[1][0], pairs[0][1])
+        return pairs
 
-    monkeypatch.setattr(matrices, "root_vector", doubled)
+    monkeypatch.setattr(matrices, "_chart_roots", doubled)
     with pytest.raises(EngineInvariantError, match="variable collision"):
         build_Z.__wrapped__(dia)
+
+
+def test_a_string_family_builds_its_own_chart_and_shares_the_cache():
+    # GroupSpec("SU", 3) equals and hashes like GroupSpec(Family.SU, 3),
+    # so both paintings must build, and cache, the one SU(3) chart
+    build_Z.cache_clear()
+    by_string = build_Z(PaintedDiagram(GroupSpec("SU", 3), (1,)))
+    assert (by_string.nvars, by_string.size) == (2, 3)
+    atlas = build_Z(PaintedDiagram(GroupSpec(Family.SU, 3), (1,)))
+    assert atlas is by_string
+    assert atlas.var_names() == ("-e1+e3", "-e1+e2")
 
 
 def test_z_vanishes_at_origin():
