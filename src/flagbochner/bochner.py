@@ -1,12 +1,11 @@
 """Deciding when the chart coordinates are Bochner up to rescaling.
 
 The obstruction lives in the forbidden monomials of the potential: bidegree
-(1, q >= 2), (p >= 2, 1), or off-diagonal (1,1), which every expansion and
-jet refuses (expansion._check_potential).  They all sit in the
-potential's (1, .) and (., 1) parts, which forbidden_jet computes without
-the full expansion, checking the torus weight of every term it returns;
-forbidden_report checks conjugate closure, since it also reads diastasis
-expansions.  At degree three all candidates are trinomials
+(1, q >= 2) or (p >= 2, 1); every expansion and jet refuses an off-diagonal
+(1,1) term.  They all sit in the potential's (1, .) and (., 1) parts,
+which forbidden_jet computes in packed integers without the full
+expansion; forbidden_report writes both halves from one form, so it is
+conjugate-closed by construction.  At degree three all candidates are trinomials
 of four explicit kinds; the tests enumerate that catalog directly and check
 it against the determinant expansion.
 
@@ -18,21 +17,16 @@ up to the audited total degree, or at every degree for the untruncated jet
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
 
-from .expansion import forbidden_jet
+from .expansion import PackedJet, forbidden_jet
 from .feasibility import positive_solution_exists, primitive_row, rref
 from .lie_core import PaintedDiagram
-from .poly import (
-    CoeffForm,
-    EngineInvariantError,
-    Monomial,
-    Polynomial,
-    render_signed_sum,
-)
+from .poly import CoeffForm, Monomial, render_signed_sum
 
 
 @dataclass(frozen=True)
@@ -48,39 +42,46 @@ class ForbiddenReport:
     def is_empty(self) -> bool:
         return not self.entries
 
-    def truncate(self, degree: int) -> "ForbiddenReport":
-        """The report of the potential truncated at degree: entries sort by
-        total degree first, so its entries are a prefix of these."""
-        if self.degree_checked is not None and degree > self.degree_checked:
-            raise ValueError(f"a report checked to degree "
-                             f"{self.degree_checked} cannot certify {degree}")
+    def truncate(self, degree: int | None) -> "ForbiddenReport":
+        """The report at degree, or at every degree for None: entries sort
+        by total degree first, so its entries are a prefix of these."""
+        checked = self.degree_checked
+        if checked is not None and (degree is None or degree > checked):
+            raise ValueError(f"a report checked to degree {checked} cannot "
+                             f"certify {degree or 'every degree'}")
+        if degree is None:
+            return self
         end = bisect.bisect_right(self.entries, degree, key=lambda e: e[0].total)
         return ForbiddenReport(self.entries[:end], degree)
 
 
-def forbidden_report(poly: Polynomial) -> ForbiddenReport:
-    """The forbidden monomials of a potential expansion or jet, checked
-    through its truncation degree (every degree when untruncated), in
-    Monomial.sort_key order.
-
-    Only the forbidden terms are sorted, on keys read once per term.
-    Conjugation maps forbidden bidegrees to forbidden bidegrees, so the
-    report of a real potential is conjugate-closed; that is checked on
-    every input, on the (holo, anti) exponent tuples."""
+def forbidden_report(jet: PackedJet) -> ForbiddenReport:
+    """The forbidden monomials of a jet, checked through its truncation
+    degree (every degree when untruncated), in Monomial.sort_key order:
+    z_v zb^m and z^m zb_v for each m of degree >= 2, sorted on keys read
+    off the jet's decoded exponents, each distinct form built once."""
+    top, exps = jet.packing.top, jet.exps
+    of = Monomial._of_bidegree
+    made: dict[tuple, CoeffForm] = {}
     keyed = []
-    for m, f in poly.terms.items():
-        p, q = m.p, m.q
-        if (p == 1 and q >= 2) or (q == 1 and p >= 2):
-            keyed.append(((m.total, m.holo, m.anti), m, f))
+    for v, forms in jet.forms.items():
+        zv = ((v, 1),)
+        for m, lam in forms.items():
+            d = m >> top
+            if d < 2:
+                continue
+            key = (d, *lam.items())
+            form = made.get(key)
+            if form is None:
+                # labels come sorted, as the jet inserts them
+                den = math.factorial(d)
+                form = made[key] = CoeffForm._of_sorted(
+                    tuple([(k, Fraction(n, den)) for k, n in key[1:]]))
+            e = exps[m]
+            keyed.append(((d + 1, zv, e), of(zv, e, 1, d), form))
+            keyed.append(((d + 1, e, zv), of(e, zv, d, 1), form))
     keyed.sort(key=itemgetter(0))
-    forms = {key[1:]: f for key, _, f in keyed}
-    for (_, holo, anti), _, f in keyed:
-        if forms.get((anti, holo)) != f:
-            raise EngineInvariantError(
-                "forbidden report is not conjugate-closed; the potential "
-                "expansion is not real"
-            )
-    return ForbiddenReport(tuple((m, f) for _, m, f in keyed), poly.trunc)
+    return ForbiddenReport(tuple((m, f) for _, m, f in keyed), jet.degree)
 
 
 class BochnerStatus(Enum):
@@ -108,26 +109,28 @@ class BochnerVerdict:
     witness: tuple[Monomial, CoeffForm] | None = None
 
 
-def _constraint_rows(report: ForbiddenReport,
-                     black: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """One primitive integer row per distinct direction of the coefficient
-    forms, columns ordered like black, in order of first appearance.  Many
-    monomials share one form, so each distinct form is read once."""
-    col = {p: i for i, p in enumerate(black)}
-    rows = {}
-    for form in dict.fromkeys(f for _, f in report.entries):
-        row = [0] * len(black)
-        for k, lam in form.terms:
-            row[col[k]] = lam
-        rows[primitive_row(row)] = None
-    return list(rows)
-
-
-def _select_witness(report: ForbiddenReport):
-    for m, f in report.entries:
-        if f.orthant_sign():
-            return (m, f)
-    return report.entries[0]
+def _row_basis(forms, black: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """A fraction-free echelon basis of the rows of distinct coefficient
+    forms, columns ordered like black, sorted by leading column: each form
+    in turn as a primitive integer row reduced against the basis by
+    cross-multiplication, until there is one row per black node."""
+    basis: list[tuple[int, tuple[int, ...]]] = []  # (leading column, row)
+    for form in forms:
+        lams = dict(form.terms)
+        row = primitive_row([lams.get(p, 0) for p in black])
+        # the basis rows vanish left of their leading columns, so in this
+        # order each step clears one and leaves the earlier ones clear
+        for lead, b in basis:
+            x = row[lead]
+            if x:
+                row = primitive_row([b[lead] * y - x * z
+                                     for y, z in zip(row, b)])
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is not None:
+            bisect.insort(basis, (lead, row))
+            if len(basis) == len(black):
+                break
+    return [row for _, row in basis]
 
 
 def verdict_from_report(report: ForbiddenReport,
@@ -137,17 +140,22 @@ def verdict_from_report(report: ForbiddenReport,
     degree = report.degree_checked
     if report.is_empty():
         return BochnerVerdict(BochnerStatus.BOCHNER_FOR_ALL_C, black, degree)
-    reduced = rref(_constraint_rows(report, black))
-    # at full column rank only c = 0 solves the rows; no LP is needed
-    if len(reduced) < len(black) and positive_solution_exists(reduced):
-        return BochnerVerdict(
-            BochnerStatus.BOCHNER_IFF, black, degree,
-            constraints=tuple(reduced),
-        )
-    return BochnerVerdict(
-        BochnerStatus.NEVER_BOCHNER, black, degree,
-        witness=_select_witness(report),
-    )
+    first = {}  # each distinct form with its first entry, in report order
+    for entry in report.entries:
+        first.setdefault(entry[1], entry)
+    basis = _row_basis(first, black)
+    # at full column rank only c = 0 solves the rows: the basis is a
+    # nonsingular square system, and no rref or LP is needed
+    if len(basis) < len(black):
+        reduced = rref(basis)
+        if positive_solution_exists(reduced):
+            return BochnerVerdict(
+                BochnerStatus.BOCHNER_IFF, black, degree,
+                constraints=tuple(reduced),
+            )
+    form = next((f for f in first if f.orthant_sign()), report.entries[0][1])
+    return BochnerVerdict(BochnerStatus.NEVER_BOCHNER, black, degree,
+                          witness=first[form])
 
 
 def classify(diagram: PaintedDiagram,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import random
 import re
@@ -98,15 +99,22 @@ class CaseRequest:
             raise ValueError(
                 f"--max-degree and --audit-degree are capped at {MAX_CASE_DEGREE}"
             )
-        if self.coeffs != "symbolic":
-            if len(self.coeffs) != len(self.black):
+        if isinstance(self.coeffs, str):
+            if self.coeffs != "symbolic":
+                raise ValueError(f"coeffs must be 'symbolic' or numbers, "
+                                 f"not {self.coeffs!r}")
+        else:
+            values = tuple(map(Fraction, self.coeffs))
+            if len(values) != len(self.black):
                 raise ValueError(
                     f"--coeffs needs one value per black node: "
-                    f"{len(self.black)} expected, got {len(self.coeffs)}"
+                    f"{len(self.black)} expected, got {len(values)}"
                 )
+            for pos, value in enumerate(values, 1):
+                _check_positive(pos, value)
             # the engine pairs coefficients with the sorted black nodes, so
             # sort the pairs together and the echo shows the pairing used
-            pairs = sorted(zip(self.black, self.coeffs))
+            pairs = sorted(zip(self.black, values))
             object.__setattr__(self, "coeffs", tuple(c for _, c in pairs))
         object.__setattr__(self, "black", tuple(sorted(self.black)))
 
@@ -129,6 +137,11 @@ class SweepRequest:
     max_rank: int
     max_black: int
     degree: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "families", tuple(map(Family, self.families)))
+        for name in ("max_rank", "max_black", "degree"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
 
     def echo(self) -> dict:
         return {
@@ -201,10 +214,14 @@ def parse_coeffs(text: str):
             raise ValueError(
                 f"invalid coeffs: item {pos} ({token!r}) is not a rational"
             ) from None
-        if value <= 0:
-            raise ValueError(f"invalid coeffs: item {pos} must be positive")
+        _check_positive(pos, value)
         out.append(value)
     return tuple(out)
+
+
+def _check_positive(pos: int, value: Fraction) -> None:
+    if value <= 0:
+        raise ValueError(f"invalid coeffs: item {pos} must be positive")
 
 
 def _form_json(form) -> dict:

@@ -30,8 +30,9 @@ from numpy Gram minors at a whole stack of points in one call.
 The Bochner verdict needs only the potential's (1, .) and (., 1) parts.
 forbidden_jet computes them from Z alone, at every degree if asked, by the
 recursion W_1 = Z21, W_(n+1) = Z W_n - W_n Z at each split, which
-multiplies only by the entries +-z_v of Z, and checks the torus weight of
-every term; the expansion serves the numeric lane and the tests.
+multiplies only by the entries +-z_v of Z, and checks them packed
+(PackedJet); _check_potential checks the expansion, which serves the
+numeric lane and the tests.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import bisect
 import math
 import operator
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lie_core import PaintedDiagram
 from .matrices import (CoordinateAtlas, Packing, add_shifted, build_Z,
@@ -69,11 +71,11 @@ def _parse_coeffs(diagram: PaintedDiagram, coeffs):
 
 
 def _check_potential(terms, nvars: int, coeff_values) -> None:
-    """The checks every finished potential or jet passes, in one walk over
-    its terms, a Monomial -> coefficient dict: there is no pure or
-    constant term, and the (1,1) part is a positive diagonal over all
-    nvars variables.  Coefficients are CoeffForms when coeff_values is
-    None, and positive means every lam_k > 0; otherwise numbers."""
+    """The checks every finished expansion passes, in one walk over its
+    terms, a Monomial -> coefficient dict: there is no pure or constant
+    term, and the (1,1) part is a positive diagonal over all nvars
+    variables.  Coefficients are CoeffForms when coeff_values is None,
+    and positive means every lam_k > 0; otherwise numbers."""
     seen = set()
     for m, f in terms.items():
         p, q = m.p, m.q
@@ -352,8 +354,19 @@ def _sylvester_terms(atlas: CoordinateAtlas, l: int, targets, last):
         w = {key: t for key, t in nxt.items() if t}
 
 
+class PackedJet(NamedTuple):
+    """forms[v][m] = {l: n}: the form sum_l (n / d!) c_l of z_v zb^m, m
+    packed of degree d, and for d >= 2 of z^m zb_v; exps[m]: the exponent
+    pairs of every such m, as the weight check decoded them."""
+
+    forms: dict[int, dict[int, dict[int, int]]]
+    exps: dict[int, tuple]
+    packing: Packing
+    degree: int | None
+
+
 def forbidden_jet(diagram: PaintedDiagram,
-                  degree: int | None = 3) -> Polynomial:
+                  degree: int | None = 3) -> PackedJet:
     """The (1, q) and (p, 1) parts of the symbolic potential, to total
     degree <= degree, or at every degree when degree is None.
 
@@ -369,10 +382,11 @@ def forbidden_jet(diagram: PaintedDiagram,
     Y' = Z21 + Z22 Y - Y Z11, Y(0) = 0: Y_l = sum_n W_n / n!, the terms of
     _sylvester_terms.
 
-    Each (v, monomial) sums its linear form in the c_l in integers, then
-    gives z_v zb^m and z^m zb_v.  A diagonal unitary t maps Z to t Z t^{-1}
-    and leaves the potential invariant, so on every term z_v zb^m the root
-    of z_v is the sum of the roots in m; that torus weight is checked.
+    Each (v, monomial) sums its linear form in the c_l in integers.  A
+    diagonal unitary t maps Z to t Z t^{-1} and leaves the potential
+    invariant, so on every term z_v zb^m the root of z_v is the sum of the
+    roots in m.  That torus weight is checked, so the only (1,1) term of
+    z_v is z_v zb_v; it must be there, with positive numerators.
     """
     if degree is not None:
         _check_degree(degree, LOWEST_VERDICT_DEGREE)
@@ -404,43 +418,31 @@ def forbidden_jet(diagram: PaintedDiagram,
                         if not lam:
                             del forms[m]
     pack = atlas.packing
-    top, decode = pack.top, pack.decode
+    decode = pack.decode
     # a root's e-coordinates in one int, 16 bits each: adding such ints
     # adds the roots while no coordinate leaves +-2**15, far above a degree
     scale = [1 << 16 * i for i in range(diagram.group.rank)]
     weights = [sum(map(operator.mul, root.coeffs, scale))
                for root in atlas.vars]
-    # many terms share a form, and most forms share their numerators:
-    # CoeffForms and Fractions are immutable, so each is built once.  A
-    # form's labels come sorted, as the loop above inserts them
-    made: dict[tuple, CoeffForm] = {}
-    fracs: dict[tuple[int, int], Fraction] = {}
-    of = Monomial._of_bidegree
-    terms = {}
+    zvs = [pack.variable(v) for v in range(atlas.nvars)]
+    exps = {}
     for v, forms in dz.items():
-        zv = ((v, 1),)
-        wv = weights[v]
-        for m, lam in forms.items():
-            d = m >> top
-            key = (d, *lam.items())
-            form = made.get(key)
-            if form is None:
-                parts = []
-                for k, n in lam.items():
-                    x = fracs.get((n, d))
-                    if x is None:
-                        x = fracs[(n, d)] = Fraction(n, math.factorial(d))
-                    parts.append((k, x))
-                form = made[key] = CoeffForm._of_sorted(tuple(parts))
-            exps, weight = decode(m, weights)
-            if weight != wv:
-                raise EngineInvariantError(
-                    f"jet term of z_{v} breaks the torus weight")
-            terms[of(zv, exps, 1, d)] = form
-            if d >= 2:
-                terms[of(exps, zv, d, 1)] = form
-    _check_potential(terms, atlas.nvars, None)
-    return Polynomial._of_clean(terms, degree)
+        zv, wv = zvs[v], weights[v]
+        for m in forms:
+            if m != zv:  # z_v zb_v has the weight of z_v
+                e, weight = decode(m, weights)
+                if weight != wv:
+                    raise EngineInvariantError(
+                        f"jet term of z_{v} breaks the torus weight")
+                exps[m] = e
+    diagonal = [dz.get(v, {}).get(zv) for v, zv in enumerate(zvs)]
+    if any(lam and min(lam.values()) <= 0 for lam in diagonal):
+        raise EngineInvariantError("(1,1) coefficient is not a positive form")
+    missing = [v for v, lam in enumerate(diagonal) if lam is None]
+    if missing:
+        raise EngineInvariantError(
+            f"variables {missing} missing from the (1,1) part")
+    return PackedJet(dz, exps, pack, degree)
 
 
 def eval_numeric(atlas: CoordinateAtlas, points, coeffs):

@@ -5,10 +5,13 @@ On every painting of rank <= 8 with 1-4 black nodes (the sweep's caps,
 must have the status and constraints of the degree-3 verdict.  Tier-1
 audits the same claim at rank <= 7 with 1-3 black nodes
 (test_bochner.test_untruncated_jet_keeps_degree_three_verdicts).  On each
-painting the audit also checks two engine routes against their references
-in tests/oracles.py, which tier-1 checks only up to 3 black nodes: the
-untruncated report against oracles.report_by_sorting, and the Poincare
-polynomial against oracles.poincare_by_division on the root heights.
+painting the audit also checks engine routes against their references in
+tests/oracles.py, which tier-1 checks only up to 3 black nodes: the
+untruncated report against oracles.report_by_sorting on the jet's
+Polynomial form (oracles.jet_polynomial), the verdict, whose echelon basis
+stops at full rank, against oracles.verdict_by_full_elimination at every
+degree and at degree 3, and the Poincare polynomial against
+oracles.poincare_by_division on the root heights.
 
 On every painting a single case accepts (rank <= 8, any number of black
 nodes, 1,370 paintings) it checks the chart that build_Z reads off the
@@ -29,9 +32,11 @@ import sys
 from oracles import (
     black_roots,
     height,
+    jet_polynomial,
     placed_entries,
     poincare_by_division,
     report_by_sorting,
+    verdict_by_full_elimination,
 )
 
 from flagbochner import classify
@@ -60,8 +65,13 @@ def every_degree_problems(dia) -> list[str]:
     if (every.status, every.constraints) != (v3.status, v3.constraints):
         problems.append(f"{every.status.value} at every degree, "
                         f"{v3.status.value} at degree 3")
-    if report.entries != report_by_sorting(jet):
+    if report.entries != report_by_sorting(jet_polynomial(jet)):
         problems.append("report differs from its definition")
+    for r in (report, report.truncate(3)):
+        if (verdict_from_report(r, dia.black)
+                != verdict_by_full_elimination(r, dia.black)):
+            problems.append(f"verdict at degree {r.degree_checked} differs "
+                            "from the full elimination")
     heights = [height(dia.group, r) for r in black_roots(dia)]
     coeffs = poincare(dia)
     if coeffs[::2] != poincare_by_division(heights) or any(coeffs[1::2]):

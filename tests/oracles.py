@@ -14,6 +14,12 @@ term, dict order included, so it keeps a memoised Laplace expansion and
 the loops whose order the engine follows.  product_jet, the jet as the products exp Z exp(-Z) that
 the engine formed before its recursion, also runs on the engine's packed
 exp Z and packed product.
+The engine's packed jet is read back into a Polynomial by jet_polynomial;
+report_by_sorting is the forbidden report by its definition, with the
+conjugate-closure check, for that form and for any expansion; and
+verdict_by_full_elimination decides a report with gauss_jordan over every
+row and the engine's phase-one LP, the reference for the verdict's
+echelon basis that stops at full rank.
 """
 
 import itertools
@@ -24,7 +30,10 @@ from fractions import Fraction
 import numpy as np
 
 from flagbochner.lie_core import Family, Root
-from flagbochner.expansion import _accumulate, _packed_exp, _truncated_product
+from flagbochner.bochner import BochnerStatus, BochnerVerdict, ForbiddenReport
+from flagbochner.expansion import (PackedJet, _accumulate, _packed_exp,
+                                   _truncated_product)
+from flagbochner.feasibility import positive_solution_exists
 from flagbochner import matrices
 from flagbochner.matrices import build_Z
 from flagbochner.poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
@@ -897,9 +906,33 @@ def report_by_sorting(poly) -> tuple:
     return entries
 
 
+def report_of(poly) -> ForbiddenReport:
+    """The forbidden report of an expansion or of a jet's Polynomial
+    form, by report_by_sorting, checked through the truncation degree."""
+    return ForbiddenReport(report_by_sorting(poly), poly.trunc)
+
+
 def exponents(pack, packed: int) -> tuple:
     """The (variable, exponent) pairs of a packed monomial, by variable."""
     return pack.decode(packed, [0] * (pack.top // pack.width))[0]
+
+
+def jet_polynomial(jet) -> Polynomial:
+    """The Polynomial form of a PackedJet: z_v zb^m and, for m of degree
+    d >= 2, z^m zb_v, each with the form sum_l (n / d!) c_l of
+    jet.forms[v][m], decoded afresh; zero forms are dropped."""
+    pack = jet.packing
+    terms = {}
+    for v, forms in jet.forms.items():
+        for m, lam in forms.items():
+            d = pack.degree(m)
+            form = CoeffForm((k, Fraction(n, math.factorial(d)))
+                             for k, n in lam.items())
+            exps = exponents(pack, m)
+            terms[Monomial(((v, 1),), exps)] = form
+            if d >= 2:
+                terms[Monomial(exps, ((v, 1),))] = form
+    return Polynomial(terms, jet.degree)
 
 
 def product_jet(diagram, degree) -> Polynomial:
@@ -944,19 +977,7 @@ def product_jet(diagram, degree) -> Polynomial:
         if total:
             raise EngineInvariantError(
                 f"exp(Z) exp(-Z) is not I at chart entry ({r},{c})")
-    terms = {}
-    for v, forms in dz.items():
-        for m, lam in forms.items():
-            d = pack.degree(m)
-            form = CoeffForm((k, Fraction(n, math.factorial(d)))
-                             for k, n in lam.items())
-            if not form:
-                continue
-            exps = exponents(pack, m)
-            terms[Monomial(((v, 1),), exps)] = form
-            if d >= 2:
-                terms[Monomial(exps, ((v, 1),))] = form
-    return Polynomial(terms, degree)
+    return jet_polynomial(PackedJet(dz, {}, pack, degree))
 
 
 def degree_three_jet(diagram) -> Polynomial:
@@ -1122,3 +1143,24 @@ def gauss_jordan(rows) -> list:
     out = [tuple(r) for r in mat if any(r)]
     out.sort(key=lambda r: next(i for i, x in enumerate(r) if x))
     return out
+
+
+def verdict_by_full_elimination(report, black) -> BochnerVerdict:
+    """The verdict by its definition: gauss_jordan over the Fraction rows
+    of the forbidden entries (a repeated row spans nothing new, so each
+    enters once), then the phase-one LP on the reduced rows at any rank;
+    the witness is the first entry with a sign-definite form, else the
+    first entry."""
+    degree = report.degree_checked
+    if not report.entries:
+        return BochnerVerdict(BochnerStatus.BOCHNER_FOR_ALL_C, black, degree)
+    rows = dict.fromkeys(tuple(dict(f.terms).get(p, 0) for p in black)
+                         for _, f in report.entries)
+    reduced = gauss_jordan(list(rows))
+    if positive_solution_exists(reduced):
+        return BochnerVerdict(BochnerStatus.BOCHNER_IFF, black, degree,
+                              constraints=tuple(reduced))
+    witness = next((e for e in report.entries if e[1].orthant_sign()),
+                   report.entries[0])
+    return BochnerVerdict(BochnerStatus.NEVER_BOCHNER, black, degree,
+                          witness=witness)

@@ -11,13 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 from oracles import (black_roots, catalog_sum, catalog_trinomials, exp_Z, gram,
-                     height, leibniz_minor)
+                     height, leibniz_minor, report_of)
 
-from flagbochner.bochner import (
-    BochnerStatus,
-    classify,
-    forbidden_report,
-)
+from flagbochner.bochner import BochnerStatus, classify
 from flagbochner.expansion import (
     diastasis,
     eval_numeric,
@@ -169,7 +165,7 @@ def test_criterion_4_witness_trinomials():
         for r in range(1, d):
             diagram = PaintedDiagram(GroupSpec(Family.SP, d), (r, d))
             atlas = build_Z(diagram)
-            report = forbidden_report(diastasis(diagram, 3, "symbolic"))
+            report = report_of(diastasis(diagram, 3, "symbolic"))
             witness = _mono(atlas, ["-2e1"], [f"-e1-e{d}", f"-e1+e{d}"])
             form = dict(report.entries).get(witness)
             if form is None or form.orthant_sign() == 0:
@@ -188,7 +184,7 @@ def test_criterion_4_witness_trinomials():
     for fam, d, (k, r) in chain_cases:
         diagram = PaintedDiagram(GroupSpec(fam, d), (k, r))
         atlas = build_Z(diagram)
-        report = forbidden_report(diastasis(diagram, 3, "symbolic"))
+        report = report_of(diastasis(diagram, 3, "symbolic"))
         witness = _mono(
             atlas,
             [f"-e{k}-e{r}"],
@@ -207,7 +203,7 @@ def test_criterion_4_witness_trinomials():
     for d in (2, 3, 4):
         diagram = PaintedDiagram(GroupSpec(Family.SO_ODD, d), (1, d))
         atlas = build_Z(diagram)
-        report = forbidden_report(diastasis(diagram, 3, "symbolic"))
+        report = report_of(diastasis(diagram, 3, "symbolic"))
         witness = _mono(atlas, [f"-e1-e{d}"], [f"-e{d}", "-e1"])
         form = dict(report.entries).get(witness)
         if form is None or form.orthant_sign() == 0:
@@ -224,7 +220,7 @@ def test_criterion_5_three_black_obstruction():
     for d, (j, q, r) in [(4, (1, 2, 3)), (5, (1, 2, 3)), (5, (1, 3, 4)),
                          (6, (2, 3, 5))]:
         diagram = PaintedDiagram(GroupSpec(Family.SU, d), (j, q, r))
-        report = forbidden_report(diastasis(diagram, 3, "symbolic"))
+        report = report_of(diastasis(diagram, 3, "symbolic"))
         forms = {f for _, f in report.entries}
         first = CoeffForm(((j, F(1, 2)), (q, F(-1, 2))))
         second = CoeffForm(((j, F(1, 2)), (q, F(-1, 2)), (r, F(-1, 2))))

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import catalog_sum, catalog_trinomials
 
+from flagbochner import bochner
 from flagbochner.bochner import (
     BochnerStatus,
-    _constraint_rows,
+    _row_basis,
     classify,
     forbidden_report,
     render_constraint,
@@ -179,7 +180,7 @@ def test_trinomial_weights_by_kind():
 
 def test_su_one_black_empty_report_at_degree_six():
     expansion = diastasis(diagram(Family.SU, 4, (2,)), 6, "symbolic")
-    report = forbidden_report(expansion)
+    report = oracles.report_of(expansion)
     assert report.is_empty()
     assert report.degree_checked == 6
 
@@ -187,7 +188,7 @@ def test_su_one_black_empty_report_at_degree_six():
 def test_su_two_black_forms_are_half_differences():
     k, r = 1, 2
     expansion = diastasis(diagram(Family.SU, 3, (k, r)), 3, "symbolic")
-    report = forbidden_report(expansion)
+    report = oracles.report_of(expansion)
     assert not report.is_empty()
     expected = CoeffForm(((k, F(1, 2)), (r, F(-1, 2))))
     for _, form in report.entries:
@@ -197,39 +198,43 @@ def test_su_two_black_forms_are_half_differences():
 def test_su_three_black_contains_both_obstruction_forms():
     j, q, r = 1, 2, 3
     expansion = diastasis(diagram(Family.SU, 5, (j, q, r)), 3, "symbolic")
-    report = forbidden_report(expansion)
+    report = oracles.report_of(expansion)
     forms = {f for _, f in report.entries}
     assert CoeffForm(((j, F(1, 2)), (q, F(-1, 2)))) in forms
     assert CoeffForm(((j, F(1, 2)), (q, F(-1, 2)), (r, F(-1, 2)))) in forms
 
 
 def test_report_is_conjugate_closed_with_equal_forms():
-    expansion = diastasis(diagram(Family.SP, 3, (1, 3)), 3, "symbolic")
-    report = forbidden_report(expansion)
+    # the expansion's report by definition, and the jet's report, which
+    # writes each mirror entry from the very form object of the other
+    dia = diagram(Family.SP, 3, (1, 3))
+    expansion = oracles.report_of(diastasis(dia, 3, "symbolic"))
+    report = forbidden_report(forbidden_jet(dia, 3))
+    assert report.entries == expansion.entries
     table = dict(report.entries)
     assert table
     for mono, form in report.entries:
-        assert table[mono.conj()] == form
+        assert table[mono.conj()] is form
 
 
 def test_report_refuses_a_potential_that_is_not_real():
-    # z0 zb1^2 with its conjugate: equal forms pass whether or not they
-    # are one object; a missing or different conjugate form is an engine
-    # fault
+    # the closure check of a report read off an expansion (the jet's
+    # report is closed by construction): z0 zb1^2 with its conjugate,
+    # equal forms pass whether or not they are one object; a missing or
+    # different conjugate form is an engine fault
     m = Monomial(((0, 1),), ((1, 2),))
     form = CoeffForm(((1, F(1, 2)), (2, F(-1))))
     same = CoeffForm(((1, F(1, 2)), (2, F(-1))))
     for conj in (form, same):
-        report = forbidden_report(Polynomial({m: form, m.conj(): conj}, 3))
+        report = oracles.report_of(Polynomial({m: form, m.conj(): conj}, 3))
         assert len(report.entries) == 2
     for terms in ({m: form}, {m: form, m.conj(): CoeffForm(((1, F(1)),))}):
         with pytest.raises(EngineInvariantError, match="conjugate-closed"):
-            forbidden_report(Polynomial(terms, 3))
+            oracles.report_of(Polynomial(terms, 3))
 
 
 def test_report_entries_sorted_and_minimal_witness_deterministic():
-    expansion = diastasis(diagram(Family.SP, 2, (1, 2)), 3, "symbolic")
-    report = forbidden_report(expansion)
+    report = forbidden_report(forbidden_jet(diagram(Family.SP, 2, (1, 2)), 3))
     keys = [m.sort_key() for m, _ in report.entries]
     assert keys == sorted(keys)
 
@@ -272,7 +277,7 @@ def test_classify_sp_mixed_never_bochner_with_exact_witness():
     expected = mono_from_names(
         atlas, ["-2e1"], [f"-e1-e{d}", f"-e1+e{d}"]
     )
-    report = forbidden_report(diastasis(dia, 3, "symbolic"))
+    report = oracles.report_of(diastasis(dia, 3, "symbolic"))
     form = dict(report.entries).get(expected)
     assert form is not None
     assert form.orthant_sign() != 0
@@ -341,8 +346,8 @@ def test_verdicts_stabilize_at_degree_three(degree_five_expansions):
                     continue
                 deep = degree_five_expansions[dia]
                 v3 = verdict_from_report(
-                    forbidden_report(deep.truncate(3)), dia.black)
-                v5 = verdict_from_report(forbidden_report(deep), dia.black)
+                    oracles.report_of(deep.truncate(3)), dia.black)
+                v5 = verdict_from_report(oracles.report_of(deep), dia.black)
                 assert v5.status == v3.status, dia
                 assert v5.constraints == v3.constraints, dia
                 checked += 1
@@ -359,11 +364,11 @@ def test_jet_report_equals_expansion_report(degree_five_expansions):
     cases += [(dia, diastasis(dia, 6, "symbolic"), (6,)) for dia in deeper]
     assert len(cases) == 64 + 26 + 1
     for dia, expansion, degrees in cases:
-        every = forbidden_jet(dia, None)
+        every = oracles.jet_polynomial(forbidden_jet(dia, None))
         for d in degrees:
             jet = forbidden_jet(dia, d)
-            assert jet == every.truncate(d), (dia, d)
-            expected = forbidden_report(expansion.truncate(d))
+            assert oracles.jet_polynomial(jet) == every.truncate(d), (dia, d)
+            expected = oracles.report_of(expansion.truncate(d))
             got = forbidden_report(jet)
             assert got.entries == expected.entries, (dia, d)
             assert got.degree_checked == d
@@ -375,7 +380,7 @@ def test_jet_equals_the_reference_jet():
     checked = 0
     for dia in _paintings(6):
         for degree in (3, 5, None):
-            got = forbidden_jet(dia, degree)
+            got = oracles.jet_polynomial(forbidden_jet(dia, degree))
             assert got.trunc == degree
             assert got.terms == oracles.forbidden_jet(dia, degree).terms, (
                 dia, degree)
@@ -390,7 +395,7 @@ def test_jet_equals_the_product_jet():
     checked = 0
     for dia in _paintings(6):
         for degree in (3, 5, None):
-            got = forbidden_jet(dia, degree)
+            got = oracles.jet_polynomial(forbidden_jet(dia, degree))
             assert got.terms == oracles.product_jet(dia, degree).terms, (
                 dia, degree)
         checked += 1
@@ -403,23 +408,28 @@ def test_degree_three_jet_equals_the_block_oracle():
     # 1-3 black nodes
     checked = 0
     for dia in _paintings(6):
-        assert forbidden_jet(dia, 3).terms == oracles.degree_three_jet(
-            dia).terms, dia
+        got = oracles.jet_polynomial(forbidden_jet(dia, 3))
+        assert got.terms == oracles.degree_three_jet(dia).terms, dia
         checked += 1
     assert checked == 256
+
+
+def _basis(report, black):
+    """The verdict's echelon basis of the report's distinct forms."""
+    return _row_basis(dict.fromkeys(f for _, f in report.entries), black)
 
 
 def test_constraint_rows_are_primitive_and_full_rank_means_no_solution():
     # the verdict skips the LP when the rows have full column rank; on
     # every painting of rank <= 4 with 1-3 black nodes, at degrees 3 and
-    # 5, the LP agrees there, and the primitive rows span the same space
-    # as one rational row per forbidden entry
+    # 5, the LP agrees there, and the primitive rows of the echelon basis
+    # span the same space as one rational row per forbidden entry
     checked = full_rank = 0
     for dia in _paintings(4):
-        jet = forbidden_jet(dia, 5)
+        deepest = forbidden_report(forbidden_jet(dia, 5))
         for degree in (3, 5):
-            report = forbidden_report(jet.truncate(degree))
-            rows = _constraint_rows(report, dia.black)
+            report = deepest.truncate(degree)
+            rows = _basis(report, dia.black)
             for r in rows:
                 assert all(type(x) is int for x in r)
                 assert math.gcd(*r) == 1
@@ -440,6 +450,74 @@ def test_constraint_rows_are_primitive_and_full_rank_means_no_solution():
     assert full_rank > 0
 
 
+def _integer_det(rows) -> int:
+    """The determinant of a square integer matrix by Leibniz's formula."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in itertools.combinations(range(n), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_early_stop_verdict_equals_full_elimination():
+    # the echelon basis stops at one row per black node; on every painting
+    # of rank <= 6 with 1-3 black nodes, at degrees 3 and 5, the verdict
+    # is the one gauss_jordan and the LP give over every entry's row, and
+    # at the stop the basis is a nonsingular square integer system, the
+    # certificate that only c = 0 solves the forms
+    checked = stopped = 0
+    for dia in _paintings(6):
+        deepest = forbidden_report(forbidden_jet(dia, 5))
+        for degree in (3, 5):
+            report = deepest.truncate(degree)
+            got = verdict_from_report(report, dia.black)
+            assert got == oracles.verdict_by_full_elimination(
+                report, dia.black), (dia, degree)
+            basis = _basis(report, dia.black)
+            if len(basis) == len(dia.black):
+                assert got.status is BochnerStatus.NEVER_BOCHNER
+                assert all(type(x) is int for r in basis for x in r)
+                assert _integer_det(basis) != 0, (dia, degree)
+                stopped += 1
+            checked += 1
+    assert checked == 2 * 256
+    assert stopped > 0
+
+
+def test_rref_and_the_lp_run_only_below_full_rank(monkeypatch):
+    calls = []
+
+    def spy(fn):
+        def wrapped(rows):
+            calls.append(fn.__name__)
+            return fn(rows)
+        return wrapped
+
+    monkeypatch.setattr(bochner, "rref", spy(rref))
+    monkeypatch.setattr(bochner, "positive_solution_exists",
+                        spy(positive_solution_exists))
+    full = below = 0
+    for dia in _paintings(5):
+        report = forbidden_report(forbidden_jet(dia, 3))
+        calls.clear()
+        verdict = verdict_from_report(report, dia.black)
+        if report.is_empty():
+            assert calls == [], dia
+        elif len(_basis(report, dia.black)) == len(dia.black):
+            assert calls == [], dia
+            assert verdict.status is BochnerStatus.NEVER_BOCHNER
+            full += 1
+        else:
+            assert calls == ["rref", "positive_solution_exists"], dia
+            below += 1
+    assert full and below
+
+
 def test_report_truncation_is_the_report_of_the_truncated_jet():
     # entries sort by total degree first, so truncating a report keeps a
     # prefix; it must be the report of the jet truncated first
@@ -449,7 +527,8 @@ def test_report_truncation_is_the_report_of_the_truncated_jet():
         deepest = forbidden_report(jet)
         for d in range(2, 5):
             truncated = deepest.truncate(d)
-            assert truncated == forbidden_report(jet.truncate(d)), (dia, d)
+            assert truncated == oracles.report_of(
+                oracles.jet_polynomial(jet).truncate(d)), (dia, d)
             assert truncated.degree_checked == d
             checked += 1
         with pytest.raises(ValueError, match="checked to degree 5"):
@@ -457,7 +536,18 @@ def test_report_truncation_is_the_report_of_the_truncated_jet():
     assert checked == 3 * 64
     untruncated = forbidden_jet(diagram(Family.SP, 2, (1, 2)), None)
     assert (forbidden_report(untruncated).truncate(4)
-            == forbidden_report(untruncated.truncate(4)))
+            == oracles.report_of(oracles.jet_polynomial(untruncated)
+                                 .truncate(4)))
+
+
+def test_report_truncated_at_every_degree():
+    # None asks for every degree: only an untruncated report holds it
+    dia = diagram(Family.SP, 2, (1, 2))
+    every = forbidden_report(forbidden_jet(dia, None))
+    assert every.truncate(None) is every
+    with pytest.raises(ValueError,
+                       match="checked to degree 5 cannot certify every degree"):
+        forbidden_report(forbidden_jet(dia, 5)).truncate(None)
 
 
 @pytest.mark.parametrize("degree", [3, 5, None])
@@ -469,18 +559,19 @@ def test_report_equals_its_definition_on_jets(degree):
     for dia in _paintings(6):
         jet = forbidden_jet(dia, degree)
         assert (forbidden_report(jet).entries
-                == oracles.report_by_sorting(jet)), (dia, degree)
+                == oracles.report_by_sorting(oracles.jet_polynomial(jet))), (
+                    dia, degree)
         checked += 1
     assert checked == 256
 
 
 def test_report_equals_its_definition_on_expansions():
-    # an expansion also has terms of bidegree (p >= 2, q >= 2), which the
-    # report drops before it sorts
+    # the jet's report against the definition read off the expansion,
+    # which also has terms of bidegree (p >= 2, q >= 2) to drop
     checked = 0
     for dia in _paintings(4):
         expansion = diastasis(dia, 4, "symbolic")
-        assert (forbidden_report(expansion).entries
+        assert (forbidden_report(forbidden_jet(dia, 4)).entries
                 == oracles.report_by_sorting(expansion)), dia
         checked += 1
     assert checked == 64
@@ -500,7 +591,7 @@ def test_untruncated_jet_keeps_degree_three_verdicts():
         every = verdict_from_report(report, dia.black)
         # the degree-3 jet is this one truncated (checked against the
         # expansion above; criterion 1 pins its verdicts to the paper)
-        v3 = verdict_from_report(forbidden_report(jet.truncate(3)), dia.black)
+        v3 = verdict_from_report(report.truncate(3), dia.black)
         assert v3.degree_checked == 3
         assert every.degree_checked is None
         assert every.status == v3.status, dia
@@ -525,7 +616,7 @@ def test_rescaling_soundness_for_admissible_numeric_coefficients():
     ]
     for dia, coeffs in cases:
         expansion = diastasis(dia, 3, coeffs)
-        report = forbidden_report(expansion)
+        report = oracles.report_of(expansion)
         assert report.is_empty()
         quad = expansion.bidegree_part(1, 1).terms
         lams = {m.holo[0][0]: float(f) for m, f in quad.items()}
@@ -537,5 +628,5 @@ def test_rescaling_soundness_for_admissible_numeric_coefficients():
 def test_verdict_from_report_matches_classify():
     dia = diagram(Family.SU, 4, (1, 3))
     expansion = diastasis(dia, 3, "symbolic")
-    report = forbidden_report(expansion)
+    report = oracles.report_of(expansion)
     assert verdict_from_report(report, dia.black) == classify(dia, 3)

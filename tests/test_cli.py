@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -352,6 +353,35 @@ def test_case_request_rejects_audit_not_above_max_degree(audit):
     with pytest.raises(ValueError, match="--audit-degree must exceed"):
         run_case(CaseRequest(GroupSpec(Family.SP, 2), (1, 2), "symbolic",
                              3, audit))
+
+
+def test_case_request_checks_its_coefficients():
+    # a library caller gets the command line's checks: every value read as
+    # a Fraction, none at or below zero, and no string but "symbolic"
+    group = GroupSpec(Family.SU, 3)
+    for coeffs in ((Fraction(-1), Fraction(2)), (1, 0)):
+        pos = 1 if coeffs[0] < 0 else 2
+        with pytest.raises(ValueError,
+                           match=f"invalid coeffs: item {pos} must be positive"):
+            run_case(CaseRequest(group, (1, 2), coeffs, 3, None))
+    with pytest.raises(ValueError, match="'symbolic' or numbers"):
+        CaseRequest(group, (1, 2), "1,2", 3, None)
+    request = CaseRequest(group, (2, 1), (0.75, 2), 3, None)
+    assert request.coeffs == (Fraction(2), Fraction(3, 4))
+    assert request.echo()["coeffs"] == ["2", "3/4"]
+    assert run_case(request)["request"]["coeffs"] == ["2", "3/4"]
+
+
+def test_sweep_request_normalises_its_fields():
+    # families by name and integral bounds, as GroupSpec takes them
+    request = SweepRequest(("SU",), 3, 1, 3)
+    assert request.families == (Family.SU,)
+    assert run_sweep(request) == run_sweep(SweepRequest((Family.SU,), 3, 1, 3))
+    with pytest.raises(ValueError, match="unknown family 'SO'"):
+        SweepRequest(("SO",), 3, 1, 3)
+    for bounds in ((2.5, 1, 3), (3, 1.0, 3), (3, 1, "3")):
+        with pytest.raises(TypeError):
+            SweepRequest((Family.SU,), *bounds)
 
 
 @pytest.mark.parametrize("extra", [[], ["--numeric-check", "--samples", "2"]])

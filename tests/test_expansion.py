@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagbochner import expansion as expansion_module
+from flagbochner.bochner import forbidden_report
 from flagbochner.expansion import (
     NumericDomainError,
     _check_potential,
@@ -510,7 +511,7 @@ def test_forbidden_jet_is_the_one_sided_part_of_the_expansion():
     # with the expansion's exact coefficient form
     for dia in SAMPLE_DIAGRAMS:
         for degree in (3, 4):
-            jet = forbidden_jet(dia, degree)
+            jet = oracles.jet_polynomial(forbidden_jet(dia, degree))
             full = diastasis(dia, degree, "symbolic")
             assert jet.trunc == degree
             assert jet.terms == {
@@ -628,20 +629,34 @@ def test_check_potential_on_numeric_coefficients():
 
 
 def test_diastasis_and_the_jet_each_check_their_potential_once(monkeypatch):
+    # an expansion runs _check_potential on its finished terms; the jet
+    # checks its packed terms in one walk, decoding each term off the
+    # (1,1) diagonal once, and its report reads those decoded exponents
     seen = []
+    decoded = []
+    real_decode = Packing.decode
 
     def record(terms, nvars, coeff_values):
         seen.append((len(terms), nvars, coeff_values))
         _check_potential(terms, nvars, coeff_values)
 
+    def decode(pack, packed, weights):
+        decoded.append(packed)
+        return real_decode(pack, packed, weights)
+
     monkeypatch.setattr(expansion_module, "_check_potential", record)
+    monkeypatch.setattr(Packing, "decode", decode)
     dia = diagram(Family.SP, 2, (1, 2))
     jet = forbidden_jet(dia, 3)
+    nvars = build_Z(dia).nvars
+    terms = sum(map(len, jet.forms.values()))
+    assert sorted(decoded) == sorted(jet.exps) and len(decoded) == terms - nvars
+    forbidden_report(jet)
+    assert len(decoded) == terms - nvars
+    decoded.clear()
     sym = diastasis(dia, 3)
     num = diastasis(dia, 3, (1, 2))
-    nvars = build_Z(dia).nvars
-    assert seen == [(len(jet.terms), nvars, None),
-                    (len(sym.terms), nvars, None),
+    assert seen == [(len(sym.terms), nvars, None),
                     (len(num.terms), nvars, (F(1), F(2)))]
 
 
@@ -699,6 +714,25 @@ def test_forbidden_jet_sees_a_wrong_chart_sign(monkeypatch):
     with pytest.raises(EngineInvariantError, match="not a positive form"):
         forbidden_jet(diagram(Family.SU, 3, (1, 2)), 3)
     assert flipped
+
+
+@pytest.mark.parametrize("degree", [3, None])
+def test_forbidden_jet_sees_a_missing_diagonal_term(monkeypatch, degree):
+    # one entry of Z21 dropped from W_1 at the only split: the recursion
+    # carries on without it, every torus weight still holds, and the
+    # variable of that entry has no z_v zb_v term
+    dropped = []
+
+    def drop(atlas, l, n, w):
+        if n == 1:
+            key = next(iter(w))
+            del w[key]
+            dropped.append(atlas.entries[key][0])
+
+    _patch_recursion(monkeypatch, drop)
+    with pytest.raises(EngineInvariantError, match=r"variables \[\d+\] missing"):
+        forbidden_jet(diagram(Family.SU, 3, (1,)), degree)
+    assert len(dropped) == 1
 
 
 @pytest.mark.parametrize("degree", [3, None])
