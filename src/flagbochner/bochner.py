@@ -11,7 +11,9 @@ it against the determinant expansion.
 
 A verdict is degree-stamped: emptiness of the forbidden report is certified
 up to the audited total degree, or at every degree for the untruncated jet
-(degree None).
+(degree None).  The verdict reads one row per distinct form into
+feasibility.echelon; a full-rank basis is NEVER_BOCHNER, and below full
+rank rref gives the constraints and the LP the orthant answer.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .expansion import PackedJet, forbidden_jet
-from .feasibility import positive_solution_exists, primitive_row, rref
+from .feasibility import echelon, positive_solution_exists, rref
 from .lie_core import PaintedDiagram
 from .poly import CoeffForm, Monomial, render_signed_sum
 
@@ -109,30 +111,6 @@ class BochnerVerdict:
     witness: tuple[Monomial, CoeffForm] | None = None
 
 
-def _row_basis(forms, black: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """A fraction-free echelon basis of the rows of distinct coefficient
-    forms, columns ordered like black, sorted by leading column: each form
-    in turn as a primitive integer row reduced against the basis by
-    cross-multiplication, until there is one row per black node."""
-    basis: list[tuple[int, tuple[int, ...]]] = []  # (leading column, row)
-    for form in forms:
-        lams = dict(form.terms)
-        row = primitive_row([lams.get(p, 0) for p in black])
-        # the basis rows vanish left of their leading columns, so in this
-        # order each step clears one and leaves the earlier ones clear
-        for lead, b in basis:
-            x = row[lead]
-            if x:
-                row = primitive_row([b[lead] * y - x * z
-                                     for y, z in zip(row, b)])
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is not None:
-            bisect.insort(basis, (lead, row))
-            if len(basis) == len(black):
-                break
-    return [row for _, row in basis]
-
-
 def verdict_from_report(report: ForbiddenReport,
                         black: tuple[int, ...]) -> BochnerVerdict:
     """Solve the homogeneous system {coefficient forms = 0} over the
@@ -143,7 +121,8 @@ def verdict_from_report(report: ForbiddenReport,
     first = {}  # each distinct form with its first entry, in report order
     for entry in report.entries:
         first.setdefault(entry[1], entry)
-    basis = _row_basis(first, black)
+    lams = (dict(f.terms) for f in first)
+    basis = echelon([lam.get(p, 0) for p in black] for lam in lams)
     # at full column rank only c = 0 solves the rows: the basis is a
     # nonsingular square system, and no rref or LP is needed
     if len(basis) < len(black):

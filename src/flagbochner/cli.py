@@ -35,6 +35,7 @@ from .expansion import (
     eval_numeric,
     forbidden_jet,
     hessian_fd,
+    rational,
     symbolic_metric,
     truncated_value,
 )
@@ -85,6 +86,9 @@ class CaseRequest:
     audit_degree: int | None
 
     def __post_init__(self):
+        object.__setattr__(self, "max_degree", operator.index(self.max_degree))
+        if self.audit_degree is not None:
+            object.__setattr__(self, "audit_degree", operator.index(self.audit_degree))
         if self.group.rank > MAX_SWEEP_RANK:
             raise ValueError(f"--group rank is capped at {MAX_SWEEP_RANK}")
         # the numeric check compares the (1,1) part, which degree 2
@@ -104,7 +108,7 @@ class CaseRequest:
                 raise ValueError(f"coeffs must be 'symbolic' or numbers, "
                                  f"not {self.coeffs!r}")
         else:
-            values = tuple(map(Fraction, self.coeffs))
+            values = tuple(rational(pos, c) for pos, c in enumerate(self.coeffs, 1))
             if len(values) != len(self.black):
                 raise ValueError(
                     f"--coeffs needs one value per black node: "
@@ -206,14 +210,10 @@ def parse_coeffs(text: str):
             raise ValueError(
                 f"invalid coeffs: item {pos} has more than {MAX_COEFF_DIGITS} "
                 "digits, counting its exponent as that many zeros")
-        try:
-            if not matched:
-                raise ValueError
-            value = Fraction(token)
-        except (ValueError, ZeroDivisionError):
+        if not matched:
             raise ValueError(
-                f"invalid coeffs: item {pos} ({token!r}) is not a rational"
-            ) from None
+                f"invalid coeffs: item {pos} ({token!r}) is not a rational")
+        value = rational(pos, token)
         _check_positive(pos, value)
         out.append(value)
     return tuple(out)
@@ -412,6 +412,7 @@ def run_numeric_check(request: CaseRequest, samples: int, seed: int) -> dict:
         raise ValueError("--numeric-check requires numeric --coeffs")
     if request.audit_degree is not None:
         raise ValueError("--audit-degree does not apply to --numeric-check")
+    samples, seed = operator.index(samples), operator.index(seed)
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"--samples must be between 1 and {MAX_SAMPLES}")
     e = NUMERIC_COEFF_EXPONENT

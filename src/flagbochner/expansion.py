@@ -53,6 +53,16 @@ class NumericDomainError(ValueError):
     """The exact potential is undefined at the requested point."""
 
 
+def rational(pos: int, value) -> Fraction:
+    """Coefficient item pos as a Fraction; inf, NaN, 1/0 and the like are
+    refused."""
+    try:
+        return Fraction(value)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        raise ValueError(f"invalid coeffs: item {pos} ({value!r}) is not "
+                         "a rational") from None
+
+
 def _parse_coeffs(diagram: PaintedDiagram, coeffs):
     """None for symbolic coeffs (None or "symbolic"), else the values, one
     per black node, from any iterable of numbers; other strings raise."""
@@ -60,7 +70,7 @@ def _parse_coeffs(diagram: PaintedDiagram, coeffs):
         raise ValueError(f"coeffs must be 'symbolic' or numbers, not {coeffs!r}")
     if coeffs is None or isinstance(coeffs, str):
         return None
-    values = [Fraction(v) for v in coeffs]
+    values = [rational(pos, v) for pos, v in enumerate(coeffs, 1)]
     if len(values) != len(diagram.black):
         raise ValueError(
             f"need {len(diagram.black)} coefficients, got {len(values)}"

@@ -2,14 +2,15 @@
 
 Two questions arise downstream: what is a canonical basis for a system of
 homogeneous linear constraints, and does the solution set meet the open
-positive orthant.  Both are answered exactly: the basis by fraction-free
-elimination on integer rows, and the orthant question (which a verdict asks
-only below full column rank) by a phase-one simplex over Fraction on
-c = 1 + u, u >= 0, with Bland's rule for termination.
+positive orthant.  Both are answered exactly: the basis by the one
+fraction-free elimination on integer rows, echelon, and its back-substitution
+rref; the orthant question (which a verdict asks only below full column rank)
+by a phase-one simplex over Fraction on c = 1 + u, u >= 0, with Bland's rule.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -30,38 +31,43 @@ def primitive_row(row) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def rref(rows) -> list[tuple[Fraction, ...]]:
-    """Reduced row-echelon form of int or Fraction rows; returns the nonzero
-    rows as Fractions with pivot 1, sorted by pivot column.
+def _clear(row, basis) -> tuple[int, ...]:
+    """A primitive row with the leading column of each (leading column, row)
+    basis pair cleared in turn by cross-multiplication; a basis row vanishes
+    left of its leading column, so the columns cleared before it stay clear."""
+    for lead, b in basis:
+        x = row[lead]
+        if x:
+            row = primitive_row([b[lead] * y - x * z for y, z in zip(row, b)])
+    return row
 
-    Elimination stays in the integers: a row is cleared against the pivot
-    row by cross-multiplication and then divided by the gcd of its entries.
-    """
-    mat = [primitive_row(r) for r in rows if any(r)]
-    if not mat:
-        return []
-    row = 0
-    for col in range(len(mat[0])):
-        piv = next((r for r in range(row, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        prow = mat[row]
-        p = prow[col]
-        for r in range(len(mat)):
-            factor = mat[r][col]
-            if r != row and factor:
-                mat[r] = primitive_row(
-                    [p * x - factor * y for x, y in zip(mat[r], prow)])
-        row += 1
-        if row == len(mat):
-            break
-    # rows below the last pivot are zero; the pivots come in column order
-    out = []
-    for r in mat[:row]:
-        p = next(x for x in r if x)
-        out.append(tuple(Fraction(x, p) for x in r))
-    return out
+
+def echelon(rows) -> list[tuple[int, ...]]:
+    """A fraction-free echelon basis of int or Fraction rows, sorted by
+    leading column: each row in turn as a primitive integer row cleared
+    against the basis.  Reading stops at one row per column, full column
+    rank, so rows may be built lazily."""
+    basis: list[tuple[int, tuple[int, ...]]] = []  # (leading column, row)
+    for row in rows:
+        row = _clear(primitive_row(row), basis)
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is not None:
+            bisect.insort(basis, (lead, row))
+            if len(basis) == len(row):
+                break
+    return [row for _, row in basis]
+
+
+def rref(rows) -> list[tuple[Fraction, ...]]:
+    """Reduced row-echelon form of int or Fraction rows: the nonzero rows as
+    Fractions with pivot 1, sorted by pivot column.  It back-substitutes
+    echelon(rows), from the last row up, then divides by the pivots; at full
+    column rank it is the identity."""
+    basis = [(next(i for i, x in enumerate(r) if x), r) for r in echelon(rows)]
+    for k in reversed(range(len(basis))):
+        lead, row = basis[k]
+        basis[k] = lead, _clear(row, basis[k + 1:])
+    return [tuple(Fraction(x, r[lead]) for x in r) for lead, r in basis]
 
 
 def _phase_one_feasible(a: list[list[Fraction]], b: list[Fraction]) -> bool:

@@ -14,14 +14,13 @@ from oracles import catalog_sum, catalog_trinomials
 from flagbochner import bochner
 from flagbochner.bochner import (
     BochnerStatus,
-    _row_basis,
     classify,
     forbidden_report,
     render_constraint,
     verdict_from_report,
 )
 from flagbochner.expansion import diastasis, forbidden_jet
-from flagbochner.feasibility import positive_solution_exists, rref
+from flagbochner.feasibility import echelon, positive_solution_exists, rref
 from flagbochner.lie_core import (
     Family,
     GroupSpec,
@@ -89,6 +88,27 @@ def test_rref_matches_the_fraction_gauss_jordan(rows):
     for r in got:
         assert all(type(x) is Fraction for x in r)
         assert next(x for x in r if x) == 1
+
+
+def _read_to_full_rank(rows):
+    """The rows, then a failure if anything reads past them."""
+    yield from rows
+    raise AssertionError("read past full column rank")
+
+
+def test_echelon_and_rref_stop_reading_at_full_column_rank():
+    # a zero row and a copy add nothing; the third independent row fills
+    # the three columns, and neither reads another row after it
+    rows = [(0, 0, 0), (2, -2, 0), (F(1), F(-1), 0), (1, -1, -1), (F(1, 2), 1, 0)]
+    assert echelon(_read_to_full_rank(rows)) == [(1, -1, 0), (0, 1, 0), (0, 0, 1)]
+    # at full column rank the reduced form is the identity
+    systems = [rows] + [[tuple((i + 1) ** j for j in range(n)) for i in range(n)]
+                        for n in range(1, 6)]  # Vandermonde, nonsingular
+    for system in systems:
+        n = len(system[0])
+        got = rref(_read_to_full_rank(system))
+        assert got == [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+        assert all(type(x) is Fraction for r in got for x in r)
 
 
 def test_positive_solution_exists_basic_cases():
@@ -416,7 +436,8 @@ def test_degree_three_jet_equals_the_block_oracle():
 
 def _basis(report, black):
     """The verdict's echelon basis of the report's distinct forms."""
-    return _row_basis(dict.fromkeys(f for _, f in report.entries), black)
+    forms = dict.fromkeys(f for _, f in report.entries)
+    return echelon([dict(f.terms).get(p, 0) for p in black] for f in forms)
 
 
 def test_constraint_rows_are_primitive_and_full_rank_means_no_solution():

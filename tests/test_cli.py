@@ -372,6 +372,51 @@ def test_case_request_checks_its_coefficients():
     assert run_case(request)["request"]["coeffs"] == ["2", "3/4"]
 
 
+class _Index:
+    """An integer by __index__ only, as numpy's integers are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_case_request_normalises_its_degrees():
+    # integral degrees, as SweepRequest takes its bounds: a float degree
+    # used to be accepted and fail inside the engine
+    group = GroupSpec(Family.SU, 3)
+    for degrees in ((3.5, None), (3, 4.5), (3, "5")):
+        with pytest.raises(TypeError):
+            CaseRequest(group, (1, 2), "symbolic", *degrees)
+    request = CaseRequest(group, (1, 2), "symbolic", _Index(3), _Index(4))
+    assert type(request.max_degree) is int and request.max_degree == 3
+    assert type(request.audit_degree) is int and request.audit_degree == 4
+    assert run_case(request)["request"] == run_case(
+        CaseRequest(group, (1, 2), "symbolic", 3, 4))["request"]
+
+
+def test_numeric_check_normalises_samples_and_seed():
+    request = CaseRequest(GroupSpec(Family.SU, 3), (1, 2), (1, 2), 3, None)
+    for samples, seed in ((2.5, 0), (2, 0.5), ("2", 0)):
+        with pytest.raises(TypeError):
+            run_numeric_check(request, samples, seed)
+    doc = run_numeric_check(request, _Index(2), _Index(4))
+    assert type(doc["seed"]) is int
+    assert doc == run_numeric_check(request, 2, 4)
+
+
+@pytest.mark.parametrize("pos", [1, 2])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_case_request_refuses_non_finite_coefficients(pos, value):
+    # one line naming the item, where inf used to raise OverflowError
+    coeffs = (value, 1) if pos == 1 else (1, value)
+    with pytest.raises(ValueError,
+                       match=rf"^invalid coeffs: item {pos} \({value!r}\) "
+                             "is not a rational$"):
+        CaseRequest(GroupSpec(Family.SU, 3), (1, 2), coeffs, 3, None)
+
+
 def test_sweep_request_normalises_its_fields():
     # families by name and integral bounds, as GroupSpec takes them
     request = SweepRequest(("SU",), 3, 1, 3)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -988,3 +989,16 @@ def test_coefficients_come_from_any_sequence_of_numbers_or_symbolic():
     assert diastasis(dia, 3, None) == diastasis(dia, 3, "symbolic")
     with pytest.raises(ValueError, match="'symbolic' or numbers"):
         diastasis(dia, 3, "12")
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), "1/0"])
+def test_non_rational_coefficients_are_refused_by_item(value):
+    # one line naming the item, where inf used to raise OverflowError and
+    # 1/0 ZeroDivisionError
+    dia = PaintedDiagram(GroupSpec(Family.SU, 4), (1, 3))
+    for pos, coeffs in ((1, [value, 2]), (2, [1, value])):
+        with pytest.raises(ValueError,
+                           match=rf"^invalid coeffs: item {pos} "
+                                 rf"\({re.escape(repr(value))}\) is not a "
+                                 "rational$"):
+            diastasis(dia, 3, coeffs)
