@@ -25,7 +25,8 @@ from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
 
-from .expansion import PackedJet, forbidden_jet
+from .expansion import (LOWEST_VERDICT_DEGREE, PackedJet, check_degree,
+                        forbidden_jet)
 from .feasibility import echelon, positive_solution_exists, rref
 from .lie_core import PaintedDiagram
 from .poly import CoeffForm, Monomial, render_signed_sum
@@ -46,7 +47,10 @@ class ForbiddenReport:
 
     def truncate(self, degree: int | None) -> "ForbiddenReport":
         """The report at degree, or at every degree for None: entries sort
-        by total degree first, so its entries are a prefix of these."""
+        by total degree first, so its entries are a prefix of these.  A
+        degree too low to hold a forbidden monomial is refused."""
+        if degree is not None:
+            degree = check_degree(degree, LOWEST_VERDICT_DEGREE)
         checked = self.degree_checked
         if checked is not None and (degree is None or degree > checked):
             raise ValueError(f"a report checked to degree {checked} cannot "
@@ -59,13 +63,13 @@ class ForbiddenReport:
 
 def forbidden_report(jet: PackedJet) -> ForbiddenReport:
     """The forbidden monomials of a jet, checked through its truncation
-    degree (every degree when untruncated), in Monomial.sort_key order:
-    z_v zb^m and z^m zb_v for each m of degree >= 2, sorted on keys read
-    off the jet's decoded exponents, each distinct form built once."""
+    degree (every degree when untruncated), sorted on the monomials: z_v
+    zb^m and z^m zb_v for each m of degree >= 2, built off the jet's
+    decoded exponents, each distinct form built once."""
     top, exps = jet.packing.top, jet.exps
     of = Monomial._of_bidegree
     made: dict[tuple, CoeffForm] = {}
-    keyed = []
+    entries = []
     for v, forms in jet.forms.items():
         zv = ((v, 1),)
         for m, lam in forms.items():
@@ -80,10 +84,10 @@ def forbidden_report(jet: PackedJet) -> ForbiddenReport:
                 form = made[key] = CoeffForm._of_sorted(
                     tuple([(k, Fraction(n, den)) for k, n in key[1:]]))
             e = exps[m]
-            keyed.append(((d + 1, zv, e), of(zv, e, 1, d), form))
-            keyed.append(((d + 1, e, zv), of(e, zv, d, 1), form))
-    keyed.sort(key=itemgetter(0))
-    return ForbiddenReport(tuple((m, f) for _, m, f in keyed), jet.degree)
+            entries.append((of(zv, e, 1, d), form))
+            entries.append((of(e, zv, d, 1), form))
+    entries.sort(key=itemgetter(0))
+    return ForbiddenReport(tuple(entries), jet.degree)
 
 
 class BochnerStatus(Enum):

@@ -86,6 +86,9 @@ class CaseRequest:
     audit_degree: int | None
 
     def __post_init__(self):
+        # nodes and degrees read as ints: the echo shows the nodes answered
+        # for, and a float fails here rather than inside the engine
+        object.__setattr__(self, "black", tuple(map(operator.index, self.black)))
         object.__setattr__(self, "max_degree", operator.index(self.max_degree))
         if self.audit_degree is not None:
             object.__setattr__(self, "audit_degree", operator.index(self.audit_degree))

@@ -116,10 +116,16 @@ LOWEST_DEGREE = 2
 LOWEST_VERDICT_DEGREE = 3
 
 
-def _check_degree(degree, lowest: int) -> None:
-    if not isinstance(degree, int) or degree < lowest:
+def check_degree(degree, lowest: int) -> int:
+    """degree read by operator.index; a ValueError unless it is >= lowest."""
+    try:
+        value = operator.index(degree)
+    except TypeError:
+        value = None
+    if value is None or value < lowest:
         raise ValueError(
             f"degree must be an integer at least {lowest}, got {degree!r}")
+    return value
 
 
 def _packed_exp(atlas: CoordinateAtlas, pack: Packing,
@@ -266,7 +272,7 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
 
     Numeric coeffs pair with diagram.black, which is sorted.  Packed
     monomials hold z_v in field v and zb_v in field nvars + v."""
-    _check_degree(degree, LOWEST_DEGREE)
+    degree = check_degree(degree, LOWEST_DEGREE)
     stored = _parse_coeffs(diagram, coeffs)
     atlas = build_Z(diagram)
     nvars = atlas.nvars
@@ -399,7 +405,7 @@ def forbidden_jet(diagram: PaintedDiagram,
     z_v is z_v zb_v; it must be there, with positive numerators.
     """
     if degree is not None:
-        _check_degree(degree, LOWEST_VERDICT_DEGREE)
+        degree = check_degree(degree, LOWEST_VERDICT_DEGREE)
     atlas = build_Z(diagram)
     # z_v times a zb-polynomial of degree <= degree - 1
     last = None if degree is None else degree - 1

@@ -8,12 +8,16 @@ coefficients are exact linear forms in them (CoeffForm).  The engine's
 products run on packed integer monomials (matrices.Packing) and build
 Monomials, Fractions and CoeffForms for their finished terms only; the
 ring arithmetic here serves the reference routes of the tests, which add
-their own sparse matrix type on top of it.
+their own sparse matrix type on top of it.  A Monomial is a tuple that
+leads with (total degree, holo, anti): it sorts, compares and hashes as
+that tuple, so sorting monomials puts them in the canonical order of the
+forbidden report.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 _ZERO = Fraction(0)
@@ -130,33 +134,35 @@ def _merge_exponents(a, b):
     return tuple(out)
 
 
-class Monomial:
-    """A product of z and zb powers.
+class Monomial(tuple):
+    """A product of z and zb powers, the tuple (total, holo, anti, p, q).
 
     holo and anti are sorted tuples of (variable index, exponent > 0); the
-    bidegree is (p, q) = (sum of holo exponents, sum of anti exponents).
-    Monomials are immutable, so p, q and total are computed once here.
+    bidegree is (p, q) = (sum of holo exponents, sum of anti exponents),
+    and total = p + q.  The tuple leads with (total, holo, anti), so a
+    monomial is its own sort key: total degree first, then the sparse
+    exponent tuples.  p and q come last: holo and anti determine them, so
+    they never decide a comparison.  Equality and hashing are the tuple's.
     """
 
-    __slots__ = ("holo", "anti", "p", "q", "total", "_hash")
+    __slots__ = ()
 
-    def __init__(self, holo=(), anti=()):
-        self.holo = tuple(holo)
-        self.anti = tuple(anti)
-        self.p = sum(e for _, e in self.holo)
-        self.q = sum(e for _, e in self.anti)
-        self.total = self.p + self.q
-        self._hash = hash((self.holo, self.anti))
+    total = property(itemgetter(0))
+    holo = property(itemgetter(1))
+    anti = property(itemgetter(2))
+    p = property(itemgetter(3))
+    q = property(itemgetter(4))
+
+    def __new__(cls, holo=(), anti=()):
+        holo, anti = tuple(holo), tuple(anti)
+        return cls._of_bidegree(holo, anti, sum(e for _, e in holo),
+                                sum(e for _, e in anti))
 
     @classmethod
     def _of_bidegree(cls, holo, anti, p: int, q: int) -> "Monomial":
         """The monomial of the exponent tuples holo and anti, for a caller
         that already knows its bidegree (p, q); nothing is re-summed."""
-        self = object.__new__(cls)
-        self.holo, self.anti, self.p, self.q = holo, anti, p, q
-        self.total = p + q
-        self._hash = hash((holo, anti))
-        return self
+        return tuple.__new__(cls, (p + q, holo, anti, p, q))
 
     @classmethod
     def unit(cls) -> "Monomial":
@@ -179,23 +185,6 @@ class Monomial:
     def conj(self) -> "Monomial":
         return Monomial._of_bidegree(self.anti, self.holo, self.q, self.p)
 
-    def sort_key(self):
-        # total degree first, then the sparse exponent tuples; deterministic
-        return (self.total, self.holo, self.anti)
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Monomial)
-            and self.holo == other.holo
-            and self.anti == other.anti
-        )
-
-    def __hash__(self):
-        return self._hash
-
     def render(self, names) -> str:
         parts = []
         for v, e in self.holo:
@@ -205,10 +194,7 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
     def __repr__(self):
-        names = {}
-        idx = [v for v, _ in self.holo + self.anti]
-        for v in idx:
-            names[v] = str(v)
+        names = {v: str(v) for v, _ in self.holo + self.anti}
         return f"Monomial({self.render(names)})"
 
 

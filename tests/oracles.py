@@ -891,11 +891,14 @@ def forbidden_jet(diagram, degree) -> Polynomial:
 
 
 def report_by_sorting(poly) -> tuple:
-    """The forbidden report's entries by their definition: every term in
-    Monomial.sort_key order, those of bidegree (1, q >= 2) or (p >= 2, 1)
-    kept.  Raises EngineInvariantError unless the conjugate Monomial of
-    each kept one carries an equal form."""
-    ordered = sorted(poly.terms.items(), key=lambda kv: kv[0].sort_key())
+    """The forbidden report's entries by their definition: every term
+    sorted by total degree, then holo, then anti (a key written out here,
+    not the Monomial's own tuple order, so the order is checked rather than
+    reused), those of bidegree (1, q >= 2) or (p >= 2, 1) kept.  Raises
+    EngineInvariantError unless the conjugate Monomial of each kept one
+    carries an equal form."""
+    ordered = sorted(poly.terms.items(),
+                     key=lambda kv: (kv[0].total, kv[0].holo, kv[0].anti))
     entries = tuple((m, f) for m, f in ordered
                     if (m.p == 1 and m.q >= 2) or (m.q == 1 and m.p >= 2))
     by_mono = dict(entries)

@@ -255,7 +255,8 @@ def test_report_refuses_a_potential_that_is_not_real():
 
 def test_report_entries_sorted_and_minimal_witness_deterministic():
     report = forbidden_report(forbidden_jet(diagram(Family.SP, 2, (1, 2)), 3))
-    keys = [m.sort_key() for m, _ in report.entries]
+    # the canonical order written out, not read off the Monomial's tuple
+    keys = [(m.total, m.holo, m.anti) for m, _ in report.entries]
     assert keys == sorted(keys)
 
 
@@ -546,7 +547,7 @@ def test_report_truncation_is_the_report_of_the_truncated_jet():
     for dia in _paintings(4):
         jet = forbidden_jet(dia, 5)
         deepest = forbidden_report(jet)
-        for d in range(2, 5):
+        for d in range(3, 5):
             truncated = deepest.truncate(d)
             assert truncated == oracles.report_of(
                 oracles.jet_polynomial(jet).truncate(d)), (dia, d)
@@ -554,11 +555,28 @@ def test_report_truncation_is_the_report_of_the_truncated_jet():
             checked += 1
         with pytest.raises(ValueError, match="checked to degree 5"):
             deepest.truncate(6)
-    assert checked == 3 * 64
+    assert checked == 2 * 64
     untruncated = forbidden_jet(diagram(Family.SP, 2, (1, 2)), None)
     assert (forbidden_report(untruncated).truncate(4)
             == oracles.report_of(oracles.jet_polynomial(untruncated)
                                  .truncate(4)))
+
+
+def test_report_refuses_a_degree_without_forbidden_monomials():
+    # below degree 3 the truncated report is empty, which would read as
+    # BochnerForAllC for a painting that is never Bochner; truncate takes
+    # the floor that classify and forbidden_jet take
+    dia = diagram(Family.SP, 3, (1, 2, 3))
+    report = forbidden_report(forbidden_jet(dia, 5))
+    assert len(report.entries) == 42
+    assert (verdict_from_report(report, dia.black).status
+            is BochnerStatus.NEVER_BOCHNER)
+    for degree in (2, 0, -4, 2.5, "3"):
+        with pytest.raises(ValueError, match="integer at least 3"):
+            report.truncate(degree)
+    three = report.truncate(3)
+    assert three.degree_checked == 3
+    assert three.entries == report.entries[:len(three.entries)]
 
 
 def test_report_truncated_at_every_degree():

@@ -396,6 +396,22 @@ def test_case_request_normalises_its_degrees():
         CaseRequest(group, (1, 2), "symbolic", 3, 4))["request"]
 
 
+def test_case_request_normalises_its_black_nodes():
+    # the nodes are read as ints before they pair with the coefficients,
+    # so the echo names the nodes the answer is for and a float node is
+    # refused when the request is built
+    group = GroupSpec(Family.SU, 3)
+    doc = run_case(CaseRequest(group, (True, 2), "symbolic", 3, None))
+    assert doc["request"]["black"] == [1, 2]
+    assert all(type(b) is int for b in doc["request"]["black"])
+    assert json.dumps(doc["request"]["black"]) == "[1, 2]"
+    assert doc == run_case(CaseRequest(group, (1, 2), "symbolic", 3, None))
+    request = CaseRequest(group, (_Index(2), 1), (3, 5), 3, None)
+    assert request.black == (1, 2) and request.coeffs == (5, 3)
+    with pytest.raises(TypeError):
+        CaseRequest(group, (1.0, 2), "symbolic", 3, None)
+
+
 def test_numeric_check_normalises_samples_and_seed():
     request = CaseRequest(GroupSpec(Family.SU, 3), (1, 2), (1, 2), 3, None)
     for samples, seed in ((2.5, 0), (2, 0.5), ("2", 0)):

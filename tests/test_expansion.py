@@ -785,13 +785,35 @@ def test_packed_product_above_the_bound_raises_or_drops():
         _truncated_product(pack, 4)
 
 
-@pytest.mark.parametrize("degree", [1, 0, -1, 2.5])
+class _Index:
+    """An integer by __index__ only, as numpy's integers are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_degrees_are_read_by_index():
+    # an integer-like degree is read as the int it stands for, and the
+    # engine works on that int
+    dia = diagram(Family.SU, 3, (1, 2))
+    for degree in (np.int64(3), _Index(3)):
+        report = forbidden_report(forbidden_jet(dia, degree))
+        assert report == forbidden_report(forbidden_jet(dia, 3))
+        assert type(report.degree_checked) is int
+        assert diastasis(dia, degree) == diastasis(dia, 3)
+        assert type(diastasis(dia, degree).trunc) is int
+
+
+@pytest.mark.parametrize("degree", [1, 0, -1, 2.5, _Index(2)])
 def test_forbidden_jet_rejects_degree_below_two(degree):
     with pytest.raises(ValueError, match="at least 3"):
         forbidden_jet(diagram(Family.SU, 3, (1, 2)), degree)
 
 
-@pytest.mark.parametrize("degree", [1, None])
+@pytest.mark.parametrize("degree", [1, None, _Index(1)])
 def test_diastasis_rejects_degree_below_two(degree):
     # the expansion has no untruncated form: its log series is infinite
     with pytest.raises(ValueError, match="at least 2"):

@@ -15,6 +15,8 @@ from oracles import (
 )
 from oracles import mul as all_pairs_mul
 
+from flagbochner.expansion import diastasis
+from flagbochner.lie_core import Family, GroupSpec, PaintedDiagram
 from flagbochner.poly import CoeffForm, Monomial, Polynomial, render_signed_sum
 
 F = Fraction
@@ -87,6 +89,23 @@ def test_monomial_of_known_bidegree_is_the_summed_one():
         assert built == summed and hash(built) == hash(summed)
         assert (built.p, built.q, built.total) == (summed.p, summed.q,
                                                   summed.total)
+
+
+def test_monomial_is_its_own_sort_key_on_an_expansion():
+    # on every term of a degree-5 expansion: the summed and the known
+    # bidegree constructions are one monomial, and the tuple order is total
+    # degree, then holo, then anti, written out here as a key
+    monos = list(diastasis(PaintedDiagram(GroupSpec(Family.SP, 3), (1, 3)),
+                           5, "symbolic").terms)
+    assert len(monos) > 100
+    for m in monos:
+        built = Monomial._of_bidegree(m.holo, m.anti, m.p, m.q)
+        summed = Monomial(list(m.holo), iter(m.anti))
+        assert built == summed == m and hash(built) == hash(summed)
+        assert (summed.total, summed.bidegree) == (m.p + m.q, (m.p, m.q))
+    random.Random(0).shuffle(monos)
+    assert sorted(monos) == sorted(
+        monos, key=lambda m: (m.total, m.holo, m.anti))
 
 
 def test_monomial_ordering_is_total_degree_first():
