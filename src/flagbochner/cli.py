@@ -569,7 +569,7 @@ def _render_numeric_table(doc: dict) -> str:
     lines = [
         f"numeric check: {doc['request']['group']} black "
         f"{','.join(map(str, doc['request']['black']))} "
-        f"coeffs {doc['request']['coeffs']}",
+        f"coeffs {','.join(doc['request']['coeffs'])}",
         f"seed         : {doc['seed']}   samples: {len(doc['samples'])}   "
         f"radius: {doc['radius']}",
         f"potential(0) : {doc['potential_at_zero']:.6e}",

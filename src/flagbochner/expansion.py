@@ -541,14 +541,23 @@ def hessian_fd(diagram: PaintedDiagram, coeffs):
     """Complex Hessian H[v, w] = d^2 f / dz_v dzb_w of the exact potential
     f at the origin, as an N x N complex array, by polarization.
 
-    For a direction u, f(hu) + f(-hu) - 2 f(0) = 2 h^2 Q(u) + O(h^4) with
-    Q(u) = sum_{v,w} H[v, w] u_v conj(u_w), because f has no pure terms.
-    u = e_v gives H[v, v]; for v < w, u = e_v + e_w gives
-    H[v, v] + H[w, w] + 2 Re H[v, w] and u = e_v + i e_w gives
-    H[v, v] + H[w, w] + 2 Im H[v, w].  That is N^2 directions and
-    2 N^2 + 1 points, evaluated in stacks of at most 8 N - 2.  A pure part
-    would not cancel: kappa Re(z_0^2) adds kappa to H[0, 0], so the
-    comparison with the symbolic metric sees it."""
+    For a direction u of the stencil, f(hu) - f(0) = h^2 Q(u) + O(h^4)
+    with Q(u) = sum_{v,w} H[v, w] u_v conj(u_w), because f has no pure
+    terms and, along u, no odd ones.  u = e_v gives H[v, v]; for v < w,
+    u = e_v + e_w gives H[v, v] + H[w, w] + 2 Re H[v, w] and
+    u = e_v + i e_w gives H[v, v] + H[w, w] + 2 Im H[v, w].  That is N^2
+    directions and N^2 + 1 points, evaluated in stacks of at most 8 N - 2.
+
+    The two-sided stencil (f(hu) + f(-hu) - 2 f(0)) / (2 h^2) reads the
+    same Q(u): its -hu half repeats the +hu half.  f is invariant under
+    the diagonal unitaries t, which scale z_v by the character of its root
+    alpha_v.  u is supported on one v or on v != w, whose roots are
+    linearly independent, so some t has both characters -1 (a phase i on
+    a long root -2 e_i of Sp) and maps hu to -hu: f(-hu) = f(hu).  So a
+    term that breaks the torus symmetry is not cancelled: kappa |z_0|^2
+    Re z_0 adds kappa h to H[0, 0].  Nor is a pure part: kappa Re(z_0^2)
+    adds kappa to H[0, 0].  The comparison with the symbolic metric sees
+    both."""
     import numpy as np
 
     atlas = build_Z(diagram)
@@ -562,14 +571,13 @@ def hessian_fd(diagram: PaintedDiagram, coeffs):
     cross = n + np.arange(k)
     u[cross, iv] = u[cross, iw] = u[cross + k, iv] = 1
     u[cross + k, iw] = 1j
-    points = np.concatenate((np.zeros((1, n)), h * u, -h * u))
+    points = np.concatenate((np.zeros((1, n)), h * u))
     batch = 8 * n - 2
     vals = np.concatenate([
         eval_numeric(atlas, points[s:s + batch], coeffs)
         for s in range(0, len(points), batch)
     ])
-    f0, plus, minus = vals[0], vals[1:1 + len(u)], vals[1 + len(u):]
-    quad = ((plus - 2 * f0) + minus) / (2 * h * h)
+    quad = (vals[1:] - vals[0]) / (h * h)
     diag = quad[:n]
     both = diag[iv] + diag[iw]
     re = (quad[n:n + k] - both) / 2

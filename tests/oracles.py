@@ -1048,7 +1048,10 @@ def hessian_fd_pointwise(diagram, coeffs, step: float = 1e-4):
     """Complex Hessian d^2/dz_a dzb_b of the potential at the origin by
     polarization, from one-point evaluations: along u = e_a, e_a + e_b and
     e_a + i e_b, (f(hu) - 2 f(0) + f(-hu)) / (2 h^2) reads H[a, a],
-    H[a, a] + H[b, b] + 2 Re H[a, b] and H[a, a] + H[b, b] + 2 Im H[a, b]."""
+    H[a, a] + H[b, b] + 2 Re H[a, b] and H[a, a] + H[b, b] + 2 Im H[a, b].
+    This two-sided stencil cancels odd terms whatever their torus weight;
+    hessian_fd reads only the +hu half, which the torus symmetry makes
+    equal to the -hu half."""
     atlas = build_Z(diagram)
     black = diagram.black
     n = atlas.nvars

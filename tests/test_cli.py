@@ -493,6 +493,19 @@ def test_numeric_check_cli_passes(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_numeric_check_table_lists_coeffs_as_given(capsys):
+    # the first line writes the coefficients as --coeffs takes them, like
+    # the black nodes beside them; the JSON keeps its list of strings
+    argv = ["--group", "SOodd:3", "--black", "1,3", "--coeffs", "1,5/2",
+            "--numeric-check", "--samples", "2"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "numeric check: SOodd:3 black 1,3 coeffs 1,5/2"
+    assert main(argv + ["--emit", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["request"]["coeffs"] == ["1", "5/2"]
+
+
 def test_numeric_check_refuses_a_non_nilpotent_chart(monkeypatch, capsys):
     # eval_numeric sums exp Z only to Z^(size - 1), so the check proves
     # Z^size = 0 first.  z_0 on the diagonal keeps z_0^k in every power;

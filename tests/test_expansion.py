@@ -887,8 +887,54 @@ def test_hessian_fd_sees_a_pure_term(monkeypatch):
     assert np.max(np.abs(moved - base - shift)) < 1e-6
 
 
+def test_hessian_fd_sees_an_odd_term(monkeypatch):
+    # kappa |z_0|^2 Re z_0 has weight alpha_0 != 0, so no torus-invariant
+    # potential has it; the two-sided stencil cancels it, the one-sided
+    # stencil moves H[0, 0] by kappa h and leaves every other entry
+    dia = diagram(Family.SU, 3, (1, 2))
+    base = hessian_fd(dia, [1.0, 2.0])
+    kappa, h = 100.0, 1e-4
+    exact = expansion_module.eval_numeric
+
+    def with_odd_term(atlas, points, coeffs):
+        z0 = np.asarray(points, dtype=complex)[:, 0]
+        return exact(atlas, points, coeffs) + kappa * abs(z0) ** 2 * z0.real
+
+    monkeypatch.setattr(expansion_module, "eval_numeric", with_odd_term)
+    moved = hessian_fd(dia, [1.0, 2.0])
+    shift = np.zeros_like(base)
+    shift[0, 0] = kappa * h
+    assert np.max(np.abs(moved - base - shift)) < 1e-6
+
+
+def _stencil(n: int):
+    """hessian_fd's directions: e_v, then e_v + e_w and e_v + i e_w."""
+    eye = np.eye(n)
+    yield from eye
+    for v in range(n):
+        for w in range(v + 1, n):
+            yield eye[v] + eye[w]
+            yield eye[v] + 1j * eye[w]
+
+
+@pytest.mark.parametrize("dia, coeffs", [
+    pytest.param(dia, coeffs, id=dia.label()) for dia, coeffs in (
+        *_hessian_cases(),
+        (diagram(Family.SP, 3, (1, 2, 3)), [1.0, 2.5, 0.75]),
+        (diagram(Family.SP, 6, (2, 6)), [1.5, 3.0]))])
+def test_potential_is_even_along_every_stencil_direction(dia, coeffs):
+    # the premise of hessian_fd's one-sided stencil: a torus element maps
+    # hu to -hu, with the phase i on the long roots -2 e_i of Sp
+    atlas = build_Z(dia)
+    u = 1e-4 * np.array(list(_stencil(atlas.nvars)))
+    plus = eval_numeric(atlas, u, coeffs)
+    minus = eval_numeric(atlas, -u, coeffs)
+    assert np.all(np.abs(plus - minus) <= 1e-12 * np.abs(plus))
+
+
 @pytest.mark.parametrize("dia", [diagram(Family.SU, 2, (1,)),
                                  diagram(Family.SP, 2, (1, 2)),
+                                 diagram(Family.SP, 3, (1, 2, 3)),
                                  diagram(Family.SO_ODD, 4, (1, 2, 3, 4))],
                          ids=lambda d: d.label())
 def test_hessian_fd_point_count_and_batches(monkeypatch, dia):
@@ -902,7 +948,7 @@ def test_hessian_fd_point_count_and_batches(monkeypatch, dia):
 
     monkeypatch.setattr(expansion_module, "eval_numeric", counted)
     hessian_fd(dia, [1.0] * len(dia.black))
-    assert sum(sizes) == 2 * n * n + 1
+    assert sum(sizes) == n * n + 1
     assert max(sizes) <= 8 * n - 2
 
 
