@@ -79,10 +79,11 @@ def forbidden_report(jet: PackedJet) -> ForbiddenReport:
             key = (d, *lam.items())
             form = made.get(key)
             if form is None:
-                # labels come sorted, as the jet inserts them
+                # the jet inserts labels in black order, so equal forms
+                # share a key; CoeffForm sorts them in any case
                 den = math.factorial(d)
-                form = made[key] = CoeffForm._of_sorted(
-                    tuple([(k, Fraction(n, den)) for k, n in key[1:]]))
+                form = made[key] = CoeffForm(
+                    (k, Fraction(n, den)) for k, n in key[1:])
             e = exps[m]
             entries.append((of(zv, e, 1, d), form))
             entries.append((of(e, zv, d, 1), form))

@@ -31,11 +31,12 @@ from .bochner import (
 from .expansion import (
     LOWEST_DEGREE,
     LOWEST_VERDICT_DEGREE,
+    coefficient,
+    coefficients,
     diastasis,
     eval_numeric,
     forbidden_jet,
     hessian_fd,
-    rational,
     symbolic_metric,
     truncated_value,
 )
@@ -106,19 +107,10 @@ class CaseRequest:
             raise ValueError(
                 f"--max-degree and --audit-degree are capped at {MAX_CASE_DEGREE}"
             )
-        if isinstance(self.coeffs, str):
-            if self.coeffs != "symbolic":
-                raise ValueError(f"coeffs must be 'symbolic' or numbers, "
-                                 f"not {self.coeffs!r}")
+        values = coefficients(self.black, self.coeffs)
+        if values is None:
+            object.__setattr__(self, "coeffs", "symbolic")
         else:
-            values = tuple(rational(pos, c) for pos, c in enumerate(self.coeffs, 1))
-            if len(values) != len(self.black):
-                raise ValueError(
-                    f"--coeffs needs one value per black node: "
-                    f"{len(self.black)} expected, got {len(values)}"
-                )
-            for pos, value in enumerate(values, 1):
-                _check_positive(pos, value)
             # the engine pairs coefficients with the sorted black nodes, so
             # sort the pairs together and the echo shows the pairing used
             pairs = sorted(zip(self.black, values))
@@ -216,15 +208,8 @@ def parse_coeffs(text: str):
         if not matched:
             raise ValueError(
                 f"invalid coeffs: item {pos} ({token!r}) is not a rational")
-        value = rational(pos, token)
-        _check_positive(pos, value)
-        out.append(value)
+        out.append(coefficient(pos, token))
     return tuple(out)
-
-
-def _check_positive(pos: int, value: Fraction) -> None:
-    if value <= 0:
-        raise ValueError(f"invalid coeffs: item {pos} must be positive")
 
 
 def _form_json(form) -> dict:

@@ -40,6 +40,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+from collections.abc import Mapping, Set
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -53,31 +54,41 @@ class NumericDomainError(ValueError):
     """The exact potential is undefined at the requested point."""
 
 
-def rational(pos: int, value) -> Fraction:
-    """Coefficient item pos as a Fraction; inf, NaN, 1/0 and the like are
-    refused."""
+def coefficient(pos: int, value) -> Fraction:
+    """Coefficient item pos as a Fraction; inf, NaN, 1/0, None and the like
+    are refused, and so is a value at or below zero."""
     try:
-        return Fraction(value)
-    except (OverflowError, ValueError, ZeroDivisionError):
+        x = Fraction(value)
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError):
         raise ValueError(f"invalid coeffs: item {pos} ({value!r}) is not "
                          "a rational") from None
+    if x <= 0:
+        raise ValueError(f"invalid coeffs: item {pos} must be positive")
+    return x
 
 
-def _parse_coeffs(diagram: PaintedDiagram, coeffs):
-    """None for symbolic coeffs (None or "symbolic"), else the values, one
-    per black node, from any iterable of numbers; other strings raise."""
-    if isinstance(coeffs, str) and coeffs != "symbolic":
-        raise ValueError(f"coeffs must be 'symbolic' or numbers, not {coeffs!r}")
-    if coeffs is None or isinstance(coeffs, str):
+def coefficients(black, coeffs):
+    """None for symbolic coeffs (None or "symbolic"), else one positive
+    Fraction per node of black, in the order given, from a list, tuple,
+    generator, array or other iterable of numbers.  Any other string or
+    bytes, a number, a mapping (whose keys iteration would read) and a set
+    (read in hash order) raise ValueError."""
+    if coeffs is None or (isinstance(coeffs, str) and coeffs == "symbolic"):
         return None
-    values = [rational(pos, v) for pos, v in enumerate(coeffs, 1)]
-    if len(values) != len(diagram.black):
+    try:
+        if isinstance(coeffs, (str, bytes, Mapping, Set)):
+            raise TypeError
+        items = iter(coeffs)
+    except TypeError:
+        raise ValueError("coeffs must be 'symbolic' or numbers, one per "
+                         f"black node, not {coeffs!r}") from None
+    values = tuple(coefficient(pos, v) for pos, v in enumerate(items, 1))
+    if len(values) != len(black):
         raise ValueError(
-            f"need {len(diagram.black)} coefficients, got {len(values)}"
+            f"--coeffs needs one value per black node: "
+            f"{len(black)} expected, got {len(values)}"
         )
-    if any(v <= 0 for v in values):
-        raise ValueError("Kaehler coefficients must be positive")
-    return tuple(values)
+    return values
 
 
 def _check_potential(terms, nvars: int, coeff_values) -> None:
@@ -273,7 +284,7 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
     Numeric coeffs pair with diagram.black, which is sorted.  Packed
     monomials hold z_v in field v and zb_v in field nvars + v."""
     degree = check_degree(degree, LOWEST_DEGREE)
-    stored = _parse_coeffs(diagram, coeffs)
+    stored = coefficients(diagram.black, coeffs)
     atlas = build_Z(diagram)
     nvars = atlas.nvars
     pack = Packing(2 * nvars, degree)
@@ -327,18 +338,18 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
         else:
             terms[mono] = Fraction(x, den)
     _check_potential(terms, nvars, stored)
-    return Polynomial._of_clean(terms, degree)
+    return Polynomial(terms, degree)
 
 
-def _sylvester_terms(atlas: CoordinateAtlas, l: int, targets, last):
+def _sylvester_terms(atlas: CoordinateAtlas, l: int, last):
     """Yield W_1 = Z21, W_2, ... at the split l, each (r, c) -> {packed: n},
     with W_(n+1) = Z W_n - W_n Z: integer and homogeneous of degree n, so
     W_n / n!, the degree-n part of Y_l, is the n / d! encoding.  A chart
     entry above the split, which would take W out of the (2, 1) block,
-    raises.  Stops after a zero W, or after W_last, formed only at the
-    positions in targets; last None runs until W vanishes.  Nilpotent Z
-    has W_n = 0 past 2K < 2 * size (Y_l = E21 E11^{-1} has degree <= 2K),
-    so a W still nonzero at that bound raises."""
+    raises.  Stops after a zero W, or after W_last; last None runs until
+    W vanishes.  Nilpotent Z has W_n = 0 past 2K < 2 * size
+    (Y_l = E21 E11^{-1} has degree <= 2K), so a W still nonzero at that
+    bound raises."""
     rows, cols = atlas.lines
     pack = atlas.packing
     bound = 2 * atlas.size
@@ -358,15 +369,12 @@ def _sylvester_terms(atlas: CoordinateAtlas, l: int, targets, last):
             raise EngineInvariantError(f"the recursion at split {l} does "
                                        f"not end by degree {bound}")
         n += 1
-        keep = targets if n == last else None
         nxt: dict[tuple[int, int], dict[int, int]] = {}
         for (a, b), t in w.items():
             for r, var, s in cols.get(a, ()):  # Z[r, a] W[a, b]
-                if keep is None or (r, b) in keep:
-                    add_shifted(nxt.setdefault((r, b), {}), t, var, s)
+                add_shifted(nxt.setdefault((r, b), {}), t, var, s)
             for c, var, s in rows.get(b, ()):  # W[a, b] Z[b, c]
-                if keep is None or (a, c) in keep:
-                    add_shifted(nxt.setdefault((a, c), {}), t, var, -s)
+                add_shifted(nxt.setdefault((a, c), {}), t, var, -s)
         w = {key: t for key, t in nxt.items() if t}
 
 
@@ -415,7 +423,7 @@ def forbidden_jet(diagram: PaintedDiagram,
     for l in diagram.black:
         reads = {key: vs for key, vs in atlas.entries.items()
                  if key[1] < l <= key[0]}
-        for w in _sylvester_terms(atlas, l, reads, last):
+        for w in _sylvester_terms(atlas, l, last):
             for key, (v, s) in reads.items():
                 t = w.get(key)
                 if t is None:

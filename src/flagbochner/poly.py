@@ -6,8 +6,10 @@ in the ring has exact rational coefficients (Fraction).  The Kaehler
 parameters c[k] enter only the finished symbolic potential, whose
 coefficients are exact linear forms in them (CoeffForm).  The engine's
 products run on packed integer monomials (matrices.Packing) and build
-Monomials, Fractions and CoeffForms for their finished terms only; the
-ring arithmetic here serves the reference routes of the tests, which add
+Monomials, Fractions, CoeffForms and Polynomials for their finished terms
+only, by the public constructors; Monomial._of_bidegree, which takes a
+bidegree the caller already has, is the one shortcut.  The ring
+arithmetic here serves the reference routes of the tests, which add
 their own sparse matrix type on top of it.  A Monomial is a tuple that
 leads with (total degree, holo, anti): it sorts, compares and hashes as
 that tuple, so sorting monomials puts them in the canonical order of the
@@ -65,15 +67,6 @@ class CoeffForm:
     def __init__(self, terms: Iterable[tuple[int, Fraction]] = ()):
         self.terms = tuple(sorted((k, lam) for k, lam in terms if lam))
         self._hash = hash(self.terms)
-
-    @classmethod
-    def _of_sorted(cls, terms: tuple) -> "CoeffForm":
-        """The form of terms, for a caller that built them nonzero and
-        sorted by label; nothing is filtered or sorted again."""
-        self = object.__new__(cls)
-        self.terms = terms
-        self._hash = hash(terms)
-        return self
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -231,15 +224,6 @@ class Polynomial:
                 clean[m] = f
         self.terms = clean
         self.trunc = trunc
-
-    @classmethod
-    def _of_clean(cls, terms: dict, trunc: int | None) -> "Polynomial":
-        """The polynomial of terms, for a caller that built every term
-        nonzero and within trunc; the dict is taken over, not walked or
-        copied."""
-        self = object.__new__(cls)
-        self.terms, self.trunc = terms, trunc
-        return self
 
     @classmethod
     def zero(cls, trunc: int | None = None) -> "Polynomial":

@@ -641,5 +641,5 @@ def test_readme_quickstart_prints_its_commented_values():
         if match:
             claims[number] = [match.group(1)]
     assert list(claims.values()) == [
-        ["BochnerStatus.BOCHNER_IFF"], ["c1 = 2*c4"], ["21"]]
+        ["BochnerStatus.BOCHNER_IFF"], ["c1 = 2*c4"], ["21"], ["9"]]
     assert {n: printed.get(n) for n in claims} == claims

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from flagbochner import expansion as expansion_module
 from flagbochner.bochner import forbidden_report
+from flagbochner.cli import CaseRequest, run_case
 from flagbochner.expansion import (
     NumericDomainError,
     _check_potential,
@@ -402,7 +403,7 @@ def test_packed_solves_are_integer_and_equal_the_rational_solve(dia, degree):
         cols = range(l, atlas.size)
         block = [(r, c) for r in cols for c in range(l)]
         want = oracles.leading_solve(u, l, cols, degree)
-        ws = list(_sylvester_terms(atlas, l, set(block), degree))
+        ws = list(_sylvester_terms(atlas, l, degree))
         for r, c in block:
             got = _unpacked(atlas.packing,
                             (w[(r, c)] for w in ws if (r, c) in w))
@@ -498,11 +499,29 @@ def test_truncated_expansion_equals_lower_degree_expansion():
 
 
 def test_diastasis_rejects_bad_coefficients():
+    # both doors read coeffs with expansion.coefficients, so each bad input
+    # gets one ValueError line, the same from diastasis and CaseRequest: a
+    # bare number used to raise TypeError, a mapping was read by its keys
+    # and a set in hash order
     dia = diagram(Family.SU, 3, (1, 2))
-    with pytest.raises(ValueError):
-        diastasis(dia, 3, (1,))
-    with pytest.raises(ValueError):
-        diastasis(dia, 3, (1, -1))
+    bad = [((1,), "got 1"), ((1, 2, 3), "got 3"),
+           ((1, 0), "item 2 must be positive"),
+           ((1, -1), "item 2 must be positive"),
+           ((float("inf"), 1), "item 1 (inf) is not a rational"),
+           ((None, 2), "item 1 (None) is not a rational"),
+           ("12", "not '12'"), (b"12", "not b'12'"), (5, "not 5"),
+           (np.float64(5), "one per black node"),
+           (np.array(5), "one per black node"),
+           ({1: 5}, "not {1: 5}"), ({5, 7}, "not {5, 7}"),
+           ({1: 5}.keys(), "not dict_keys")]
+    for coeffs, reason in bad:
+        with pytest.raises(ValueError) as lib:
+            diastasis(dia, 3, coeffs)
+        with pytest.raises(ValueError) as req:
+            CaseRequest(dia.group, dia.black, coeffs, 3, None)
+        message = str(lib.value)
+        assert message == str(req.value)
+        assert reason in message and "\n" not in message
 
 
 # ----------------------------------------------------------- forbidden jet
@@ -532,8 +551,8 @@ def _patch_recursion(monkeypatch, fault):
     carries the change on."""
     real = _sylvester_terms
 
-    def patched(atlas, l, targets, last):
-        for n, w in enumerate(real(atlas, l, targets, last), 1):
+    def patched(atlas, l, last):
+        for n, w in enumerate(real(atlas, l, last), 1):
             fault(atlas, l, n, w)
             yield w
 
@@ -1050,11 +1069,19 @@ def test_invariant_sweep_small_ranks_degree_four():
 
 
 def test_coefficients_come_from_any_sequence_of_numbers_or_symbolic():
+    # at diastasis and at CaseRequest alike, where CaseRequest used to
+    # raise TypeError on None
     dia = PaintedDiagram(GroupSpec(Family.SU, 4), (1, 3))
     listed = diastasis(dia, 3, [1, 2])
-    from_array = diastasis(dia, 3, np.array([1, 2]))
-    assert list(from_array.terms.items()) == list(listed.terms.items())
+    for make in (lambda: np.array([1, 2]), lambda: (x for x in (1, 2)),
+                 lambda: (Fraction(1), 2.0), lambda: {3: 1, 1: 2}.values()):
+        got = diastasis(dia, 3, make())
+        assert list(got.terms.items()) == list(listed.terms.items())
+        request = CaseRequest(dia.group, dia.black, make(), 3, None)
+        assert request.coeffs == (1, 2)
     assert diastasis(dia, 3, None) == diastasis(dia, 3, "symbolic")
+    symbolic = run_case(CaseRequest(dia.group, dia.black, "symbolic", 3, None))
+    assert run_case(CaseRequest(dia.group, dia.black, None, 3, None)) == symbolic
     with pytest.raises(ValueError, match="'symbolic' or numbers"):
         diastasis(dia, 3, "12")
 
