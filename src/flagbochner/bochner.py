@@ -11,15 +11,20 @@ it against the determinant expansion.
 
 A verdict is degree-stamped: emptiness of the forbidden report is certified
 up to the audited total degree, or at every degree for the untruncated jet
-(degree None).  The verdict reads one row per distinct form into
-feasibility.echelon; a full-rank basis is NEVER_BOCHNER, and below full
-rank rref gives the constraints and the LP the orthant answer.
+(degree None).  Each forbidden form is one homogeneous row in the c_k and
+a higher degree only adds rows, so the report at a lower degree is a
+prefix of a deeper one: verdicts walks the distinct forms once, in report
+order, and answers every requested degree from one feasibility.echelon
+elimination that each degree's rows extend.  At a degree, a full-rank
+basis is NEVER_BOCHNER, and below full rank rref gives the constraints and
+the LP the orthant answer; verdict_from_report is the one-degree walk.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -45,20 +50,29 @@ class ForbiddenReport:
     def is_empty(self) -> bool:
         return not self.entries
 
-    def truncate(self, degree: int | None) -> "ForbiddenReport":
-        """The report at degree, or at every degree for None: entries sort
-        by total degree first, so its entries are a prefix of these.  A
-        degree too low to hold a forbidden monomial is refused."""
+    def end(self, degree: int | None) -> int:
+        """The number of entries through degree, or every entry for None:
+        entries sort by total degree first, so the report at degree is
+        this prefix of them.  A degree too low to hold a forbidden monomial,
+        or above the degree this report was checked to, is refused."""
         if degree is not None:
             degree = check_degree(degree, LOWEST_VERDICT_DEGREE)
         checked = self.degree_checked
         if checked is not None and (degree is None or degree > checked):
             raise ValueError(f"a report checked to degree {checked} cannot "
                              f"certify {degree or 'every degree'}")
+        if degree is None or degree == checked:
+            return len(self.entries)
+        return bisect.bisect_right(self.entries, degree,
+                                   key=lambda e: e[0].total)
+
+    def truncate(self, degree: int | None) -> "ForbiddenReport":
+        """The report at degree, or at every degree for None: the first
+        end(degree) entries."""
+        end = self.end(degree)
         if degree is None:
             return self
-        end = bisect.bisect_right(self.entries, degree, key=lambda e: e[0].total)
-        return ForbiddenReport(self.entries[:end], degree)
+        return ForbiddenReport(self.entries[:end], operator.index(degree))
 
 
 def forbidden_report(jet: PackedJet) -> ForbiddenReport:
@@ -116,30 +130,65 @@ class BochnerVerdict:
     witness: tuple[Monomial, CoeffForm] | None = None
 
 
+def verdicts(report: ForbiddenReport, black: tuple[int, ...],
+             degrees: tuple[int | None, ...]) -> list[BochnerVerdict]:
+    """The verdict at each of degrees, ascending, None (every degree) last,
+    from one walk over the report's distinct forms in report order.
+
+    Each verdict solves the homogeneous system {coefficient forms = 0} of
+    the report at its degree over the rationals and intersects it with the
+    open positive orthant.  A higher degree only adds rows, so each
+    degree's forms extend the echelon basis of the degree before, and every
+    distinct form is read once: an empty prefix is BOCHNER_FOR_ALL_C, a
+    full-rank basis NEVER_BOCHNER, and below full rank rref and the LP on
+    the prefix's basis decide.  A NEVER_BOCHNER witness is the prefix's
+    first entry with a sign-definite form, else its first entry.
+    """
+    entries = report.entries
+    seen = set()
+    basis = []
+    definite = None  # the first entry read with a sign-definite form
+    read = 0
+    out = []
+    for degree in degrees:
+        end = report.end(degree)
+        if end < read:
+            raise ValueError(f"verdict degrees must ascend, got {degrees!r}")
+        new = []  # the prefix's distinct forms not read before, in order
+        for entry in entries[read:end]:
+            form = entry[1]
+            if form not in seen:
+                seen.add(form)
+                new.append(form)
+                if definite is None and form.orthant_sign():
+                    definite = entry
+        read = end
+        if len(basis) < len(black):
+            lams = (dict(f.terms) for f in new)
+            basis = echelon(([lam.get(p, 0) for p in black] for lam in lams),
+                            basis)
+        degree = None if degree is None else operator.index(degree)
+        if not end:
+            out.append(BochnerVerdict(BochnerStatus.BOCHNER_FOR_ALL_C, black,
+                                      degree))
+            continue
+        # at full column rank only c = 0 solves the rows: the basis is a
+        # nonsingular square system, and no rref or LP is needed
+        if len(basis) < len(black):
+            reduced = rref(basis)
+            if positive_solution_exists(reduced):
+                out.append(BochnerVerdict(BochnerStatus.BOCHNER_IFF, black,
+                                          degree, constraints=tuple(reduced)))
+                continue
+        out.append(BochnerVerdict(BochnerStatus.NEVER_BOCHNER, black, degree,
+                                  witness=definite or entries[0]))
+    return out
+
+
 def verdict_from_report(report: ForbiddenReport,
                         black: tuple[int, ...]) -> BochnerVerdict:
-    """Solve the homogeneous system {coefficient forms = 0} over the
-    rationals and intersect with the open positive orthant."""
-    degree = report.degree_checked
-    if report.is_empty():
-        return BochnerVerdict(BochnerStatus.BOCHNER_FOR_ALL_C, black, degree)
-    first = {}  # each distinct form with its first entry, in report order
-    for entry in report.entries:
-        first.setdefault(entry[1], entry)
-    lams = (dict(f.terms) for f in first)
-    basis = echelon([lam.get(p, 0) for p in black] for lam in lams)
-    # at full column rank only c = 0 solves the rows: the basis is a
-    # nonsingular square system, and no rref or LP is needed
-    if len(basis) < len(black):
-        reduced = rref(basis)
-        if positive_solution_exists(reduced):
-            return BochnerVerdict(
-                BochnerStatus.BOCHNER_IFF, black, degree,
-                constraints=tuple(reduced),
-            )
-    form = next((f for f in first if f.orthant_sign()), report.entries[0][1])
-    return BochnerVerdict(BochnerStatus.NEVER_BOCHNER, black, degree,
-                          witness=first[form])
+    """The verdict of the whole report: the one-degree call of verdicts."""
+    return verdicts(report, black, (report.degree_checked,))[0]
 
 
 def classify(diagram: PaintedDiagram,

@@ -26,7 +26,7 @@ from .bochner import (
     classify,
     forbidden_report,
     render_constraint,
-    verdict_from_report,
+    verdicts,
 )
 from .expansion import (
     LOWEST_DEGREE,
@@ -151,6 +151,28 @@ class SweepRequest:
         }
 
 
+# int() also reads the digits of other scripts, "_" and spaces; an integer
+# in a request is an optional sign, then ASCII digits
+_INTEGER = re.compile(r"[-+]?[0-9]+")
+
+
+def _ascii_int(text: str) -> int:
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ValueError(f"invalid int value: {text!r}")
+
+
+def _int_flag(text: str) -> int:
+    """_ascii_int as an argparse type, which keeps its message."""
+    try:
+        return _ascii_int(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def parse_group(text: str) -> GroupSpec:
     parts = text.split(":")
     if len(parts) != 2:
@@ -159,7 +181,7 @@ def parse_group(text: str) -> GroupSpec:
         )
     family = Family(parts[0])
     try:
-        rank = int(parts[1])
+        rank = _ascii_int(parts[1])
     except ValueError:
         raise ValueError(
             f"invalid group {text!r}: rank {parts[1]!r} is not an integer"
@@ -172,7 +194,7 @@ def parse_black(text: str) -> tuple[int, ...]:
     for pos, token in enumerate(text.split(","), 1):
         token = token.strip()
         try:
-            out.append(int(token))
+            out.append(_ascii_int(token))
         except ValueError:
             raise ValueError(
                 f"invalid black list: item {pos} ({token!r}) is not an integer"
@@ -279,21 +301,27 @@ def _check_verdict_degree(max_degree: int) -> None:
 
 
 def run_case(request: CaseRequest) -> dict:
+    """The verdict and forbidden report at --max-degree, and at
+    --audit-degree when given.  The report to a degree is a prefix of any
+    deeper one, so one jet, one report, one walk of verdicts and one
+    rendering serve both degrees: the main forbidden list is the audit's
+    cut at the main degree.  It shares the audit's entry dicts, as a
+    document built to be serialized may; a shallow copy would cost a dict
+    per entry and still share each entry's coeff_form dict."""
     _check_verdict_degree(request.max_degree)
     diagram = PaintedDiagram(request.group, request.black)
     atlas = build_Z(diagram)
     # the jet's recursion ends because Z is nilpotent; prove it first
     nilpotency = nilpotency_index(atlas)
     names = atlas.var_names()
-    # the jet to degree d is the truncation of any deeper one, so one jet
-    # and one report serve both the verdict and the audit
-    deepest = forbidden_report(
-        forbidden_jet(diagram, request.audit_degree or request.max_degree))
-    report = deepest.truncate(request.max_degree)
-    verdict = verdict_from_report(report, diagram.black)
+    degree, audit = request.max_degree, request.audit_degree
+    report = forbidden_report(forbidden_jet(diagram, audit or degree))
+    degrees = (degree,) if audit is None else (degree, audit)
+    found = verdicts(report, diagram.black, degrees)
     cvals = None
     if request.coeffs != "symbolic":
         cvals = dict(zip(diagram.black, request.coeffs))
+    forbidden = _forbidden_json(report, names, cvals)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "mode": "case",
@@ -301,15 +329,14 @@ def run_case(request: CaseRequest) -> dict:
         "diagram": _diagram_json(diagram, atlas.nvars),
         "minors": [{"node": p, "size": p} for p in diagram.black],
         "nilpotency": nilpotency,
-        "verdict": _verdict_json(verdict, names),
-        "forbidden": _forbidden_json(report, names, cvals),
+        "verdict": _verdict_json(found[0], names),
+        "forbidden": forbidden[:report.end(degree)],
     }
-    if request.audit_degree is not None:
-        audit_ver = verdict_from_report(deepest, diagram.black)
+    if audit is not None:
         doc["audit"] = {
-            "degree": request.audit_degree,
-            "verdict": _verdict_json(audit_ver, names),
-            "forbidden": _forbidden_json(deepest, names, cvals),
+            "degree": audit,
+            "verdict": _verdict_json(found[1], names),
+            "forbidden": forbidden,
         }
     return doc
 
@@ -573,6 +600,20 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+_UNSET = object()  # _parse_args presets every dest to this marker
+
+
+class _Once(argparse.Action):
+    """argparse's store, and with nargs=0 its store_const, refusing a flag
+    named twice, whose first value argparse would drop silently.
+    _parse_args presets every dest to _UNSET, so a repeat finds a value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not _UNSET:
+            parser.error(f"{self.option_strings[0]} is given more than once")
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="flagbochner",
@@ -581,27 +622,30 @@ def build_parser() -> argparse.ArgumentParser:
             "manifolds and classification of Bochner coordinate charts."
         ),
     )
+    p.register("action", None, _Once)
     p.add_argument("--group", help="FAMILY:RANK, e.g. SU:4, Sp:3, SOeven:5, SOodd:4")
     p.add_argument("--black", help="comma list of black node positions, e.g. 1,3")
     p.add_argument(
         "--coeffs", default="symbolic",
         help="'symbolic' or a comma list of positive rationals (default symbolic)",
     )
-    p.add_argument("--max-degree", type=int, default=3,
+    p.add_argument("--max-degree", type=_int_flag, default=3,
                    help="total-degree bound for the expansion (default 3)")
-    p.add_argument("--audit-degree", type=int, default=None,
+    p.add_argument("--audit-degree", type=_int_flag, default=None,
                    help="re-run the forbidden scan at this higher degree")
     p.add_argument("--emit", choices=("table", "json"), default="table")
-    p.add_argument("--sweep", action="store_true",
+    p.add_argument("--sweep", action=_Once, nargs=0, const=True,
+                   default=False,
                    help="classify every painting within the bounds below")
     p.add_argument("--families", default="SU,Sp,SOeven,SOodd",
                    help="comma list of families for --sweep")
-    p.add_argument("--max-rank", type=int, default=4)
-    p.add_argument("--max-black", type=int, default=2)
-    p.add_argument("--numeric-check", action="store_true",
+    p.add_argument("--max-rank", type=_int_flag, default=4)
+    p.add_argument("--max-black", type=_int_flag, default=2)
+    p.add_argument("--numeric-check", action=_Once, nargs=0, const=True,
+                   default=False,
                    help="finite-difference and truncation spot checks")
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_flag, default=10)
+    p.add_argument("--seed", type=_int_flag, default=0)
     return p
 
 
@@ -619,13 +663,13 @@ _UNREAD_FLAGS = {
 def _parse_args(argv):
     """The parsed command line and the dests of the flags it names.
     argparse fills in a default only where the namespace has no value, so
-    a namespace preset to a marker shows which flags were given."""
+    a namespace preset to a marker shows which flags were given, and _Once
+    which were given twice."""
     parser = build_parser()
     defaults = vars(parser.parse_args([]))
-    unset = object()
     args = parser.parse_args(
-        argv, argparse.Namespace(**dict.fromkeys(defaults, unset)))
-    given = {dest for dest, value in vars(args).items() if value is not unset}
+        argv, argparse.Namespace(**dict.fromkeys(defaults, _UNSET)))
+    given = {dest for dest, value in vars(args).items() if value is not _UNSET}
     for dest in defaults.keys() - given:
         setattr(args, dest, defaults[dest])
     return args, given

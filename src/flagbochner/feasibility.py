@@ -42,12 +42,15 @@ def _clear(row, basis) -> tuple[int, ...]:
     return row
 
 
-def echelon(rows) -> list[tuple[int, ...]]:
+def echelon(rows, basis=()) -> list[tuple[int, ...]]:
     """A fraction-free echelon basis of int or Fraction rows, sorted by
     leading column: each row in turn as a primitive integer row cleared
-    against the basis.  Reading stops at one row per column, full column
-    rank, so rows may be built lazily."""
-    basis: list[tuple[int, tuple[int, ...]]] = []  # (leading column, row)
+    against the basis.  The basis starts as basis, one that echelon
+    returned below full column rank, so an elimination can resume over
+    more rows without reading its earlier ones again.  Reading stops at one
+    row per column, full column rank, so rows may be built lazily."""
+    # (leading column, row)
+    basis = [(next(i for i, x in enumerate(r) if x), r) for r in basis]
     for row in rows:
         row = _clear(primitive_row(row), basis)
         lead = next((i for i, x in enumerate(row) if x), None)

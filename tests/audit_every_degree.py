@@ -10,8 +10,10 @@ tests/oracles.py, which tier-1 checks only up to 3 black nodes: the
 untruncated report against oracles.report_by_sorting on the jet's
 Polynomial form (oracles.jet_polynomial), the verdict, whose echelon basis
 stops at full rank, against oracles.verdict_by_full_elimination at every
-degree and at degree 3, and the Poincare polynomial against
-oracles.poincare_by_division on the root heights.
+degree and at degree 3, the verdicts of one walk over the untruncated
+report at degrees 3, 4, 5, 6 and every degree against the one-degree
+verdicts of the report truncated there, and the Poincare polynomial
+against oracles.poincare_by_division on the root heights.
 
 On every painting a single case accepts (rank <= 8, any number of black
 nodes, 1,370 paintings) it checks the chart that build_Z reads off the
@@ -40,7 +42,7 @@ from oracles import (
 )
 
 from flagbochner import classify
-from flagbochner.bochner import forbidden_report, verdict_from_report
+from flagbochner.bochner import forbidden_report, verdict_from_report, verdicts
 from flagbochner.expansion import forbidden_jet
 from flagbochner.lie_core import (
     Family,
@@ -54,6 +56,7 @@ from flagbochner.matrices import build_Z, nilpotency_index, z_powers
 
 PAINTINGS = 1065
 CHARTS = 1370
+WALK_DEGREES = (3, 4, 5, 6, None)
 
 
 def every_degree_problems(dia) -> list[str]:
@@ -72,6 +75,11 @@ def every_degree_problems(dia) -> list[str]:
                 != verdict_by_full_elimination(r, dia.black)):
             problems.append(f"verdict at degree {r.degree_checked} differs "
                             "from the full elimination")
+    walked = verdicts(report, dia.black, WALK_DEGREES)
+    for degree, got in zip(WALK_DEGREES, walked, strict=True):
+        if got != verdict_from_report(report.truncate(degree), dia.black):
+            problems.append(f"walked verdict at degree {degree} differs from "
+                            "the verdict of that truncation")
     heights = [height(dia.group, r) for r in black_roots(dia)]
     coeffs = poincare(dia)
     if coeffs[::2] != poincare_by_division(heights) or any(coeffs[1::2]):

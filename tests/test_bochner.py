@@ -540,6 +540,49 @@ def test_rref_and_the_lp_run_only_below_full_rank(monkeypatch):
     assert full and below
 
 
+WALK_DEGREES = (3, 4, 5, 6, None)
+
+
+def test_walk_verdicts_equal_the_verdicts_of_each_truncation():
+    # one walk over the untruncated report answers every degree; on every
+    # painting of rank <= 4 with 1-3 black nodes each of its verdicts is
+    # the one-degree verdict of the report truncated there, and the
+    # verdict by full elimination of that truncation
+    checked = 0
+    statuses = set()
+    for dia in _paintings(4):
+        report = forbidden_report(forbidden_jet(dia, None))
+        walked = bochner.verdicts(report, dia.black, WALK_DEGREES)
+        assert len(walked) == len(WALK_DEGREES)
+        for degree, got in zip(WALK_DEGREES, walked):
+            truncated = report.truncate(degree)
+            want = verdict_from_report(truncated, dia.black)
+            for field in ("status", "black", "degree_checked",
+                          "constraints", "witness"):
+                assert getattr(got, field) == getattr(want, field), (
+                    dia, degree, field)
+            assert got == oracles.verdict_by_full_elimination(
+                truncated, dia.black), (dia, degree)
+            statuses.add(got.status)
+            checked += 1
+    assert checked == 5 * 64
+    assert statuses == set(BochnerStatus)
+
+
+def test_walk_refuses_degrees_out_of_order_or_beyond_the_report():
+    dia = diagram(Family.SP, 3, (1, 2, 3))
+    report = forbidden_report(forbidden_jet(dia, 5))
+    with pytest.raises(ValueError, match="must ascend"):
+        bochner.verdicts(report, dia.black, (5, 3))
+    with pytest.raises(ValueError, match="cannot certify every degree"):
+        bochner.verdicts(report, dia.black, (3, None))
+    with pytest.raises(ValueError, match="integer at least 3"):
+        bochner.verdicts(report, dia.black, (2, 5))
+    assert bochner.verdicts(report, dia.black, ()) == []
+    assert report.end(5) == len(report.entries) == 42
+    assert (report.end(3), report.end(4)) == (20, 36)
+
+
 def test_report_truncation_is_the_report_of_the_truncated_jet():
     # entries sort by total degree first, so truncating a report keeps a
     # prefix; it must be the report of the jet truncated first

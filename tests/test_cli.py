@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from flagbochner import bochner, feasibility
 from flagbochner.bochner import (
     BochnerStatus,
     ForbiddenReport,
@@ -33,7 +34,7 @@ from flagbochner.cli import (
 from flagbochner.expansion import forbidden_jet
 from flagbochner.lie_core import Family, GroupSpec, PaintedDiagram
 from flagbochner.matrices import CoordinateAtlas, build_Z
-from flagbochner.poly import CoeffForm
+from flagbochner.poly import CoeffForm, Monomial
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -116,6 +117,49 @@ def test_run_case_audit_leaves_main_report_unchanged():
     assert audited["forbidden"] == plain["forbidden"]
     assert audited["verdict"]["degree_checked"] == 3
     assert audited["audit"]["verdict"]["degree_checked"] == 5
+
+
+@pytest.mark.parametrize("group, black", [
+    ("SU:3", "1,2"),  # BochnerIff at both degrees
+    ("SU:4", "1,2,3"),  # NeverBochner: the elimination stops at full rank
+    ("SOeven:4", "1,4"),  # BochnerIff, c1 = 2*c4
+    ("Sp:3", "1,3"),  # NeverBochner
+    ("SOodd:4", "2,3,4"),
+])
+def test_audited_case_renders_and_eliminates_once(monkeypatch, group, black):
+    # the main report is a prefix of the audit's, so each audit entry is
+    # rendered once (a witness once more) and each distinct form enters
+    # the one elimination once, in report order, until full rank
+    renders = []
+    render = Monomial.render
+
+    def counting_render(mono, names):
+        renders.append(mono)
+        return render(mono, names)
+
+    read = []
+
+    def recording_echelon(rows, *rest):
+        def record():
+            for row in rows:
+                read.append(tuple(row))
+                yield row
+        return feasibility.echelon(record(), *rest)
+
+    monkeypatch.setattr(Monomial, "render", counting_render)
+    monkeypatch.setattr(bochner, "echelon", recording_echelon)
+    doc = run_case(_case(group, black, audit=5))
+    witnesses = [v["witness"] for v in (doc["verdict"], doc["audit"]["verdict"])
+                 if v["witness"] is not None]
+    assert len(renders) == len(doc["audit"]["forbidden"]) + len(witnesses)
+    dia = PaintedDiagram(parse_group(group), parse_black(black))
+    report = forbidden_report(forbidden_jet(dia, 5))
+    rows = [tuple(dict(f.terms).get(p, 0) for p in dia.black)
+            for f in dict.fromkeys(f for _, f in report.entries)]
+    assert read == rows[:len(read)]
+    assert len(read) == len(rows) or len(
+        feasibility.echelon(read)) == len(dia.black)
+    assert doc["forbidden"] == doc["audit"]["forbidden"][:len(doc["forbidden"])]
 
 
 def test_json_round_trip_reproduces_verdict():
@@ -311,6 +355,41 @@ def test_exit_one_on_validation_error(capsys):
       "--numeric-check"], "item 1 has more than 1000 digits"),
     (["--group", "SU:3", "--black", "1", "--coeffs", "1/" + "3" * 1000],
      "item 1 has more than 1000 digits"),
+    # argparse keeps a repeated flag's last value; the request refuses it,
+    # in any spelling argparse reads
+    (["--group", "SU:3", "--group", "Sp:3", "--black", "1", "--black", "2"],
+     "--group is given more than once"),
+    (["--group", "SU:3", "--black", "1", "--black", "1"],
+     "--black is given more than once"),
+    (["--group", "SU:3", "--black", "1,2", "--max-degree=4", "--max-deg",
+      "4"], "--max-degree is given more than once"),
+    (["--sweep", "--sweep"], "--sweep is given more than once"),
+    (["--group", "SU:3", "--black", "1", "--coeffs", "1", "--numeric-check",
+      "--seed", "1", "--seed", "2"], "--seed is given more than once"),
+    # int() reads other scripts' digits (here Arabic-Indic and fullwidth),
+    # underscores and spaces; an integer flag takes ASCII digits only
+    (["--group", "SU:3", "--black", "١"],
+     "item 1 ('١') is not an integer"),
+    (["--group", "SU:3", "--black", "1,２"],
+     "item 2 ('２') is not an integer"),
+    (["--group", "SU:٣", "--black", "1"],
+     "rank '٣' is not an integer"),
+    (["--group", "SU:3", "--black", "1", "--max-degree", "٣"],
+     "argument --max-degree: invalid int value: '٣'"),
+    (["--group", "SU:3", "--black", "1", "--audit-degree", "٥"],
+     "argument --audit-degree: invalid int value: '٥'"),
+    (["--group", "SU:3", "--black", "1", "--max-degree", "1_0"],
+     "argument --max-degree: invalid int value: '1_0'"),
+    (["--group", "SU:3", "--black", "1", "--max-degree", " 4"],
+     "argument --max-degree: invalid int value: ' 4'"),
+    (["--sweep", "--max-rank", "٣"],
+     "argument --max-rank: invalid int value: '٣'"),
+    (["--sweep", "--max-black", "٢"],
+     "argument --max-black: invalid int value: '٢'"),
+    (["--group", "SU:3", "--black", "1", "--coeffs", "1", "--numeric-check",
+      "--samples", "٣"], "argument --samples: invalid int value"),
+    (["--group", "SU:3", "--black", "1", "--coeffs", "1", "--numeric-check",
+      "--seed", "٣"], "argument --seed: invalid int value"),
 ])
 def test_exit_one_on_inconsistent_request(capsys, argv, reason):
     assert main(argv) == 1
@@ -318,6 +397,20 @@ def test_exit_one_on_inconsistent_request(capsys, argv, reason):
     assert captured.out == ""
     err = captured.err.strip()
     assert "\n" not in err and err.startswith("error: ") and reason in err
+
+
+@pytest.mark.parametrize("request_of", [
+    lambda value: ["--group", "SU:3", "--black", "1", "--max-degree", value],
+    lambda value: ["--group", "SU:" + value, "--black", "1"],
+])
+def test_exit_one_on_an_integer_beyond_ints_digit_limit(capsys, request_of):
+    # int() refuses more digits than sys.get_int_max_str_digits() with a
+    # message naming that setting; the request names the value instead
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    assert main(request_of("9" * (limit + 1))) == 1
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and err.startswith("error: ")
+    assert "set_int_max_str_digits" not in err
 
 
 def test_help_exits_zero(capsys):
