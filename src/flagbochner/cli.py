@@ -34,7 +34,6 @@ from .expansion import (
     coefficient,
     coefficients,
     diastasis,
-    eval_numeric,
     forbidden_jet,
     hessian_fd,
     symbolic_metric,
@@ -407,13 +406,12 @@ def run_sweep(request: SweepRequest) -> dict:
 
 
 def _sample_points(nvars: int, samples: int, seed: int):
-    rng = random.Random(seed)
+    # rng.uniform(-1, 1) is -1 + 2 * rng.random(): the same floats
+    draw = random.Random(seed).random
     points = []
     for _ in range(samples):
-        raw = [
-            complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            for _ in range(nvars)
-        ]
+        raw = [complex(-1 + 2 * draw(), -1 + 2 * draw())
+               for _ in range(nvars)]
         top = max(abs(z) for z in raw)
         if top == 0:
             raw[0] = 1.0 + 0j
@@ -447,7 +445,12 @@ def run_numeric_check(request: CaseRequest, samples: int, seed: int) -> dict:
     import numpy as np
 
     nvars = atlas.nvars
-    hess = hessian_fd(diagram, coeffs)
+    points = _sample_points(nvars, samples, seed)
+    # the samples follow the stencil's points in its stacks, and the
+    # stencil's f(0) is the potential at the origin
+    stencil = hessian_fd(diagram, coeffs, points)
+    hess = stencil.hessian
+    zero_val = stencil.at_zero
     metric = symbolic_metric(expansion, nvars)
     herr = float(np.max(np.abs(hess - metric)))
     eigs = np.linalg.eigvalsh((hess + hess.conj().T) / 2)
@@ -458,14 +461,10 @@ def run_numeric_check(request: CaseRequest, samples: int, seed: int) -> dict:
 
     tol_pot = (POTENTIAL_TOL_FACTOR * sum(coeffs) * nvars * nvars
                * SAMPLE_RADIUS ** (request.max_degree + 1))
-    points = _sample_points(nvars, samples, seed)
-    # the samples and the origin in one stacked evaluation
-    *exact_values, zero_val = map(float, eval_numeric(
-        atlas, points + [[0j] * nvars], coeffs))
     sample_rows = []
     worst = 0.0
-    for point, exact, approx in zip(points, exact_values,
-                                    truncated_value(expansion, points)):
+    for point, exact, approx in zip(points, map(float, stencil.at_points),
+                                    truncated_value(expansion, points, nvars)):
         err = abs(exact - approx)
         worst = max(worst, err)
         sample_rows.append({

@@ -469,30 +469,61 @@ def forbidden_jet(diagram: PaintedDiagram,
     return PackedJet(dz, exps, pack, degree)
 
 
+def _point_stack(points, nvars: int):
+    """points as a P x nvars complex array, P >= 0 ([] is the empty
+    stack); a stack of any other shape, or of entries that are not
+    numbers, raises ValueError."""
+    import numpy as np
+
+    wanted = f"points must be a P x {nvars} stack of numbers"
+    try:
+        pts = np.asarray(points, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValueError(wanted) from None
+    if pts.shape == (0,):
+        return pts.reshape(0, nvars)
+    if pts.ndim != 2 or pts.shape[1] != nvars:
+        raise ValueError(f"{wanted}, got shape {pts.shape}")
+    return pts
+
+
 def eval_numeric(atlas: CoordinateAtlas, points, coeffs):
     """The untruncated potential sum_k c_k ln Delta_{l_k} at each row of a
     P x nvars stack of numeric points, from numpy Gram minors, independent
-    of the polynomial truncation; one value per point."""
+    of the polynomial truncation; one value per point.
+
+    Each point sums exp Z = I + Z + Z^2/2 + ... only until its own power
+    of Z is exactly zero, after which every later power is zero too, so
+    the stack multiplies only the points whose series still runs.  numpy
+    forms each matrix of a stacked product, determinant and sum on its
+    own, so every value is the one-point call's to the last bit, whatever
+    else shares its stack."""
     import numpy as np
 
     sizes = atlas.diagram.black
     values = [float(c) for c in coeffs]
     if len(values) != len(sizes):
         raise ValueError("one coefficient per black node is required")
-    pts = np.asarray(points, dtype=complex)
+    pts = _point_stack(points, atlas.nvars)
     m = atlas.size
     rows, cols, var, sign = atlas.scatter
     z = np.zeros((len(pts), m, m), dtype=complex)
     z[:, rows, cols] = sign * pts[:, var]
-    # exp Z = I + Z + Z^2/2 + ...; a point whose power of Z vanishes early
-    # adds exact zeros until the whole stack's does
     e = z + np.eye(m)
-    power = z
+    # live: the points whose series still runs, power their last power
+    live = np.arange(len(pts))
+    power = zl = z
     for k in range(2, m):
-        power = power @ z / k
-        if not power.any():
+        if not len(live):
             break
-        e = e + power
+        power = power @ zl / k
+        nonzero = power.any(axis=(1, 2))
+        if not nonzero.all():
+            # one at a time: the old power is freed before zl is copied
+            live = live[nonzero]
+            power = power[nonzero]
+            zl = zl[nonzero]
+        e[live] += power
     a = e.conj().transpose(0, 2, 1) @ e
     det = np.array([np.linalg.det(a[:, :l, :l]) for l in sizes])
     if np.any(np.abs(det.imag) > 1e-9 * np.maximum(1.0, np.abs(det.real))):
@@ -507,8 +538,9 @@ def eval_numeric(atlas: CoordinateAtlas, points, coeffs):
     for c, row in zip(values, det.real):
         # math.log, not np.log: numpy's vector log differs from libm in
         # the last bit on some inputs, and the difference quotients of
-        # hessian_fd magnify that bit
-        acc += c * np.array([math.log(x) for x in row])
+        # hessian_fd magnify that bit; a list of floats iterates faster
+        # than the array, and math.log reads the same double from either
+        acc += c * np.array(list(map(math.log, row.tolist())))
     return acc
 
 
@@ -518,17 +550,18 @@ def _require_numeric(poly: Polynomial) -> None:
                          "expand with numeric coeffs")
 
 
-def truncated_value(poly: Polynomial, points) -> list[float]:
-    """Values of a numeric expansion at each of a stack of numeric points.
+def truncated_value(poly: Polynomial, points, nvars: int) -> list[float]:
+    """Values of a numeric expansion in nvars variables at each row of a
+    P x nvars stack of numeric points.
 
     The coefficients become complex once for the whole stack; each point
     then sums its terms in the polynomial's order with the operations of
     Polynomial.evaluate, so every value is the same to the last bit."""
     _require_numeric(poly)
+    stack = _point_stack(points, nvars).tolist()
     terms = [(complex(x), m.holo, m.anti) for m, x in poly.terms.items()]
     out = []
-    for point in points:
-        z = [complex(x) for x in point]
+    for z in stack:
         zb = [x.conjugate() for x in z]
         acc = 0j
         for val, holo, anti in terms:
@@ -545,16 +578,29 @@ def truncated_value(poly: Polynomial, points) -> list[float]:
     return out
 
 
-def hessian_fd(diagram: PaintedDiagram, coeffs):
+class Stencil(NamedTuple):
+    """What hessian_fd reads off the exact potential f: the N x N complex
+    Hessian at the origin, f(0) and f at each extra point, in order."""
+
+    hessian: object
+    at_zero: float
+    at_points: object
+
+
+def hessian_fd(diagram: PaintedDiagram, coeffs, points=()) -> Stencil:
     """Complex Hessian H[v, w] = d^2 f / dz_v dzb_w of the exact potential
-    f at the origin, as an N x N complex array, by polarization.
+    f at the origin, by polarization, with f(0) and the values of f at a
+    P x N stack of extra points (none by default).
 
     For a direction u of the stencil, f(hu) - f(0) = h^2 Q(u) + O(h^4)
     with Q(u) = sum_{v,w} H[v, w] u_v conj(u_w), because f has no pure
     terms and, along u, no odd ones.  u = e_v gives H[v, v]; for v < w,
     u = e_v + e_w gives H[v, v] + H[w, w] + 2 Re H[v, w] and
     u = e_v + i e_w gives H[v, v] + H[w, w] + 2 Im H[v, w].  That is N^2
-    directions and N^2 + 1 points, evaluated in stacks of at most 8 N - 2.
+    directions and N^2 + 1 points; the extra points follow them, and all
+    are evaluated in stacks of at most 8 N - 2.  eval_numeric answers
+    each point as a one-point call would, so the extra points move no
+    bit of the Hessian, and the origin is evaluated once.
 
     The two-sided stencil (f(hu) + f(-hu) - 2 f(0)) / (2 h^2) reads the
     same Q(u): its -hu half repeats the +hu half.  f is invariant under
@@ -570,6 +616,7 @@ def hessian_fd(diagram: PaintedDiagram, coeffs):
 
     atlas = build_Z(diagram)
     n = atlas.nvars
+    extra = _point_stack(points, n)
     h = 1e-4
     iv, iw = np.triu_indices(n, 1)
     k = len(iv)
@@ -579,13 +626,13 @@ def hessian_fd(diagram: PaintedDiagram, coeffs):
     cross = n + np.arange(k)
     u[cross, iv] = u[cross, iw] = u[cross + k, iv] = 1
     u[cross + k, iw] = 1j
-    points = np.concatenate((np.zeros((1, n)), h * u))
+    stack = np.concatenate((np.zeros((1, n)), h * u, extra))
     batch = 8 * n - 2
     vals = np.concatenate([
-        eval_numeric(atlas, points[s:s + batch], coeffs)
-        for s in range(0, len(points), batch)
+        eval_numeric(atlas, stack[s:s + batch], coeffs)
+        for s in range(0, len(stack), batch)
     ])
-    quad = (vals[1:] - vals[0]) / (h * h)
+    quad = (vals[1:n * n + 1] - vals[0]) / (h * h)
     diag = quad[:n]
     both = diag[iv] + diag[iw]
     re = (quad[n:n + k] - both) / 2
@@ -593,7 +640,7 @@ def hessian_fd(diagram: PaintedDiagram, coeffs):
     hess = np.diag(diag).astype(complex)
     hess[iv, iw] = re + 1j * im
     hess[iw, iv] = re - 1j * im
-    return hess
+    return Stencil(hess, float(vals[0]), vals[n * n + 1:])
 
 
 def symbolic_metric(poly: Polynomial, nvars: int):

@@ -321,7 +321,7 @@ def test_criterion_8_numeric_spot_check():
         coeffs = [F(rng.randint(1, 8), rng.randint(1, 4)) for _ in diagram.black]
         expansion = diastasis(diagram, 3, coeffs)
         cvals = [float(c) for c in coeffs]
-        hess = hessian_fd(diagram, cvals)
+        hess = hessian_fd(diagram, cvals).hessian
         metric = symbolic_metric(expansion, build_Z(diagram).nvars)
         err = float(np.max(np.abs(hess - metric)))
         if err > 1e-6:
@@ -336,7 +336,7 @@ def test_criterion_8_numeric_spot_check():
         atlas = build_Z(diagram)
         for point in _boundary_samples(rng, atlas.nvars, 3, 0.05):
             exact = eval_numeric(atlas, [point], cvals)[0]
-            approx = truncated_value(audit, [point])[0]
+            approx = truncated_value(audit, [point], atlas.nvars)[0]
             if abs(exact - approx) > 1e-5:
                 problems.append(
                     (diagram.label(), "truncation", abs(exact - approx))
@@ -352,10 +352,10 @@ def test_criterion_8_numeric_spot_check():
     worst_d6 = 0.0
     for point in _boundary_samples(rng, 3, 10, 0.05):
         exact = eval_numeric(atlas, [point], [1, 1])[0]
-        worst_d3 = max(worst_d3,
-                       abs(exact - truncated_value(expansion, [point])[0]))
-        worst_d6 = max(worst_d6,
-                       abs(exact - truncated_value(audit, [point])[0]))
+        worst_d3 = max(worst_d3, abs(
+            exact - truncated_value(expansion, [point], atlas.nvars)[0]))
+        worst_d6 = max(worst_d6, abs(
+            exact - truncated_value(audit, [point], atlas.nvars)[0]))
     if worst_d3 > 64 * 2 * 9 * 0.05 ** 4:
         problems.append(("SU(3) {1,2}", "degree-3 bound", worst_d3))
     if worst_d6 > 1e-5:

@@ -714,6 +714,48 @@ def test_run_numeric_check_deterministic():
     assert doc1["potential_at_zero"] == 0.0
 
 
+@pytest.mark.parametrize("group, black, coeffs, samples", [
+    ("SU:2", "1", "1", 10),  # one variable: two stencil points, stacks of 6
+    ("Sp:3", "1,2,3", "1,5/2,3/4", 7),
+    ("SOodd:4", "1,2,3,4", "1,2,3,4", 10),  # 267 points, stacks of 126
+])
+def test_numeric_check_evaluates_each_point_once_in_full_stacks(
+        monkeypatch, group, black, coeffs, samples):
+    # the samples follow the stencil's n^2 + 1 points in its stacks of at
+    # most 8n - 2, so the origin is evaluated once, as the stencil's f(0)
+    import numpy as np
+
+    from flagbochner import expansion
+
+    request = _case(group, black, coeffs)
+    n = build_Z(PaintedDiagram(request.group, request.black)).nvars
+    exact = expansion.eval_numeric
+    seen = []
+
+    def spy(atlas, points, cvals):
+        values = exact(atlas, points, cvals)
+        seen.append((np.asarray(points, dtype=complex), values))
+        return values
+
+    # every module-level binding of it, as bench/spans.py wraps a layer
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("flagbochner")
+                and getattr(module, "eval_numeric", None) is exact):
+            monkeypatch.setattr(module, "eval_numeric", spy)
+    doc = run_numeric_check(request, samples, 0)
+    total, batch = n * n + 1 + samples, 8 * n - 2
+    sizes = [len(p) for p, _ in seen]
+    assert sum(sizes) == total
+    assert len(sizes) == -(-total // batch)
+    assert max(sizes) <= batch
+    points = np.concatenate([p for p, _ in seen])
+    values = np.concatenate([v for _, v in seen])
+    assert np.flatnonzero(~points.any(axis=1)).tolist() == [0]
+    assert doc["potential_at_zero"] == values[0]
+    exact = [row["exact"] for row in doc["samples"]]
+    assert exact == values[-samples:].tolist()
+
+
 # ------------------------------------------------------------------ README
 
 def test_readme_quickstart_prints_its_commented_values():

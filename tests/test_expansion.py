@@ -426,7 +426,8 @@ def test_diastasis_vanishes_at_origin():
     dia = diagram(Family.SP, 2, (1, 2))
     expansion = diastasis(dia, 3, (1, 2))
     atlas = build_Z(dia)
-    assert truncated_value(expansion, [[0j] * atlas.nvars]) == [0.0]
+    assert truncated_value(expansion, [[0j] * atlas.nvars],
+                           atlas.nvars) == [0.0]
     values = eval_numeric(atlas, [[0j] * atlas.nvars], [1.0, 2.0])
     assert values.tolist() == [0.0]
 
@@ -436,10 +437,11 @@ def test_truncated_value_stack_equals_polynomial_evaluate():
     # still be the one-point sum to the last bit
     dia = diagram(Family.SP, 3, (1, 3))
     expansion = diastasis(dia, 4, (F(7, 3), F(5, 2)))
+    nvars = build_Z(dia).nvars
     rng = random.Random(12)
     points = [[complex(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
-               for _ in range(build_Z(dia).nvars)] for _ in range(4)]
-    assert truncated_value(expansion, points) == [
+               for _ in range(nvars)] for _ in range(4)]
+    assert truncated_value(expansion, points, nvars) == [
         expansion.evaluate(point).real for point in points
     ]
 
@@ -450,7 +452,7 @@ def test_numeric_readers_refuse_a_symbolic_expansion():
     symbolic = diastasis(dia, 3, "symbolic")
     nvars = build_Z(dia).nvars
     with pytest.raises(ValueError, match="symbolic expansion"):
-        truncated_value(symbolic, [[0.01j] * nvars])
+        truncated_value(symbolic, [[0.01j] * nvars], nvars)
     with pytest.raises(ValueError, match="symbolic expansion"):
         symbolic_metric(symbolic, nvars)
 
@@ -843,7 +845,7 @@ def test_diastasis_rejects_degree_below_two(degree):
 
 def test_hessian_identity_for_unit_grassmannian():
     dia = diagram(Family.SU, 3, (1,))
-    hess = hessian_fd(dia, [1.0])
+    hess = hessian_fd(dia, [1.0]).hessian
     assert np.max(np.abs(hess - np.eye(hess.shape[0]))) < 1e-6
 
 
@@ -854,7 +856,7 @@ def test_hessian_matches_symbolic_metric():
         values = [F(c).limit_denominator(100) for c in coeffs]
         expansion = diastasis(dia, 3, values)
         cvals = [float(v) for v in values]
-        hess = hessian_fd(dia, cvals)
+        hess = hessian_fd(dia, cvals).hessian
         metric = symbolic_metric(expansion, build_Z(dia).nvars)
         assert np.max(np.abs(hess - metric)) < 1e-6
         eigs = np.linalg.eigvalsh((hess + hess.conj().T) / 2)
@@ -874,7 +876,7 @@ def _hessian_cases():
 
 def test_hessian_fd_matches_pointwise_oracle():
     for dia, coeffs in _hessian_cases():
-        hess = hessian_fd(dia, coeffs)
+        hess = hessian_fd(dia, coeffs).hessian
         expected = oracles.hessian_fd_pointwise(dia, coeffs)
         assert np.max(np.abs(hess - expected)) <= 1e-12, dia
 
@@ -882,7 +884,7 @@ def test_hessian_fd_matches_pointwise_oracle():
 def test_hessian_fd_agrees_with_the_real_coordinate_stencil():
     # two stencils with different points and error terms read one Hessian
     for dia, coeffs in _hessian_cases():
-        hess = hessian_fd(dia, coeffs)
+        hess = hessian_fd(dia, coeffs).hessian
         expected = oracles.hessian_fd_real_pointwise(dia, coeffs)
         assert np.max(np.abs(hess - expected)) <= 1e-6, dia
 
@@ -891,7 +893,7 @@ def test_hessian_fd_sees_a_pure_term(monkeypatch):
     # kappa Re(z_0^2) has no (1,1) part; the real-coordinate stencil takes
     # the Hermitian part and drops it, polarization moves H[0, 0] by kappa
     dia = diagram(Family.SU, 3, (1, 2))
-    base = hessian_fd(dia, [1.0, 2.0])
+    base = hessian_fd(dia, [1.0, 2.0]).hessian
     kappa = 0.5
     exact = expansion_module.eval_numeric
 
@@ -900,7 +902,7 @@ def test_hessian_fd_sees_a_pure_term(monkeypatch):
         return exact(atlas, points, coeffs) + kappa * (z0 * z0).real
 
     monkeypatch.setattr(expansion_module, "eval_numeric", with_pure_term)
-    moved = hessian_fd(dia, [1.0, 2.0])
+    moved = hessian_fd(dia, [1.0, 2.0]).hessian
     shift = np.zeros_like(base)
     shift[0, 0] = kappa
     assert np.max(np.abs(moved - base - shift)) < 1e-6
@@ -911,7 +913,7 @@ def test_hessian_fd_sees_an_odd_term(monkeypatch):
     # potential has it; the two-sided stencil cancels it, the one-sided
     # stencil moves H[0, 0] by kappa h and leaves every other entry
     dia = diagram(Family.SU, 3, (1, 2))
-    base = hessian_fd(dia, [1.0, 2.0])
+    base = hessian_fd(dia, [1.0, 2.0]).hessian
     kappa, h = 100.0, 1e-4
     exact = expansion_module.eval_numeric
 
@@ -920,7 +922,7 @@ def test_hessian_fd_sees_an_odd_term(monkeypatch):
         return exact(atlas, points, coeffs) + kappa * abs(z0) ** 2 * z0.real
 
     monkeypatch.setattr(expansion_module, "eval_numeric", with_odd_term)
-    moved = hessian_fd(dia, [1.0, 2.0])
+    moved = hessian_fd(dia, [1.0, 2.0]).hessian
     shift = np.zeros_like(base)
     shift[0, 0] = kappa * h
     assert np.max(np.abs(moved - base - shift)) < 1e-6
@@ -992,6 +994,69 @@ def test_numeric_potential_stack_equals_one_point_calls():
         assert abs(value - expected) <= 1e-12
 
 
+@pytest.mark.parametrize("dia, coeffs", [
+    pytest.param(diagram(Family.SO_ODD, 4, (1, 2, 3, 4)),
+                 [1.5, 0.25, 2.0, 0.75], id="SOodd:4 {1,2,3,4}"),
+    pytest.param(diagram(Family.SP, 3, (1, 2, 3)), [1.0, 2.5, 0.75],
+                 id="Sp:3 {1,2,3}")])
+def test_mixed_stack_equals_one_point_calls_to_the_bit(dia, coeffs):
+    # each point's exp series stops where its own power of Z vanishes: the
+    # origin's at once, most stencil directions' at Z^2 or Z^3, a generic
+    # sample's only near Z^(size - 1); no point may move another's bits
+    atlas = build_Z(dia)
+    n = atlas.nvars
+    rng = random.Random(32)
+    samples = []
+    for _ in range(6):
+        raw = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+               for _ in range(n)]
+        top = max(map(abs, raw))
+        samples.append([z * (0.05 / top) for z in raw])
+    points = np.concatenate(([np.zeros(n)], 1e-4 * np.array(list(_stencil(n))),
+                             samples))
+    stack = points[rng.sample(range(len(points)), len(points))]
+    stacked = eval_numeric(atlas, stack, coeffs)
+    one = np.concatenate([eval_numeric(atlas, [p], coeffs) for p in stack])
+    assert stacked.tobytes() == one.tobytes()
+    for value, point in zip(stacked, stack):
+        expected = oracles.potential_pointwise(atlas, dia.black, point,
+                                               coeffs)
+        assert abs(value - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("points", [
+    [[0.01j] * 10], [[0.01j] * 7], [0.01j] * 8, [[0.01j] * 8, [0.01j] * 7],
+    [[[0.01j] * 8]], [["z"] * 8]],
+    ids=["10 wide", "7 wide", "bare point", "ragged", "3-d", "not numbers"])
+def test_numeric_readers_refuse_points_of_the_wrong_width(points):
+    # Sp(3) {1,3} has 8 variables: a wider point used to lose its extra
+    # coordinates, a narrower one or a bare point raised IndexError
+    dia = diagram(Family.SP, 3, (1, 3))
+    expansion = diastasis(dia, 3, (1, 2))
+    atlas = build_Z(dia)
+    assert atlas.nvars == 8
+    with pytest.raises(ValueError, match="P x 8 stack of numbers"):
+        eval_numeric(atlas, points, [1, 2])
+    with pytest.raises(ValueError, match="P x 8 stack of numbers"):
+        truncated_value(expansion, points, 8)
+    with pytest.raises(ValueError, match="P x 8 stack of numbers"):
+        hessian_fd(dia, [1.0, 2.0], points)
+
+
+def test_numeric_readers_answer_an_empty_stack():
+    dia = diagram(Family.SP, 3, (1, 3))
+    expansion = diastasis(dia, 3, (1, 2))
+    atlas = build_Z(dia)
+    for empty in (np.zeros((0, 8)), []):
+        assert eval_numeric(atlas, empty, [1, 2]).shape == (0,)
+        assert truncated_value(expansion, empty, 8) == []
+        stencil = hessian_fd(dia, [1.0, 2.0], empty)
+        assert stencil.at_points.shape == (0,)
+        assert (stencil.hessian.tobytes()
+                == hessian_fd(dia, [1.0, 2.0]).hessian.tobytes())
+        assert stencil.at_zero == 0.0
+
+
 def test_numeric_potential_stack_with_one_bad_point_raises():
     # at |z| = 1e8 the float Gram minor of SU(3) cancels to a negative value
     dia = diagram(Family.SU, 3, (1, 2))
@@ -1016,7 +1081,7 @@ def test_truncation_error_scales_with_radius():
             point = [z * radius / top for z in raw]
             err = abs(
                 eval_numeric(atlas, [point], [1, 1])[0]
-                - truncated_value(expansion, [point])[0]
+                - truncated_value(expansion, [point], n)[0]
             )
             assert err < bound
 
