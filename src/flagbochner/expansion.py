@@ -45,8 +45,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .lie_core import PaintedDiagram
-from .matrices import (CoordinateAtlas, Packing, add_shifted, build_Z,
-                       z_powers)
+from .matrices import CoordinateAtlas, Packing, build_Z, z_powers
 from .poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
 
 
@@ -341,25 +340,50 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
     return Polynomial(terms, degree)
 
 
-def _sylvester_terms(atlas: CoordinateAtlas, l: int, last):
-    """Yield W_1 = Z21, W_2, ... at the split l, each (r, c) -> {packed: n},
-    with W_(n+1) = Z W_n - W_n Z: integer and homogeneous of degree n, so
-    W_n / n!, the degree-n part of Y_l, is the n / d! encoding.  A chart
-    entry above the split, which would take W out of the (2, 1) block,
-    raises.  Stops after a zero W, or after W_last; last None runs until
-    W vanishes.  Nilpotent Z has W_n = 0 past 2K < 2 * size
-    (Y_l = E21 E11^{-1} has degree <= 2K), so a W still nonzero at that
-    bound raises."""
-    rows, cols = atlas.lines
+def _recursion_steps(atlas: CoordinateAtlas, black, zvs) -> list:
+    """steps[a * size + b]: the (offset, z_v packed, sign) moves of W[a, b]
+    under W -> Z W - W Z, zvs[v] the packed z_v, at every position of a
+    split's (2, 1) block and None elsewhere: Z[r, a] W[a, b] moves it by
+    (r - a) * size and W[a, b] Z[b, c] by c - b with the sign negated, in
+    the order of the entry map, the Z W moves first."""
+    size = atlas.size
+    left = [[] for _ in range(size)]  # left[a]: the moves Z[r, a] W[a, b]
+    right = [[] for _ in range(size)]  # right[b]: the moves W[a, b] Z[b, c]
+    for (r, c), (v, s) in atlas.entries.items():
+        var = zvs[v]
+        left[c].append(((r - c) * size, var, s))
+        right[r].append((c - r, var, -s))
+    steps = [None] * (size * size)
+    # a block position (a, b) has black[0] <= a and b < min(a, black[-1])
+    for a in range(black[0], size):
+        k = min(a, black[-1])
+        steps[a * size:a * size + k] = [left[a] + moves for moves in right[:k]]
+    return steps
+
+
+def _sylvester_terms(atlas: CoordinateAtlas, l: int, last, steps, reads):
+    """Yield W_1 = Z21, W_2, ... at the split l, each keyed by the position
+    r * size + c of W[r, c], {packed: n}, with W_(n+1) = Z W_n - W_n Z,
+    each position moved by its steps (_recursion_steps): integer and
+    homogeneous of degree n, so W_n / n!, the degree-n part of Y_l, is the
+    n / d! encoding.  reads gets the (position, v, sign) of each entry of
+    Z21, from the scan that forms W_1.  A chart entry above the split,
+    which would take W out of the (2, 1) block, raises.  Stops after a
+    zero W, or after W_last; last None runs until W vanishes.  Nilpotent Z
+    has W_n = 0 past 2K < 2 * size (Y_l = E21 E11^{-1} has degree <= 2K),
+    so a W still nonzero at that bound raises."""
     pack = atlas.packing
-    bound = 2 * atlas.size
+    size = atlas.size
+    bound = 2 * size
     w = {}
     for (r, c), (v, s) in atlas.entries.items():
         if r < l <= c:
             raise EngineInvariantError(
                 f"chart entry ({r},{c}) lies above the split at {l}")
         if c < l <= r:
-            w[(r, c)] = {pack.variable(v): s}
+            p = r * size + c
+            w[p] = {pack.variable(v): s}
+            reads.append((p, v, s))
     n = 1
     while w:
         yield w
@@ -369,13 +393,21 @@ def _sylvester_terms(atlas: CoordinateAtlas, l: int, last):
             raise EngineInvariantError(f"the recursion at split {l} does "
                                        f"not end by degree {bound}")
         n += 1
-        nxt: dict[tuple[int, int], dict[int, int]] = {}
-        for (a, b), t in w.items():
-            for r, var, s in cols.get(a, ()):  # Z[r, a] W[a, b]
-                add_shifted(nxt.setdefault((r, b), {}), t, var, s)
-            for c, var, s in rows.get(b, ()):  # W[a, b] Z[b, c]
-                add_shifted(nxt.setdefault((a, c), {}), t, var, -s)
-        w = {key: t for key, t in nxt.items() if t}
+        nxt: dict[int, dict[int, int]] = {}
+        for p, t in w.items():
+            for off, var, s in steps[p]:
+                acc = nxt.get(p + off)
+                if acc is None:
+                    nxt[p + off] = {m + var: s * x for m, x in t.items()}
+                    continue
+                for m, x in t.items():
+                    m += var
+                    y = acc.get(m, 0) + s * x
+                    if y:
+                        acc[m] = y
+                    else:
+                        del acc[m]
+        w = {p: t for p, t in nxt.items() if t}
 
 
 class PackedJet(NamedTuple):
@@ -420,15 +452,19 @@ def forbidden_jet(diagram: PaintedDiagram,
     # dz[v][m] = {l: n}: the form of z^m in G_v, which is that of zb^m in
     # the coefficient of z_v.  Zero numerators and empty forms are popped.
     dz: dict[int, dict[int, dict[int, int]]] = {}
+    pack = atlas.packing
+    zvs = [pack.variable(v) for v in range(atlas.nvars)]
+    steps = _recursion_steps(atlas, diagram.black, zvs)
     for l in diagram.black:
-        reads = {key: vs for key, vs in atlas.entries.items()
-                 if key[1] < l <= key[0]}
-        for w in _sylvester_terms(atlas, l, last):
-            for key, (v, s) in reads.items():
-                t = w.get(key)
+        reads: list[tuple[int, int, int]] = []
+        for w in _sylvester_terms(atlas, l, last, steps, reads):
+            for p, v, s in reads:
+                t = w.get(p)
                 if t is None:
                     continue
-                forms = dz.setdefault(v, {})
+                forms = dz.get(v)
+                if forms is None:
+                    forms = dz[v] = {}
                 for m, n in t.items():
                     lam = forms.get(m)
                     if lam is None:  # n != 0: W keeps no zero term
@@ -441,14 +477,12 @@ def forbidden_jet(diagram: PaintedDiagram,
                         del lam[l]
                         if not lam:
                             del forms[m]
-    pack = atlas.packing
     decode = pack.decode
     # a root's e-coordinates in one int, 16 bits each: adding such ints
     # adds the roots while no coordinate leaves +-2**15, far above a degree
     scale = [1 << 16 * i for i in range(diagram.group.rank)]
     weights = [sum(map(operator.mul, root.coeffs, scale))
                for root in atlas.vars]
-    zvs = [pack.variable(v) for v in range(atlas.nvars)]
     exps = {}
     for v, forms in dz.items():
         zv, wv = zvs[v], weights[v]

@@ -9,10 +9,10 @@ which is the whole point of fixing it.  Rows and columns are 0-based.
 Z(z) is the sum over alpha in -Q of z_alpha E_alpha; each variable occupies
 its own matrix positions, and the assembled matrix is nilpotent.  A chart
 holds Z as its entry map, (row, col) -> (variable, sign); no symbolic
-matrix is built.  Its lines (Z by rows and by columns) serve the forbidden
-jet's recursion.  -Q, each root with the entries of its E_alpha, and the
-nilpotency index are read off the blocks of the painting
-(PaintedDiagram.blocks), not off the root system or the powers of Z.
+matrix is built, and the forbidden jet's recursion reads its steps off that
+map.  -Q, each root with the entries of its E_alpha, and the nilpotency
+index are read off the blocks of the painting (PaintedDiagram.blocks), not
+off the root system or the powers of Z.
 z_powers forms the nonzero powers of Z, in integer arithmetic on packed
 monomials (Packing, the one definition of that format), in the packing
 of the caller, for exp Z in the Gram expansion.
@@ -118,18 +118,6 @@ class CoordinateAtlas:
         """The packed format of the forbidden jet: its terms W_n of degree
         n vanish past 2K < 2 * size, K < size the top power of Z."""
         return Packing(self.nvars, 2 * self.size)
-
-    @cached_property
-    def lines(self):
-        """(rows, cols): rows[r] = [(c, z_v, sign)] and cols[c] =
-        [(r, z_v, sign)], z_v packed, in the order of the entry map."""
-        pack = self.packing
-        rows, cols = {}, {}
-        for (r, c), (v, s) in self.entries.items():
-            var = pack.variable(v)
-            rows.setdefault(r, []).append((c, var, s))
-            cols.setdefault(c, []).append((r, var, s))
-        return rows, cols
 
     @cached_property
     def scatter(self):

@@ -22,6 +22,7 @@ from flagbochner.expansion import (
     _packed_exp,
     _packed_gram,
     _packed_minor,
+    _recursion_steps,
     _sylvester_terms,
     _truncated_product,
     diastasis,
@@ -399,14 +400,16 @@ def test_packed_solves_are_integer_and_equal_the_rational_solve(dia, degree):
     # block, not only at those the jet reads
     atlas = build_Z(dia)
     u = oracles.exp_Z(atlas, degree).conj_transpose().entries
+    zvs = [atlas.packing.variable(v) for v in range(atlas.nvars)]
+    steps = _recursion_steps(atlas, dia.black, zvs)
     for l in dia.black:
         cols = range(l, atlas.size)
         block = [(r, c) for r in cols for c in range(l)]
         want = oracles.leading_solve(u, l, cols, degree)
-        ws = list(_sylvester_terms(atlas, l, degree))
+        ws = list(_sylvester_terms(atlas, l, degree, steps, []))
         for r, c in block:
-            got = _unpacked(atlas.packing,
-                            (w[(r, c)] for w in ws if (r, c) in w))
+            p = r * atlas.size + c
+            got = _unpacked(atlas.packing, (w[p] for w in ws if p in w))
             expected = want[r].get(c, Polynomial.zero(degree))
             assert got.terms == {m.conj(): x
                                  for m, x in expected.terms.items()}
@@ -544,6 +547,31 @@ def test_forbidden_jet_is_the_one_sided_part_of_the_expansion():
         assert jet.truncate(2).terms == diastasis(dia, 2, "symbolic").terms
 
 
+@pytest.mark.parametrize("degree", [3, 5, None])
+def test_jet_keeps_no_cancelled_term(degree):
+    # the recursion adds terms in place and pops what cancels, and so does
+    # the jet's sum of forms: no W_n position and no variable keeps an
+    # empty map, no monomial an empty form, no term a zero numerator, and
+    # the report holds no zero form
+    assert len(PAINTINGS_RANK6) == 256
+    last = None if degree is None else degree - 1
+    for dia in PAINTINGS_RANK6:
+        atlas = build_Z(dia)
+        zvs = [atlas.packing.variable(v) for v in range(atlas.nvars)]
+        steps = _recursion_steps(atlas, dia.black, zvs)
+        for l in dia.black:
+            for w in _sylvester_terms(atlas, l, last, steps, []):
+                assert all(t and all(t.values()) for t in w.values()), (
+                    dia.label(), l)
+        jet = forbidden_jet(dia, degree)
+        for v, forms in jet.forms.items():
+            assert forms, (dia.label(), v)
+            for m, lam in forms.items():
+                assert lam and all(lam.values()), (dia.label(), v, m)
+        assert all(form for _, form in forbidden_report(jet).entries), (
+            dia.label())
+
+
 WEIGHT = "breaks the torus weight"
 
 
@@ -553,8 +581,8 @@ def _patch_recursion(monkeypatch, fault):
     carries the change on."""
     real = _sylvester_terms
 
-    def patched(atlas, l, last):
-        for n, w in enumerate(real(atlas, l, last), 1):
+    def patched(atlas, l, last, steps, reads):
+        for n, w in enumerate(real(atlas, l, last, steps, reads), 1):
             fault(atlas, l, n, w)
             yield w
 
@@ -749,7 +777,7 @@ def test_forbidden_jet_sees_a_missing_diagonal_term(monkeypatch, degree):
         if n == 1:
             key = next(iter(w))
             del w[key]
-            dropped.append(atlas.entries[key][0])
+            dropped.append(atlas.entries[divmod(key, atlas.size)][0])
 
     _patch_recursion(monkeypatch, drop)
     with pytest.raises(EngineInvariantError, match=r"variables \[\d+\] missing"):
