@@ -372,24 +372,19 @@ def run_sweep(request: SweepRequest) -> dict:
                     })
                     continue
                 names = build_Z(diagram).var_names()
-                verdict = classify(diagram, request.degree)
-                row = {
+                verdict = _verdict_json(classify(diagram, request.degree),
+                                        names)
+                witness = verdict["witness"]
+                rows.append({
                     "family": family.value,
                     "rank": rank,
                     "group": group.label(),
                     "black": list(black),
                     "dim": len(names),
-                    "verdict": verdict.status.value,
-                    "constraints": [
-                        render_constraint(r, verdict.black)
-                        for r in verdict.constraints
-                    ],
-                    "witness": (
-                        verdict.witness[0].render(names)
-                        if verdict.witness is not None else None
-                    ),
-                }
-                rows.append(row)
+                    "verdict": verdict["status"],
+                    "constraints": [c["text"] for c in verdict["constraints"]],
+                    "witness": None if witness is None else witness["monomial"],
+                })
     if not rows and not rejected:
         # a vacuous sweep: a bound below 1, or below every family's rank
         raise ValueError(

@@ -30,7 +30,8 @@ from numpy Gram minors at a whole stack of points in one call.
 The Bochner verdict needs only the potential's (1, .) and (., 1) parts.
 forbidden_jet computes them from Z alone, at every degree if asked, by the
 recursion W_1 = Z21, W_(n+1) = Z W_n - W_n Z at each split, which
-multiplies only by the entries +-z_v of Z, and checks them packed
+multiplies only by the entries +-z_v of Z (matrices.z_walk, the loop of
+z_powers too), and checks them packed
 (PackedJet); _check_potential checks the expansion, which serves the
 numeric lane and the tests.
 """
@@ -45,7 +46,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .lie_core import PaintedDiagram
-from .matrices import CoordinateAtlas, Packing, build_Z, z_powers
+from .matrices import (CoordinateAtlas, Packing, build_Z, z_moves,
+                       z_powers, z_walk)
 from .poly import CoeffForm, EngineInvariantError, Monomial, Polynomial
 
 
@@ -341,18 +343,14 @@ def diastasis(diagram: PaintedDiagram, degree: int = 3,
 
 
 def _recursion_steps(atlas: CoordinateAtlas, black, zvs) -> list:
-    """steps[a * size + b]: the (offset, z_v packed, sign) moves of W[a, b]
-    under W -> Z W - W Z, zvs[v] the packed z_v, at every position of a
-    split's (2, 1) block and None elsewhere: Z[r, a] W[a, b] moves it by
-    (r - a) * size and W[a, b] Z[b, c] by c - b with the sign negated, in
-    the order of the entry map, the Z W moves first."""
+    """steps[a * size + b]: the moves of W[a, b] under W -> Z W - W Z, zvs[v]
+    the packed z_v, at every position of a split's (2, 1) block and None
+    elsewhere: the left moves of z_moves, then its right moves with the
+    sign negated."""
     size = atlas.size
-    left = [[] for _ in range(size)]  # left[a]: the moves Z[r, a] W[a, b]
-    right = [[] for _ in range(size)]  # right[b]: the moves W[a, b] Z[b, c]
-    for (r, c), (v, s) in atlas.entries.items():
-        var = zvs[v]
-        left[c].append(((r - c) * size, var, s))
-        right[r].append((c - r, var, -s))
+    left, right = z_moves(atlas, zvs)
+    right = [[(off, var, -s) for off, var, s in moves]
+             for moves in right[:black[-1]]]
     steps = [None] * (size * size)
     # a block position (a, b) has black[0] <= a and b < min(a, black[-1])
     for a in range(black[0], size):
@@ -363,15 +361,15 @@ def _recursion_steps(atlas: CoordinateAtlas, black, zvs) -> list:
 
 def _sylvester_terms(atlas: CoordinateAtlas, l: int, last, steps, reads):
     """Yield W_1 = Z21, W_2, ... at the split l, each keyed by the position
-    r * size + c of W[r, c], {packed: n}, with W_(n+1) = Z W_n - W_n Z,
-    each position moved by its steps (_recursion_steps): integer and
-    homogeneous of degree n, so W_n / n!, the degree-n part of Y_l, is the
-    n / d! encoding.  reads gets the (position, v, sign) of each entry of
-    Z21, from the scan that forms W_1.  A chart entry above the split,
-    which would take W out of the (2, 1) block, raises.  Stops after a
-    zero W, or after W_last; last None runs until W vanishes.  Nilpotent Z
-    has W_n = 0 past 2K < 2 * size (Y_l = E21 E11^{-1} has degree <= 2K),
-    so a W still nonzero at that bound raises."""
+    r * size + c of W[r, c], {packed: n}, with W_(n+1) = Z W_n - W_n Z, the
+    z_walk of W_1 on the steps of _recursion_steps: integer and homogeneous
+    of degree n, so W_n / n!, the degree-n part of Y_l, is the n / d!
+    encoding.  reads gets the (position, v, sign) of each entry of Z21,
+    from the scan that forms W_1.  A chart entry above the split, which
+    would take W out of the (2, 1) block, raises.  Stops after a zero W, or
+    after W_last; last None runs until W vanishes.  Nilpotent Z has
+    W_n = 0 past 2K < 2 * size (Y_l = E21 E11^{-1} has degree <= 2K), so a
+    W still nonzero at that bound raises."""
     pack = atlas.packing
     size = atlas.size
     bound = 2 * size
@@ -384,30 +382,8 @@ def _sylvester_terms(atlas: CoordinateAtlas, l: int, last, steps, reads):
             p = r * size + c
             w[p] = {pack.variable(v): s}
             reads.append((p, v, s))
-    n = 1
-    while w:
-        yield w
-        if n == last:
-            return
-        if n == bound:
-            raise EngineInvariantError(f"the recursion at split {l} does "
-                                       f"not end by degree {bound}")
-        n += 1
-        nxt: dict[int, dict[int, int]] = {}
-        for p, t in w.items():
-            for off, var, s in steps[p]:
-                acc = nxt.get(p + off)
-                if acc is None:
-                    nxt[p + off] = {m + var: s * x for m, x in t.items()}
-                    continue
-                for m, x in t.items():
-                    m += var
-                    y = acc.get(m, 0) + s * x
-                    if y:
-                        acc[m] = y
-                    else:
-                        del acc[m]
-        w = {p: t for p, t in nxt.items() if t}
+    yield from z_walk(w, steps, last, bound, f"the recursion at split {l} "
+                      f"does not end by degree {bound}")
 
 
 class PackedJet(NamedTuple):

@@ -9,13 +9,15 @@ which is the whole point of fixing it.  Rows and columns are 0-based.
 Z(z) is the sum over alpha in -Q of z_alpha E_alpha; each variable occupies
 its own matrix positions, and the assembled matrix is nilpotent.  A chart
 holds Z as its entry map, (row, col) -> (variable, sign); no symbolic
-matrix is built, and the forbidden jet's recursion reads its steps off that
-map.  -Q, each root with the entries of its E_alpha, and the nilpotency
-index are read off the blocks of the painting (PaintedDiagram.blocks), not
-off the root system or the powers of Z.
-z_powers forms the nonzero powers of Z, in integer arithmetic on packed
-monomials (Packing, the one definition of that format), in the packing
-of the caller, for exp Z in the Gram expansion.
+matrix is built.  -Q, each root with the entries of its E_alpha, and the
+nilpotency index are read off the blocks of the painting
+(PaintedDiagram.blocks), not off the root system or the powers of Z.
+z_moves reads the moves of a matrix under M -> Z M and M -> M Z off that
+map, on integer positions r * size + c and packed monomials (Packing, the
+one definition of that format), and z_walk is the one loop that applies
+them: z_powers walks the nonzero powers of Z for exp Z in the Gram
+expansion, in the packing of the caller, and the forbidden jet's recursion
+W_(n+1) = Z W_n - W_n Z walks on both lists.
 """
 
 from __future__ import annotations
@@ -76,19 +78,6 @@ class Packing:
             weight += weights[v] * e
             packed ^= e << shift
         return tuple(out), weight
-
-
-def add_shifted(acc: dict[int, int], terms: dict[int, int], var: int,
-                sign: int) -> None:
-    """acc += sign * z_v * terms in place, on packed monomials with var the
-    packed z_v; a term whose sum cancels is popped."""
-    for m, x in terms.items():
-        m += var
-        y = acc.get(m, 0) + sign * x
-        if y:
-            acc[m] = y
-        else:
-            del acc[m]
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,6 +182,53 @@ def build_Z(diagram: PaintedDiagram) -> CoordinateAtlas:
                            diagram.group.matrix_size, entries)
 
 
+def z_moves(atlas: CoordinateAtlas, zvs) -> tuple[list, list]:
+    """(left, right): the (offset, z_v packed, sign) moves of a matrix M
+    keyed by the position a * size + b of M[a, b], zvs[v] the packed z_v,
+    in the order of the entry map with Z's own signs.  left[a] holds the
+    moves of M[a, b] under M -> Z M, Z[r, a] M[a, b] by (r - a) * size;
+    right[b] those under M -> M Z, M[a, b] Z[b, c] by c - b."""
+    size = atlas.size
+    left = [[] for _ in range(size)]
+    right = [[] for _ in range(size)]
+    for (r, c), (v, s) in atlas.entries.items():
+        left[c].append(((r - c) * size, zvs[v], s))
+        right[r].append((c - r, zvs[v], s))
+    return left, right
+
+
+def z_walk(w, steps, last, bound, error):
+    """Yield the matrix w, {position: {packed: n}}, then each matrix that
+    one step of every position reaches, each position p moved by its
+    steps[p] of z_moves' form; stop after the last-th matrix, or at the
+    first zero one for last None.  A nonzero bound-th matrix raises
+    EngineInvariantError(error) once yielded.  Terms add in place;
+    cancelled terms and emptied positions drop out."""
+    n = 1
+    while w:
+        yield w
+        if n == last:
+            return
+        if n == bound:
+            raise EngineInvariantError(error)
+        n += 1
+        nxt: dict[int, dict[int, int]] = {}
+        for p, t in w.items():
+            for off, var, s in steps[p]:
+                acc = nxt.get(p + off)
+                if acc is None:
+                    nxt[p + off] = {m + var: s * x for m, x in t.items()}
+                    continue
+                for m, x in t.items():
+                    m += var
+                    y = acc.get(m, 0) + s * x
+                    if y:
+                        acc[m] = y
+                    else:
+                        del acc[m]
+        w = {p: t for p, t in nxt.items() if t}
+
+
 def z_powers(atlas: CoordinateAtlas, pack: Packing, limit: int | None = None):
     """Yield Z, Z^2, ... while nonzero, with int coefficients, each
     (row, col) -> {packed monomial in pack: coefficient}; stop after
@@ -200,36 +236,23 @@ def z_powers(atlas: CoordinateAtlas, pack: Packing, limit: int | None = None):
 
     Z's entries are +-z_v, so Z^k is homogeneous of degree k and each
     monomial is one packed int; pack must hold the highest power the call
-    could form, Z^size or Z^limit.  Entries and terms come in the order of
-    the sparse product Z^(k-1) @ Z that walks Z^(k-1)'s entries, then Z's
-    row.  A nonzero Z^size means Z is not nilpotent, which raises.
+    could form, Z^size or Z^limit.  Each power is z_walk's Z^(k-1) Z, every
+    position moved by the right moves of z_moves, so entries and terms come
+    in the order of the sparse product that walks Z^(k-1)'s entries, then
+    Z's row.  A nonzero Z^size means Z is not nilpotent: the walk raises
+    right after yielding it, so no run to the end returns.
     """
     size = atlas.size
     last = size if limit is None else min(limit, size)
     if pack.max_degree < last:
         raise EngineInvariantError(
             f"{pack.width}-bit fields cannot hold total degree {last}")
-    rows: dict[int, list[tuple[int, int, int]]] = {}
-    for (r, c), (v, s) in atlas.entries.items():
-        rows.setdefault(r, []).append((c, pack.variable(v), s))
-    power = {key: {pack.variable(v): s}
-             for key, (v, s) in atlas.entries.items()}
-    k = 1
-    while power:
-        if k == size:
-            raise EngineInvariantError("Z is not nilpotent")
-        yield power
-        if k == last:
-            return
-        k += 1
-        nxt: dict[tuple[int, int], dict[int, int]] = {}
-        for (i, j), terms in power.items():
-            for c, var, s in rows.get(j, ()):
-                acc = nxt.setdefault((i, c), {})
-                add_shifted(acc, terms, var, s)
-                if not acc:
-                    del nxt[(i, c)]
-        power = nxt
+    zvs = [pack.variable(v) for v in range(atlas.nvars)]
+    _, right = z_moves(atlas, zvs)
+    z = {r * size + c: {zvs[v]: s} for (r, c), (v, s) in atlas.entries.items()}
+    for power in z_walk(z, right * size, last if last < size else None,
+                        size, "Z is not nilpotent"):
+        yield {divmod(p, size): t for p, t in power.items()}
 
 
 def _collapse(parts: list[int], parity: int) -> None:

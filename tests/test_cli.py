@@ -1,5 +1,7 @@
 """End-to-end checks of the command-line driver and its JSON schema."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagbochner import bochner, feasibility
 from flagbochner.bochner import (
@@ -411,6 +415,73 @@ def test_exit_one_on_an_integer_beyond_ints_digit_limit(capsys, request_of):
     err = capsys.readouterr().err.strip()
     assert "\n" not in err and err.startswith("error: ")
     assert "set_int_max_str_digits" not in err
+
+
+# tokens a command line may carry where a flag expects a value: a digit
+# int() reads but ASCII lacks, empty, spaced, signed and underscored
+# integers, one beyond int()'s digit limit and unknown families, alone and
+# as a group's rank
+_HOSTILE = ("\u0661", "", " 1", "+3", "-0", "1_000", "9" * 5000, "SO", "E8")
+_HOSTILE += tuple("SU:" + token for token in _HOSTILE)
+
+# the values each flag reads; every integer among them and in _HOSTILE
+# keeps a request cheap: rank and degree <= 4, a sweep's --max-rank <= 3
+_CASE_FLAGS = {
+    "--group": st.builds("{}:{}".format,
+                         st.sampled_from(("SU", "Sp", "SOeven", "SOodd")),
+                         st.sampled_from(("3", "4", "2", "1"))),
+    "--black": st.sampled_from(("1", "1,2", "2", "3,1", "1,2,3")),
+    "--coeffs": st.sampled_from(("symbolic", "1", "1,2", "1/2,3", "2.5,1e3")),
+    "--max-degree": st.sampled_from(("3", "4")),
+    "--audit-degree": st.just("4"),
+    "--emit": st.sampled_from(("json", "table")),
+}
+_SWEEP_FLAGS = {
+    "--families": st.sampled_from(("SU", "Sp,SOodd", " SOeven , SU")),
+    "--max-rank": st.sampled_from(("1", "2", "3")),
+    "--max-black": st.sampled_from(("1", "2", "4")),
+    "--max-degree": _CASE_FLAGS["--max-degree"],
+    "--emit": _CASE_FLAGS["--emit"],
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_hostile_command_lines_answer_or_refuse_in_one_line(data):
+    # a case names --group and --black, a sweep --max-rank, each with up
+    # to two other flags of its mode.  A hostile request also draws values
+    # from _HOSTILE, repeats flags, names a flag of either mode and may
+    # lose its last value.  No --numeric-check: its tolerance fails large
+    # coefficients with exit 3.
+    sweep, hostile = data.draw(st.booleans()), data.draw(st.booleans())
+    flags = _SWEEP_FLAGS if sweep else _CASE_FLAGS
+    names = ["--max-rank"] if sweep else ["--group", "--black"]
+    names += data.draw(st.lists(st.sampled_from(sorted(flags.keys() - names)),
+                                unique=not hostile, max_size=2))
+    if hostile:
+        flags = {**_CASE_FLAGS, **_SWEEP_FLAGS}
+        names += data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=1))
+    pairs = []
+    for name in data.draw(st.permutations(names)):
+        values = flags[name]
+        if hostile:
+            values = st.one_of(values, st.sampled_from(_HOSTILE))
+        pairs.append((name, data.draw(values)))
+    argv = ["--sweep"] * sweep + [token for pair in pairs for token in pair]
+    if hostile and data.draw(st.booleans()):
+        argv.pop()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if rc == 0:
+        assert out and not err, argv
+        if ("--emit", "json") in pairs:
+            json.loads(out)
+    else:
+        assert rc == 1, (argv, err)
+        assert not out and err.count("\n") == 1, (argv, err)
+        assert err.startswith("error: "), (argv, err)
 
 
 def test_help_exits_zero(capsys):
